@@ -111,13 +111,46 @@ effectiveFaultPlan(const Job &job)
  * shotsRequested() reports the shortfall.
  */
 void
-stampCancelledFixed(Result &merged, const Job &job)
+stampCancelledFixed(Result &merged, const CancelToken &cancel,
+                    std::size_t shots)
 {
-    if (!job.cancel.poll() || merged.shots() >= job.shots)
+    if (!cancel.poll() || merged.shots() >= shots)
         return;
-    merged.setShotsRequested(job.shots);
-    merged.setCancelled(cancelReasonName(job.cancel.reason()));
+    merged.setShotsRequested(shots);
+    merged.setCancelled(cancelReasonName(cancel.reason()));
     obs::count(engineMetrics().cancelled);
+}
+
+/** The ExecStats every entry point reports: shards merged, shard
+    retries, and engine wall time from dispatch to completion. */
+ExecStats
+engineStats(std::size_t shards, const std::atomic<std::size_t> &retries,
+            obs::Tracer::Clock::time_point start)
+{
+    ExecStats stats;
+    stats.shards = shards;
+    stats.retries = retries.load(std::memory_order_relaxed);
+    stats.engineSeconds = std::chrono::duration<double>(
+                              obs::Tracer::Clock::now() - start)
+                              .count();
+    return stats;
+}
+
+/**
+ * A Completion that settles @p promise. The promise is heap-held: the
+ * pool-side callback may still be inside set_value's epilogue when
+ * get() unblocks the waiting thread.
+ */
+ExecutionEngine::Completion
+settle(std::shared_ptr<std::promise<Result>> promise)
+{
+    return [promise = std::move(promise)](Result result,
+                                          std::exception_ptr error) {
+        if (error)
+            promise->set_exception(error);
+        else
+            promise->set_value(std::move(result));
+    };
 }
 
 } // namespace
@@ -278,49 +311,67 @@ ExecutionEngine::shardRunner(
     };
 }
 
-std::vector<std::future<Result>>
-ExecutionEngine::dispatch(
+void
+ExecutionEngine::runShards(
     const Job &job, const BackendPtr &backend,
-    const std::shared_ptr<std::atomic<std::size_t>> &retries)
+    const std::vector<Shard> &plan, std::size_t begin,
+    std::size_t count, std::size_t lanes, bool skip_on_cancel,
+    std::shared_ptr<std::atomic<std::size_t>> retries, BatchDone done)
 {
-    const std::vector<Shard> plan =
-        shardPlan(job.shots, job.seed, *backend);
-    const std::size_t lanes =
-        checkAndLaneCount(job, backend, plan.size());
-
-    std::vector<std::future<Result>> futures;
-    for (std::size_t i = 0; i < plan.size(); ++i)
-        futures.push_back(pool_.submit(
-            shardRunner(job, backend, plan[i], lanes, i,
-                        /*skip_on_cancel=*/true, retries)));
-    return futures;
+    struct Batch
+    {
+        std::mutex mutex;
+        std::vector<Result> parts;
+        std::size_t remaining = 0;
+        /** Lowest failing shard so far (in batch order); count = none. */
+        std::size_t errorIndex = 0;
+        std::exception_ptr error;
+        BatchDone done;
+    };
+    auto batch = std::make_shared<Batch>();
+    batch->parts.resize(count);
+    batch->remaining = count;
+    batch->errorIndex = count;
+    batch->done = std::move(done);
+    if (count == 0) {
+        // Nothing to run (a resumed adaptive job whose checkpoint is
+        // exhausted): the epilogue still runs on a pool thread.
+        pool_.submit([batch]() { batch->done({}, nullptr); });
+        return;
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+        pool_.submit([batch, i,
+                      runner = shardRunner(job, backend, plan[begin + i],
+                                           lanes, begin + i,
+                                           skip_on_cancel, retries)]() {
+            Result part;
+            std::exception_ptr error;
+            try {
+                part = runner();
+            } catch (...) {
+                error = std::current_exception();
+            }
+            {
+                std::lock_guard<std::mutex> lock(batch->mutex);
+                batch->parts[i] = std::move(part);
+                // The lowest failing index wins, so the reported error
+                // does not depend on which shard failed first in time.
+                if (error && i < batch->errorIndex) {
+                    batch->errorIndex = i;
+                    batch->error = error;
+                }
+                if (--batch->remaining != 0)
+                    return;
+            }
+            batch->done(std::move(batch->parts), batch->error);
+        });
+    }
 }
 
 Result
 ExecutionEngine::run(const Job &job)
 {
-    if (!job.circuit)
-        throw ValueError("job has no circuit");
-    const auto start = obs::Tracer::Clock::now();
-    obs::count(engineMetrics().jobs);
-    const BackendPtr backend =
-        registry_->resolve(job.backend, *job.circuit, job.noise);
-    armJobDeadline(job);
-    auto retries = std::make_shared<std::atomic<std::size_t>>(0);
-    std::vector<std::future<Result>> futures =
-        dispatch(job, backend, retries);
-    Result merged(job.circuit->numClbits());
-    for (std::future<Result> &future : futures)
-        merged.merge(future.get());
-    stampCancelledFixed(merged, job);
-    ExecStats stats;
-    stats.shards = futures.size();
-    stats.retries = retries->load(std::memory_order_relaxed);
-    stats.engineSeconds = std::chrono::duration<double>(
-                              obs::Tracer::Clock::now() - start)
-                              .count();
-    merged.setExecStats(stats);
-    return merged;
+    return submit(job).get();
 }
 
 Result
@@ -334,37 +385,10 @@ ExecutionEngine::run(const Circuit &circuit, std::size_t shots,
 std::future<Result>
 ExecutionEngine::submit(Job job)
 {
-    if (!job.circuit)
-        throw ValueError("job has no circuit");
-    const auto start = obs::Tracer::Clock::now();
-    obs::count(engineMetrics().jobs);
-    const BackendPtr backend =
-        registry_->resolve(job.backend, *job.circuit, job.noise);
-    armJobDeadline(job);
-    auto retries = std::make_shared<std::atomic<std::size_t>>(0);
-    // Shards go to the pool now; the merge is deferred to get() so a
-    // waiting caller never occupies a pool thread.
-    auto futures = std::make_shared<std::vector<std::future<Result>>>(
-        dispatch(job, backend, retries));
-    const std::size_t num_clbits = job.circuit->numClbits();
-    return std::async(
-        std::launch::deferred,
-        [futures, num_clbits, start, retries,
-         job = std::move(job)]() {
-            Result merged(num_clbits);
-            for (std::future<Result> &future : *futures)
-                merged.merge(future.get());
-            stampCancelledFixed(merged, job);
-            ExecStats stats;
-            stats.shards = futures->size();
-            stats.retries = retries->load(std::memory_order_relaxed);
-            stats.engineSeconds =
-                std::chrono::duration<double>(
-                    obs::Tracer::Clock::now() - start)
-                    .count();
-            merged.setExecStats(stats);
-            return merged;
-        });
+    auto promise = std::make_shared<std::promise<Result>>();
+    std::future<Result> future = promise->get_future();
+    submitAsync(std::move(job), settle(std::move(promise)));
+    return future;
 }
 
 void
@@ -374,7 +398,7 @@ ExecutionEngine::submitAsync(Job job, Completion on_complete)
         throw ValueError("submitAsync requires a completion callback");
     if (!job.circuit)
         throw ValueError("job has no circuit");
-    const auto start_time = obs::Tracer::Clock::now();
+    const auto start = obs::Tracer::Clock::now();
     obs::count(engineMetrics().jobs);
     const BackendPtr backend =
         registry_->resolve(job.backend, *job.circuit, job.noise);
@@ -383,110 +407,47 @@ ExecutionEngine::submitAsync(Job job, Completion on_complete)
         shardPlan(job.shots, job.seed, *backend);
     const std::size_t lanes =
         checkAndLaneCount(job, backend, plan.size());
+    auto retries = std::make_shared<std::atomic<std::size_t>>(0);
 
-    // Shared completion state: the last shard to finish merges the
-    // parts in shard order (bit-identical to run()) and invokes the
-    // callback on its pool thread — no thread ever blocks in a join.
-    struct AsyncState
-    {
-        std::mutex mutex;
-        std::vector<Result> parts;
-        std::size_t remaining;
-        std::size_t numClbits;
-        std::size_t requestedShots = 0;
-        CancelToken cancel;
-        std::atomic<std::size_t> retryCount{0};
-        Completion callback;
-        std::exception_ptr error;
-        obs::Tracer::Clock::time_point start;
-    };
-    auto state = std::make_shared<AsyncState>();
-    state->parts.assign(plan.size(), Result(job.circuit->numClbits()));
-    state->remaining = plan.size();
-    state->numClbits = job.circuit->numClbits();
-    state->requestedShots = job.shots;
-    state->cancel = job.cancel;
-    state->callback = std::move(on_complete);
-    state->start = start_time;
-    // Aliased handle: shard retries land in the state's counter and
-    // keep it alive alongside the shard closures.
-    auto retries = std::shared_ptr<std::atomic<std::size_t>>(
-        state, &state->retryCount);
-
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-        pool_.submit([runner = shardRunner(job, backend, plan[i],
-                                           lanes, i,
-                                           /*skip_on_cancel=*/true,
-                                           retries),
-                      state, i]() {
-            Result part(state->numClbits);
-            std::exception_ptr error;
-            try {
-                part = runner();
-            } catch (...) {
-                error = std::current_exception();
-            }
-            bool last = false;
-            {
-                std::lock_guard<std::mutex> lock(state->mutex);
-                state->parts[i] = std::move(part);
-                if (error && !state->error)
-                    state->error = error;
-                last = --state->remaining == 0;
-            }
-            if (!last)
-                return;
-            if (state->error) {
-                // A throwing callback would otherwise vanish into a
-                // discarded pool future; invokeGuarded surfaces it.
-                invokeGuarded("submitAsync completion callback",
-                              state->callback,
-                              Result(state->numClbits), state->error);
-                return;
-            }
-            try {
-                Result merged(state->numClbits);
-                for (Result &shard_result : state->parts)
-                    merged.merge(shard_result);
-                if (state->cancel.poll() &&
-                    merged.shots() < state->requestedShots) {
-                    merged.setShotsRequested(state->requestedShots);
-                    merged.setCancelled(cancelReasonName(
-                        state->cancel.reason()));
-                    obs::count(engineMetrics().cancelled);
+    // The last shard to finish merges the parts in shard order and
+    // invokes the callback on its pool thread: no thread ever blocks
+    // in a join.
+    runShards(
+        job, backend, plan, 0, plan.size(), lanes,
+        /*skip_on_cancel=*/true, retries,
+        [callback = std::move(on_complete),
+         num_clbits = job.circuit->numClbits(), shots = job.shots,
+         cancel = job.cancel, retries,
+         start](std::vector<Result> parts, std::exception_ptr error) {
+            Result merged(num_clbits);
+            if (!error) {
+                try {
+                    for (Result &part : parts)
+                        merged.merge(part);
+                    stampCancelledFixed(merged, cancel, shots);
+                    merged.setExecStats(
+                        engineStats(parts.size(), *retries, start));
+                } catch (...) {
+                    // Merge failure: deliver it rather than dropping
+                    // the completion on the floor.
+                    merged = Result(num_clbits);
+                    error = std::current_exception();
                 }
-                ExecStats stats;
-                stats.shards = state->parts.size();
-                stats.retries = state->retryCount.load(
-                    std::memory_order_relaxed);
-                stats.engineSeconds =
-                    std::chrono::duration<double>(
-                        obs::Tracer::Clock::now() - state->start)
-                        .count();
-                merged.setExecStats(stats);
-                invokeGuarded("submitAsync completion callback",
-                              state->callback, std::move(merged),
-                              nullptr);
-            } catch (...) {
-                // Merge failure: deliver it rather than dropping the
-                // completion on the floor.
-                invokeGuarded("submitAsync completion callback",
-                              state->callback,
-                              Result(state->numClbits),
-                              std::current_exception());
             }
+            // A throwing callback would otherwise vanish into a
+            // discarded pool future; invokeGuarded surfaces it.
+            invokeGuarded("submitAsync completion callback", callback,
+                          std::move(merged), error);
         });
-    }
 }
 
 namespace {
 
 /**
- * Shared state of one adaptive run. Wave bookkeeping (parts,
- * remaining) is guarded by the mutex; everything else is only touched
- * by the dispatching thread or by the wave's last-finishing shard —
- * the release/acquire pair on the final `--remaining` orders those
- * accesses, so the merge/evaluate/relaunch sequence runs unlocked.
+ * Shared state of one adaptive run. It is only touched by the
+ * dispatching thread or by a wave's last-finishing shard (the shard
+ * batch's mutex orders those accesses), so the merge/evaluate/relaunch
+ * sequence runs unlocked.
  */
 struct AdaptiveState
 {
@@ -513,11 +474,6 @@ struct AdaptiveState
     obs::Tracer::Clock::time_point start;
     /** Async-span id of the in-flight wave (0 = tracing off). */
     std::uint64_t waveSpanId = 0;
-
-    std::mutex mutex;
-    std::vector<Result> parts;
-    std::size_t remaining = 0;
-    std::exception_ptr error;
 
     ExecutionEngine::Progress progress;
     ExecutionEngine::Completion done;
@@ -552,26 +508,26 @@ writeCheckpoint(const std::shared_ptr<AdaptiveState> &state,
 
 /** Wave epilogue, run by the wave's last-finishing shard. */
 void
-finishAdaptiveWave(const std::shared_ptr<AdaptiveState> &state)
+finishAdaptiveWave(const std::shared_ptr<AdaptiveState> &state,
+                   std::vector<Result> &parts, std::exception_ptr error)
 {
     // Wave-scope fault sites fail the epilogue itself (there is no
     // per-wave retry — recovery is the checkpoint/resume path).
-    if (!state->error) {
+    if (!error) {
         try {
             maybeInjectFault(state->faults, FaultSite::Scope::Wave,
                              state->wave, 0);
         } catch (...) {
-            state->error = std::current_exception();
+            error = std::current_exception();
         }
     }
-    if (state->error) {
+    if (error) {
         // The failing wave's parts are discarded; rewind the
         // checkpoint cursor to its first shard so a resume re-runs
         // exactly the lost shots.
         writeCheckpoint(state, state->waveBegin);
         invokeGuarded("submitAdaptive completion callback",
-                      state->done, Result(state->numClbits),
-                      state->error);
+                      state->done, Result(state->numClbits), error);
         return;
     }
     // Merge in shard order: together with waves walking the plan in
@@ -579,8 +535,8 @@ finishAdaptiveWave(const std::shared_ptr<AdaptiveState> &state)
     {
         obs::Span merge_span("engine", "wave_merge",
                              {{"wave", state->wave + 1},
-                              {"parts", state->parts.size()}});
-        for (Result &part : state->parts)
+                              {"parts", parts.size()}});
+        for (Result &part : parts)
             state->merged.merge(part);
     }
     ++state->wave;
@@ -656,14 +612,10 @@ finishAdaptiveWave(const std::shared_ptr<AdaptiveState> &state)
             cancelReasonName(state->job.cancel.reason()));
         obs::count(engineMetrics().cancelled);
     }
-    ExecStats stats;
-    stats.shards = state->nextShard;
+    ExecStats stats =
+        engineStats(state->nextShard, state->retryCount, state->start);
     stats.waves = state->wave;
-    stats.retries = state->retryCount.load(std::memory_order_relaxed);
     stats.resumedShots = state->resumedShots;
-    stats.engineSeconds = std::chrono::duration<double>(
-                              obs::Tracer::Clock::now() - state->start)
-                              .count();
     final_result.setExecStats(stats);
     if (obs::metricsEnabled() && !status.cancelled) {
         const EngineMetrics &m = engineMetrics();
@@ -792,84 +744,38 @@ ExecutionEngine::submitAdaptive(Job job, Progress on_progress,
                             {{"wave", st->wave + 1},
                              {"shards", count}});
         }
-        st->parts.assign(count, Result(st->numClbits));
-        st->remaining = count;
-        for (std::size_t i = 0; i < count; ++i) {
-            pool_.submit([st, i,
-                          runner = shardRunner(
-                              st->job, st->backend,
-                              st->plan[begin + i], st->lanes,
-                              begin + i, /*skip_on_cancel=*/false,
-                              std::shared_ptr<
-                                  std::atomic<std::size_t>>(
-                                  st, &st->retryCount))]() {
-                Result part(st->numClbits);
-                std::exception_ptr error;
+        runShards(
+            st->job, st->backend, st->plan, begin, count, st->lanes,
+            /*skip_on_cancel=*/false,
+            std::shared_ptr<std::atomic<std::size_t>>(st,
+                                                      &st->retryCount),
+            [st](std::vector<Result> parts, std::exception_ptr error) {
+                // An epilogue throw (merge failure, next-wave dispatch
+                // onto a stopping pool) would vanish into this task's
+                // discarded future and leave the job uncompleted;
+                // deliver it instead.
                 try {
-                    part = runner();
+                    finishAdaptiveWave(st, parts, error);
                 } catch (...) {
-                    error = std::current_exception();
-                }
-                bool last = false;
-                {
-                    std::lock_guard<std::mutex> lock(st->mutex);
-                    st->parts[i] = std::move(part);
-                    if (error && !st->error)
-                        st->error = error;
-                    last = --st->remaining == 0;
-                }
-                if (!last)
-                    return;
-                // An epilogue throw (merge failure, next-wave
-                // dispatch onto a stopping pool) would vanish into
-                // this task's discarded future and leave the job
-                // uncompleted; deliver it instead.
-                try {
-                    finishAdaptiveWave(st);
-                } catch (...) {
-                    invokeGuarded(
-                        "submitAdaptive completion callback",
-                        st->done, Result(st->numClbits),
-                        std::current_exception());
+                    invokeGuarded("submitAdaptive completion callback",
+                                  st->done, Result(st->numClbits),
+                                  std::current_exception());
                 }
             });
-        }
     };
-    if (state->nextShard >= state->plan.size()) {
-        // Resuming an exhausted checkpoint: nothing left to run. Go
-        // straight to the epilogue on a pool thread (a zero-shard
-        // wave would never have a last-finishing shard to drive it)
-        // — it re-evaluates the rule on the merged counts and
-        // completes.
-        pool_.submit([state]() {
-            try {
-                finishAdaptiveWave(state);
-            } catch (...) {
-                invokeGuarded("submitAdaptive completion callback",
-                              state->done, Result(state->numClbits),
-                              std::current_exception());
-            }
-        });
-        return;
-    }
+    // A resumed checkpoint may leave no shards to run: the empty wave
+    // goes straight to the epilogue, which re-evaluates the rule on
+    // the merged counts and completes.
     state->launchWave(state);
 }
 
 Result
 ExecutionEngine::runAdaptive(const Job &job, Progress on_progress)
 {
-    // Heap-held promise: the pool-side callback may still be inside
-    // set_value's epilogue when get() unblocks this thread.
     auto promise = std::make_shared<std::promise<Result>>();
     std::future<Result> future = promise->get_future();
-    submitAdaptive(
-        job, std::move(on_progress),
-        [promise](Result result, std::exception_ptr error) {
-            if (error)
-                promise->set_exception(error);
-            else
-                promise->set_value(std::move(result));
-        });
+    submitAdaptive(job, std::move(on_progress),
+                   settle(std::move(promise)));
     // Safe to park here: the caller is not a pool thread (the same
     // contract as future-based submit()), so waves drain freely.
     return future.get();

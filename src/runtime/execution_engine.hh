@@ -223,9 +223,10 @@ class ExecutionEngine
                                  const Backend &backend) const;
 
     /**
-     * Execute @p job synchronously; shards run on the pool while the
-     * calling thread merges. @throws SimulationError/ValueError on
-     * unsupported circuits or unknown backend names.
+     * Execute @p job synchronously: submit(job).get(). @throws
+     * SimulationError/ValueError on unsupported circuits or unknown
+     * backend names, and rethrows the lowest-index failing shard's
+     * error.
      */
     Result run(const Job &job);
 
@@ -237,15 +238,18 @@ class ExecutionEngine
 
     /**
      * Dispatch @p job's shards to the pool immediately and return a
-     * future that merges them on get(). The merge runs on whichever
-     * thread calls get(), so waiting never deadlocks the pool.
+     * future for the merged Result: a promise settled by
+     * submitAsync's completion, so the merge runs on the last shard's
+     * pool thread and the future is ready when the job completes.
+     * Waiting on it from a pool thread can deadlock the pool.
      */
     std::future<Result> submit(Job job);
 
     /**
      * Completion callback of submitAsync: the merged Result, or — if
-     * any shard threw — a default Result plus the first shard's
-     * exception.
+     * any shard threw — a default Result plus the exception of the
+     * lowest-index failing shard (independent of which shard failed
+     * first in time).
      */
     using Completion = std::function<void(Result, std::exception_ptr)>;
 
@@ -322,10 +326,6 @@ class ExecutionEngine
                                     Result *result_out = nullptr);
 
   private:
-    std::vector<std::future<Result>>
-    dispatch(const Job &job, const BackendPtr &backend,
-             const std::shared_ptr<std::atomic<std::size_t>> &retries);
-
     /** Reject invalid jobs and resolve intra-shot lane budget. */
     std::size_t checkAndLaneCount(const Job &job,
                                   const BackendPtr &backend,
@@ -343,6 +343,29 @@ class ExecutionEngine
                 const Shard &shard, std::size_t lanes,
                 std::size_t shard_index, bool skip_on_cancel,
                 std::shared_ptr<std::atomic<std::size_t>> retries);
+
+    /**
+     * Epilogue of a shard batch: the parts in shard order plus the
+     * error of the lowest-index failing shard (null when every shard
+     * succeeded). Runs on the batch's last-finishing pool thread and
+     * must not throw.
+     */
+    using BatchDone =
+        std::function<void(std::vector<Result>, std::exception_ptr)>;
+
+    /**
+     * The one shard-completion path behind submitAsync and the
+     * adaptive waves: run shards [@p begin, @p begin + @p count) of
+     * @p plan on the pool, store each part and error under a mutex,
+     * and let the last shard to finish call @p done. An empty batch
+     * calls @p done from a pool task.
+     */
+    void runShards(const Job &job, const BackendPtr &backend,
+                   const std::vector<Shard> &plan, std::size_t begin,
+                   std::size_t count, std::size_t lanes,
+                   bool skip_on_cancel,
+                   std::shared_ptr<std::atomic<std::size_t>> retries,
+                   BatchDone done);
 
     EngineOptions options_;
     BackendRegistry *registry_;

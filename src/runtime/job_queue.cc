@@ -253,48 +253,21 @@ JobQueue::stamped(Completion on_complete, PrepInfo info)
 std::future<Result>
 JobQueue::submit(const JobSpec &spec)
 {
-    PrepInfo info;
-    Job job = makeJob(spec, &info);
-    const auto submitted = obs::Tracer::Clock::now();
-    std::future<Result> inner;
-    if (!needsAdaptive(spec)) {
-        inner = engine_.submit(std::move(job));
-    } else {
-        // Adaptive path: waves need a completion hook, so back the
-        // future with a promise instead of the deferred-merge future.
-        auto promise = std::make_shared<std::promise<Result>>();
-        inner = promise->get_future();
-        engine_.submitAdaptive(
-            std::move(job), nullptr,
-            [promise](Result result, std::exception_ptr error) {
-                if (error)
-                    promise->set_exception(error);
-                else
-                    promise->set_value(std::move(result));
-            });
-    }
-    // Deferred stamp wrapper: runs on the consumer's get(), where the
-    // merged Result exists; the latency histogram therefore measures
-    // submit-to-consumption for the future API.
-    return std::async(
-        std::launch::deferred,
-        [future = std::move(inner), info, submitted]() mutable {
-            Result result = future.get();
-            ExecStats stats = result.execStats();
-            stats.prepareCacheHit = info.cacheHit;
-            stats.prepareSeconds = info.seconds;
-            result.setExecStats(stats);
-            if (obs::metricsEnabled()) {
-                const auto now = obs::Tracer::Clock::now();
-                obs::observe(
-                    queueMetrics().submitToCompleteNs,
-                    static_cast<std::uint64_t>(
-                        std::chrono::duration_cast<
-                            std::chrono::nanoseconds>(now - submitted)
-                            .count()));
-            }
-            return result;
-        });
+    // Heap-held promise: the pool-side callback may still be inside
+    // set_value's epilogue when get() unblocks the consumer. The
+    // completion touches no queue member and is not tracked by
+    // waitIdle(), so the future may outlive the queue.
+    auto promise = std::make_shared<std::promise<Result>>();
+    std::future<Result> future = promise->get_future();
+    launch(spec, nullptr,
+           [promise](Result result, std::exception_ptr error) {
+               if (error)
+                   promise->set_exception(error);
+               else
+                   promise->set_value(std::move(result));
+           },
+           /*stream=*/false, /*track=*/false);
+    return future;
 }
 
 void
@@ -302,18 +275,8 @@ JobQueue::submit(const JobSpec &spec, Completion on_complete)
 {
     if (!on_complete)
         throw ValueError("submit requires a completion callback");
-    // Fixed-budget specs keep the one-block submitAsync path; an
-    // enabled stopping rule (or checkpoint/resume state) routes
-    // through the wave engine.
-    if (needsAdaptive(spec)) {
-        submit(spec, nullptr, std::move(on_complete));
-        return;
-    }
-    PrepInfo info;
-    Job job = makeJob(spec, &info);
-    submitTracked(std::move(job), nullptr,
-                  stamped(std::move(on_complete), info),
-                  /*adaptive=*/false);
+    launch(spec, nullptr, std::move(on_complete), /*stream=*/false,
+           /*track=*/true);
 }
 
 void
@@ -322,23 +285,17 @@ JobQueue::submit(const JobSpec &spec, Progress on_progress,
 {
     if (!on_complete)
         throw ValueError("submit requires a completion callback");
-    // Always the wave path: progress streams once per wave even for
-    // fixed-budget specs (disabled rule = every wave runs).
-    PrepInfo info;
-    Job job = makeJob(spec, &info);
-    submitTracked(std::move(job), std::move(on_progress),
-                  stamped(std::move(on_complete), info),
-                  /*adaptive=*/true);
+    launch(spec, std::move(on_progress), std::move(on_complete),
+           /*stream=*/true, /*track=*/true);
 }
 
 void
-JobQueue::submitTracked(Job job, Progress on_progress,
-                        Completion on_complete, bool adaptive)
+JobQueue::launch(const JobSpec &spec, Progress on_progress,
+                 Completion on_complete, bool stream, bool track)
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++outstanding_;
-    }
+    PrepInfo info;
+    Job job = makeJob(spec, &info);
+    Completion done = stamped(std::move(on_complete), info);
     auto finish_one = [this]() {
         // Notify under the lock: once waitIdle() observes
         // outstanding_ == 0 the queue may be destroyed, so this
@@ -348,27 +305,37 @@ JobQueue::submitTracked(Job job, Progress on_progress,
         --outstanding_;
         idle_.notify_all();
     };
-    Completion tracked = [callback = std::move(on_complete),
-                          finish_one](Result result,
-                                      std::exception_ptr error) {
-        try {
-            callback(std::move(result), error);
-        } catch (...) {
-            finish_one();
-            throw;
+    if (track) {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++outstanding_;
         }
-        finish_one();
-    };
+        done = [callback = std::move(done),
+                finish_one](Result result, std::exception_ptr error) {
+            try {
+                callback(std::move(result), error);
+            } catch (...) {
+                finish_one();
+                throw;
+            }
+            finish_one();
+        };
+    }
     try {
-        if (adaptive)
+        // Fixed-budget specs take the one-block submitAsync path; an
+        // enabled stopping rule, checkpoint/resume state, or a
+        // progress stream (every wave reports, even with the rule
+        // disabled) routes through the wave engine.
+        if (stream || needsAdaptive(spec))
             engine_.submitAdaptive(std::move(job),
                                    std::move(on_progress),
-                                   std::move(tracked));
+                                   std::move(done));
         else
-            engine_.submitAsync(std::move(job), std::move(tracked));
+            engine_.submitAsync(std::move(job), std::move(done));
     } catch (...) {
         // Synchronous dispatch failure: the callback will never run.
-        finish_one();
+        if (track)
+            finish_one();
         throw;
     }
 }

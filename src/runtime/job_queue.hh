@@ -141,11 +141,17 @@ class JobQueue
     /**
      * Prepare @p spec (inject assertions, transpile), reusing the
      * cache when an identical circuit was prepared before, and hand
-     * the resulting job to the engine. The future resolves to the
-     * merged Result when every shard has run. Specs whose stopping
-     * rule is enabled execute adaptively (in waves, stopping early
-     * on convergence); the future then resolves to the partial-but-
-     * converged Result.
+     * the resulting job to the engine. The future is a promise
+     * settled by the same completion path as submit(spec,
+     * onComplete): it becomes ready, with ExecStats and the
+     * submit-to-complete latency stamped, when the last shard
+     * finishes (the merge runs on that shard's pool thread, not on
+     * the get() thread), and a failed job rethrows the lowest-index
+     * failing shard's error. Specs whose stopping rule is enabled
+     * execute adaptively (in waves, stopping early on convergence);
+     * the future then resolves to the partial-but-converged Result.
+     * These jobs are not tracked by waitIdle(), and the future may
+     * outlive the queue.
      */
     std::future<Result> submit(const JobSpec &spec);
 
@@ -290,12 +296,14 @@ class JobQueue
     Completion stamped(Completion onComplete, PrepInfo info);
 
     /**
-     * Dispatch @p job with outstanding-callback tracking; @p adaptive
-     * selects the wave engine (forced for streaming submissions even
-     * when the rule is disabled).
+     * The one launch behind every submit(): prepare @p spec, stamp
+     * @p onComplete, and hand the job to the engine — the wave
+     * engine when @p stream is set or the spec needs it, else the
+     * one-block path. @p track counts the job in waitIdle()'s
+     * outstanding set (callback submissions only).
      */
-    void submitTracked(Job job, Progress onProgress,
-                       Completion onComplete, bool adaptive);
+    void launch(const JobSpec &spec, Progress onProgress,
+                Completion onComplete, bool stream, bool track);
 
     ExecutionEngine &engine_;
     mutable std::mutex mutex_;

@@ -217,10 +217,6 @@ StatevectorSimulator::runPerShot(const Circuit &circuit,
 {
     obs::Span run_span("sim", "pershot_run", {{"shots", shots}});
     obs::count(simMetrics().perShotShots, shots);
-    Result result(circuit.numClbits());
-    std::size_t attempted = 0;
-    std::size_t kept = 0;
-
     // Lower (and fuse) once; every shot replays the same plan.
     const std::shared_ptr<const kernels::ExecutablePlan> plan =
         planFor(circuit);
@@ -229,57 +225,39 @@ StatevectorSimulator::runPerShot(const Circuit &circuit,
     // survives each PostSelect with the branch probability, otherwise
     // it is discarded and re-attempted (same semantics as the
     // trajectory backend).
-    const std::size_t max_attempts = postSelectAttemptBudget(shots);
-    while (kept < shots && attempted < max_attempts) {
-        ++attempted;
-        StateVector state(circuit.numQubits());
-        std::uint64_t reg = 0;
-        bool discarded = false;
-
-        for (const kernels::PlanEntry &entry : plan->entries()) {
-            switch (entry.kind) {
-              case kernels::KernelKind::Measure:
-              {
-                const int outcome = state.measure(entry.q0, rng_);
-                if (outcome)
-                    reg |= std::uint64_t{1} << entry.clbit;
-                else
-                    reg &= ~(std::uint64_t{1} << entry.clbit);
-                break;
-              }
-              case kernels::KernelKind::ResetQ:
-                state.resetQubit(entry.q0, rng_);
-                break;
-              case kernels::KernelKind::PostSelectQ:
-              {
-                const double p1 = state.probabilityOfOne(entry.q0);
-                const double p =
-                    entry.postselectValue ? p1 : 1.0 - p1;
-                if (p < 1e-12 || rng_.uniform() >= p) {
-                    discarded = true;
-                } else {
+    return runPostSelectedShots<StateVector>(
+        circuit, shots,
+        [&](StateVector &state, std::uint64_t &reg) {
+            for (const kernels::PlanEntry &entry : plan->entries()) {
+                switch (entry.kind) {
+                  case kernels::KernelKind::Measure:
+                  {
+                    const int outcome = state.measure(entry.q0, rng_);
+                    if (outcome)
+                        reg |= std::uint64_t{1} << entry.clbit;
+                    else
+                        reg &= ~(std::uint64_t{1} << entry.clbit);
+                    break;
+                  }
+                  case kernels::KernelKind::ResetQ:
+                    state.resetQubit(entry.q0, rng_);
+                    break;
+                  case kernels::KernelKind::PostSelectQ:
+                  {
+                    const double p1 = state.probabilityOfOne(entry.q0);
+                    const double p =
+                        entry.postselectValue ? p1 : 1.0 - p1;
+                    if (p < 1e-12 || rng_.uniform() >= p)
+                        return false;
                     state.postSelect(entry.q0, entry.postselectValue);
+                    break;
+                  }
+                  default:
+                    state.applyKernel(entry);
                 }
-                break;
-              }
-              default:
-                state.applyKernel(entry);
             }
-            if (discarded)
-                break;
-        }
-        if (discarded)
-            continue;
-        result.record(reg);
-        ++kept;
-    }
-    if (kept < shots)
-        throw SimulationError("post-selection discarded nearly every "
-                              "shot; circuit is inconsistent");
-
-    result.setRetainedFraction(static_cast<double>(kept) /
-                               static_cast<double>(attempted));
-    return result;
+            return true;
+        });
 }
 
 StateVector

@@ -248,10 +248,6 @@ TrajectorySimulator::planFor(const Circuit &circuit) const
 Result
 TrajectorySimulator::run(const Circuit &circuit, std::size_t shots)
 {
-    Result result(circuit.numClbits());
-    std::size_t attempted = 0;
-    std::size_t kept = 0;
-
     // Lower once per job (or fetch the cached artifact): every shot
     // replays classified kernels and pre-built noise sites. The
     // legacy interpreter re-walks Operation structs but consumes the
@@ -262,29 +258,12 @@ TrajectorySimulator::run(const Circuit &circuit, std::size_t shots)
         plan = planFor(circuit);
     else
         moments = scheduleFor(circuit);
-
-    // Cap retries so pathological post-selections terminate
-    // (saturating to avoid overflow at extreme shot counts).
-    const std::size_t max_attempts = postSelectAttemptBudget(shots);
-    while (kept < shots && attempted < max_attempts) {
-        ++attempted;
-        StateVector state(circuit.numQubits());
-        std::uint64_t reg = 0;
-        const bool kept_shot =
-            usePlan_ ? runShotPlan(*plan, state, reg)
-                     : runShot(circuit, moments, state, reg);
-        if (!kept_shot)
-            continue;
-        result.record(reg);
-        ++kept;
-    }
-    if (kept < shots)
-        throw SimulationError("post-selection discarded nearly every "
-                              "trajectory; circuit is inconsistent");
-
-    result.setRetainedFraction(static_cast<double>(kept) /
-                               static_cast<double>(attempted));
-    return result;
+    return runPostSelectedShots<StateVector>(
+        circuit, shots,
+        [&](StateVector &state, std::uint64_t &reg) {
+            return usePlan_ ? runShotPlan(*plan, state, reg)
+                            : runShot(circuit, moments, state, reg);
+        });
 }
 
 StateVector
@@ -296,16 +275,12 @@ TrajectorySimulator::evolveOne(const Circuit &circuit)
         plan = planFor(circuit);
     else
         moments = scheduleFor(circuit);
-    for (int attempt = 0; attempt < 1000; ++attempt) {
-        StateVector state(circuit.numQubits());
-        std::uint64_t reg = 0;
-        const bool kept_shot =
-            usePlan_ ? runShotPlan(*plan, state, reg)
-                     : runShot(circuit, moments, state, reg);
-        if (kept_shot)
-            return state;
-    }
-    throw SimulationError("post-selection discarded every trajectory");
+    return firstKeptState<StateVector>(
+        circuit,
+        [&](StateVector &state, std::uint64_t &reg) {
+            return usePlan_ ? runShotPlan(*plan, state, reg)
+                            : runShot(circuit, moments, state, reg);
+        });
 }
 
 } // namespace qra

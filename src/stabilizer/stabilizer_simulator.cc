@@ -1,6 +1,7 @@
 #include "stabilizer/stabilizer_simulator.hh"
 
 #include "common/error.hh"
+#include "sim/shot_util.hh"
 
 namespace qra {
 
@@ -70,38 +71,21 @@ StabilizerSimulator::runShot(const Circuit &circuit,
 Result
 StabilizerSimulator::run(const Circuit &circuit, std::size_t shots)
 {
-    Result result(circuit.numClbits());
-    std::size_t attempted = 0;
-    std::size_t kept = 0;
-    const std::size_t max_attempts = shots * 100 + 1000;
-
-    while (kept < shots && attempted < max_attempts) {
-        ++attempted;
-        StabilizerState state(circuit.numQubits());
-        std::uint64_t reg = 0;
-        if (!runShot(circuit, state, reg))
-            continue;
-        result.record(reg);
-        ++kept;
-    }
-    if (kept < shots)
-        throw SimulationError("post-selection discarded nearly every "
-                              "shot; circuit is inconsistent");
-    result.setRetainedFraction(static_cast<double>(kept) /
-                               static_cast<double>(attempted));
-    return result;
+    return runPostSelectedShots<StabilizerState>(
+        circuit, shots,
+        [&](StabilizerState &state, std::uint64_t &reg) {
+            return runShot(circuit, state, reg);
+        });
 }
 
 StabilizerState
 StabilizerSimulator::evolveOne(const Circuit &circuit)
 {
-    for (int attempt = 0; attempt < 1000; ++attempt) {
-        StabilizerState state(circuit.numQubits());
-        std::uint64_t reg = 0;
-        if (runShot(circuit, state, reg))
-            return state;
-    }
-    throw SimulationError("post-selection discarded every trajectory");
+    return firstKeptState<StabilizerState>(
+        circuit,
+        [&](StabilizerState &state, std::uint64_t &reg) {
+            return runShot(circuit, state, reg);
+        });
 }
 
 } // namespace qra

@@ -6,6 +6,9 @@
  * produces counts bit-identical to a fault-free run.
  */
 
+#include <functional>
+#include <mutex>
+
 #include <gtest/gtest.h>
 
 #include "common/error.hh"
@@ -222,6 +225,72 @@ TEST(Retry, PermanentAndExhaustedFaultsPropagate)
     Job bare(bellCircuit(), 2048);
     bare.faults = plan("shard:2:throw");
     EXPECT_THROW(engine.run(bare), TransientSimulationError);
+}
+
+namespace {
+
+/** The message of the error @p run throws ("no error" if none). */
+std::string
+errorOf(const std::function<void()> &run)
+{
+    try {
+        run();
+    } catch (const std::exception &e) {
+        return e.what();
+    }
+    return "no error";
+}
+
+} // namespace
+
+TEST(Retry, FailedJobReportsLowestFailingShard)
+{
+    // Shards 1 and 5 fail permanently, and shard 1 is stalled by one
+    // transient failure plus a 100 ms backoff, so at 4 threads it
+    // finishes last. Every entry point must still report shard 1: the
+    // reported error is the lowest failing index, never the first to
+    // fail in time.
+    RetryPolicy stall;
+    stall.maxAttempts = 2;
+    stall.baseBackoffMs = 100.0;
+    stall.jitterFrac = 0.0;
+    const auto faults = plan(
+        "shard:1:throw,shard:1:throw:perm,shard:5:throw:perm");
+    auto expect_shard_1 = [](const std::string &message) {
+        EXPECT_NE(message.find("injected fault: shard 1 "),
+                  std::string::npos)
+            << message;
+    };
+
+    for (const std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        ExecutionEngine engine(eightShardOptions(threads));
+        Job job(bellCircuit(), 2048);
+        job.retry = stall;
+        job.faults = faults;
+        // Disabled stopping rule: runAdaptive runs one wave covering
+        // all eight shards.
+        expect_shard_1(errorOf([&]() { engine.run(job); }));
+        expect_shard_1(errorOf([&]() { engine.submit(job).get(); }));
+        expect_shard_1(errorOf([&]() { engine.runAdaptive(job); }));
+
+        JobQueue queue(engine);
+        JobSpec spec;
+        spec.circuit = bellCircuit();
+        spec.shots = 2048;
+        spec.retry = stall;
+        spec.faults = faults;
+        std::mutex mutex;
+        std::exception_ptr delivered;
+        queue.submit(spec, [&](Result, std::exception_ptr error) {
+            std::lock_guard<std::mutex> lock(mutex);
+            delivered = error;
+        });
+        queue.waitIdle();
+        ASSERT_TRUE(delivered);
+        expect_shard_1(
+            errorOf([&]() { std::rethrow_exception(delivered); }));
+    }
 }
 
 TEST(JobQueue, PrepareFaultEvictsPoisonedKey)

@@ -4,13 +4,16 @@
  * hash, and the assertion/transpile prepare pipeline.
  */
 
+#include <chrono>
 #include <mutex>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "assertions/entanglement_assertion.hh"
 #include "common/error.hh"
 #include "noise/device_model.hh"
+#include "obs/metrics.hh"
 #include "runtime/job_queue.hh"
 
 using namespace qra;
@@ -397,4 +400,36 @@ TEST(JobQueue, AssertionInjectionFlowsThroughQueue)
 
     // Specs without assertions expose no instrumented circuit.
     EXPECT_EQ(queue.instrumented(bellSpec()), nullptr);
+}
+
+TEST(JobQueue, FutureStatsMeasureCompletionNotConsumption)
+{
+    // The future API stamps its stats when the job completes, not when
+    // the consumer gets around to get(): a consumer that idles after
+    // submitting must not inflate engineSeconds or the latency
+    // histogram.
+    using namespace std::chrono_literals;
+    constexpr auto kIdle = 300ms;
+    const char *histogram = "jobqueue.submit_to_complete_ns";
+    ExecutionEngine engine(2);
+    JobQueue queue(engine);
+    auto &registry = obs::MetricsRegistry::global();
+    const obs::HistogramSnapshot before =
+        registry.snapshot().histograms[histogram];
+
+    obs::setMetricsEnabled(true);
+    std::future<Result> future = queue.submit(bellSpec());
+    std::this_thread::sleep_for(kIdle);
+    const Result result = future.get();
+    obs::setMetricsEnabled(false);
+    const obs::HistogramSnapshot after =
+        registry.snapshot().histograms[histogram];
+
+    EXPECT_EQ(result.shots(), 512u);
+    EXPECT_LT(result.execStats().engineSeconds,
+              std::chrono::duration<double>(kIdle).count());
+    ASSERT_EQ(after.count, before.count + 1);
+    EXPECT_LT(after.sum - before.sum,
+              static_cast<std::uint64_t>(
+                  std::chrono::nanoseconds(kIdle).count()));
 }
