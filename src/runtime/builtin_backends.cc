@@ -48,8 +48,8 @@ class BuiltinBackend : public Backend
 // State-vector memory is the ceiling: 2^26 amplitudes = 1 GiB of
 // complex<double>, a sensible single-job cap for a shared host.
 constexpr std::size_t kStatevectorMaxQubits = 26;
-// The density matrix squares that cost: 2^13 x 2^13 doubles = 1 GiB.
-constexpr std::size_t kDensityMaxQubits = 13;
+// The density matrix squares that cost; its own cap is the only one.
+constexpr std::size_t kDensityMaxQubits = DensityMatrix::kMaxQubits;
 // The tableau is O(n^2) bits; 4096 is the circuit IR's own limit.
 constexpr std::size_t kStabilizerMaxQubits = 4096;
 

@@ -1,21 +1,36 @@
 #include "sim/density_matrix.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hh"
 #include "math/linalg.hh"
+#include "noise/channels.hh"
 #include "noise/kraus.hh"
+#include "sim/kernels/density_plan.hh"
 #include "sim/kernels/kernels.hh"
-#include "sim/kernels/parallel.hh"
 
 namespace qra {
 
+namespace {
+
+/** Matrix dimension, validated before anything is allocated. */
+std::size_t
+checkedDim(std::size_t num_qubits)
+{
+    if (num_qubits == 0 || num_qubits > DensityMatrix::kMaxQubits)
+        throw SimulationError(
+            "density matrix supports 1.." +
+            std::to_string(DensityMatrix::kMaxQubits) + " qubits");
+    return std::size_t{1} << num_qubits;
+}
+
+} // namespace
+
 DensityMatrix::DensityMatrix(std::size_t num_qubits)
     : numQubits_(num_qubits),
-      rho_(std::size_t{1} << num_qubits, std::size_t{1} << num_qubits)
+      rho_(checkedDim(num_qubits), checkedDim(num_qubits))
 {
-    if (num_qubits == 0 || num_qubits > 12)
-        throw SimulationError("density matrix supports 1..12 qubits");
     rho_(0, 0) = 1.0;
 }
 
@@ -43,54 +58,28 @@ DensityMatrix::checkQubit(Qubit q) const
 }
 
 void
-DensityMatrix::leftMultiply(const Matrix &a,
-                            const std::vector<Qubit> &qubits)
+DensityMatrix::applySuperoperator(const Matrix &s,
+                                  const std::vector<Qubit> &qubits)
 {
-    // Columns transform independently; split them across the scoped
-    // pool (each lane owns a disjoint column range of rho_).
-    const std::size_t d = dim();
-    kernels::parallelFor(
-        d, /*grain=*/8, [&](std::uint64_t c0, std::uint64_t c1) {
-            std::vector<Complex> column(d);
-            for (std::size_t c = c0; c < c1; ++c) {
-                for (std::size_t r = 0; r < d; ++r)
-                    column[r] = rho_(r, c);
-                kernels::applyMatrix(column, a, qubits);
-                for (std::size_t r = 0; r < d; ++r)
-                    rho_(r, c) = column[r];
-            }
-        });
-}
-
-void
-DensityMatrix::rightMultiplyAdjoint(const Matrix &a,
-                                    const std::vector<Qubit> &qubits)
-{
-    // (rho A^dagger)_{rc} = sum_k rho_{rk} conj(A_{ck}); each row of
-    // rho transforms by conj(A) acting on the column-index space.
-    const Matrix conj_a = a.conjugate();
-    const std::size_t d = dim();
-    kernels::parallelFor(
-        d, /*grain=*/8, [&](std::uint64_t r0, std::uint64_t r1) {
-            std::vector<Complex> row(d);
-            for (std::size_t r = r0; r < r1; ++r) {
-                for (std::size_t c = 0; c < d; ++c)
-                    row[c] = rho_(r, c);
-                kernels::applyMatrix(row, conj_a, qubits);
-                for (std::size_t c = 0; c < d; ++c)
-                    rho_(r, c) = row[c];
-            }
-        });
+    std::vector<Qubit> operands = qubits;
+    for (Qubit q : qubits) {
+        checkQubit(q);
+        operands.push_back(q + static_cast<Qubit>(numQubits_));
+    }
+    kernels::applyMatrix(rho_.data(), s, operands);
 }
 
 void
 DensityMatrix::applyMatrix(const Matrix &u,
                            const std::vector<Qubit> &qubits)
 {
-    for (Qubit q : qubits)
+    std::vector<Qubit> rows;
+    for (Qubit q : qubits) {
         checkQubit(q);
-    leftMultiply(u, qubits);
-    rightMultiplyAdjoint(u, qubits);
+        rows.push_back(q + static_cast<Qubit>(numQubits_));
+    }
+    kernels::applyMatrix(rho_.data(), u, rows);
+    kernels::applyMatrix(rho_.data(), u.conjugate(), qubits);
 }
 
 void
@@ -108,17 +97,14 @@ void
 DensityMatrix::applyKraus(const KrausChannel &channel,
                           const std::vector<Qubit> &qubits)
 {
-    for (Qubit q : qubits)
-        checkQubit(q);
+    applySuperoperator(kernels::superoperator(channel.operators()),
+                       qubits);
+}
 
-    Matrix accumulated(dim(), dim());
-    for (const Matrix &k : channel.operators()) {
-        DensityMatrix term(*this);
-        term.leftMultiply(k, qubits);
-        term.rightMultiplyAdjoint(k, qubits);
-        accumulated += term.rho_;
-    }
-    rho_ = std::move(accumulated);
+void
+DensityMatrix::applyKernel(const kernels::PlanEntry &entry)
+{
+    kernels::applyEntry(rho_.data().data(), 2 * numQubits_, entry);
 }
 
 double
@@ -136,12 +122,8 @@ DensityMatrix::probabilityOfOne(Qubit q) const
 void
 DensityMatrix::dephase(Qubit q)
 {
-    checkQubit(q);
-    const std::uint64_t bit = std::uint64_t{1} << q;
-    for (std::uint64_t r = 0; r < dim(); ++r)
-        for (std::uint64_t c = 0; c < dim(); ++c)
-            if ((r & bit) != (c & bit))
-                rho_(r, c) = 0.0;
+    // An unread measurement is full phase damping.
+    applyKraus(channels::phaseDamping(1.0), {q});
 }
 
 double
@@ -155,30 +137,21 @@ DensityMatrix::postSelect(Qubit q, int outcome)
             "post-selection onto a zero-probability branch (qubit " +
             std::to_string(q) + " == " + std::to_string(outcome) + ")");
 
-    const std::uint64_t bit = std::uint64_t{1} << q;
-    for (std::uint64_t r = 0; r < dim(); ++r) {
-        for (std::uint64_t c = 0; c < dim(); ++c) {
-            const bool r_ok = ((r & bit) != 0) == (outcome == 1);
-            const bool c_ok = ((c & bit) != 0) == (outcome == 1);
-            if (r_ok && c_ok)
-                rho_(r, c) /= p;
-            else
-                rho_(r, c) = 0.0;
-        }
-    }
+    // Project the row index (qubit q + n) and renormalise, then
+    // project the column index (qubit q).
+    Complex *amps = rho_.data().data();
+    const std::uint64_t n = rho_.data().size();
+    kernels::collapseQubit(amps, n, q + static_cast<Qubit>(numQubits_),
+                           outcome, 1.0 / p);
+    kernels::collapseQubit(amps, n, q, outcome, 1.0);
     return p;
 }
 
 void
 DensityMatrix::resetQubit(Qubit q)
 {
-    checkQubit(q);
-    // Reset = Kraus channel {|0><0|, |0><1|}.
-    const Matrix k0{{Complex{1.0, 0.0}, Complex{0.0, 0.0}},
-                    {Complex{0.0, 0.0}, Complex{0.0, 0.0}}};
-    const Matrix k1{{Complex{0.0, 0.0}, Complex{1.0, 0.0}},
-                    {Complex{0.0, 0.0}, Complex{0.0, 0.0}}};
-    applyKraus(KrausChannel({k0, k1}, "reset"), {q});
+    // Reset = full amplitude damping, Kraus {|0><0|, |0><1|}.
+    applyKraus(channels::amplitudeDamping(1.0), {q});
 }
 
 std::vector<double>

@@ -3,9 +3,14 @@
  * n-qubit density matrix with unitary evolution, Kraus channels, and
  * computational-basis measurement primitives.
  *
- * Intended for small registers (the experiments use 3-6 qubits); the
- * representation is a dense 2^n x 2^n matrix, practical up to ~10
- * qubits.
+ * The representation is a dense row-major 2^n x 2^n matrix, which is
+ * also a 2n-qubit state vector vec(rho) with index (r << n) | c: qubit
+ * q + n is bit q of the row index, qubit q bit q of the column index.
+ * Every operation runs in place on that vector with the state-vector
+ * kernels: a unitary U on Q is U on Q + n then conj(U) on Q, and a
+ * channel is one superoperator on (Q, Q + n) (see
+ * kernels::superoperator and kernels::DensityPlan). Practical up to
+ * ~10 qubits; kMaxQubits is the hard cap.
  */
 
 #ifndef QRA_SIM_DENSITY_MATRIX_HH
@@ -21,10 +26,20 @@ namespace qra {
 
 class KrausChannel;
 
+namespace kernels {
+struct PlanEntry;
+} // namespace kernels
+
 /** Mixed quantum state over a register of qubits. */
 class DensityMatrix
 {
   public:
+    /**
+     * Largest register: 2^12 x 2^12 complex doubles are 256 MiB, and
+     * the density backend advertises exactly this cap.
+     */
+    static constexpr std::size_t kMaxQubits = 12;
+
     /** Initialise to the pure state |0...0><0...0|. */
     explicit DensityMatrix(std::size_t num_qubits);
 
@@ -45,6 +60,13 @@ class DensityMatrix
     /** rho <- sum_k K_k rho K_k^dagger over @p qubits. */
     void applyKraus(const KrausChannel &channel,
                     const std::vector<Qubit> &qubits);
+
+    /**
+     * Apply one unitary-kind entry of a kernels::DensityPlan to
+     * vec(rho), the 2n-qubit vector view (see file comment).
+     * @throws IndexError if an operand is outside the 2n qubits.
+     */
+    void applyKernel(const kernels::PlanEntry &entry);
 
     /** Non-destructive P(qubit q == 1). */
     double probabilityOfOne(Qubit q) const;
@@ -83,12 +105,12 @@ class DensityMatrix
   private:
     void checkQubit(Qubit q) const;
 
-    /** rho <- A rho with local matrix A (columns transformed). */
-    void leftMultiply(const Matrix &a, const std::vector<Qubit> &qubits);
-
-    /** rho <- rho A^dagger with local matrix A (rows transformed). */
-    void rightMultiplyAdjoint(const Matrix &a,
-                              const std::vector<Qubit> &qubits);
+    /**
+     * Apply superoperator @p s (kernels::superoperator layout) to
+     * vec(rho) on (qubits, qubits + n).
+     */
+    void applySuperoperator(const Matrix &s,
+                            const std::vector<Qubit> &qubits);
 
     std::size_t numQubits_;
     Matrix rho_;

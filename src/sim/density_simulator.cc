@@ -1,9 +1,6 @@
 #include "sim/density_simulator.hh"
 
-#include <set>
-
-#include "circuit/schedule.hh"
-#include "common/error.hh"
+#include "sim/kernels/plan_cache.hh"
 
 namespace qra {
 
@@ -15,67 +12,24 @@ DensityMatrixSimulator::DensityMatrixSimulator(std::uint64_t seed)
 DensityMatrixSimulator::Execution
 DensityMatrixSimulator::execute(const Circuit &circuit)
 {
+    // Lower once per (circuit, noise, fusion), or fetch the cached
+    // plan; evolution is then one in-place kernel per entry.
+    std::shared_ptr<const kernels::DensityPlan> plan;
+    if (kernels::PlanCache *cache = kernels::currentPlanCache())
+        plan = cache->densityPlan(circuit, noise_,
+                                  kernels::currentFusionLevel());
+    else
+        plan = std::make_shared<const kernels::DensityPlan>(
+            kernels::DensityPlan::compile(circuit, noise_));
+
     Execution exec(circuit.numQubits());
-    std::set<Qubit> measured;
-
-    const bool noisy = noise_ != nullptr && noise_->enabled();
-
-    auto duration = [&](const Operation &op) {
-        return noisy ? noise_->opDuration(op) : 0.0;
-    };
-    const std::vector<TimedMoment> moments =
-        computeTimedMoments(circuit, duration);
-
-    auto apply_op = [&](const Operation &op) {
-        for (Qubit q : op.qubits) {
-            if (measured.count(q))
-                throw SimulationError(
-                    "density backend: qubit " + std::to_string(q) +
-                    " is used after measurement; use the trajectory "
-                    "backend for ancilla reuse");
-        }
-
-        switch (op.kind) {
-          case OpKind::Measure:
-            exec.state.dephase(op.qubits[0]);
-            exec.wiring.emplace_back(op.qubits[0], *op.clbit);
-            measured.insert(op.qubits[0]);
-            return;
-          case OpKind::Barrier:
-            return;
-          case OpKind::Reset:
-            exec.state.resetQubit(op.qubits[0]);
-            break;
-          case OpKind::PostSelect:
-            exec.retained *= exec.state.postSelect(op.qubits[0],
-                                                   op.postselectValue);
-            return;
-          default:
-            exec.state.applyUnitary(op);
-            break;
-        }
-
-        if (noisy) {
-            for (const auto &applied : noise_->channelsFor(op))
-                exec.state.applyKraus(applied.channel, applied.qubits);
-        }
-    };
-
-    for (const TimedMoment &moment : moments) {
-        for (std::size_t idx : moment.opIndices)
-            apply_op(circuit.ops()[idx]);
-
-        if (noisy && moment.durationNs > 0.0) {
-            for (Qubit q = 0; q < circuit.numQubits(); ++q) {
-                // Measured qubits are classical records; freezing them
-                // preserves the recorded outcome statistics.
-                if (measured.count(q))
-                    continue;
-                if (auto relax =
-                        noise_->relaxationFor(q, moment.durationNs))
-                    exec.state.applyKraus(*relax, {q});
-            }
-        }
+    exec.wiring = plan->wiring();
+    for (const kernels::PlanEntry &entry : plan->entries()) {
+        if (entry.kind == kernels::KernelKind::PostSelectQ)
+            exec.retained *= exec.state.postSelect(
+                entry.q0, entry.postselectValue);
+        else
+            exec.state.applyKernel(entry);
     }
     return exec;
 }
@@ -83,8 +37,12 @@ DensityMatrixSimulator::execute(const Circuit &circuit)
 std::map<std::uint64_t, double>
 DensityMatrixSimulator::exactDistribution(const Circuit &circuit)
 {
-    Execution exec = execute(circuit);
+    return distribution(execute(circuit));
+}
 
+std::map<std::uint64_t, double>
+DensityMatrixSimulator::distribution(const Execution &exec) const
+{
     // Joint distribution over the classical register from the final
     // diagonal: unmeasured qubits are marginalised away.
     const std::vector<double> probs = exec.state.probabilities();
@@ -130,11 +88,12 @@ DensityMatrixSimulator::exactDistribution(const Circuit &circuit)
 Result
 DensityMatrixSimulator::run(const Circuit &circuit, std::size_t shots)
 {
-    const std::map<std::uint64_t, double> dist =
-        exactDistribution(circuit);
+    const Execution exec = execute(circuit);
+    const std::map<std::uint64_t, double> dist = distribution(exec);
 
     Result result(circuit.numClbits());
     result.setExactDistribution(dist);
+    result.setRetainedFraction(exec.retained);
 
     // Sample counts from the exact distribution.
     std::vector<std::uint64_t> keys;

@@ -5,7 +5,10 @@
  * Noise is applied per the NoiseModel: a gate-error channel after each
  * instruction, thermal relaxation to every qubit for the duration of
  * each scheduled moment, and classical readout confusion folded into
- * the final outcome distribution.
+ * the final outcome distribution. The circuit and noise lower once
+ * into a kernels::DensityPlan of superoperator entries over vec(rho),
+ * served by the active PlanCache when there is one (the runtime
+ * installs it), so repeated jobs only replay the plan.
  *
  * Measurements must be terminal per qubit (a measured qubit may not
  * be operated on again): the backend models measurement as dephasing
@@ -67,6 +70,10 @@ class DensityMatrixSimulator
     };
 
     Execution execute(const Circuit &circuit);
+
+    /** Register distribution of @p exec, readout error folded in. */
+    std::map<std::uint64_t, double>
+    distribution(const Execution &exec) const;
 
     const NoiseModel *noise_ = nullptr;
     Rng rng_;

@@ -136,8 +136,8 @@ void applyGenericK(Complex *amps, std::uint64_t n, const Matrix &u,
 /**
  * Dispatching dense-matrix application (drop-in for the old
  * kernel::applyMatrix): picks the 1q/2q/k-qubit kernel by operand
- * count. Used by the density-matrix backend on its rows/columns and
- * by trajectory Kraus sampling on raw amplitude copies.
+ * count. Used by the density-matrix backend on vec(rho) and by
+ * trajectory Kraus sampling on raw amplitude copies.
  */
 void applyMatrix(std::vector<Complex> &amps, const Matrix &u,
                  const std::vector<Qubit> &qubits);

@@ -369,6 +369,88 @@ lowerOperation(const Operation &op)
     return entry;
 }
 
+void
+applyEntry(Complex *amps, std::size_t num_qubits, const PlanEntry &entry)
+{
+    const auto checkQubit = [num_qubits](Qubit q) {
+        if (q >= num_qubits)
+            throw IndexError("qubit index " + std::to_string(q) +
+                             " out of range");
+    };
+    const std::uint64_t n = std::uint64_t{1} << num_qubits;
+    switch (entry.kind) {
+      case KernelKind::Identity:
+        checkQubit(entry.q0);
+        return;
+      case KernelKind::Diagonal1q:
+        checkQubit(entry.q0);
+        applyDiagonal1q(amps, n, entry.q0, entry.m[0],
+                        entry.m[3]);
+        return;
+      case KernelKind::AntiDiagonal1q:
+        checkQubit(entry.q0);
+        applyAntiDiagonal1q(amps, n, entry.q0, entry.m[1],
+                            entry.m[2], entry.traversal);
+        return;
+      case KernelKind::General1q:
+        checkQubit(entry.q0);
+        applyGeneral1q(amps, n, entry.q0, entry.m[0],
+                       entry.m[1], entry.m[2], entry.m[3],
+                       entry.traversal);
+        return;
+      case KernelKind::PauliX:
+        checkQubit(entry.q0);
+        applyX(amps, n, entry.q0);
+        return;
+      case KernelKind::ControlledX:
+        checkQubit(entry.q0);
+        checkQubit(entry.q1);
+        applyCX(amps, n, entry.q0, entry.q1);
+        return;
+      case KernelKind::Controlled1q:
+        checkQubit(entry.q0);
+        checkQubit(entry.q1);
+        applyControlled1q(amps, n, entry.q0, entry.q1,
+                          entry.m[0], entry.m[1], entry.m[2],
+                          entry.m[3], entry.traversal);
+        return;
+      case KernelKind::PhaseOnMask:
+        if (entry.mask >> num_qubits)
+            throw IndexError("phase mask addresses a qubit out of "
+                             "range");
+        applyPhaseOnMask(amps, n, entry.mask, entry.phase);
+        return;
+      case KernelKind::SwapQubits:
+        checkQubit(entry.q0);
+        checkQubit(entry.q1);
+        applySwap(amps, n, entry.q0, entry.q1);
+        return;
+      case KernelKind::Toffoli:
+        checkQubit(entry.q0);
+        checkQubit(entry.q1);
+        checkQubit(entry.q2);
+        applyCCX(amps, n, entry.q0, entry.q1, entry.q2);
+        return;
+      case KernelKind::General2q:
+        checkQubit(entry.q0);
+        checkQubit(entry.q1);
+        applyGeneral2q(amps, n, entry.q0, entry.q1,
+                       entry.dense, entry.traversal);
+        return;
+      case KernelKind::GenericK:
+        for (Qubit q : entry.qubits)
+            checkQubit(q);
+        applyGenericK(amps, n, entry.dense, entry.qubits);
+        return;
+      case KernelKind::Measure:
+      case KernelKind::ResetQ:
+      case KernelKind::PostSelectQ:
+      case KernelKind::SampleKraus:
+        break;
+    }
+    throw SimulationError("applyKernel on a non-unitary plan entry");
+}
+
 double
 entryCost(const PlanEntry &entry)
 {

@@ -127,6 +127,16 @@ PlanEntry classify2q(Qubit q0, Qubit q1, const Complex m[16]);
 PlanEntry lowerOperation(const Operation &op);
 
 /**
+ * Execute one unitary entry in place on a 2^@p num_qubits amplitude
+ * array: the kernel-class dispatch shared by StateVector::applyKernel
+ * and the density backend's vector view of rho.
+ * @throws IndexError if an operand is outside the register.
+ * @throws SimulationError for non-unitary entries.
+ */
+void applyEntry(Complex *amps, std::size_t num_qubits,
+                const PlanEntry &entry);
+
+/**
  * Relative execution cost of one unitary entry, in units of "one pass
  * over the amplitude array". The two-qubit window fusion only replaces
  * a window when the fused entry is strictly cheaper than the sum of

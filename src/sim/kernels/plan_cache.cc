@@ -45,6 +45,14 @@ planKey(const Circuit &circuit, int fusion)
                       static_cast<std::uint64_t>(fusion) + 1);
 }
 
+/** planKey() plus the noise model's semantic fingerprint. */
+std::uint64_t
+noisyPlanKey(const Circuit &circuit, const NoiseModel *noise, int fusion)
+{
+    return fnv1aMix64(planKey(circuit, fusion),
+                      noise != nullptr ? noise->fingerprint() : 0);
+}
+
 } // namespace
 
 PlanCache *
@@ -159,12 +167,23 @@ PlanCache::trajectoryPlan(const Circuit &circuit,
 {
     if (fusion < 0)
         fusion = currentFusionLevel();
-    std::uint64_t key = planKey(circuit, fusion);
-    key = fnv1aMix64(key,
-                     noise != nullptr ? noise->fingerprint() : 0);
+    const std::uint64_t key = noisyPlanKey(circuit, noise, fusion);
     return lookup(trajectoryPlans_, key, [&]() {
         return std::make_shared<const TrajectoryPlan>(
             TrajectoryPlan::compile(circuit, noise, fusion));
+    });
+}
+
+std::shared_ptr<const DensityPlan>
+PlanCache::densityPlan(const Circuit &circuit, const NoiseModel *noise,
+                       int fusion)
+{
+    if (fusion < 0)
+        fusion = currentFusionLevel();
+    const std::uint64_t key = noisyPlanKey(circuit, noise, fusion);
+    return lookup(densityPlans_, key, [&]() {
+        return std::make_shared<const DensityPlan>(
+            DensityPlan::compile(circuit, noise, fusion));
     });
 }
 

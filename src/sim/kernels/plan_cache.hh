@@ -3,19 +3,20 @@
  * PlanCache: memoised per-circuit execution artifacts, shared across
  * jobs and shards.
  *
- * Lowered plans, noisy trajectory plans, and sampled-execution
- * distributions (alias table + clbit wiring) depend only on the
- * circuit (semantic hash), the noise model (semantic fingerprint),
- * and the fusion level — never on shots, seeds, or thread counts. A
- * PlanCache keyed on those lets every shard of a job, and every
- * repeated job over the same prepared circuit (the batched-assertion
- * sweep pattern), build each artifact exactly once.
+ * Lowered plans, noisy trajectory plans, density superoperator plans,
+ * and sampled-execution distributions (alias table + clbit wiring)
+ * depend only on the circuit (semantic hash), the noise model
+ * (semantic fingerprint), and the fusion level — never on shots,
+ * seeds, or thread counts. A PlanCache keyed on those lets every
+ * shard of a job, and every repeated job over the same prepared
+ * circuit (the batched-assertion sweep pattern), build each artifact
+ * exactly once.
  *
  * The cache reaches the simulators the same way the thread pool does:
  * the execution engine installs a PlanCacheScope around each shard,
- * and StatevectorSimulator / TrajectorySimulator consult
- * currentPlanCache(). Without an active scope they compile locally,
- * so direct simulator use is unchanged.
+ * and StatevectorSimulator / TrajectorySimulator /
+ * DensityMatrixSimulator consult currentPlanCache(). Without an active
+ * scope they compile locally, so direct simulator use is unchanged.
  *
  * Concurrency: the first caller of a key publishes the artifact; a
  * caller that races a still-running build constructs a private
@@ -43,6 +44,7 @@
 #include "circuit/circuit.hh"
 #include "noise/noise_model.hh"
 #include "sim/kernels/alias_table.hh"
+#include "sim/kernels/density_plan.hh"
 #include "sim/kernels/noise_plan.hh"
 #include "sim/kernels/plan.hh"
 
@@ -97,6 +99,14 @@ class PlanCache
                    int fusion);
 
     /**
+     * Lowered density-matrix superoperator plan, keyed like
+     * trajectoryPlan(). @p noise may be null (ideal evolution).
+     */
+    std::shared_ptr<const DensityPlan>
+    densityPlan(const Circuit &circuit, const NoiseModel *noise,
+                int fusion);
+
+    /**
      * Sampled-execution distribution for (circuit, fusion); the
      * measured-qubit set is a function of the circuit and therefore
      * of its hash. @p build runs at most once per key.
@@ -106,7 +116,7 @@ class PlanCache
         const std::function<std::shared_ptr<const SampledDistribution>()>
             &build);
 
-    /** Aggregate hit/miss counters over all three artifact kinds. */
+    /** Aggregate hit/miss counters over all artifact kinds. */
     Stats stats() const;
 
   private:
@@ -141,6 +151,7 @@ class PlanCache
     mutable std::mutex mutex_;
     Store<ExecutablePlan> plans_;
     Store<TrajectoryPlan> trajectoryPlans_;
+    Store<DensityPlan> densityPlans_;
     Store<SampledDistribution> sampled_;
     Stats stats_;
     std::uint64_t nextId_ = 0;

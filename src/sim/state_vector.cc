@@ -77,80 +77,7 @@ StateVector::applyUnitary(const Operation &op)
 void
 StateVector::applyKernel(const kernels::PlanEntry &entry)
 {
-    using kernels::KernelKind;
-    Complex *amps = amps_.data();
-    const std::uint64_t n = amps_.size();
-    switch (entry.kind) {
-      case KernelKind::Identity:
-        checkQubit(entry.q0);
-        return;
-      case KernelKind::Diagonal1q:
-        checkQubit(entry.q0);
-        kernels::applyDiagonal1q(amps, n, entry.q0, entry.m[0],
-                                 entry.m[3]);
-        return;
-      case KernelKind::AntiDiagonal1q:
-        checkQubit(entry.q0);
-        kernels::applyAntiDiagonal1q(amps, n, entry.q0, entry.m[1],
-                                     entry.m[2], entry.traversal);
-        return;
-      case KernelKind::General1q:
-        checkQubit(entry.q0);
-        kernels::applyGeneral1q(amps, n, entry.q0, entry.m[0],
-                                entry.m[1], entry.m[2], entry.m[3],
-                                entry.traversal);
-        return;
-      case KernelKind::PauliX:
-        checkQubit(entry.q0);
-        kernels::applyX(amps, n, entry.q0);
-        return;
-      case KernelKind::ControlledX:
-        checkQubit(entry.q0);
-        checkQubit(entry.q1);
-        kernels::applyCX(amps, n, entry.q0, entry.q1);
-        return;
-      case KernelKind::Controlled1q:
-        checkQubit(entry.q0);
-        checkQubit(entry.q1);
-        kernels::applyControlled1q(amps, n, entry.q0, entry.q1,
-                                   entry.m[0], entry.m[1], entry.m[2],
-                                   entry.m[3], entry.traversal);
-        return;
-      case KernelKind::PhaseOnMask:
-        if (entry.mask >> numQubits_)
-            throw IndexError("phase mask addresses a qubit out of "
-                             "range");
-        kernels::applyPhaseOnMask(amps, n, entry.mask, entry.phase);
-        return;
-      case KernelKind::SwapQubits:
-        checkQubit(entry.q0);
-        checkQubit(entry.q1);
-        kernels::applySwap(amps, n, entry.q0, entry.q1);
-        return;
-      case KernelKind::Toffoli:
-        checkQubit(entry.q0);
-        checkQubit(entry.q1);
-        checkQubit(entry.q2);
-        kernels::applyCCX(amps, n, entry.q0, entry.q1, entry.q2);
-        return;
-      case KernelKind::General2q:
-        checkQubit(entry.q0);
-        checkQubit(entry.q1);
-        kernels::applyGeneral2q(amps, n, entry.q0, entry.q1,
-                                entry.dense, entry.traversal);
-        return;
-      case KernelKind::GenericK:
-        for (Qubit q : entry.qubits)
-            checkQubit(q);
-        kernels::applyGenericK(amps, n, entry.dense, entry.qubits);
-        return;
-      case KernelKind::Measure:
-      case KernelKind::ResetQ:
-      case KernelKind::PostSelectQ:
-      case KernelKind::SampleKraus:
-        break;
-    }
-    throw SimulationError("applyKernel on a non-unitary plan entry");
+    kernels::applyEntry(amps_.data(), numQubits_, entry);
 }
 
 void

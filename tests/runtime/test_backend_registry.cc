@@ -126,6 +126,29 @@ TEST(BackendRegistry, AutoFallsBackToTrajectoryForNoisyReuse)
     EXPECT_EQ(backend->name(), "trajectory");
 }
 
+TEST(BackendRegistry, AutoFallsBackToTrajectoryPastDensityCap)
+{
+    // The density backend advertises the density matrix's own cap, so
+    // one qubit more must route to trajectory instead of failing.
+    const DeviceModel device = DeviceModel::ibmqx4();
+    const std::size_t cap =
+        BackendRegistry::global().create("density")->capabilities()
+            .maxQubits;
+    Circuit wide(cap + 1, 2);
+    wide.h(0).cx(0, 1).measure(0, 0).measure(1, 1);
+    const BackendPtr backend = BackendRegistry::global().resolveAuto(
+        wide, &device.noiseModel());
+    EXPECT_EQ(backend->name(), "trajectory");
+    EXPECT_EQ(cap, 12u);
+
+    Circuit at_cap(cap, 2);
+    at_cap.h(0).cx(0, 1).measure(0, 0).measure(1, 1);
+    EXPECT_EQ(BackendRegistry::global()
+                  .resolveAuto(at_cap, &device.noiseModel())
+                  ->name(),
+              "density");
+}
+
 TEST(BackendRegistry, AutoPicksStabilizerForLargeCliffordCircuits)
 {
     Circuit ghz = library::ghzState(24);

@@ -1,13 +1,20 @@
 /** @file Tests for the DensityMatrix backend. */
 
+#include <algorithm>
 #include <cmath>
+#include <random>
 
 #include <gtest/gtest.h>
 
+#include "circuit/schedule.hh"
 #include "common/error.hh"
 #include "math/gates.hh"
 #include "noise/channels.hh"
+#include "noise/device_model.hh"
+#include "runtime/execution_engine.hh"
 #include "sim/density_matrix.hh"
+#include "sim/density_simulator.hh"
+#include "sim/kernels/plan_cache.hh"
 #include "sim/state_vector.hh"
 
 namespace qra {
@@ -34,7 +41,8 @@ TEST(DensityMatrixTest, InitialStateIsPureZero)
 TEST(DensityMatrixTest, SizeLimits)
 {
     EXPECT_THROW(DensityMatrix(0), SimulationError);
-    EXPECT_THROW(DensityMatrix(13), SimulationError);
+    EXPECT_THROW(DensityMatrix(DensityMatrix::kMaxQubits + 1),
+                 SimulationError);
 }
 
 TEST(DensityMatrixTest, UnitaryEvolutionMatchesStateVector)
@@ -199,6 +207,268 @@ TEST(DensityMatrixTest, TwoQubitKrausChannel)
     EXPECT_NEAR(dm.trace(), 1.0, 1e-10);
     EXPECT_LT(dm.purity(), 1.0);
     EXPECT_GT(dm.purity(), 0.8);
+}
+
+
+// ---- independent oracle for the superoperator plan ------------------
+//
+// The reference evolves the full 2^n x 2^n matrix as sum_k K rho K^dagger
+// with every operator embedded at full size through Matrix::kron and
+// operator*: no kernels, no plan, no vec(rho) view.
+
+/** |i><j| on qubit @p q of an n-qubit register (qubit 0 = bit 0). */
+Matrix
+unitOn(std::size_t n, Qubit q, std::size_t i, std::size_t j)
+{
+    Matrix e(2, 2);
+    e(i, j) = 1.0;
+    Matrix full = Matrix::identity(1);
+    for (std::size_t k = n; k-- > 0;)
+        full = full.kron(k == q ? e : Matrix::identity(2));
+    return full;
+}
+
+/** Full-register operator of @p m; matrix bit j is qubits[j]. */
+Matrix
+embed(const Matrix &m, const std::vector<Qubit> &qubits, std::size_t n)
+{
+    const std::size_t dim = std::size_t{1} << n;
+    Matrix full(dim, dim);
+    for (std::size_t r = 0; r < m.rows(); ++r)
+        for (std::size_t c = 0; c < m.cols(); ++c) {
+            if (m(r, c) == Complex{0.0, 0.0})
+                continue;
+            Matrix term = Matrix::identity(dim);
+            for (std::size_t j = 0; j < qubits.size(); ++j)
+                term = term * unitOn(n, qubits[j], (r >> j) & 1,
+                                     (c >> j) & 1);
+            full += term * m(r, c);
+        }
+    return full;
+}
+
+Matrix
+referenceChannel(const Matrix &rho, const std::vector<Matrix> &kraus,
+                 const std::vector<Qubit> &qubits, std::size_t n)
+{
+    Matrix out(rho.rows(), rho.cols());
+    for (const Matrix &k : kraus) {
+        const Matrix full = embed(k, qubits, n);
+        out += full * rho * full.adjoint();
+    }
+    return out;
+}
+
+/** The density backend's noise semantics, evolved densely. */
+Matrix
+referenceRho(const Circuit &circuit, const NoiseModel &noise)
+{
+    const std::size_t n = circuit.numQubits();
+    Matrix rho(std::size_t{1} << n, std::size_t{1} << n);
+    rho(0, 0) = 1.0;
+    const Matrix p0{{1.0, 0.0}, {0.0, 0.0}};
+    const Matrix p1{{0.0, 0.0}, {0.0, 1.0}};
+    const Matrix lower{{0.0, 1.0}, {0.0, 0.0}};
+    std::vector<bool> measured(n, false);
+    const auto duration = [&](const Operation &op) {
+        return noise.opDuration(op);
+    };
+    for (const TimedMoment &moment :
+         computeTimedMoments(circuit, duration)) {
+        for (const std::size_t idx : moment.opIndices) {
+            const Operation &op = circuit.ops()[idx];
+            switch (op.kind) {
+              case OpKind::Measure:
+                rho = referenceChannel(rho, {p0, p1}, op.qubits, n);
+                measured[op.qubits[0]] = true;
+                continue;
+              case OpKind::Reset:
+                rho = referenceChannel(rho, {p0, lower}, op.qubits, n);
+                continue;
+              case OpKind::PostSelect:
+              {
+                const Matrix keep =
+                    embed(op.postselectValue ? p1 : p0, op.qubits, n);
+                rho = keep * rho * keep;
+                rho *= Complex{1.0 / rho.trace().real(), 0.0};
+                continue;
+              }
+              case OpKind::Barrier:
+                continue;
+              default:
+                break;
+            }
+            rho = referenceChannel(rho, {op.matrix()}, op.qubits, n);
+            for (const auto &applied : noise.channelsFor(op))
+                rho = referenceChannel(rho,
+                                       applied.channel.operators(),
+                                       applied.qubits, n);
+        }
+        for (Qubit q = 0; q < n; ++q) {
+            if (measured[q])
+                continue;
+            if (auto relax = noise.relaxationFor(q, moment.durationNs))
+                rho = referenceChannel(rho, relax->operators(), {q}, n);
+        }
+    }
+    return rho;
+}
+
+/**
+ * Seeded random circuit: 1q, 2q and 3q gates (CY is noise-free on
+ * ibmqx4, CCX gets pairwise depolarising), resets, a post-selection
+ * on a superposed qubit, a barrier, one early measurement and
+ * terminal measures of the rest.
+ */
+Circuit
+randomNoisyCircuit(std::uint64_t seed, std::size_t n)
+{
+    std::mt19937_64 rng(seed);
+    const auto pick = [&](std::size_t bound) {
+        return static_cast<std::size_t>(rng() % bound);
+    };
+    Circuit c(n, n);
+    std::vector<Qubit> live(n);
+    for (Qubit q = 0; q < n; ++q)
+        live[q] = q;
+    const auto any = [&]() { return live[pick(live.size())]; };
+    const auto distinct = [&](std::size_t k) {
+        std::vector<Qubit> pool = live;
+        std::vector<Qubit> out;
+        for (std::size_t i = 0; i < k; ++i) {
+            const std::size_t at = pick(pool.size());
+            out.push_back(pool[at]);
+            pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(at));
+        }
+        return out;
+    };
+    Clbit next_clbit = 0;
+    const std::size_t length = 26;
+    for (std::size_t i = 0; i < length; ++i) {
+        if (i == length / 2) {
+            // One qubit measured mid-circuit, never touched again.
+            const Qubit q = any();
+            c.measure(q, next_clbit++);
+            live.erase(std::find(live.begin(), live.end(), q));
+        }
+        if (i == length / 3)
+            c.barrier();
+        if (i == 2 * length / 3) {
+            // Reset first so the kept branch has weight ~1/2.
+            const Qubit q = any();
+            c.reset(q).h(q).postSelect(q, static_cast<int>(pick(2)));
+        }
+        const double angle = 0.1 + 0.37 * static_cast<double>(pick(16));
+        switch (pick(11)) {
+          case 0: c.h(any()); break;
+          case 1: c.x(any()); break;
+          case 2: c.t(any()); break;
+          case 3: c.ry(angle, any()); break;
+          case 4: c.u(angle, 0.3, -angle, any()); break;
+          case 5: { const auto q = distinct(2); c.cx(q[0], q[1]); break; }
+          case 6: { const auto q = distinct(2); c.cz(q[0], q[1]); break; }
+          case 7: { const auto q = distinct(2); c.swap(q[0], q[1]); break; }
+          case 8: { const auto q = distinct(2); c.cy(q[0], q[1]); break; }
+          case 9:
+          {
+            const auto q = distinct(3);
+            c.ccx(q[0], q[1], q[2]);
+            break;
+          }
+          default: c.reset(any()); break;
+        }
+    }
+    for (std::size_t i = live.size(); i-- > 0;)
+        c.measure(live[i], next_clbit++);
+    return c;
+}
+
+TEST(DensityPlanOracle, RandomNoisyCircuitsMatchDenseKrausReference)
+{
+    const DeviceModel device = DeviceModel::ibmqx4();
+    const NoiseModel &noise = device.noiseModel();
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        const Circuit circuit = randomNoisyCircuit(seed, 4);
+        const Matrix reference = referenceRho(circuit, noise);
+        for (int fusion : {kernels::kFusionNone, kernels::kFusion1q,
+                           kernels::kFusion2q}) {
+            kernels::FusionScope scope(fusion);
+            DensityMatrixSimulator sim;
+            sim.setNoiseModel(&noise);
+            const Matrix got = sim.finalState(circuit).matrix();
+            EXPECT_LE(got.maxAbsDiff(reference), 1e-12)
+                << "seed " << seed << " fusion " << fusion;
+        }
+    }
+}
+
+TEST(DensityPlanOracle, IdealAndPublicMethodsMatchReference)
+{
+    // Ideal evolution (no noise model) through the plan, and the same
+    // circuit's channels through DensityMatrix's public methods.
+    const NoiseModel none;
+    for (std::uint64_t seed = 21; seed <= 24; ++seed) {
+        const Circuit circuit = randomNoisyCircuit(seed, 4);
+        DensityMatrixSimulator sim;
+        EXPECT_LE(sim.finalState(circuit).matrix().maxAbsDiff(
+                      referenceRho(circuit, none)),
+                  1e-12)
+            << "seed " << seed;
+    }
+    DensityMatrix dm(3);
+    Matrix rho(8, 8);
+    rho(0, 0) = 1.0;
+    const Operation h{.kind = OpKind::H, .qubits = {2}};
+    const Operation cx{.kind = OpKind::CX, .qubits = {2, 0}};
+    const Operation ccx{.kind = OpKind::CCX, .qubits = {0, 2, 1}};
+    for (const Operation &op : {h, cx, ccx}) {
+        dm.applyUnitary(op);
+        rho = referenceChannel(rho, {op.matrix()}, op.qubits, 3);
+    }
+    const KrausChannel dep2 = channels::depolarizing2(0.2);
+    dm.applyKraus(dep2, {1, 2});
+    rho = referenceChannel(rho, dep2.operators(), {1, 2}, 3);
+    const KrausChannel relax = channels::thermalRelaxation(4e4, 3e4, 900);
+    dm.applyKraus(relax, {0});
+    rho = referenceChannel(rho, relax.operators(), {0}, 3);
+    EXPECT_LE(dm.matrix().maxAbsDiff(rho), 1e-12);
+}
+
+TEST(DensityPlanOracle, CachedAndThreadedRunsAreBitIdentical)
+{
+    const DeviceModel device = DeviceModel::ibmqx4();
+    const NoiseModel &noise = device.noiseModel();
+    kernels::PlanCache cache;
+    // 8 qubits: vec(rho) has 2^16 entries, enough for the kernels to
+    // split across engine lanes.
+    for (const auto &[seed, n] :
+         std::vector<std::pair<std::uint64_t, std::size_t>>{
+             {3, 4}, {5, 5}, {8, 8}}) {
+        const Circuit circuit = randomNoisyCircuit(seed, n);
+        DensityMatrixSimulator direct(seed);
+        direct.setNoiseModel(&noise);
+        const Result local = direct.run(circuit, 4096);
+        ASSERT_TRUE(local.exactDistribution().has_value());
+        for (int pass = 0; pass < 2; ++pass) { // miss, then hit
+            kernels::PlanCacheScope scope(&cache);
+            DensityMatrixSimulator cached(seed);
+            cached.setNoiseModel(&noise);
+            const Result result = cached.run(circuit, 4096);
+            EXPECT_EQ(result.exactDistribution(),
+                      local.exactDistribution());
+            EXPECT_EQ(result.rawCounts(), local.rawCounts());
+        }
+
+        runtime::ExecutionEngine one(runtime::EngineOptions{.threads = 1});
+        runtime::ExecutionEngine four(
+            runtime::EngineOptions{.threads = 4});
+        const Result a = one.run(circuit, 4096, "density", seed, &noise);
+        const Result b = four.run(circuit, 4096, "density", seed, &noise);
+        EXPECT_EQ(a.exactDistribution(), local.exactDistribution());
+        EXPECT_EQ(b.exactDistribution(), local.exactDistribution());
+        EXPECT_EQ(a.rawCounts(), b.rawCounts());
+    }
+    EXPECT_EQ(cache.stats().hits, 3u);
 }
 
 } // namespace

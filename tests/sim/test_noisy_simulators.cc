@@ -7,6 +7,7 @@
 #include "common/error.hh"
 #include "noise/device_model.hh"
 #include "sim/density_simulator.hh"
+#include "sim/statevector_simulator.hh"
 #include "sim/trajectory_simulator.hh"
 #include "stats/distance.hh"
 
@@ -72,6 +73,22 @@ TEST(DensitySimulatorTest, GateNoiseShowsInDistribution)
     for (const auto &[k, p] : dist)
         total += p;
     EXPECT_NEAR(total, 1.0, 1e-9);
+}
+
+TEST(DensitySimulatorTest, RetainedFractionMatchesStatevector)
+{
+    // Keep q1 == 1 of RY(0.9)|0> entangled onto q1: the kept fraction
+    // is sin^2(0.45) on every backend that post-selects.
+    Circuit c(2, 2);
+    c.ry(0.9, 0).cx(0, 1).postSelect(1, 1).measureAll();
+    DensityMatrixSimulator density(3);
+    StatevectorSimulator statevector(3);
+    const Result exact = density.run(c, 256);
+    const Result sampled = statevector.run(c, 256);
+    EXPECT_NEAR(exact.retainedFraction(), std::pow(std::sin(0.45), 2),
+                1e-12);
+    EXPECT_NEAR(exact.retainedFraction(), sampled.retainedFraction(),
+                1e-12);
 }
 
 TEST(DensitySimulatorTest, ReadoutErrorOnDeterministicState)
