@@ -764,11 +764,13 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    // The gate cases need three distinct operands; StateVector caps
-    // at 24 qubits.
-    if (num_qubits < 3 || num_qubits > 24 || shots == 0) {
-        std::fprintf(stderr, "perf_simulator: --qubits must be in "
-                             "[3, 24] and --shots positive\n");
+    // The gate cases need three distinct operands.
+    if (num_qubits < 3 || num_qubits > StateVector::kMaxQubits ||
+        shots == 0) {
+        std::fprintf(stderr,
+                     "perf_simulator: --qubits must be in [3, %zu] "
+                     "and --shots positive\n",
+                     StateVector::kMaxQubits);
         return 2;
     }
 

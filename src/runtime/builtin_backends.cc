@@ -45,9 +45,9 @@ class BuiltinBackend : public Backend
     BackendCapabilities caps_;
 };
 
-// State-vector memory is the ceiling: 2^26 amplitudes = 1 GiB of
-// complex<double>, a sensible single-job cap for a shared host.
-constexpr std::size_t kStatevectorMaxQubits = 26;
+// State-vector memory is the ceiling; the statevector and trajectory
+// backends both hold one StateVector, so its own cap is theirs.
+constexpr std::size_t kStatevectorMaxQubits = StateVector::kMaxQubits;
 // The density matrix squares that cost; its own cap is the only one.
 constexpr std::size_t kDensityMaxQubits = DensityMatrix::kMaxQubits;
 // The tableau is O(n^2) bits; 4096 is the circuit IR's own limit.

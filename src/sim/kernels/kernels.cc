@@ -507,15 +507,6 @@ sumWeights(const double *w, std::uint64_t n)
         });
 }
 
-void
-scaleAll(Complex *amps, std::uint64_t n, double scale)
-{
-    parallelFor(n, [=](std::uint64_t begin, std::uint64_t end) {
-        for (std::uint64_t i = begin; i < end; ++i)
-            amps[i] *= scale;
-    });
-}
-
 namespace {
 
 /**
@@ -606,26 +597,58 @@ marginalProbabilities(const Complex *amps, std::uint64_t n,
     return marginal;
 }
 
-double
-branchWeight1q(const Complex *amps, std::uint64_t n, Qubit q,
-               const Complex m[4])
+namespace {
+
+/** Reduced-density sums over pair range [begin, end) (compact). */
+QubitDensity
+qubitDensityRange(const Complex *amps, std::uint64_t begin,
+                  std::uint64_t end, std::uint64_t bit)
+{
+    const std::uint64_t low = bit - 1;
+    double r00 = 0.0, r11 = 0.0, c_re = 0.0, c_im = 0.0;
+    for (std::uint64_t h = begin; h < end; ++h) {
+        const std::uint64_t i0 = ((h & ~low) << 1) | (h & low);
+        const double re0 = amps[i0].real(), im0 = amps[i0].imag();
+        const double re1 = amps[i0 | bit].real();
+        const double im1 = amps[i0 | bit].imag();
+        r00 += re0 * re0 + im0 * im0;
+        r11 += re1 * re1 + im1 * im1;
+        c_re += re0 * re1 + im0 * im1;
+        c_im += re0 * im1 - im0 * re1;
+    }
+    return {r00, r11, Complex{c_re, c_im}};
+}
+
+} // namespace
+
+QubitDensity
+reduceQubitDensity(const Complex *amps, std::uint64_t n, Qubit q)
 {
     const std::uint64_t bit = std::uint64_t{1} << q;
-    const std::uint64_t low = bit - 1;
-    const Complex m00 = m[0], m01 = m[1], m10 = m[2], m11 = m[3];
-    return deterministicSum(
-        n >> 1, [=](std::uint64_t begin, std::uint64_t end) {
-            double partial = 0.0;
-            for (std::uint64_t h = begin; h < end; ++h) {
-                const std::uint64_t i0 = ((h & ~low) << 1) | (h & low);
-                const std::uint64_t i1 = i0 | bit;
-                const Complex a0 = amps[i0];
-                const Complex a1 = amps[i1];
-                partial += std::norm(m00 * a0 + m01 * a1) +
-                           std::norm(m10 * a0 + m11 * a1);
-            }
-            return partial;
-        });
+    const std::uint64_t pairs = n >> 1;
+    if (pairs <= kReduceBlock)
+        return qubitDensityRange(amps, 0, pairs, bit);
+
+    const std::uint64_t blocks =
+        (pairs + kReduceBlock - 1) / kReduceBlock;
+    std::vector<QubitDensity> partials(blocks);
+    QubitDensity *partials_data = partials.data();
+    parallelFor(blocks, /*grain=*/1,
+                [=](std::uint64_t b0, std::uint64_t b1) {
+                    for (std::uint64_t b = b0; b < b1; ++b) {
+                        const std::uint64_t begin = b * kReduceBlock;
+                        partials_data[b] = qubitDensityRange(
+                            amps, begin,
+                            std::min(pairs, begin + kReduceBlock), bit);
+                    }
+                });
+    QubitDensity total;
+    for (const QubitDensity &partial : partials) {
+        total.r00 += partial.r00;
+        total.r11 += partial.r11;
+        total.c01 += partial.c01;
+    }
+    return total;
 }
 
 } // namespace kernels

@@ -190,9 +190,6 @@ double computeProbabilities(const Complex *amps, std::uint64_t n,
  */
 double sumWeights(const double *w, std::uint64_t n);
 
-/** amps[i] *= scale (parallel elementwise; Kraus renormalisation). */
-void scaleAll(Complex *amps, std::uint64_t n, double scale);
-
 /**
  * Marginal distribution over @p qubits: entry b is the probability
  * that reading qubits[j] gives bit j of b.
@@ -210,13 +207,26 @@ std::vector<double> marginalProbabilities(
     const Complex *amps, std::uint64_t n,
     const std::vector<Qubit> &qubits);
 
+/** Reduced-density sums of one qubit (see reduceQubitDensity). */
+struct QubitDensity
+{
+    double r00 = 0.0;       ///< sum |a0|^2
+    double r11 = 0.0;       ///< sum |a1|^2
+    Complex c01{0.0, 0.0};  ///< sum conj(a0) * a1
+};
+
 /**
- * Born weight ||K psi||^2 of a one-qubit Kraus operator @p m (row
- * major 2x2) applied to qubit @p q, computed in one read-only pass —
- * no branch copy. Reduced in fixed blocks (lane-count independent).
+ * The 2x2 reduced density of qubit @p q, rho_q = [[r00 conj(c01)]
+ * [c01 r11]], summed over the amplitude pairs (a0, a1) = (amps[i],
+ * amps[i | 1 << q]) in one read-only pass. Every Born weight of a
+ * one-qubit Kraus operator follows from it: ||K psi||^2 =
+ * tr(K^dagger K rho_q). Reduced over fixed kReduceBlock blocks of
+ * the pair space whose partials are added in block order (the
+ * deterministicSum rule), so the result is bit-identical at any
+ * lane count. Scalar only: no SIMD tier.
  */
-double branchWeight1q(const Complex *amps, std::uint64_t n, Qubit q,
-                      const Complex m[4]);
+QubitDensity reduceQubitDensity(const Complex *amps, std::uint64_t n,
+                                Qubit q);
 
 } // namespace kernels
 } // namespace qra

@@ -1,5 +1,6 @@
 #include "sim/kernels/noise_plan.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "circuit/schedule.hh"
@@ -128,6 +129,30 @@ lowerUnitaryMatrix(const Matrix &u, const std::vector<Qubit> &qubits)
     return entries;
 }
 
+} // namespace
+
+Kraus1q::Kraus1q(const Matrix &k)
+    : m{k(0, 0), k(0, 1), k(1, 0), k(1, 1)},
+      kind(k.isDiagonal(0.0) ? KernelKind::Diagonal1q
+                             : KernelKind::General1q)
+{
+    const Matrix gram = k.adjoint() * k;
+    g00 = gram(0, 0).real();
+    g11 = gram(1, 1).real();
+    g01 = gram(0, 1);
+}
+
+double
+Kraus1q::weight(const QubitDensity &rho) const
+{
+    const double w = g00 * rho.r00 + g11 * rho.r11 +
+                     2.0 * (g01.real() * rho.c01.real() -
+                            g01.imag() * rho.c01.imag());
+    return std::max(0.0, w);
+}
+
+namespace {
+
 /** Build the Site for one applied channel. */
 KrausSite
 makeSite(const KrausChannel &channel, const std::vector<Qubit> &qubits)
@@ -156,6 +181,10 @@ makeSite(const KrausChannel &channel, const std::vector<Qubit> &qubits)
         site.fixedWeights = true;
         site.weights = std::move(weights);
         site.branches = std::move(branches);
+    } else if (qubits.size() == 1) {
+        site.ops1q.reserve(ops.size());
+        for (const Matrix &k : ops)
+            site.ops1q.emplace_back(k);
     } else {
         site.ops = ops;
     }

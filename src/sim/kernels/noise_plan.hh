@@ -18,13 +18,18 @@
  *    fixed branch weights |c_k|^2 and pre-lowered branch kernels, so
  *    sampling costs one uniform draw and one in-place kernel — no
  *    per-branch state copies, no norm scans;
+ *  - state-dependent one-qubit sites (thermal relaxation) carry each
+ *    operator with its Gram matrix: one read of the state gives the
+ *    qubit's 2x2 reduced density and from it every branch weight,
+ *    and the chosen operator is applied pre-scaled in one pass;
  *  - readout confusion is attached to Measure entries as a site index,
  *    and relaxation channels are pre-derived per scheduled moment.
  *
  * RNG draw order matches the legacy interpreter exactly (one uniform
  * per multi-branch site, one per measurement, one per imperfect
  * readout, one per surviving post-selection), so for a fixed seed the
- * unfused plan reproduces the legacy trajectory bit-for-bit.
+ * unfused plan draws the legacy trajectory's branches and outcomes;
+ * its amplitudes agree with the legacy ones to rounding.
  */
 
 #ifndef QRA_SIM_KERNELS_NOISE_PLAN_HH
@@ -37,10 +42,44 @@
 #include "math/matrix.hh"
 #include "noise/noise_model.hh"
 #include "noise/readout_error.hh"
+#include "sim/kernels/kernels.hh"
 #include "sim/kernels/plan.hh"
 
 namespace qra {
 namespace kernels {
+
+/**
+ * One operator of a state-dependent one-qubit site: K as a flat 2x2
+ * plus its Gram matrix G = K^dagger K, so every branch weight of the
+ * site comes from one read of the state (kernels::reduceQubitDensity).
+ */
+struct Kraus1q
+{
+    /** Lower the 2x2 operator @p k. */
+    explicit Kraus1q(const Matrix &k);
+
+    /**
+     * Born weight ||K psi||^2 = tr(G rho_q) = G00 r00 + G11 r11 +
+     * 2 Re(G01 c01), clamped at 0 (rounding can dip an empty branch
+     * below it).
+     */
+    double weight(const QubitDensity &rho) const;
+
+    /** K, row-major. */
+    Complex m[4];
+
+    /** The real diagonal of G. */
+    double g00 = 0.0, g11 = 0.0;
+
+    /** G(0, 1); G(1, 0) is its conjugate. */
+    Complex g01{0.0, 0.0};
+
+    /**
+     * Diagonal1q when K's off-diagonal entries are exactly zero,
+     * otherwise General1q — the kernel kernels::applyMatrix picks.
+     */
+    KernelKind kind = KernelKind::General1q;
+};
 
 /** One pre-built Kraus insertion point. */
 struct KrausSite
@@ -63,10 +102,21 @@ struct KrausSite
      */
     std::vector<std::vector<PlanEntry>> branches;
 
-    /** Raw Kraus operators (state-dependent path). */
+    /**
+     * Operators of a state-dependent one-qubit site (thermal
+     * relaxation, amplitude damping): the branch weights come from
+     * the qubit's reduced density, and the chosen operator is applied
+     * pre-scaled by 1/sqrt(weight) in one in-place pass.
+     */
+    std::vector<Kraus1q> ops1q;
+
+    /**
+     * Raw Kraus operators of a state-dependent multi-qubit site,
+     * sampled on branch copies (the legacy interpreter's path).
+     */
     std::vector<Matrix> ops;
 
-    /** Operand qubits (state-dependent path). */
+    /** Operand qubits (state-dependent sites). */
     std::vector<Qubit> qubits;
 };
 

@@ -10,12 +10,25 @@
 
 namespace qra {
 
+namespace {
+
+/** 2^@p num_qubits, validated before anything is allocated. */
+std::size_t
+checkedDim(std::size_t num_qubits)
+{
+    if (num_qubits == 0 || num_qubits > StateVector::kMaxQubits)
+        throw SimulationError(
+            "state vector supports 1.." +
+            std::to_string(StateVector::kMaxQubits) + " qubits");
+    return std::size_t{1} << num_qubits;
+}
+
+} // namespace
+
 StateVector::StateVector(std::size_t num_qubits)
     : numQubits_(num_qubits),
-      amps_(std::size_t{1} << num_qubits, Complex{0.0, 0.0})
+      amps_(checkedDim(num_qubits), Complex{0.0, 0.0})
 {
-    if (num_qubits == 0 || num_qubits > 24)
-        throw SimulationError("state vector supports 1..24 qubits");
     amps_[0] = 1.0;
 }
 
@@ -78,19 +91,6 @@ void
 StateVector::applyKernel(const kernels::PlanEntry &entry)
 {
     kernels::applyEntry(amps_.data(), numQubits_, entry);
-}
-
-void
-StateVector::applyKrausBranch(const Matrix &k,
-                              const std::vector<Qubit> &qubits,
-                              double weight)
-{
-    if (weight < 1e-30)
-        throw SimulationError("Kraus branch sampled with (near-)zero "
-                              "Born weight (numerical issue)");
-    applyMatrix(k, qubits);
-    kernels::scaleAll(amps_.data(), amps_.size(),
-                      1.0 / std::sqrt(weight));
 }
 
 int
@@ -187,17 +187,10 @@ Matrix
 StateVector::reducedQubitDensity(Qubit q) const
 {
     checkQubit(q);
-    const std::uint64_t bit = std::uint64_t{1} << q;
-    Complex r00{0.0, 0.0}, r01{0.0, 0.0}, r11{0.0, 0.0};
-    for (std::uint64_t i = 0; i < amps_.size(); ++i) {
-        if (i & bit) {
-            r11 += amps_[i] * std::conj(amps_[i]);
-        } else {
-            r00 += amps_[i] * std::conj(amps_[i]);
-            r01 += amps_[i] * std::conj(amps_[i | bit]);
-        }
-    }
-    return Matrix{{r00, r01}, {std::conj(r01), r11}};
+    const kernels::QubitDensity rho =
+        kernels::reduceQubitDensity(amps_.data(), amps_.size(), q);
+    return Matrix{{Complex{rho.r00, 0.0}, std::conj(rho.c01)},
+                  {rho.c01, Complex{rho.r11, 0.0}}};
 }
 
 double

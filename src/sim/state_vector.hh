@@ -28,6 +28,12 @@ struct PlanEntry;
 class StateVector
 {
   public:
+    /**
+     * Largest register: 2^24 complex doubles are 256 MiB, and the
+     * statevector and trajectory backends advertise exactly this cap.
+     */
+    static constexpr std::size_t kMaxQubits = 24;
+
     /** Initialise |0...0> over @p num_qubits qubits. */
     explicit StateVector(std::size_t num_qubits);
 
@@ -58,21 +64,13 @@ class StateVector
     void applyUnitary(const Operation &op);
 
     /**
-     * Apply one pre-lowered unitary plan entry (see
-     * kernels::ExecutablePlan). Operand qubits are bounds-checked.
+     * Apply one pre-lowered plan entry in place (see
+     * kernels::ExecutablePlan): a unitary, or a trajectory site's
+     * Kraus branch pre-scaled to keep the norm. Operand qubits are
+     * bounds-checked.
      * @throws SimulationError for non-unitary entries.
      */
     void applyKernel(const kernels::PlanEntry &entry);
-
-    /**
-     * Apply a (generally non-unitary) Kraus operator in place and
-     * renormalise by its pre-computed Born weight ||K psi||^2 — the
-     * trajectory backend's copy-free branch application.
-     * @throws SimulationError if @p weight is (near-)zero.
-     */
-    void applyKrausBranch(const Matrix &k,
-                          const std::vector<Qubit> &qubits,
-                          double weight);
 
     /**
      * Measure one qubit in the computational basis; collapses the

@@ -87,22 +87,29 @@ TrajectorySimulator::sampleSite(const kernels::KrausSite &site,
         return;
     }
     if (site.qubits.size() == 1) {
-        // State-dependent one-qubit channel (thermal relaxation):
-        // weights in one read-only pass per branch, then the chosen
-        // operator applied in place and renormalised by its weight.
-        const std::uint64_t n = state.dim();
-        std::vector<double> weights(site.ops.size());
-        for (std::size_t k = 0; k < site.ops.size(); ++k) {
-            const Matrix &op = site.ops[k];
-            const Complex m[4] = {op(0, 0), op(0, 1), op(1, 0),
-                                  op(1, 1)};
-            weights[k] = kernels::branchWeight1q(
-                state.amplitudes().data(), n, site.qubits[0], m);
-        }
+        // State-dependent one-qubit channel (thermal relaxation): one
+        // read of the state gives the qubit's reduced density and
+        // from it every branch weight tr(G_k rho_q); the chosen
+        // operator, pre-scaled by 1/sqrt(w), is applied in one pass.
+        const Qubit q = site.qubits[0];
+        const kernels::QubitDensity rho = kernels::reduceQubitDensity(
+            state.amplitudes().data(), state.dim(), q);
+        weights_.resize(site.ops1q.size());
+        for (std::size_t k = 0; k < site.ops1q.size(); ++k)
+            weights_[k] = site.ops1q[k].weight(rho);
         const std::size_t chosen = nonDegenerateBranch(
-            weights, sampleDiscrete(weights, rng_));
-        state.applyKrausBranch(site.ops[chosen], site.qubits,
-                               weights[chosen]);
+            weights_, sampleDiscrete(weights_, rng_));
+        if (weights_[chosen] < 1e-30)
+            throw SimulationError("Kraus branch sampled with (near-)"
+                                  "zero Born weight (numerical issue)");
+        const kernels::Kraus1q &op = site.ops1q[chosen];
+        const double scale = 1.0 / std::sqrt(weights_[chosen]);
+        kernels::PlanEntry entry;
+        entry.kind = op.kind;
+        entry.q0 = q;
+        for (int j = 0; j < 4; ++j)
+            entry.m[j] = op.m[j] * scale;
+        state.applyKernel(entry);
         return;
     }
     // General multi-qubit channel: the copy-based reference path.

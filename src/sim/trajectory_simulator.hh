@@ -103,6 +103,8 @@ class TrajectorySimulator
     const NoiseModel *noise_ = nullptr;
     bool usePlan_ = true;
     Rng rng_;
+    /** Branch-weight scratch of sampleSite (reused across sites). */
+    std::vector<double> weights_;
 };
 
 } // namespace qra

@@ -11,6 +11,7 @@
 #include "noise/device_model.hh"
 #include "runtime/backend_registry.hh"
 #include "runtime/builtin_backends.hh"
+#include "sim/state_vector.hh"
 
 using namespace qra;
 using namespace qra::runtime;
@@ -147,6 +148,40 @@ TEST(BackendRegistry, AutoFallsBackToTrajectoryPastDensityCap)
                   .resolveAuto(at_cap, &device.noiseModel())
                   ->name(),
               "density");
+}
+
+TEST(BackendRegistry, StatevectorCapsMatchTheStateVector)
+{
+    // Both state-vector backends advertise the StateVector's own cap,
+    // so one qubit past it is rejected up front instead of being
+    // admitted and failing mid-shard.
+    auto &registry = BackendRegistry::global();
+    EXPECT_EQ(registry.create("statevector")->capabilities().maxQubits,
+              StateVector::kMaxQubits);
+    EXPECT_EQ(registry.create("trajectory")->capabilities().maxQubits,
+              StateVector::kMaxQubits);
+
+    const std::size_t n = StateVector::kMaxQubits + 1;
+    Circuit ghz_t = library::ghzState(n);
+    ghz_t.t(0);
+    ghz_t.addClbits(n);
+    ghz_t.measureAll();
+    const DeviceModel device = DeviceModel::ibmqx4();
+    for (const NoiseModel *noise :
+         {static_cast<const NoiseModel *>(nullptr),
+          &device.noiseModel()}) {
+        try {
+            registry.resolveAuto(ghz_t, noise);
+            FAIL() << "expected SimulationError (noisy = "
+                   << (noise != nullptr) << ")";
+        } catch (const SimulationError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "no registered backend supports this "
+                          "circuit"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(BackendRegistry, AutoPicksStabilizerForLargeCliffordCircuits)

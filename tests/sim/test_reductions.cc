@@ -27,12 +27,16 @@
 
 #include "circuit/circuit.hh"
 #include "common/error.hh"
+#include "math/gates.hh"
 #include "math/types.hh"
+#include "noise/channels.hh"
+#include "noise/kraus.hh"
 #include "obs/metrics.hh"
 #include "runtime/execution_engine.hh"
 #include "runtime/thread_pool.hh"
 #include "sim/kernels/alias_table.hh"
 #include "sim/kernels/kernels.hh"
+#include "sim/kernels/noise_plan.hh"
 #include "sim/kernels/parallel.hh"
 #include "sim/kernels/simd/dispatch.hh"
 #include "sim/kernels/traversal.hh"
@@ -312,6 +316,88 @@ TEST(ReductionParity, ProbabilityOfOneAcrossTiers)
         for (Qubit q = 0; q < 9; ++q)
             EXPECT_TRUE(bitEqual(oracle[q], state.probabilityOfOne(q)))
                 << "tier " << simd::tierName(tier) << " qubit " << q;
+    }
+}
+
+// ---- one-read Born weights of one-qubit Kraus sites ---------------------
+
+TEST(ReducedDensityWeights, MatchDirectNormOnCopyAndAcrossLanes)
+{
+    // Relaxation sets have diagonal Gram matrices and never reach the
+    // c01 term; amplitude damping after a fixed ry (real G01) or rx
+    // (imaginary G01) does. At T2 = 2 T1 the dephasing part is empty,
+    // so thermalRelaxation carries all-zero operators.
+    const std::vector<KrausChannel> sets = {
+        KrausChannel({gates::ry(0.7)})
+            .composeWith(channels::amplitudeDamping(0.3)),
+        KrausChannel({gates::rx(1.1)})
+            .composeWith(channels::amplitudeDamping(0.45)),
+        channels::thermalRelaxation(50000.0, 100000.0, 400.0),
+        channels::thermalRelaxation(50000.0, 30000.0, 400.0),
+    };
+    runtime::ThreadPool pool(4);
+    std::mt19937_64 rng(2024);
+    // 18 qubits: the pair space spans two kReduceBlock blocks.
+    for (const std::size_t num_qubits : {5u, 18u}) {
+        const std::vector<Complex> amps =
+            randomState(num_qubits, 600 + num_qubits);
+        for (const KrausChannel &set : sets) {
+            const Qubit q = static_cast<Qubit>(rng() % num_qubits);
+            std::vector<kernels::Kraus1q> ops;
+            std::vector<double> serial;
+            const QubitDensity rho =
+                reduceQubitDensity(amps.data(), amps.size(), q);
+            for (const Matrix &k : set.operators()) {
+                ops.emplace_back(k);
+                std::vector<Complex> branch = amps;
+                applyMatrix(branch, k, {q});
+                double direct = 0.0;
+                for (const Complex &a : branch)
+                    direct += std::norm(a);
+                serial.push_back(ops.back().weight(rho));
+                EXPECT_NEAR(serial.back(), direct, 1e-13 * direct)
+                    << set.name() << " on qubit " << q << " of "
+                    << num_qubits;
+            }
+            for (const std::size_t lanes : {1u, 2u, 4u}) {
+                ParallelScope scope(&pool, lanes);
+                const QubitDensity laned =
+                    reduceQubitDensity(amps.data(), amps.size(), q);
+                for (std::size_t k = 0; k < ops.size(); ++k)
+                    EXPECT_TRUE(bitEqual(serial[k], ops[k].weight(laned)))
+                        << set.name() << " operator " << k << " with "
+                        << lanes << " lanes";
+            }
+        }
+    }
+}
+
+TEST(ReducedDensityWeights, ReducedQubitDensityIsTheKernelSums)
+{
+    // StateVector::reducedQubitDensity reads the same one-pass sums.
+    StatevectorSimulator sim(3);
+    Circuit circuit(3);
+    circuit.h(0).t(0).ry(0.8, 1).rz(0.5, 1).ry(1.2, 2).s(2);
+    const StateVector state = sim.finalState(circuit);
+    for (Qubit q = 0; q < 3; ++q) {
+        const QubitDensity rho = reduceQubitDensity(
+            state.amplitudes().data(), state.dim(), q);
+        const Matrix m = state.reducedQubitDensity(q);
+        EXPECT_TRUE(bitEqual(m(0, 0).real(), rho.r00));
+        EXPECT_TRUE(bitEqual(m(1, 1).real(), rho.r11));
+        EXPECT_EQ(m(1, 0), rho.c01);
+        EXPECT_EQ(m(0, 1), std::conj(rho.c01));
+        // rho_01 = sum a0 conj(a1), computed directly.
+        const std::uint64_t bit = std::uint64_t{1} << q;
+        Complex r01{0.0, 0.0};
+        for (std::uint64_t i = 0; i < state.dim(); ++i)
+            if ((i & bit) == 0)
+                r01 += state.amplitude(i) * std::conj(state.amplitude(i | bit));
+        EXPECT_NEAR(std::abs(m(0, 1) - r01), 0.0, 1e-15);
+        EXPECT_NEAR(rho.r00 + rho.r11, 1.0, 1e-12);
+        // The T, RZ and S phases make every coherence complex, so a
+        // dropped conjugate shows.
+        EXPECT_GT(std::abs(rho.c01.imag()), 0.05) << "qubit " << q;
     }
 }
 

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include "assertions/entanglement_assertion.hh"
+#include "compile/pipelines.hh"
 #include "noise/device_model.hh"
 #include "runtime/execution_engine.hh"
 #include "sim/kernels/noise_plan.hh"
@@ -126,6 +128,79 @@ TEST(TrajectoryPlanTest, UnfusedPlanMatchesLegacyUnderRelaxation)
               lowered.run(c, 600).rawCounts());
 }
 
+/**
+ * Table 2's Bell pair with two entanglement checks sharing one reset
+ * ancilla, prepared for ibmqx4: mid-circuit measure + reset on the
+ * ancilla, idle physical qubits relaxing every moment.
+ */
+Circuit
+reusePreparedBell(const DeviceModel &device)
+{
+    Circuit payload(2, 2);
+    payload.h(0).cx(0, 1).measureAll();
+    compile::PrepareSpec prep;
+    for (int i = 0; i < 2; ++i) {
+        AssertionSpec spec;
+        spec.assertion = std::make_shared<EntanglementAssertion>(2);
+        spec.targets = {0, 1};
+        spec.insertAt = 2; // after the CX, before the measurements
+        prep.assertions.push_back(spec);
+    }
+    prep.instrumentOptions.reuseAncillas = true;
+    prep.coupling = &device.couplingMap();
+    return compile::prepare(payload, prep).circuit;
+}
+
+TEST(TrajectoryPlanTest, ReuseShapeMatchesLegacyUnderIbmqx4)
+{
+    const DeviceModel device = DeviceModel::ibmqx4();
+    const NoiseModel &noise = device.noiseModel();
+    const Circuit c = reusePreparedBell(device);
+    // The shape the density backend rejects: the shared ancilla is
+    // reset after its first measurement, and the device register
+    // leaves qubits idle.
+    std::size_t resets = 0;
+    for (const Operation &op : c.ops())
+        resets += op.kind == OpKind::Reset ? 1 : 0;
+    ASSERT_GE(resets, 1u);
+    ASSERT_EQ(c.numQubits(), device.couplingMap().numQubits());
+
+    kernels::FusionScope fusion(kernels::kFusionNone);
+    for (const std::uint64_t seed : {41u, 42u}) {
+        TrajectorySimulator legacy(seed);
+        legacy.setNoiseModel(&noise);
+        legacy.setUseLoweredPlan(false);
+        const Result want = legacy.run(c, 600);
+
+        TrajectorySimulator lowered(seed);
+        lowered.setNoiseModel(&noise);
+        EXPECT_EQ(want.rawCounts(), lowered.run(c, 600).rawCounts())
+            << "seed " << seed;
+
+        // A cached plan (miss, then hit) replays the same counts.
+        kernels::PlanCache cache;
+        kernels::PlanCacheScope scope(&cache);
+        for (int pass = 0; pass < 2; ++pass) {
+            TrajectorySimulator cached(seed);
+            cached.setNoiseModel(&noise);
+            EXPECT_EQ(want.rawCounts(), cached.run(c, 600).rawCounts())
+                << "seed " << seed << " pass " << pass;
+        }
+        EXPECT_EQ(cache.stats().misses, 1u);
+        EXPECT_EQ(cache.stats().hits, 1u);
+
+        // One trajectory: same branches, amplitudes equal to rounding.
+        legacy.seed(seed);
+        lowered.seed(seed);
+        const StateVector a = legacy.evolveOne(c);
+        const StateVector b = lowered.evolveOne(c);
+        ASSERT_EQ(a.dim(), b.dim());
+        for (std::size_t i = 0; i < a.dim(); ++i)
+            EXPECT_LE(std::abs(a.amplitude(i) - b.amplitude(i)), 1e-12)
+                << "seed " << seed << " amplitude " << i;
+    }
+}
+
 TEST(TrajectoryPlanTest, FusedPlanMatchesUnfusedCounts)
 {
     // Fusion only rearranges clean unitary segments; site structure
@@ -225,8 +300,20 @@ TEST(TrajectoryPlanTest, RelaxationSitesAreStateDependent)
         kernels::TrajectoryPlan::compile(c, &noise,
                                          kernels::kFusionNone);
     ASSERT_GE(plan.numSites(), 1u);
-    EXPECT_FALSE(plan.site(0).fixedWeights);
-    EXPECT_FALSE(plan.site(0).ops.empty());
+    const kernels::KrausSite &site = plan.site(0);
+    EXPECT_FALSE(site.fixedWeights);
+    // One-qubit sites keep only the flat operators with their Gram
+    // matrices; the Matrix list is the multi-qubit fallback's.
+    EXPECT_EQ(site.ops1q.size(), 4u);
+    EXPECT_TRUE(site.ops.empty());
+
+    // Completeness: sum_k G_k = I, so the weights of any reduced
+    // density sum to its trace.
+    const kernels::QubitDensity rho{0.3, 0.7, Complex{0.2, -0.4}};
+    double total = 0.0;
+    for (const kernels::Kraus1q &op : site.ops1q)
+        total += op.weight(rho);
+    EXPECT_NEAR(total, 1.0, 1e-12);
 }
 
 TEST(TrajectoryPlanTest, CleanSegmentsFuseNoisyGatesFence)
