@@ -1,32 +1,30 @@
 /**
  * @file
- * P1: simulator performance harness for the kernel subsystem.
- *
- * Eight sections, each with machine-readable JSON lines for the perf
- * trajectory:
- *  - gate throughput: amplitudes/sec per kernel class (diagonal,
+ * P1: the kernel-level claims e2ebench cannot measure. e2ebench runs
+ * whole jobs at the detected SIMD tier and the default fusion level,
+ * so this bench keeps only the per-class, per-tier and non-default
+ * views, each emitted as self-describing JSON records
+ * (bench::Record):
+ *  - gate_throughput: amplitudes/sec per kernel class (diagonal,
  *    permutation, controlled, general 1q/2q, generic k-qubit) at one
  *    lane and at all pool lanes;
- *  - roofline: amps/sec of every vectorizable kernel class at every
- *    available SIMD tier against a measured copy-bandwidth ceiling on
- *    the same footprint, with simd_speedup = tier/scalar per class;
- *  - reduction roofline: the measurement-pipeline reductions
- *    (computeProbabilities, normSquaredOnMask, sumWeights, marginal
- *    scatter) per tier against the same ceiling, with reduce_speedup
- *    = tier/scalar, plus a cross-tier bit-identity check on sampled
- *    counts that gates the exit code (determinism is a hard verdict;
- *    throughput targets stay warn-only);
- *  - fusion: entry count and wall-time effect of the ExecutablePlan
- *    single-qubit fusion pass on a 1q-dense random circuit;
- *  - fusion depth: entries and evolve time at fusion levels 0/1/2,
- *    quantifying the two-qubit window cost model;
- *  - sampling throughput: shots/sec of sampled execution (alias
- *    table, O(1) per shot) vs the legacy per-shot cumulative scan;
- *  - marginal sampling: sampled shots/sec measuring the full register
- *    vs an ancilla-style subset (blocked parallel marginal);
+ *  - roofline_ceiling / roofline: amps/sec of every vectorizable
+ *    kernel class at every available SIMD tier, with simd_speedup =
+ *    tier/scalar per class, against one measured copy-bandwidth
+ *    ceiling on the same footprint;
+ *  - reduction_roofline / reduction_parity: the measurement-pipeline
+ *    reductions (computeProbabilities, normSquaredOnMask, sumWeights,
+ *    marginal scatter) per tier with reduce_speedup = tier/scalar,
+ *    plus a cross-tier bit-identity check on sampled counts that
+ *    gates the exit code (determinism is a hard verdict; throughput
+ *    targets stay warn-only);
+ *  - fusion_depth: entries and evolve speed at fusion levels 0/1/2,
+ *    quantifying the single-qubit run and two-qubit window passes;
  *  - trajectory: noisy (depolarizing + readout) shots/sec of the
  *    plan-lowered trajectory path vs the legacy Operation
- *    interpreter.
+ *    interpreter, which must stay >= 2x (exit code);
+ *  - simd_verdict / reduce_verdict: the warn-only SIMD throughput
+ *    targets, derived from the roofline rows.
  *
  * Usage: perf_simulator [--json] [--qubits N] [--shots N]
  *   --json emits only the JSON lines (CI artifact mode).
@@ -37,28 +35,28 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
-
-#include <map>
 
 #include "bench_util.hh"
 #include "math/gates.hh"
 #include "qra.hh"
-#include "sim/kernels/alias_table.hh"
 #include "sim/kernels/kernels.hh"
-#include "sim/kernels/noise_plan.hh"
 #include "sim/kernels/parallel.hh"
 #include "sim/kernels/plan.hh"
 #include "sim/kernels/simd/dispatch.hh"
 
 using namespace qra;
+using kernels::simd::Tier;
+using kernels::simd::TierScope;
 
 namespace {
 
 bool g_json_only = false;
 
-using bench::secondsSince;
+/** Timed repetitions per throughput measurement. */
+constexpr std::size_t kReps = 40;
 
 void
 human(const char *fmt, ...)
@@ -101,23 +99,19 @@ randomCircuit(std::size_t num_qubits, std::size_t num_gates,
 }
 
 /**
- * Time `reps` applications of one lowered operation and return
- * amplitudes/sec (2^n amps touched per application).
+ * Amplitudes/sec of kReps calls to @p apply, each touching @p n
+ * amplitudes, after one untimed warm-up call.
  */
+template <typename Apply>
 double
-gateThroughput(const Operation &op, std::size_t num_qubits,
-               std::size_t reps)
+ampsPerSec(std::uint64_t n, Apply &&apply)
 {
-    StateVector sv(num_qubits);
-    const kernels::PlanEntry entry = kernels::lowerOperation(op);
-    // Warm the cache once before timing.
-    sv.applyKernel(entry);
+    apply();
     const auto start = std::chrono::steady_clock::now();
-    for (std::size_t r = 0; r < reps; ++r)
-        sv.applyKernel(entry);
-    const double seconds = secondsSince(start);
-    return static_cast<double>(reps) *
-           static_cast<double>(std::size_t{1} << num_qubits) / seconds;
+    for (std::size_t r = 0; r < kReps; ++r)
+        apply();
+    return static_cast<double>(kReps) * static_cast<double>(n) /
+           bench::secondsSince(start);
 }
 
 void
@@ -128,92 +122,103 @@ gateThroughputSection(std::size_t num_qubits, std::size_t lanes,
     {
         const char *name;
         const char *kernel_class;
-        Operation op;
+        std::function<void(StateVector &)> apply;
     };
     const Qubit a = 0;
     const Qubit b = static_cast<Qubit>(num_qubits - 1);
     const Qubit mid = static_cast<Qubit>(num_qubits / 2);
+    auto lowered = [](Operation op) {
+        const kernels::PlanEntry entry = kernels::lowerOperation(op);
+        return [entry](StateVector &sv) { sv.applyKernel(entry); };
+    };
+    // Generic k-qubit path: a dense 8x8 unitary (kron of 1q gates).
+    const Matrix u8 = gates::h().kron(gates::t()).kron(gates::sx());
+    const std::vector<Qubit> u8_qubits = {a, mid, b};
     const std::vector<GateCase> cases = {
-        {"h", "general_1q", {.kind = OpKind::H, .qubits = {a}}},
+        {"h", "general_1q", lowered({.kind = OpKind::H, .qubits = {a}})},
         {"rz", "diagonal_1q",
-         {.kind = OpKind::RZ, .qubits = {a}, .params = {0.37}}},
-        {"x", "permutation", {.kind = OpKind::X, .qubits = {a}}},
-        {"y", "antidiagonal_1q", {.kind = OpKind::Y, .qubits = {a}}},
-        {"cx", "controlled_x", {.kind = OpKind::CX, .qubits = {a, b}}},
-        {"cz", "phase_mask", {.kind = OpKind::CZ, .qubits = {a, b}}},
-        {"cy", "controlled_1q", {.kind = OpKind::CY, .qubits = {a, b}}},
+         lowered({.kind = OpKind::RZ, .qubits = {a}, .params = {0.37}})},
+        {"x", "permutation", lowered({.kind = OpKind::X, .qubits = {a}})},
+        {"y", "antidiagonal_1q",
+         lowered({.kind = OpKind::Y, .qubits = {a}})},
+        {"cx", "controlled_x",
+         lowered({.kind = OpKind::CX, .qubits = {a, b}})},
+        {"cz", "phase_mask",
+         lowered({.kind = OpKind::CZ, .qubits = {a, b}})},
+        {"cy", "controlled_1q",
+         lowered({.kind = OpKind::CY, .qubits = {a, b}})},
         {"swap", "permutation_2q",
-         {.kind = OpKind::Swap, .qubits = {a, b}}},
+         lowered({.kind = OpKind::Swap, .qubits = {a, b}})},
         {"ccx", "toffoli",
-         {.kind = OpKind::CCX, .qubits = {a, mid, b}}},
+         lowered({.kind = OpKind::CCX, .qubits = {a, mid, b}})},
+        {"u8", "generic_k",
+         [&](StateVector &sv) { sv.applyMatrix(u8, u8_qubits); }},
     };
 
-    const std::size_t reps = 40;
     human("  %-8s %-16s %16s   (%zu qubits, %zu lane%s)\n", "gate",
           "kernel class", "amps/sec", num_qubits, lanes,
           lanes == 1 ? "" : "s");
     for (const GateCase &gc : cases) {
-        double amps_per_sec = 0.0;
-        {
-            kernels::ParallelScope scope(pool, lanes);
-            amps_per_sec = gateThroughput(gc.op, num_qubits, reps);
-        }
+        StateVector sv(num_qubits);
+        kernels::ParallelScope scope(pool, lanes);
+        const double amps_per_sec = ampsPerSec(
+            std::uint64_t{1} << num_qubits, [&] { gc.apply(sv); });
         human("  %-8s %-16s %16.3e\n", gc.name, gc.kernel_class,
               amps_per_sec);
-        std::printf("{\"bench\":\"perf_simulator\","
-                    "\"section\":\"gate_throughput\",\"gate\":\"%s\","
-                    "\"kernel_class\":\"%s\",\"qubits\":%zu,"
-                    "\"lanes\":%zu,\"amps_per_sec\":%.3e}\n",
-                    gc.name, gc.kernel_class, num_qubits, lanes,
-                    amps_per_sec);
-    }
-
-    // Generic k-qubit path: a dense 8x8 unitary (kron of 1q gates).
-    {
-        const Matrix u8 = gates::h().kron(gates::t()).kron(gates::sx());
-        StateVector sv(num_qubits);
-        const std::vector<Qubit> qs = {a, mid, b};
-        kernels::ParallelScope scope(pool, lanes);
-        sv.applyMatrix(u8, qs);
-        const auto start = std::chrono::steady_clock::now();
-        for (std::size_t r = 0; r < reps; ++r)
-            sv.applyMatrix(u8, qs);
-        const double seconds = secondsSince(start);
-        const double amps_per_sec =
-            static_cast<double>(reps) *
-            static_cast<double>(std::size_t{1} << num_qubits) /
-            seconds;
-        human("  %-8s %-16s %16.3e\n", "u8", "generic_k",
-              amps_per_sec);
-        std::printf("{\"bench\":\"perf_simulator\","
-                    "\"section\":\"gate_throughput\",\"gate\":\"u8\","
-                    "\"kernel_class\":\"generic_k\",\"qubits\":%zu,"
-                    "\"lanes\":%zu,\"amps_per_sec\":%.3e}\n",
-                    num_qubits, lanes, amps_per_sec);
+        bench::Record("perf_simulator", "gate_throughput")
+            .id("gate", gc.name)
+            .id("kernel_class", gc.kernel_class)
+            .id("qubits", num_qubits)
+            .id("lanes", lanes)
+            .higher("amps_per_sec", amps_per_sec)
+            .emit();
     }
 }
 
 /**
+ * Bandwidth ceiling: a straight copy of the 2^n-amplitude footprint.
+ * It reads and writes 16 B per amplitude, the same traffic as a
+ * streaming pair kernel (a reduction only reads), so amps/sec over
+ * this ceiling is the roofline fraction of both tables.
+ */
+double
+copyCeiling(std::size_t num_qubits, const char *detected)
+{
+    const std::uint64_t n = std::uint64_t{1} << num_qubits;
+    std::vector<Complex> src(n, Complex{0.5, -0.5});
+    std::vector<Complex> dst(n);
+    bool flip = false;
+    const double ceiling = ampsPerSec(n, [&] {
+        flip = !flip;
+        std::memcpy(flip ? dst.data() : src.data(),
+                    flip ? src.data() : dst.data(),
+                    n * sizeof(Complex));
+    });
+    human("  copy-bandwidth ceiling: %16.3e amps/sec "
+          "(%zu qubits, 1 lane)\n",
+          ceiling, num_qubits);
+    bench::Record("perf_simulator", "roofline_ceiling")
+        .id("qubits", num_qubits)
+        .id("detected", detected)
+        .higher("ceiling_amps_per_sec", ceiling)
+        .emit();
+    return ceiling;
+}
+
+/**
  * Roofline: each vectorizable kernel class timed at every available
- * SIMD dispatch tier (forced via TierScope) on the same state, against
- * a measured copy-bandwidth ceiling over the same footprint. A pair
- * kernel streams read+write 16 B per amplitude — the same traffic as
- * the copy — so ceiling_amps_per_sec is the memory-bound limit and
- * amps_per_sec / ceiling the roofline fraction.
+ * SIMD dispatch tier (forced via TierScope) on the same state.
  *
  * @return per-class avx2-vs-scalar speedups (empty map when the CPU
  *         or build has no AVX2 tier), for the verdict line.
  */
 std::map<std::string, double>
-rooflineSection(std::size_t num_qubits)
+rooflineSection(std::size_t num_qubits, double ceiling,
+                const char *detected)
 {
-    using kernels::simd::Tier;
-    using kernels::simd::TierScope;
-
     const std::uint64_t n = std::uint64_t{1} << num_qubits;
     const Qubit mid = static_cast<Qubit>(num_qubits / 2);
     const Qubit hi = static_cast<Qubit>(num_qubits - 1);
-    const std::size_t reps = 40;
 
     // Unitary operators so repeated application keeps |amps| bounded.
     const Matrix h = gates::h(), t = gates::t(), y = gates::y();
@@ -254,31 +259,6 @@ rooflineSection(std::size_t num_qubits)
          }},
     };
 
-    // Bandwidth ceiling: a straight copy of the same footprint (reads
-    // and writes 16 B per amplitude, like the streaming kernels).
-    std::vector<Complex> src(n, Complex{0.5, -0.5});
-    std::vector<Complex> dst(n);
-    std::memcpy(dst.data(), src.data(), n * sizeof(Complex));
-    const auto copy_start = std::chrono::steady_clock::now();
-    for (std::size_t r = 0; r < reps; ++r)
-        std::memcpy(r % 2 ? dst.data() : src.data(),
-                    r % 2 ? src.data() : dst.data(),
-                    n * sizeof(Complex));
-    const double copy_s = secondsSince(copy_start);
-    const double ceiling =
-        static_cast<double>(reps) * static_cast<double>(n) / copy_s;
-    human("  copy-bandwidth ceiling: %16.3e amps/sec "
-          "(%zu qubits, 1 lane)\n",
-          ceiling, num_qubits);
-
-    const char *detected =
-        kernels::simd::tierName(kernels::simd::detectedTier());
-    std::printf("{\"bench\":\"perf_simulator\","
-                "\"section\":\"roofline_ceiling\",\"qubits\":%zu,"
-                "\"detected\":\"%s\","
-                "\"ceiling_amps_per_sec\":%.3e}\n",
-                num_qubits, detected, ceiling);
-
     std::map<std::string, double> avx2_speedups;
     human("  %-16s %-8s %16s %12s %10s\n", "kernel class", "tier",
           "amps/sec", "simd_speedup", "roofline");
@@ -287,13 +267,8 @@ rooflineSection(std::size_t num_qubits)
         for (Tier tier : kernels::simd::availableTiers()) {
             std::vector<Complex> amps(n, Complex{0.5, -0.5});
             TierScope scope(static_cast<int>(tier));
-            rc.apply(amps.data()); // warm-up
-            const auto start = std::chrono::steady_clock::now();
-            for (std::size_t r = 0; r < reps; ++r)
-                rc.apply(amps.data());
-            const double seconds = secondsSince(start);
-            const double aps = static_cast<double>(reps) *
-                               static_cast<double>(n) / seconds;
+            const double aps =
+                ampsPerSec(n, [&] { rc.apply(amps.data()); });
             if (tier == Tier::Scalar)
                 scalar_aps = aps;
             const double speedup = aps / scalar_aps;
@@ -302,17 +277,15 @@ rooflineSection(std::size_t num_qubits)
             human("  %-16s %-8s %16.3e %11.2fx %9.0f%%\n",
                   rc.kernel_class, kernels::simd::tierName(tier), aps,
                   speedup, 100.0 * aps / ceiling);
-            std::printf(
-                "{\"bench\":\"perf_simulator\","
-                "\"section\":\"roofline\",\"kernel_class\":\"%s\","
-                "\"qubits\":%zu,\"lanes\":1,\"tier\":\"%s\","
-                "\"detected\":\"%s\",\"amps_per_sec\":%.3e,"
-                "\"simd_speedup\":%.3f,"
-                "\"ceiling_amps_per_sec\":%.3e,"
-                "\"roofline_fraction\":%.3f}\n",
-                rc.kernel_class, num_qubits,
-                kernels::simd::tierName(tier), detected, aps, speedup,
-                ceiling, aps / ceiling);
+            bench::Record("perf_simulator", "roofline")
+                .id("kernel_class", rc.kernel_class)
+                .id("qubits", num_qubits)
+                .id("lanes", 1)
+                .id("tier", kernels::simd::tierName(tier))
+                .id("detected", detected)
+                .higher("amps_per_sec", aps)
+                .higher("simd_speedup", speedup)
+                .emit();
         }
     }
     return avx2_speedups;
@@ -320,24 +293,19 @@ rooflineSection(std::size_t num_qubits)
 
 /**
  * Reduction roofline: the measurement-pipeline reductions timed at
- * every available SIMD tier against the copy-bandwidth ceiling. A
- * reduction streams 16 B per amplitude read-only (computeProbabilities
- * adds an 8 B probability write), so the copy ceiling is again the
- * memory-bound limit. Returns per-class avx2-vs-scalar speedups and
- * sets @p parity_ok to the cross-tier bit-identity verdict: the
- * sampled counts of a measureAll and a subset-marginal circuit must
- * be *identical* (not close) on every tier, serially and under the
- * engine's threaded shard path.
+ * every available SIMD tier. Returns per-class avx2-vs-scalar
+ * speedups and sets @p parity_ok to the cross-tier bit-identity
+ * verdict: every reduction's value, and the sampled counts of a
+ * measureAll and a subset-marginal circuit, must be *identical* (not
+ * close) on every tier, serially and under the engine's threaded
+ * shard path.
  */
 std::map<std::string, double>
-reductionRooflineSection(std::size_t num_qubits, bool *parity_ok)
+reductionRooflineSection(std::size_t num_qubits, double ceiling,
+                         const char *detected, bool *parity_ok)
 {
-    using kernels::simd::Tier;
-    using kernels::simd::TierScope;
-
     const std::uint64_t n = std::uint64_t{1} << num_qubits;
     const Qubit mid = static_cast<Qubit>(num_qubits / 2);
-    const std::size_t reps = 40;
 
     const std::vector<Complex> amps(n, Complex{0.5, -0.5});
     std::vector<double> probs(n);
@@ -372,22 +340,6 @@ reductionRooflineSection(std::size_t num_qubits, bool *parity_ok)
          }},
     };
 
-    // Same ceiling methodology as the gate roofline: a straight copy
-    // of the amplitude footprint.
-    std::vector<Complex> src(n, Complex{0.5, -0.5});
-    std::vector<Complex> dst(n);
-    std::memcpy(dst.data(), src.data(), n * sizeof(Complex));
-    const auto copy_start = std::chrono::steady_clock::now();
-    for (std::size_t r = 0; r < reps; ++r)
-        std::memcpy(r % 2 ? dst.data() : src.data(),
-                    r % 2 ? src.data() : dst.data(),
-                    n * sizeof(Complex));
-    const double copy_s = secondsSince(copy_start);
-    const double ceiling =
-        static_cast<double>(reps) * static_cast<double>(n) / copy_s;
-
-    const char *detected =
-        kernels::simd::tierName(kernels::simd::detectedTier());
     std::map<std::string, double> avx2_speedups;
     human("  %-22s %-8s %16s %14s %10s\n", "reduction class", "tier",
           "amps/sec", "reduce_speedup", "roofline");
@@ -396,13 +348,8 @@ reductionRooflineSection(std::size_t num_qubits, bool *parity_ok)
         double scalar_value = 0.0;
         for (Tier tier : kernels::simd::availableTiers()) {
             TierScope scope(static_cast<int>(tier));
-            const double value = rc.run(); // warm-up
-            const auto start = std::chrono::steady_clock::now();
-            for (std::size_t r = 0; r < reps; ++r)
-                sink = rc.run();
-            const double seconds = secondsSince(start);
-            const double aps = static_cast<double>(reps) *
-                               static_cast<double>(n) / seconds;
+            const double value = rc.run();
+            const double aps = ampsPerSec(n, [&] { sink = rc.run(); });
             if (tier == Tier::Scalar) {
                 scalar_aps = aps;
                 scalar_value = value;
@@ -418,17 +365,15 @@ reductionRooflineSection(std::size_t num_qubits, bool *parity_ok)
             human("  %-22s %-8s %16.3e %13.2fx %9.0f%%\n",
                   rc.kernel_class, kernels::simd::tierName(tier), aps,
                   speedup, 100.0 * aps / ceiling);
-            std::printf(
-                "{\"bench\":\"perf_simulator\","
-                "\"section\":\"reduction_roofline\","
-                "\"kernel_class\":\"%s\",\"qubits\":%zu,\"lanes\":1,"
-                "\"tier\":\"%s\",\"detected\":\"%s\","
-                "\"amps_per_sec\":%.3e,\"reduce_speedup\":%.3f,"
-                "\"ceiling_amps_per_sec\":%.3e,"
-                "\"roofline_fraction\":%.3f}\n",
-                rc.kernel_class, num_qubits,
-                kernels::simd::tierName(tier), detected, aps, speedup,
-                ceiling, aps / ceiling);
+            bench::Record("perf_simulator", "reduction_roofline")
+                .id("kernel_class", rc.kernel_class)
+                .id("qubits", num_qubits)
+                .id("lanes", 1)
+                .id("tier", kernels::simd::tierName(tier))
+                .id("detected", detected)
+                .higher("amps_per_sec", aps)
+                .higher("reduce_speedup", speedup)
+                .emit();
         }
     }
     (void)sink;
@@ -479,71 +424,13 @@ reductionRooflineSection(std::size_t num_qubits, bool *parity_ok)
         *parity_ok = false;
         human("  FAIL: sampled counts differ across tiers/threads\n");
     }
-    std::printf("{\"bench\":\"perf_simulator\","
-                "\"section\":\"reduction_parity\",\"qubits\":%zu,"
-                "\"detected\":\"%s\",\"bit_identical\":%s}\n",
-                num_qubits, detected, identical ? "true" : "false");
+    bench::Record("perf_simulator", "reduction_parity")
+        .id("qubits", num_qubits)
+        .id("detected", detected)
+        .higher("bit_identical", identical ? 1 : 0)
+        .min(1)
+        .emit();
     return avx2_speedups;
-}
-
-void
-fusionSection(std::size_t num_qubits)
-{
-    // 1q-dense workload: long single-qubit runs between sparse CX.
-    Circuit c(num_qubits, num_qubits, "fusion");
-    Rng rng(29);
-    for (std::size_t i = 0; i < 400; ++i) {
-        const Qubit q = static_cast<Qubit>(rng.below(num_qubits));
-        switch (rng.below(5)) {
-          case 0:
-            c.h(q);
-            break;
-          case 1:
-            c.t(q);
-            break;
-          case 2:
-            c.rz(rng.uniform() * M_PI, q);
-            break;
-          case 3:
-            c.ry(rng.uniform() * M_PI, q);
-            break;
-          default:
-            c.cx(q, static_cast<Qubit>((q + 1) % num_qubits));
-        }
-    }
-
-    const kernels::ExecutablePlan fused =
-        kernels::ExecutablePlan::compile(c, true);
-    const kernels::ExecutablePlan unfused =
-        kernels::ExecutablePlan::compile(c, false);
-
-    auto evolve = [&](const kernels::ExecutablePlan &plan) {
-        StateVector sv(num_qubits);
-        const auto start = std::chrono::steady_clock::now();
-        for (const kernels::PlanEntry &entry : plan.entries())
-            sv.applyKernel(entry);
-        return secondsSince(start);
-    };
-    evolve(fused); // warm-up
-    const double fused_s = evolve(fused);
-    const double unfused_s = evolve(unfused);
-
-    human("  source ops: %zu, entries unfused: %zu, fused: %zu "
-          "(%zu gates absorbed)\n",
-          fused.stats().sourceOps, unfused.stats().entries,
-          fused.stats().entries, fused.stats().fusedGates);
-    human("  evolve unfused: %.4fs, fused: %.4fs (%.2fx)\n",
-          unfused_s, fused_s, unfused_s / fused_s);
-    std::printf("{\"bench\":\"perf_simulator\","
-                "\"section\":\"fusion\",\"qubits\":%zu,"
-                "\"source_ops\":%zu,\"entries_unfused\":%zu,"
-                "\"entries_fused\":%zu,\"fused_gates\":%zu,"
-                "\"unfused_seconds\":%.5f,\"fused_seconds\":%.5f,"
-                "\"speedup\":%.3f}\n",
-                num_qubits, fused.stats().sourceOps,
-                unfused.stats().entries, fused.stats().entries,
-                fused.stats().fusedGates, unfused_s, fused_s,
-                unfused_s / fused_s);
 }
 
 void
@@ -584,7 +471,7 @@ fusionDepthSection(std::size_t num_qubits)
             const auto start = std::chrono::steady_clock::now();
             for (const kernels::PlanEntry &entry : plan.entries())
                 sv.applyKernel(entry);
-            return secondsSince(start);
+            return bench::secondsSince(start);
         };
         evolve(); // warm-up
         const double seconds = evolve();
@@ -594,57 +481,14 @@ fusionDepthSection(std::size_t num_qubits)
               "%zu 2q windows\n",
               level, plan.entries().size(), seconds,
               level0_s / seconds, plan.stats().fused2qWindows);
-        std::printf("{\"bench\":\"perf_simulator\","
-                    "\"section\":\"fusion_depth\",\"qubits\":%zu,"
-                    "\"level\":%d,\"entries\":%zu,"
-                    "\"fused_2q_windows\":%zu,\"seconds\":%.5f,"
-                    "\"speedup_vs_level0\":%.3f}\n",
-                    num_qubits, level, plan.entries().size(),
-                    plan.stats().fused2qWindows, seconds,
-                    level0_s / seconds);
+        bench::Record("perf_simulator", "fusion_depth")
+            .id("qubits", num_qubits)
+            .id("level", level)
+            .lower("entries", plan.entries().size())
+            .higher("fused_2q_windows", plan.stats().fused2qWindows)
+            .higher("speedup_vs_level0", level0_s / seconds)
+            .emit();
     }
-}
-
-void
-marginalSamplingSection(std::size_t num_qubits, std::size_t shots)
-{
-    // Same payload, measured two ways: the whole register (identity
-    // marginal, elementwise probability kernel) vs a 4-qubit
-    // ancilla-style subset (blocked parallel marginal scatter).
-    const std::size_t subset_size =
-        std::min<std::size_t>(4, num_qubits - 1);
-    double full_sps = 0.0, subset_sps = 0.0;
-    for (const bool subset : {false, true}) {
-        Circuit c = randomCircuit(num_qubits, 100, 7);
-        std::size_t num_measured = 0;
-        if (subset) {
-            // Evenly spaced distinct qubits for any --qubits value.
-            for (std::size_t j = 0; j < subset_size; ++j)
-                c.measure(
-                    static_cast<Qubit>(j * num_qubits / subset_size),
-                    static_cast<Clbit>(j));
-            num_measured = subset_size;
-        } else {
-            c.measureAll();
-            num_measured = num_qubits;
-        }
-        StatevectorSimulator sim(23);
-        sim.run(c, 16); // warm-up
-        StatevectorSimulator timed(23);
-        const auto start = std::chrono::steady_clock::now();
-        const Result r = timed.run(c, shots);
-        const double seconds = secondsSince(start);
-        const double sps = static_cast<double>(r.shots()) / seconds;
-        (subset ? subset_sps : full_sps) = sps;
-        human("  %-14s (%2zu qubits measured): %12.1f shots/sec\n",
-              subset ? "subset" : "full register", num_measured, sps);
-    }
-    std::printf("{\"bench\":\"perf_simulator\","
-                "\"section\":\"marginal_sampling\",\"qubits\":%zu,"
-                "\"shots\":%zu,\"subset_qubits\":%zu,"
-                "\"full_shots_per_sec\":%.1f,"
-                "\"subset_shots_per_sec\":%.1f}\n",
-                num_qubits, shots, subset_size, full_sps, subset_sps);
 }
 
 /** @return plan-vs-legacy speedup on the noisy trajectory workload. */
@@ -671,16 +515,15 @@ trajectorySection(std::size_t num_qubits, std::size_t shots)
     legacy.setUseLoweredPlan(false);
     const auto legacy_start = std::chrono::steady_clock::now();
     legacy.run(c, legacy_shots);
-    const double legacy_s = secondsSince(legacy_start);
-    const double legacy_sps =
-        static_cast<double>(legacy_shots) / legacy_s;
+    const double legacy_sps = static_cast<double>(legacy_shots) /
+                              bench::secondsSince(legacy_start);
 
     TrajectorySimulator lowered(23);
     lowered.setNoiseModel(&noise);
     const auto plan_start = std::chrono::steady_clock::now();
     lowered.run(c, shots);
-    const double plan_s = secondsSince(plan_start);
-    const double plan_sps = static_cast<double>(shots) / plan_s;
+    const double plan_sps =
+        static_cast<double>(shots) / bench::secondsSince(plan_start);
 
     const double speedup = plan_sps / legacy_sps;
     human("  legacy interpreter: %10.1f shots/sec (%zu shots)\n",
@@ -688,57 +531,15 @@ trajectorySection(std::size_t num_qubits, std::size_t shots)
     human("  lowered plan:       %10.1f shots/sec (%zu shots)\n",
           plan_sps, shots);
     human("  plan vs legacy: %.2fx\n", speedup);
-    std::printf("{\"bench\":\"perf_simulator\","
-                "\"section\":\"trajectory\",\"qubits\":%zu,"
-                "\"shots\":%zu,\"legacy_shots_per_sec\":%.1f,"
-                "\"plan_shots_per_sec\":%.1f,\"speedup\":%.3f}\n",
-                num_qubits, shots, legacy_sps, plan_sps, speedup);
+    bench::Record("perf_simulator", "trajectory")
+        .id("qubits", num_qubits)
+        .id("shots", shots)
+        .higher("legacy_shots_per_sec", legacy_sps)
+        .higher("plan_shots_per_sec", plan_sps)
+        .higher("speedup", speedup)
+        .min(2.0)
+        .emit();
     return speedup;
-}
-
-/** @return alias-table shots/sec; also reports the legacy scan. */
-double
-samplingSection(std::size_t num_qubits, std::size_t shots)
-{
-    Circuit c = randomCircuit(num_qubits, 100, 7);
-    c.measureAll();
-
-    // Sampled execution end-to-end (plan + alias table).
-    StatevectorSimulator sim(23);
-    const auto run_start = std::chrono::steady_clock::now();
-    const Result r = sim.run(c, shots);
-    const double run_s = secondsSince(run_start);
-    const double shots_per_sec =
-        static_cast<double>(r.shots()) / run_s;
-
-    // Legacy per-shot path: one O(2^n) cumulative scan per shot over
-    // the same final state.
-    StatevectorSimulator prep(23);
-    const StateVector state = prep.finalState(c);
-    Rng rng(23);
-    const auto scan_start = std::chrono::steady_clock::now();
-    std::uint64_t sink = 0;
-    for (std::size_t s = 0; s < shots; ++s)
-        sink ^= state.sample(rng);
-    const double scan_s = secondsSince(scan_start);
-    const double scan_shots_per_sec =
-        static_cast<double>(shots) / scan_s;
-
-    human("  sampled run (alias): %12.1f shots/sec  (%zu qubits, %zu "
-          "shots)\n",
-          shots_per_sec, num_qubits, shots);
-    human("  per-shot scan:       %12.1f shots/sec  (sink %llu)\n",
-          scan_shots_per_sec,
-          static_cast<unsigned long long>(sink & 1));
-    human("  alias vs scan: %.2fx\n", shots_per_sec /
-                                          scan_shots_per_sec);
-    std::printf("{\"bench\":\"perf_simulator\","
-                "\"section\":\"sampling_throughput\",\"qubits\":%zu,"
-                "\"shots\":%zu,\"alias_shots_per_sec\":%.1f,"
-                "\"scan_shots_per_sec\":%.1f,\"speedup\":%.3f}\n",
-                num_qubits, shots, shots_per_sec, scan_shots_per_sec,
-                shots_per_sec / scan_shots_per_sec);
-    return shots_per_sec / scan_shots_per_sec;
 }
 
 } // namespace
@@ -776,9 +577,11 @@ main(int argc, char **argv)
 
     const std::size_t threads = runtime::ThreadPool::defaultThreads();
     runtime::ThreadPool pool(threads);
+    const char *detected =
+        kernels::simd::tierName(kernels::simd::detectedTier());
 
     if (!g_json_only)
-        bench::banner("P1", "gate-kernel and sampling throughput");
+        bench::banner("P1", "gate-kernel and reduction throughput");
 
     human("\n-- gate throughput --\n");
     gateThroughputSection(num_qubits, 1, &pool);
@@ -788,25 +591,18 @@ main(int argc, char **argv)
     }
 
     human("\n-- SIMD roofline (per tier vs copy bandwidth) --\n");
+    const double ceiling = copyCeiling(num_qubits, detected);
     const std::map<std::string, double> avx2_speedups =
-        rooflineSection(num_qubits);
+        rooflineSection(num_qubits, ceiling, detected);
 
     human("\n-- reduction roofline (measurement pipeline) --\n");
     bool reduce_parity_ok = true;
     const std::map<std::string, double> reduce_speedups =
-        reductionRooflineSection(num_qubits, &reduce_parity_ok);
-
-    human("\n-- single-qubit fusion --\n");
-    fusionSection(num_qubits);
+        reductionRooflineSection(num_qubits, ceiling, detected,
+                                 &reduce_parity_ok);
 
     human("\n-- fusion depth sweep --\n");
     fusionDepthSection(num_qubits);
-
-    human("\n-- sampling throughput --\n");
-    const double speedup = samplingSection(num_qubits, shots);
-
-    human("\n-- marginal sampling --\n");
-    marginalSamplingSection(num_qubits, shots);
 
     human("\n-- noisy trajectory (plan vs legacy) --\n");
     const double trajectory_speedup =
@@ -824,10 +620,11 @@ main(int argc, char **argv)
         if (!simd_ok)
             human("  WARN: avx2 general_1q/general_2q below the 1.5x "
                   "SIMD target (warn-only)\n");
-        std::printf("{\"bench\":\"perf_simulator\","
-                    "\"section\":\"simd_verdict\",\"qubits\":%zu,"
-                    "\"simd_ok\":%s}\n",
-                    num_qubits, simd_ok ? "true" : "false");
+        bench::Record("perf_simulator", "simd_verdict")
+            .id("qubits", num_qubits)
+            .higher("simd_ok", simd_ok ? 1 : 0)
+            .min(1)
+            .emit();
     }
 
     // Reduction throughput target (>= 2x avx2 on the fused
@@ -841,18 +638,16 @@ main(int argc, char **argv)
         if (!reduce_fast)
             human("  WARN: avx2 compute_probabilities below the 2x "
                   "reduction target (warn-only)\n");
-        std::printf("{\"bench\":\"perf_simulator\","
-                    "\"section\":\"reduce_verdict\",\"qubits\":%zu,"
-                    "\"reduce_fast\":%s,\"bit_identical\":%s}\n",
-                    num_qubits, reduce_fast ? "true" : "false",
-                    reduce_parity_ok ? "true" : "false");
+        bench::Record("perf_simulator", "reduce_verdict")
+            .id("qubits", num_qubits)
+            .higher("reduce_fast", reduce_fast ? 1 : 0)
+            .min(1)
+            .emit();
     }
 
-    const bool ok = speedup >= 2.0 && trajectory_speedup >= 2.0 &&
-                    reduce_parity_ok;
+    const bool ok = trajectory_speedup >= 2.0 && reduce_parity_ok;
     if (!g_json_only)
         bench::verdict(ok,
-                       "alias-table sampling >= 2x the per-shot scan, "
                        "the lowered trajectory plan >= 2x the legacy "
                        "interpreter, and sampled counts bit-identical "
                        "across SIMD tiers and thread counts");

@@ -509,29 +509,17 @@ sumWeights(const double *w, std::uint64_t n)
 
 namespace {
 
-/**
- * Marginal scatter over one range (reference path). The vector tiers
- * fill a per-element norms strip first (each |amp|^2 bit-identical
- * to std::norm: one rounding per square, one per add), then the
- * scatter reads the strip in the same index order — so the histogram
- * is bit-identical to the inline-norm scan by construction. @p begin
- * must be 4-aligned when @p strip is non-null (block starts are).
- */
+/** Marginal scatter over one range, in index order. */
 void
 marginalScatter(const Complex *amps, std::uint64_t begin,
                 std::uint64_t end, const std::uint64_t *bits,
-                std::size_t k, double *histogram,
-                const simd::ReduceTable *table, double *strip)
+                std::size_t k, double *histogram)
 {
-    const bool vectored =
-        table != nullptr && strip != nullptr &&
-        table->norms(amps, begin, end, strip);
     for (std::uint64_t i = begin; i < end; ++i) {
         std::uint64_t key = 0;
         for (std::size_t j = 0; j < k; ++j)
             key |= ((i & bits[j]) != 0 ? std::uint64_t{1} : 0) << j;
-        histogram[key] +=
-            vectored ? strip[i - begin] : std::norm(amps[i]);
+        histogram[key] += std::norm(amps[i]);
     }
 }
 
@@ -547,10 +535,9 @@ marginalProbabilities(const Complex *amps, std::uint64_t n,
     for (std::size_t j = 0; j < k; ++j)
         bits[j] = std::uint64_t{1} << qubits[j];
 
-    const ReducePick pick =
-        pickReduce([=](const simd::ReduceTable *table) {
-            return table->norms(amps, 0, 0, nullptr);
-        });
+    // No tier has a marginal slot: a vector norms strip ahead of the
+    // scatter lost to the inline scan on every tier.
+    recordReduce(simd::Tier::Scalar);
 
     std::vector<double> marginal(dim, 0.0);
     const std::uint64_t blocks = (n + kReduceBlock - 1) / kReduceBlock;
@@ -559,33 +546,21 @@ marginalProbabilities(const Complex *amps, std::uint64_t n,
     // assertion-ancilla marginals are far below the cap.
     constexpr std::uint64_t kScratchDoubles = std::uint64_t{1} << 22;
     if (blocks <= 1 || blocks * dim > kScratchDoubles) {
-        // Serial scan in kReduceBlock strips so the vector tier still
-        // covers it (one strip of norms, then the ordered scatter).
-        std::vector<double> strip(
-            std::min<std::uint64_t>(n, kReduceBlock));
-        for (std::uint64_t begin = 0; begin < n;
-             begin += kReduceBlock)
-            marginalScatter(amps, begin,
-                            std::min(n, begin + kReduceBlock),
-                            bits.data(), k, marginal.data(),
-                            pick.table, strip.data());
+        marginalScatter(amps, 0, n, bits.data(), k, marginal.data());
         return marginal;
     }
 
     std::vector<double> partials(blocks * dim, 0.0);
     double *partials_data = partials.data();
     const std::uint64_t *bits_data = bits.data();
-    const simd::ReduceTable *table = pick.table;
     parallelFor(blocks, /*grain=*/1,
                 [=](std::uint64_t b0, std::uint64_t b1) {
-                    std::vector<double> strip(kReduceBlock);
                     for (std::uint64_t b = b0; b < b1; ++b) {
                         const std::uint64_t begin = b * kReduceBlock;
-                        const std::uint64_t end =
-                            std::min(n, begin + kReduceBlock);
-                        marginalScatter(amps, begin, end, bits_data, k,
-                                        partials_data + b * dim, table,
-                                        strip.data());
+                        marginalScatter(amps, begin,
+                                        std::min(n, begin + kReduceBlock),
+                                        bits_data, k,
+                                        partials_data + b * dim);
                     }
                 });
 

@@ -183,11 +183,6 @@ struct ReduceTable
     bool (*probLanes)(const Complex *amps, double *probs,
                       std::uint64_t begin, std::uint64_t end,
                       double *lanes);
-    /** norms[i - begin] = |amps[i]|^2 over [begin, end); no lanes
-     * (marginal scatter fills a scratch strip, then scatters it
-     * serially in index order — bit-identical by construction). */
-    bool (*norms)(const Complex *amps, std::uint64_t begin,
-                  std::uint64_t end, double *out);
     /** Plain double sum: lanes[j & 7] += w[j] over [begin, end)
      * (alias-table prefix pass; begin is 8-aligned). */
     bool (*sumLanes)(const double *w, std::uint64_t begin,

@@ -485,30 +485,6 @@ probLanesAvx2(const Complex *amps, double *probs, std::uint64_t begin,
 }
 
 bool
-normsAvx2(const Complex *amps, std::uint64_t begin, std::uint64_t end,
-          double *out)
-{
-    if (begin == end)
-        return true;
-    std::uint64_t i = begin; // 4-aligned
-    for (; i + 4 <= end; i += 4) {
-        const __m256d sq0 =
-            _mm256_mul_pd(load2(amps + i), load2(amps + i));
-        const __m256d sq1 =
-            _mm256_mul_pd(load2(amps + i + 2), load2(amps + i + 2));
-        const __m256d had = _mm256_hadd_pd(sq0, sq1);
-        _mm256_storeu_pd(out + (i - begin),
-                         _mm256_permute4x64_pd(had, 0b11011000));
-    }
-    for (; i < end; ++i) {
-        const double re = amps[i].real();
-        const double im = amps[i].imag();
-        out[i - begin] = re * re + im * im;
-    }
-    return true;
-}
-
-bool
 sumLanesAvx2(const double *w, std::uint64_t begin, std::uint64_t end,
              double *lanes)
 {
@@ -538,7 +514,6 @@ const KernelTable kAvx2Table = {
 const ReduceTable kAvx2Reduce = {
     normSqLanesAvx2,
     probLanesAvx2,
-    normsAvx2,
     sumLanesAvx2,
 };
 

@@ -210,7 +210,7 @@ TEST(TimedSpan, MeasuresEvenWhenTracingDisabled)
     obs::TimedSpan span("unit", "timed");
     volatile std::uint64_t sink = 0;
     for (std::uint64_t i = 0; i < 50000; ++i)
-        sink += i;
+        sink = sink + i;
     const double seconds = span.stop();
     EXPECT_GT(seconds, 0.0);
     EXPECT_DOUBLE_EQ(span.stop(), seconds); // idempotent

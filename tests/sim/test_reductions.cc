@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -498,18 +499,56 @@ TEST(CacheBlock, ScopeWinsOverProcessSetting)
 TEST(ReduceCounters, RecordSelectedTier)
 {
     auto &registry = obs::MetricsRegistry::global();
-    const auto before =
-        registry.snapshot().counters["sim.kernels.reduce.scalar"];
-    obs::setMetricsEnabled(true);
-    {
-        TierScope scope(static_cast<int>(Tier::Scalar));
-        const std::vector<Complex> amps = randomState(6, 1);
-        normSquaredOnMask(amps.data(), amps.size(), 0, 0);
+    // How much @p run, called under TierScope(@p tier), bumps
+    // sim.kernels.reduce.<counted>.
+    auto increments = [&](Tier tier, const char *counted,
+                          const auto &run) {
+        const std::string key =
+            std::string("sim.kernels.reduce.") + counted;
+        const auto before = registry.snapshot().counters[key];
+        obs::setMetricsEnabled(true);
+        {
+            TierScope scope(static_cast<int>(tier));
+            run();
+        }
+        obs::setMetricsEnabled(false);
+        return registry.snapshot().counters[key] - before;
+    };
+    const std::vector<Tier> tiers = simd::availableTiers();
+    auto available = [&](Tier tier) {
+        return std::find(tiers.begin(), tiers.end(), tier) != tiers.end();
+    };
+    const std::vector<Complex> amps = randomState(6, 1);
+
+    EXPECT_GT(increments(Tier::Scalar, "scalar", [&] {
+                  normSquaredOnMask(amps.data(), amps.size(), 0, 0);
+              }),
+              0u);
+
+    // Slots that lost to the tier below decline every call, so the
+    // ladder falls through and the lower tier's counter records it.
+    if (available(Tier::Avx512)) {
+        const std::vector<double> w(64, 0.5);
+        EXPECT_GT(increments(Tier::Avx512, "avx2",
+                             [&] { sumWeights(w.data(), w.size()); }),
+                  0u);
     }
-    obs::setMetricsEnabled(false);
-    const auto after =
-        registry.snapshot().counters["sim.kernels.reduce.scalar"];
-    EXPECT_GT(after, before);
+    if (available(Tier::Portable)) {
+        std::vector<double> probs(amps.size());
+        EXPECT_GT(increments(Tier::Portable, "scalar", [&] {
+                      computeProbabilities(amps.data(), amps.size(),
+                                           probs.data());
+                  }),
+                  0u);
+    }
+    // No tier has a marginal slot.
+    for (Tier tier : tiers)
+        EXPECT_GT(increments(tier, "scalar", [&] {
+                      marginalProbabilities(amps.data(), amps.size(),
+                                            {0, 2});
+                  }),
+                  0u)
+            << simd::tierName(tier);
 }
 
 // ---- end-to-end sampled counts -------------------------------------------

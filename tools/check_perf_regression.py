@@ -1,14 +1,22 @@
 #!/usr/bin/env python3
-"""Warn-only perf-regression check for the bench JSON trajectory.
+"""Warn-only perf-regression check for the bench JSON records.
 
 Usage: check_perf_regression.py BASELINE.json CURRENT.json...
 
 Both inputs are JSON-lines files as emitted by `perf_simulator --json`
 and `perf_engine --json` (the committed baseline may concatenate
-several). Records are matched on their identifying keys (bench,
-section, gate, qubits, lanes, ...) and every higher-is-better metric
-(*_per_sec, speedup*) is compared. A drop of more than THRESHOLD
-prints a GitHub Actions warning annotation plus a summary table.
+several). Each record describes itself:
+
+  {"bench":..,"section":..,<identity>..,
+   "metrics":{NAME:{"value":V,"better":"higher"|"lower","min"|"max":X}}}
+
+Every top-level key except "metrics" identifies the record; records
+that exist on one side only (e.g. extra-lane rows on wider hosts, or
+rows measured at a SIMD tier the other host lacks) are skipped. A
+metric that got worse than its baseline by more than THRESHOLD in its
+declared direction, or a current value past its declared min/max
+bound, prints a GitHub Actions warning annotation plus a summary
+table.
 
 The exit code is always 0: shared CI runners are noisy neighbours, so
 this step documents drift instead of gating merges.
@@ -18,43 +26,6 @@ import json
 import sys
 
 THRESHOLD = 0.25
-
-# Lower-is-better metrics checked against an absolute ceiling instead
-# of drift vs baseline: telemetry overhead is a hard design budget
-# (enabled-path cost < 3%), a retry policy on the fault-free path
-# must stay within 10% (it only adds a try/catch and an atomic), and
-# auto-derived assertions may insert at most 1.25x the hand-annotated
-# gate overhead, so the current value alone decides.
-LOWER_IS_BETTER_ABS = {
-    "overhead_frac": 0.03,
-    "retry_overhead_frac": 0.10,
-    "overhead_ratio": 1.25,
-}
-
-# Keys that identify a record rather than measure it. "threads" is
-# deliberately absent: it describes the host (the committed baseline
-# comes from a 1-core container, CI runners have more), and including
-# it would unmatch every perf_engine record. Records that exist only
-# on one side (e.g. extra-lane gate rows on wider hosts) are skipped.
-# "tier" and "detected" identify roofline records: a record measured
-# at avx2 on an avx512 host only matches a baseline measured the same
-# way — comparing across ISAs (or against a scalar-only CI leg) would
-# flag meaningless "regressions", so unmatched rows are skipped.
-IDENTITY_KEYS = (
-    "bench", "section", "gate", "kernel_class", "qubits", "lanes",
-    "shots", "jobs", "level", "subset_qubits", "pass", "pipeline",
-    "scale", "tier", "detected", "traversal", "circuit",
-)
-
-
-def is_metric(key, value):
-    if not isinstance(value, (int, float)):
-        return False
-    return (key.endswith("_per_sec") or key.startswith("speedup")
-            or key == "simd_speedup" or key == "reduce_speedup"
-            or key == "swap_reduction"
-            or key == "shots_saved_frac" or key == "saved_frac"
-            or key == "auto_rate" or key == "hand_rate")
 
 
 def load_records(paths):
@@ -76,11 +47,28 @@ def load_records(paths):
                     record = json.loads(line)
                 except json.JSONDecodeError:
                     continue
-                key = tuple(
-                    (k, record[k]) for k in IDENTITY_KEYS if k in record
+                identity = {
+                    k: v for k, v in record.items() if k != "metrics"
+                }
+                label = "/".join(
+                    str(v) for k, v in identity.items() if k != "bench"
                 )
-                records[key] = record
+                key = tuple(sorted(identity.items()))
+                records[key] = (label, record.get("metrics", {}))
     return records
+
+
+def number(value):
+    return value if isinstance(value, (int, float)) else None
+
+
+def worsening(better, base, cur):
+    """Fractional change of @p cur vs @p base in the bad direction."""
+    if better == "higher":
+        return 1.0 - cur / base
+    if better == "lower":
+        return cur / base - 1.0
+    return None
 
 
 def main(argv):
@@ -91,54 +79,52 @@ def main(argv):
     baseline = load_records([argv[1]])
     current = load_records(argv[2:])
 
-    drops = []
+    findings = []
     compared = 0
-    # Ceiling checks read the *current* records directly so a section
-    # absent from the committed baseline still gets gated.
-    for key, cur_record in current.items():
-        for metric, ceiling in LOWER_IS_BETTER_ABS.items():
-            cur_value = cur_record.get(metric)
-            if not isinstance(cur_value, (int, float)):
+    for key, (label, metrics) in current.items():
+        _, base_metrics = baseline.get(key, (None, {}))
+        for name, metric in metrics.items():
+            cur = number(metric.get("value"))
+            if cur is None:
+                continue
+            # Bounds read the *current* record alone, so a section
+            # absent from the committed baseline is still checked.
+            for bound, sign in (("max", 1), ("min", -1)):
+                limit = number(metric.get(bound))
+                if limit is None:
+                    continue
+                compared += 1
+                if sign * (cur - limit) > 0:
+                    findings.append((label, name, f"{bound} {limit:g}",
+                                   cur, "past bound"))
+            base = number(base_metrics.get(name, {}).get("value"))
+            if base is None or base <= 0:
+                continue
+            change = worsening(metric.get("better"), base, cur)
+            if change is None:
                 continue
             compared += 1
-            if cur_value > ceiling:
-                label = "/".join(str(v) for _, v in key if v != "")
-                drops.append((label, metric, ceiling, cur_value,
-                              cur_value - ceiling))
-    for key, base_record in baseline.items():
-        cur_record = current.get(key)
-        if cur_record is None:
-            continue
-        for metric, base_value in base_record.items():
-            if not is_metric(metric, base_value) or base_value <= 0:
-                continue
-            cur_value = cur_record.get(metric)
-            if not isinstance(cur_value, (int, float)):
-                continue
-            compared += 1
-            drop = 1.0 - cur_value / base_value
-            if drop > THRESHOLD:
-                label = "/".join(
-                    str(v) for _, v in key if v != ""
-                )
-                drops.append((label, metric, base_value, cur_value,
-                              drop))
+            if change > THRESHOLD:
+                findings.append((label, name, f"{base:.4g}", cur,
+                               f"{change:.0%} worse"))
 
-    if not drops:
+    if not findings:
         print(f"perf-regression: {compared} metrics compared, none "
-              f"dropped more than {THRESHOLD:.0%} vs baseline")
+              f"dropped more than {THRESHOLD:.0%} vs baseline or past "
+              f"a bound")
         return 0
 
-    print(f"perf-regression: {len(drops)} of {compared} metrics "
-          f"dropped more than {THRESHOLD:.0%} vs baseline")
-    print(f"{'record':<50} {'metric':<24} {'baseline':>12} "
-          f"{'current':>12} {'drop':>7}")
-    for label, metric, base_value, cur_value, drop in drops:
-        print(f"{label:<50} {metric:<24} {base_value:>12.1f} "
-              f"{cur_value:>12.1f} {drop:>6.1%}")
+    print(f"perf-regression: {len(findings)} of {compared} metrics "
+          f"dropped more than {THRESHOLD:.0%} vs baseline or past a "
+          f"bound")
+    print(f"{'record':<56} {'metric':<22} {'baseline':>12} "
+          f"{'current':>12}  change")
+    for label, name, reference, cur, change in findings:
+        print(f"{label:<56} {name:<22} {reference:>12} {cur:>12.4g}  "
+              f"{change}")
     summary = "; ".join(
-        f"{label} {metric} -{drop:.0%}"
-        for label, metric, _, _, drop in drops[:5]
+        f"{label} {name} {change}"
+        for label, name, _, _, change in findings[:5]
     )
     print(f"::warning title=perf regression vs committed baseline::"
           f"{summary}")
