@@ -1,9 +1,5 @@
 #include "compile/passes.hh"
 
-#include <algorithm>
-#include <deque>
-#include <limits>
-
 #include "common/error.hh"
 #include "common/hash.hh"
 #include "transpile/direction_fixer.hh"
@@ -85,8 +81,17 @@ RoutingPass::run(CompileContext &ctx) const
     const CouplingMap &map = requireCoupling(ctx, "route");
     if (!ctx.initialLayout)
         ctx.initialLayout = trivialLayout(ctx.circuit, map);
+    WireAnchors anchors;
+    if (ctx.instrumented) {
+        anchors.resize(ctx.circuit.numQubits());
+        for (const InstrumentedCircuit::Check &check :
+             ctx.instrumented->checks())
+            for (const Qubit a : check.ancillas)
+                if (a < anchors.size() && anchors[a].empty())
+                    anchors[a] = check.spec.targets;
+    }
     RoutedCircuit routed =
-        routeCircuit(ctx.circuit, map, *ctx.initialLayout);
+        routeCircuit(ctx.circuit, map, *ctx.initialLayout, anchors);
     ctx.insertedSwaps += routed.insertedSwaps;
     ctx.pendingNote =
         std::to_string(routed.insertedSwaps) + " swaps inserted";
@@ -171,48 +176,28 @@ foldInstrumentOptions(std::uint64_t h, const InstrumentOptions &options)
                              (options.barriers ? 2u : 0u));
 }
 
-namespace {
-
-std::uint64_t
-foldInjectionConfig(std::uint64_t h,
-                    const std::vector<AssertionSpec> &specs,
-                    const InstrumentOptions &options)
-{
-    h = foldInstrumentOptions(h, options);
-    h = fnv1aMix64(h, specs.size());
-    for (const AssertionSpec &spec : specs)
-        h = foldAssertionSpec(h, spec);
-    return h;
-}
-
-std::string
-describeInjection(const std::string &name,
-                  const std::vector<AssertionSpec> &specs,
-                  const InstrumentOptions &options)
-{
-    std::string out = name + " (" + std::to_string(specs.size()) +
-                      (specs.size() == 1 ? " check" : " checks");
-    if (options.reuseAncillas)
-        out += ", reuse-ancillas";
-    if (!options.barriers)
-        out += ", no-barriers";
-    return out + ")";
-}
-
-} // namespace
-
 // --- InstrumentPass --------------------------------------------------
 
 std::uint64_t
 InstrumentPass::fingerprint(std::uint64_t h) const
 {
-    return foldInjectionConfig(h, specs_, options_);
+    h = foldInstrumentOptions(h, options_);
+    h = fnv1aMix64(h, specs_.size());
+    for (const AssertionSpec &spec : specs_)
+        h = foldAssertionSpec(h, spec);
+    return h;
 }
 
 std::string
 InstrumentPass::describe() const
 {
-    return describeInjection(name(), specs_, options_);
+    std::string out = name() + " (" + std::to_string(specs_.size()) +
+                      (specs_.size() == 1 ? " check" : " checks");
+    if (options_.reuseAncillas)
+        out += ", reuse-ancillas";
+    if (!options_.barriers)
+        out += ", no-barriers";
+    return out + ")";
 }
 
 void
@@ -222,193 +207,6 @@ InstrumentPass::run(CompileContext &ctx) const
         detail::weaveAssertions(ctx.circuit, specs_, options_));
     ctx.circuit = inst->circuit();
     ctx.instrumented = std::move(inst);
-}
-
-// --- PostLayoutInjectPass --------------------------------------------
-
-std::uint64_t
-PostLayoutInjectPass::fingerprint(std::uint64_t h) const
-{
-    return foldInjectionConfig(h, specs_, options_);
-}
-
-std::string
-PostLayoutInjectPass::describe() const
-{
-    return describeInjection(name(), specs_, options_);
-}
-
-void
-PostLayoutInjectPass::run(CompileContext &ctx) const
-{
-    const CouplingMap &map = requireCoupling(ctx, "inject-postlayout");
-    if (!ctx.initialLayout)
-        throw TranspileError(
-            "inject-postlayout must run after a layout pass");
-    if (!map.isConnected())
-        throw TranspileError("coupling map is not connected");
-
-    const std::size_t payload_qubits = ctx.circuit.numQubits();
-
-    auto inst = std::make_shared<InstrumentedCircuit>(
-        detail::weaveAssertions(ctx.circuit, specs_, options_));
-
-    // Weaving happened on the raw payload (insertAt indexes payload
-    // instructions), so lower CCX — the payload's and any the
-    // assertions emitted — before routing.
-    DecomposeOptions ccx_opts;
-    ccx_opts.decomposeSwap = false;
-    ccx_opts.decomposeCcx = true;
-    const Circuit woven = decompose(inst->circuit(), ccx_opts);
-
-    const std::size_t total_qubits = woven.numQubits();
-    if (total_qubits > map.numQubits())
-        throw TranspileError(
-            "payload plus assertion ancillas exceed the device");
-
-    // Which targets each ancilla wire serves (first check wins when
-    // the reuse option shares one pool across checks).
-    std::vector<std::vector<Qubit>> targets_of(total_qubits);
-    for (const InstrumentedCircuit::Check &check : inst->checks())
-        for (const Qubit a : check.ancillas)
-            if (targets_of[a].empty())
-                targets_of[a] = check.spec.targets;
-
-    // Route with a *partial* layout: payload qubits start at the
-    // layout pass's slots, ancilla wires stay unbound until their
-    // check is reached in the gate stream, then bind to the free
-    // physical qubit nearest the targets' *current* (post-SWAP)
-    // positions. Binding at check time is what the legacy
-    // inject-then-transpile order cannot do: there, ancillas are
-    // placed before routing and layout drift strands them.
-    constexpr Qubit kNone = std::numeric_limits<Qubit>::max();
-    std::vector<Qubit> v2p(total_qubits, kNone);
-    std::vector<Qubit> p2v(map.numQubits(), kNone); // kNone = spare
-    for (Qubit v = 0; v < payload_qubits; ++v) {
-        const Qubit p = ctx.initialLayout->physical(v);
-        v2p[v] = p;
-        p2v[p] = v;
-    }
-
-    std::size_t placed = 0;
-    std::size_t adjacent = 0;
-
-    // Free slot nearest to any of @p sources: multi-source BFS over
-    // the undirected coupling graph, deterministic in the map's edge
-    // order; lowest free index when the sources are unreachable.
-    auto nearest_free = [&](const std::vector<Qubit> &sources) {
-        std::vector<bool> visited(map.numQubits(), false);
-        std::deque<Qubit> frontier;
-        for (const Qubit s : sources) {
-            if (s < map.numQubits() && !visited[s]) {
-                visited[s] = true;
-                frontier.push_back(s);
-            }
-        }
-        while (!frontier.empty()) {
-            const Qubit q = frontier.front();
-            frontier.pop_front();
-            if (p2v[q] == kNone)
-                return q;
-            for (const Qubit nb : map.neighbors(q)) {
-                if (!visited[nb]) {
-                    visited[nb] = true;
-                    frontier.push_back(nb);
-                }
-            }
-        }
-        for (Qubit p = 0; p < map.numQubits(); ++p)
-            if (p2v[p] == kNone)
-                return p;
-        throw TranspileError("no free physical qubit for an ancilla");
-    };
-
-    auto bind = [&](Qubit a) {
-        std::vector<Qubit> sources;
-        for (const Qubit t : targets_of[a])
-            if (t < total_qubits && v2p[t] != kNone)
-                sources.push_back(v2p[t]);
-        const Qubit p = nearest_free(sources);
-        v2p[a] = p;
-        p2v[p] = a;
-        ++placed;
-        if (std::any_of(sources.begin(), sources.end(),
-                        [&](Qubit s) { return map.connected(p, s); }))
-            ++adjacent;
-    };
-
-    Circuit routed(map.numQubits(), woven.numClbits(),
-                   woven.name() + "_routed");
-    std::size_t swaps = 0;
-
-    for (const Operation &op : woven.ops()) {
-        for (const Qubit q : op.qubits)
-            if (v2p[q] == kNone)
-                bind(q);
-
-        Operation mapped = op;
-        if (op.qubits.size() == 2 && opIsUnitary(op.kind)) {
-            Qubit pa = v2p[op.qubits[0]];
-            Qubit pb = v2p[op.qubits[1]];
-            if (!map.connected(pa, pb)) {
-                const std::vector<Qubit> path =
-                    map.shortestPath(pa, pb);
-                QRA_ASSERT(path.size() >= 3,
-                           "shortest path too short for disconnected "
-                           "pair");
-                for (std::size_t i = 0; i + 2 < path.size(); ++i) {
-                    routed.swap(path[i], path[i + 1]);
-                    ++swaps;
-                    const Qubit va = p2v[path[i]];
-                    const Qubit vb = p2v[path[i + 1]];
-                    if (va != kNone)
-                        v2p[va] = path[i + 1];
-                    if (vb != kNone)
-                        v2p[vb] = path[i];
-                    std::swap(p2v[path[i]], p2v[path[i + 1]]);
-                }
-                pa = v2p[op.qubits[0]];
-                pb = v2p[op.qubits[1]];
-                QRA_ASSERT(map.connected(pa, pb),
-                           "routing failed to connect operands");
-            }
-            mapped.qubits = {pa, pb};
-        } else {
-            for (Qubit &q : mapped.qubits)
-                q = v2p[q];
-        }
-        routed.append(std::move(mapped));
-    }
-
-    // Total final layout: bound wires keep their slots, everything
-    // else (unbound spares, the device's unused wires) fills the
-    // leftover slots in index order.
-    std::vector<Qubit> final_v2p(map.numQubits(), kNone);
-    std::vector<bool> used(map.numQubits(), false);
-    for (Qubit v = 0; v < total_qubits; ++v) {
-        if (v2p[v] != kNone) {
-            final_v2p[v] = v2p[v];
-            used[v2p[v]] = true;
-        }
-    }
-    Qubit next_free = 0;
-    for (Qubit v = 0; v < map.numQubits(); ++v) {
-        if (final_v2p[v] != kNone)
-            continue;
-        while (used[next_free])
-            ++next_free;
-        final_v2p[v] = next_free;
-        used[next_free] = true;
-    }
-
-    ctx.insertedSwaps += swaps;
-    ctx.finalLayout = Layout(std::move(final_v2p));
-    ctx.circuit = std::move(routed);
-    ctx.instrumented = std::move(inst);
-    ctx.pendingNote = std::to_string(placed) + " ancillas bound (" +
-                      std::to_string(adjacent) +
-                      " adjacent at bind time), " +
-                      std::to_string(swaps) + " swaps inserted";
 }
 
 } // namespace compile

@@ -2,11 +2,9 @@
  * @file
  * The concrete compile passes: the five transpiler stages
  * (decompose, layout, route, direction-fix, optimise) re-expressed
- * over the Pass interface, assertion instrumentation as a pass, and
- * the post-layout connectivity-aware injection pass this architecture
- * unlocks (ancillas allocated on physical qubits adjacent to their
- * targets, so the router inserts far fewer SWAPs than the legacy
- * inject-then-transpile order).
+ * over the Pass interface, plus assertion instrumentation as a pass.
+ * Routing binds each check's ancillas next to the check's targets
+ * (see RoutingPass).
  */
 
 #ifndef QRA_COMPILE_PASSES_HH
@@ -53,7 +51,14 @@ class LayoutPass : public Pass
     bool greedy_;
 };
 
-/** SWAP insertion until every 2q gate is on a coupled pair. */
+/**
+ * SWAP insertion until every 2q gate is on a coupled pair. When the
+ * context carries instrumentation, each check's ancillas are anchored
+ * to its targets (the first check wins for an ancilla shared under
+ * InstrumentOptions::reuseAncillas): an ancilla stays unbound until
+ * routing reaches its check, then takes the free physical qubit
+ * nearest the targets' current positions (see routeCircuit).
+ */
 class RoutingPass : public Pass
 {
   public:
@@ -78,10 +83,12 @@ class OptimizePass : public Pass
 };
 
 /**
- * Legacy (pre-layout) assertion instrumentation: weave checks into
- * the working circuit over *virtual* qubits; ancillas are appended
- * above the payload register and participate in any later layout and
- * routing like ordinary qubits.
+ * Assertion instrumentation: weave checks into the working circuit
+ * over *virtual* qubits, with ancillas appended above the payload
+ * register. AssertionSpec::insertAt indexes payload instructions, so
+ * this runs before any decomposition; on a device it runs after the
+ * layout pass, which therefore places the payload alone, and the
+ * routing pass places the ancillas.
  */
 class InstrumentPass : public Pass
 {
@@ -93,41 +100,6 @@ class InstrumentPass : public Pass
     }
 
     std::string name() const override { return "instrument"; }
-    std::uint64_t fingerprint(std::uint64_t h) const override;
-    std::string describe() const override;
-    void run(CompileContext &ctx) const override;
-
-  private:
-    std::vector<AssertionSpec> specs_;
-    InstrumentOptions options_;
-};
-
-/**
- * Post-layout connectivity-aware assertion injection, interleaved
- * with routing.
- *
- * Requires a coupling map and an initial layout in the context
- * (i.e. runs after LayoutPass), and subsumes RoutingPass: it weaves
- * the checks into the payload, then routes the combined gate stream
- * with a *partial* layout in which ancilla wires stay unbound until
- * routing reaches their check; at that moment each ancilla binds to
- * the free physical qubit nearest its targets' current (post-SWAP)
- * positions, found by breadth-first search over the coupling graph.
- * Target-ancilla CNOTs therefore start on (or next to) native edges
- * no matter how far routing has dragged the targets — the legacy
- * inject-then-transpile order fixes ancilla placement before any
- * SWAP exists and strands ancillas as the layout drifts.
- */
-class PostLayoutInjectPass : public Pass
-{
-  public:
-    PostLayoutInjectPass(std::vector<AssertionSpec> specs,
-                         InstrumentOptions options)
-        : specs_(std::move(specs)), options_(options)
-    {
-    }
-
-    std::string name() const override { return "inject-postlayout"; }
     std::uint64_t fingerprint(std::uint64_t h) const override;
     std::string describe() const override;
     void run(CompileContext &ctx) const override;

@@ -65,39 +65,22 @@ preparePipeline(const PrepareSpec &spec)
     PassManager pm;
     const bool autogen =
         spec.injection == InjectionStrategy::AutoGenerate;
-    const bool inject = !autogen && !spec.assertions.empty();
-    const bool post_layout =
-        inject && spec.coupling != nullptr &&
-        spec.injection == InjectionStrategy::PostLayout;
-
-    if (autogen) {
+    if (autogen)
         pm.add(std::make_shared<AnalyzePass>());
+    if (spec.coupling != nullptr)
+        pm.add(std::make_shared<LayoutPass>(
+            spec.transpileOptions.useGreedyLayout));
+    // Weaving precedes any decomposition: AssertionSpec::insertAt
+    // indexes *payload* instructions.
+    if (autogen)
         pm.add(std::make_shared<AutoAssertPass>(
-            spec.assertions, spec.instrumentOptions,
-            spec.autoAssert));
-    } else if (inject && !post_layout) {
+            spec.assertions, spec.instrumentOptions, spec.autoAssert));
+    else if (!spec.assertions.empty())
         pm.add(std::make_shared<InstrumentPass>(
             spec.assertions, spec.instrumentOptions));
-    }
-
     if (spec.coupling != nullptr) {
-        if (post_layout) {
-            // The layout is chosen on the raw payload so that
-            // PostLayoutInjectPass can weave into it directly:
-            // AssertionSpec::insertAt indexes *payload* instructions,
-            // so weaving must precede any decomposition (the pass
-            // CCX-lowers the woven circuit itself before routing).
-            // The pass then routes with check-time ancilla binding.
-            pm.add(std::make_shared<LayoutPass>(
-                spec.transpileOptions.useGreedyLayout));
-            pm.add(std::make_shared<PostLayoutInjectPass>(
-                spec.assertions, spec.instrumentOptions));
-        } else {
-            pm.add(ccxLowering());
-            pm.add(std::make_shared<LayoutPass>(
-                spec.transpileOptions.useGreedyLayout));
-            pm.add(std::make_shared<RoutingPass>());
-        }
+        pm.add(ccxLowering());
+        pm.add(std::make_shared<RoutingPass>());
         addPostRoutingStages(pm, spec.transpileOptions);
     }
     return pm;
@@ -113,7 +96,7 @@ CompileContext
 prepare(Circuit payload, const PrepareSpec &spec,
         const PassManager &pipeline)
 {
-    // Legacy naming: instrumentation suffixes "+asserts", device
+    // Instrumentation suffixes "+asserts", device
     // transpilation suffixes "@<n>q" on top of whatever entered it.
     std::string base_name =
         spec.assertions.empty() ? payload.name()

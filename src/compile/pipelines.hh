@@ -19,31 +19,18 @@
 namespace qra {
 namespace compile {
 
-/** Where assertion checks enter the compile pipeline. */
+/** Where a prepared job's assertion checks come from. */
 enum class InjectionStrategy
 {
-    /**
-     * Legacy order: weave checks over virtual qubits first, then
-     * transpile the instrumented circuit. Ancillas are anonymous
-     * extra qubits to layout and routing.
-     */
-    PreLayout,
-
-    /**
-     * Inject after the payload layout is chosen, pinning each ancilla
-     * to a free physical qubit adjacent to its targets (BFS over the
-     * coupling graph). Reduces the SWAPs routing must insert for
-     * target-ancilla CNOTs. Degrades to PreLayout when the prepare
-     * spec has no coupling map (there is no layout to exploit).
-     */
-    PostLayout,
+    /** The spec's own assertions (none = an uninstrumented job). */
+    Explicit,
 
     /**
      * Derive the checks statically instead of taking them from the
      * spec: AnalyzePass + AutoAssertPass run the three-domain
      * analysis (stabilizer prefix, separability, known-basis
-     * frontier) and weave generated checks — plus any user specs —
-     * before layout. See compile/analysis/auto_assert.hh.
+     * frontier) and weave generated checks — plus any user specs.
+     * See compile/analysis/auto_assert.hh.
      */
     AutoGenerate,
 };
@@ -64,7 +51,7 @@ struct PrepareSpec
 {
     std::vector<AssertionSpec> assertions;
     InstrumentOptions instrumentOptions;
-    InjectionStrategy injection = InjectionStrategy::PreLayout;
+    InjectionStrategy injection = InjectionStrategy::Explicit;
     /** Budget for InjectionStrategy::AutoGenerate. */
     AutoAssertOptions autoAssert;
     /** Not owned; null = no device transpilation. */
@@ -73,17 +60,20 @@ struct PrepareSpec
 };
 
 /**
- * Build the preparation pipeline for @p spec declaratively:
- * injection (pre- or post-layout) and device transpilation appear
- * only when the spec asks for them, so inert options can never
+ * Build the preparation pipeline for @p spec declaratively, as one
+ * sequence: [analyze ->] layout -> (instrument | auto-assert) ->
+ * decompose(ccx) -> route -> decompose(swap) -> direction-fix
+ * [-> optimize]. The layout places the payload alone and routing
+ * binds each check's ancillas next to its targets. Stages appear only
+ * when the spec asks for them (the device stages only with a coupling
+ * map, instrument only with assertions), so inert options can never
  * fragment a cache keyed on the pipeline fingerprint.
  */
 PassManager preparePipeline(const PrepareSpec &spec);
 
 /**
- * Run preparePipeline(spec) over @p payload, reproducing the legacy
- * inject-then-transpile naming ("payload+asserts@5q") so prepared
- * circuits are bit-for-bit what the monolithic path produced.
+ * Run preparePipeline(spec) over @p payload, naming the result as
+ * instrument() then transpile() would ("payload+asserts@5q").
  */
 CompileContext prepare(Circuit payload, const PrepareSpec &spec);
 

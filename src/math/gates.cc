@@ -110,8 +110,8 @@ u(double theta, double phi, double lambda)
     const double c = std::cos(theta / 2.0);
     const double s_ = std::sin(theta / 2.0);
     return Matrix{
-        {Complex{c, 0.0}, -std::polar(s_, lambda)},
-        {std::polar(s_, phi), std::polar(c, phi + lambda)}};
+        {Complex{c, 0.0}, -s_ * std::polar(1.0, lambda)},
+        {s_ * std::polar(1.0, phi), c * std::polar(1.0, phi + lambda)}};
 }
 
 // Two-qubit matrices use local index (bit0 = first gate argument).

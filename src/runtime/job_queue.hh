@@ -75,13 +75,14 @@ struct JobSpec
     InstrumentOptions instrumentOptions;
 
     /**
-     * Where assertion checks enter the compile pipeline. PostLayout
-     * pins ancillas next to their targets on the device (fewer routed
-     * SWAPs); it participates in the prepare key only when both
-     * assertions and a coupling map are present.
+     * Where the checks come from: `assertions` (Explicit) or the
+     * static analysis (AutoGenerate). Either way, with a coupling map
+     * each check's ancillas bind at route time to the free physical
+     * qubits nearest its targets. Part of the prepare key through
+     * the pipeline it selects.
      */
     compile::InjectionStrategy injection =
-        compile::InjectionStrategy::PreLayout;
+        compile::InjectionStrategy::Explicit;
 
     /**
      * Budget for InjectionStrategy::AutoGenerate (max checks, min

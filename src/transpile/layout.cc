@@ -77,16 +77,20 @@ greedyLayout(const Circuit &circuit, const CouplingMap &map)
 
     const std::size_t n = map.numQubits();
 
-    // Interaction weights between virtual qubit pairs.
+    // Interaction weights between virtual qubit pairs, in two-qubit
+    // gates after CCX lowering: the decomposer emits two CNOTs on
+    // each pair of a CCX, so the layout is the same whether it is
+    // chosen before or after that lowering.
     std::map<std::pair<Qubit, Qubit>, std::size_t> weight;
     for (const Operation &op : circuit.ops()) {
         if (op.qubits.size() < 2 || !opIsUnitary(op.kind))
             continue;
+        const std::size_t gates = op.kind == OpKind::CCX ? 2 : 1;
         for (std::size_t i = 0; i < op.qubits.size(); ++i) {
             for (std::size_t j = i + 1; j < op.qubits.size(); ++j) {
                 const Qubit a = std::min(op.qubits[i], op.qubits[j]);
                 const Qubit b = std::max(op.qubits[i], op.qubits[j]);
-                ++weight[{a, b}];
+                weight[{a, b}] += gates;
             }
         }
     }

@@ -1,12 +1,56 @@
 #include "transpile/router.hh"
 
+#include <algorithm>
+#include <deque>
+
 #include "common/error.hh"
 
 namespace qra {
 
+namespace {
+
+/**
+ * Free physical qubit nearest to any of @p sources: multi-source BFS
+ * over the undirected coupling graph, deterministic in the map's edge
+ * order; the lowest free index when the sources reach none.
+ */
+Qubit
+nearestFree(const CouplingMap &map, const Layout &layout,
+            const std::vector<bool> &bound,
+            const std::vector<Qubit> &sources)
+{
+    auto is_free = [&](Qubit p) { return !bound[layout.virtualOf(p)]; };
+    std::vector<bool> visited(map.numQubits(), false);
+    std::deque<Qubit> frontier;
+    for (const Qubit s : sources) {
+        if (!visited[s]) {
+            visited[s] = true;
+            frontier.push_back(s);
+        }
+    }
+    while (!frontier.empty()) {
+        const Qubit q = frontier.front();
+        frontier.pop_front();
+        if (is_free(q))
+            return q;
+        for (const Qubit nb : map.neighbors(q)) {
+            if (!visited[nb]) {
+                visited[nb] = true;
+                frontier.push_back(nb);
+            }
+        }
+    }
+    for (Qubit p = 0; p < map.numQubits(); ++p)
+        if (is_free(p))
+            return p;
+    throw TranspileError("no free physical qubit for an anchored wire");
+}
+
+} // namespace
+
 RoutedCircuit
 routeCircuit(const Circuit &circuit, const CouplingMap &map,
-             const Layout &initial)
+             const Layout &initial, const WireAnchors &anchors)
 {
     if (circuit.numQubits() > map.numQubits())
         throw TranspileError("circuit does not fit on the device");
@@ -18,9 +62,29 @@ routeCircuit(const Circuit &circuit, const CouplingMap &map,
     Layout layout = initial;
     std::size_t swaps = 0;
 
+    // Wires that hold state: the circuit's unanchored wires from the
+    // start, anchored ones from their first operation on.
+    std::vector<bool> bound(
+        std::max(layout.numQubits(), circuit.numQubits()), false);
+    for (Qubit v = 0; v < circuit.numQubits(); ++v)
+        bound[v] = v >= anchors.size() || anchors[v].empty();
+
+    auto bind = [&](Qubit v) {
+        std::vector<Qubit> sources;
+        for (const Qubit a : anchors[v])
+            if (a < bound.size() && bound[a])
+                sources.push_back(layout.physical(a));
+        const Qubit p = nearestFree(map, layout, bound, sources);
+        layout.swapPhysical(layout.physical(v), p);
+        bound[v] = true;
+    };
+
     for (const Operation &op : circuit.ops()) {
         if (op.kind == OpKind::CCX)
             throw TranspileError("decompose CCX before routing");
+        for (const Qubit q : op.qubits)
+            if (!bound[q])
+                bind(q);
 
         Operation mapped = op;
 

@@ -6,7 +6,8 @@
  *
  * transpile() is a thin wrapper over the canonical
  * compile::transpilePipeline(); compose custom stage orders (e.g.
- * post-layout assertion injection) through compile::PassManager.
+ * the prepare pipeline's route-time ancilla binding) through
+ * compile::PassManager.
  */
 
 #ifndef QRA_TRANSPILE_TRANSPILER_HH

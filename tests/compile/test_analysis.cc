@@ -592,7 +592,7 @@ TEST(AutoAssert, AnalysisMemoisedInPrepareCache)
 
     // No analysis on pipelines without the analyze stage.
     JobSpec plain = spec;
-    plain.injection = InjectionStrategy::PreLayout;
+    plain.injection = InjectionStrategy::Explicit;
     EXPECT_EQ(queue.analysis(plain), nullptr);
 }
 

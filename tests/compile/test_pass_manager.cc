@@ -128,7 +128,6 @@ TEST(PassManager, PreparePipelineOmitsInertPasses)
     PrepareSpec tweaked = plain;
     tweaked.transpileOptions.optimize = false;
     tweaked.instrumentOptions.reuseAncillas = true;
-    tweaked.injection = InjectionStrategy::PostLayout;
     EXPECT_EQ(compile::preparePipeline(plain).fingerprint(),
               compile::preparePipeline(tweaked).fingerprint());
     EXPECT_EQ(compile::preparePipeline(plain).size(), 0u);
@@ -143,26 +142,13 @@ TEST(PassManager, PreparePipelineSeesActiveKnobs)
 
     PrepareSpec reuse = spec;
     reuse.instrumentOptions.reuseAncillas = true;
-    PrepareSpec post = spec;
-    post.injection = InjectionStrategy::PostLayout;
+    PrepareSpec autogen = spec;
+    autogen.injection = InjectionStrategy::AutoGenerate;
 
     const std::uint64_t f0 =
         compile::preparePipeline(spec).fingerprint();
     EXPECT_NE(f0, compile::preparePipeline(reuse).fingerprint());
-    EXPECT_NE(f0, compile::preparePipeline(post).fingerprint());
-}
-
-TEST(PassManager, PostLayoutWithoutLayoutThrows)
-{
-    const CouplingMap map = DeviceModel::ibmqx4().couplingMap();
-    Circuit c(2, 2);
-    c.h(0).cx(0, 1).measureAll();
-    PassManager pm;
-    pm.add(std::make_shared<compile::PostLayoutInjectPass>(
-        std::vector<AssertionSpec>{entangledCheck(0, 1, 2)},
-        InstrumentOptions{}));
-    EXPECT_THROW(pm.run(c, &map), TranspileError);
-    EXPECT_THROW(pm.run(c, nullptr), TranspileError);
+    EXPECT_NE(f0, compile::preparePipeline(autogen).fingerprint());
 }
 
 TEST(PassManager, DeviceTooSmallForAncillasThrows)
@@ -175,7 +161,6 @@ TEST(PassManager, DeviceTooSmallForAncillasThrows)
     PrepareSpec spec;
     spec.coupling = &map;
     spec.assertions = {entangledCheck(0, 1, 2)};
-    spec.injection = InjectionStrategy::PostLayout;
     EXPECT_THROW(compile::prepare(c, spec), TranspileError);
 }
 

@@ -1,10 +1,11 @@
 /**
  * @file
- * Randomized legacy-parity suite: the pass pipeline must reproduce
- * the handwritten stage chain bit-for-bit — transpile() equals the
+ * Randomized legacy-parity suite: the pass pipelines must reproduce
+ * the handwritten stage chains bit-for-bit — transpile() equals the
  * monolithic decompose/layout/route/direction-fix/optimize sequence,
- * prepare() equals instrument()-then-transpile(), and prepared jobs
- * produce identical counts at any thread/lane count. Plus
+ * prepare() equals layout/instrument/decompose/anchored-route/
+ * direction-fix/optimize over the public primitives, and prepared
+ * jobs produce identical counts at any thread/lane count. Plus
  * pass-fencing: assertion barriers still fence the optimizer when it
  * runs as a pass.
  */
@@ -112,7 +113,37 @@ TEST_P(EquivalenceSweep, PipelineMatchesLegacyStageChain)
     }
 }
 
-TEST_P(EquivalenceSweep, PrepareMatchesInstrumentThenTranspile)
+/**
+ * prepare()'s device stages by hand: the layout places the payload
+ * alone, then each check's ancillas bind next to its targets while
+ * routing.
+ */
+Circuit
+instrumentThenRoute(const Circuit &payload,
+                    const std::vector<AssertionSpec> &specs,
+                    const CouplingMap &map)
+{
+    const Layout initial = greedyLayout(payload, map);
+    const InstrumentedCircuit inst = instrument(payload, specs);
+    WireAnchors anchors(inst.circuit().numQubits());
+    for (const InstrumentedCircuit::Check &check : inst.checks())
+        for (const Qubit a : check.ancillas)
+            if (anchors[a].empty())
+                anchors[a] = check.spec.targets;
+    DecomposeOptions dopts;
+    dopts.decomposeSwap = false;
+    dopts.decomposeCcx = true;
+    const RoutedCircuit routed = routeCircuit(
+        decompose(inst.circuit(), dopts), map, initial, anchors);
+    DecomposeOptions swap_opts;
+    swap_opts.decomposeSwap = true;
+    swap_opts.decomposeCcx = false;
+    const Circuit swap_free = decompose(routed.circuit, swap_opts);
+    return optimizeCircuit(fixDirections(swap_free, map).circuit)
+        .circuit;
+}
+
+TEST_P(EquivalenceSweep, PrepareMatchesStageChain)
 {
     Rng rng(2000 + GetParam());
     // 3 payload qubits + 2 check ancillas fill the 5-qubit device.
@@ -128,9 +159,7 @@ TEST_P(EquivalenceSweep, PrepareMatchesInstrumentThenTranspile)
         compile::prepare(payload, prep);
 
     const InstrumentedCircuit inst = instrument(payload, specs);
-    const Circuit reference =
-        transpile(inst.circuit(), map).circuit;
-    EXPECT_TRUE(ctx.circuit == reference);
+    EXPECT_TRUE(ctx.circuit == instrumentThenRoute(payload, specs, map));
     ASSERT_NE(ctx.instrumented, nullptr);
     EXPECT_TRUE(ctx.instrumented->circuit() == inst.circuit());
     EXPECT_EQ(ctx.instrumented->checks().size(), specs.size());
@@ -142,29 +171,24 @@ TEST_P(EquivalenceSweep, CountsIdenticalAtAnyThreadAndLaneCount)
     const Circuit payload = randomCircuit(4, 16, rng);
     const DeviceModel device = DeviceModel::ibmqx4();
 
-    for (const auto injection :
-         {compile::InjectionStrategy::PreLayout,
-          compile::InjectionStrategy::PostLayout}) {
-        JobSpec spec;
-        spec.circuit = payload;
-        spec.shots = 512;
-        spec.backend = "statevector";
-        spec.seed = 11 + GetParam();
-        spec.assertions = {entangledCheck(0, 1, 100)};
-        spec.coupling = &device.couplingMap();
-        spec.injection = injection;
+    JobSpec spec;
+    spec.circuit = payload;
+    spec.shots = 512;
+    spec.backend = "statevector";
+    spec.seed = 11 + GetParam();
+    spec.assertions = {entangledCheck(0, 1, 100)};
+    spec.coupling = &device.couplingMap();
 
-        ExecutionEngine one(EngineOptions{
-            .threads = 1, .shardShots = 64, .maxShards = 8});
-        ExecutionEngine many(EngineOptions{
-            .threads = 4, .shardShots = 64, .maxShards = 8,
-            .intraThreads = 2});
-        JobQueue queue_one(one);
-        JobQueue queue_many(many);
-        const Result a = queue_one.submit(spec).get();
-        const Result b = queue_many.submit(spec).get();
-        EXPECT_EQ(a.rawCounts(), b.rawCounts());
-    }
+    ExecutionEngine one(EngineOptions{
+        .threads = 1, .shardShots = 64, .maxShards = 8});
+    ExecutionEngine many(EngineOptions{
+        .threads = 4, .shardShots = 64, .maxShards = 8,
+        .intraThreads = 2});
+    JobQueue queue_one(one);
+    JobQueue queue_many(many);
+    const Result a = queue_one.submit(spec).get();
+    const Result b = queue_many.submit(spec).get();
+    EXPECT_EQ(a.rawCounts(), b.rawCounts());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EquivalenceSweep,
@@ -189,11 +213,11 @@ TEST(PipelineEquivalence, InstrumentWrapperMatchesWeave)
     }
 }
 
-TEST(PipelineEquivalence, PostLayoutPreservesSemantics)
+TEST(PipelineEquivalence, RouteTimeBindingPreservesSemantics)
 {
     // GHZ payload + entanglement check on an 8-qubit line: the check
     // must pass exactly and the filtered payload must match the ideal
-    // GHZ distribution under both injection orders.
+    // GHZ distribution.
     CouplingMap line(8);
     for (Qubit q = 0; q + 1 < 8; ++q)
         line.addEdge(q, q + 1);
@@ -207,28 +231,23 @@ TEST(PipelineEquivalence, PostLayoutPreservesSemantics)
 
     ExecutionEngine engine(EngineOptions{.threads = 2});
     JobQueue queue(engine);
-    for (const auto injection :
-         {compile::InjectionStrategy::PreLayout,
-          compile::InjectionStrategy::PostLayout}) {
-        JobSpec spec;
-        spec.circuit = ghz;
-        spec.shots = 4096;
-        spec.backend = "statevector";
-        spec.assertions = {check};
-        spec.coupling = &line;
-        spec.injection = injection;
-        const Result result = queue.submit(spec).get();
-        const auto inst = queue.instrumented(spec);
-        ASSERT_NE(inst, nullptr);
-        const AssertionReport report = analyze(*inst, result);
-        EXPECT_NEAR(report.anyErrorRate, 0.0, 1e-12);
-        double kept = 0.0;
-        for (const auto &[key, p] : report.filteredPayload) {
-            EXPECT_TRUE(key == 0 || key == 7) << "outcome " << key;
-            kept += p;
-        }
-        EXPECT_NEAR(kept, 1.0, 1e-9);
+    JobSpec spec;
+    spec.circuit = ghz;
+    spec.shots = 4096;
+    spec.backend = "statevector";
+    spec.assertions = {check};
+    spec.coupling = &line;
+    const Result result = queue.submit(spec).get();
+    const auto inst = queue.instrumented(spec);
+    ASSERT_NE(inst, nullptr);
+    const AssertionReport report = analyze(*inst, result);
+    EXPECT_NEAR(report.anyErrorRate, 0.0, 1e-12);
+    double kept = 0.0;
+    for (const auto &[key, p] : report.filteredPayload) {
+        EXPECT_TRUE(key == 0 || key == 7) << "outcome " << key;
+        kept += p;
     }
+    EXPECT_NEAR(kept, 1.0, 1e-9);
 }
 
 TEST(PipelineEquivalence, BarriersFenceOptimizerThroughPassBoundary)

@@ -39,6 +39,23 @@ TEST(GatesTest, ParameterizedGatesAreUnitary)
     }
 }
 
+TEST(GatesTest, UMatchesEulerProductAtAnyAngle)
+{
+    // u(theta, phi, lambda) = e^{i(phi+lambda)/2} rz(phi) ry(theta)
+    // rz(lambda), including angles where sin or cos of theta/2 is
+    // negative.
+    const double phi = 0.7;
+    const double lambda = -1.3;
+    for (double theta : {-M_PI / 2, 2.5 * M_PI, 3.5 * M_PI}) {
+        const Matrix euler = std::polar(1.0, (phi + lambda) / 2.0) *
+                             (gates::rz(phi) * gates::ry(theta) *
+                              gates::rz(lambda));
+        EXPECT_TRUE(gates::u(theta, phi, lambda).approxEqual(euler,
+                                                             1e-12))
+            << "theta " << theta;
+    }
+}
+
 TEST(GatesTest, PauliAlgebra)
 {
     // X^2 = Y^2 = Z^2 = I; XY = iZ.

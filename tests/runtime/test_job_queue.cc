@@ -298,7 +298,6 @@ TEST(JobQueue, InstrumentOptionsParticipateInPrepareKey)
     JobSpec plain = bellSpec();
     plain_queue.submit(plain).get();
     plain.instrumentOptions.reuseAncillas = true;
-    plain.injection = compile::InjectionStrategy::PostLayout;
     plain_queue.submit(plain).get();
     EXPECT_EQ(plain_queue.cacheMisses(), 1u);
     EXPECT_EQ(plain_queue.cacheHits(), 1u);
@@ -319,7 +318,7 @@ TEST(JobQueue, InjectionStrategyParticipatesInPrepareKey)
     spec.assertions = {check};
 
     queue.submit(spec).get();
-    spec.injection = compile::InjectionStrategy::PostLayout;
+    spec.injection = compile::InjectionStrategy::AutoGenerate;
     queue.submit(spec).get();
     EXPECT_EQ(queue.cacheMisses(), 2u);
     queue.submit(spec).get();

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hh"
+#include "common/rng.hh"
 #include "noise/device_model.hh"
+#include "transpile/decomposer.hh"
 #include "transpile/layout.hh"
 
 namespace qra {
@@ -73,6 +75,37 @@ TEST(LayoutTest, GreedyIsBijective)
         const Qubit p = layout.physical(v);
         EXPECT_FALSE(used[p]);
         used[p] = true;
+    }
+}
+
+TEST(LayoutTest, GreedyIsTheSameBeforeAndAfterCcxLowering)
+{
+    // The prepare pipeline lays out the raw payload, transpile() the
+    // CCX-lowered one; both must pick the same placement.
+    const CouplingMap map = DeviceModel::ibmqx4().couplingMap();
+    DecomposeOptions ccx_only;
+    ccx_only.decomposeSwap = false;
+    ccx_only.decomposeCcx = true;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        Rng rng(seed);
+        Circuit c(5);
+        for (int i = 0; i < 20; ++i) {
+            // Three distinct operands.
+            Qubit q[3];
+            for (int k = 0; k < 3; ++k) {
+                do
+                    q[k] = static_cast<Qubit>(rng.below(5));
+                while ((k > 0 && q[k] == q[0]) || (k > 1 && q[k] == q[1]));
+            }
+            if (rng.below(2) == 0)
+                c.cx(q[0], q[1]);
+            else
+                c.ccx(q[0], q[1], q[2]);
+        }
+        EXPECT_EQ(greedyLayout(c, map).virtualToPhysical(),
+                  greedyLayout(decompose(c, ccx_only), map)
+                      .virtualToPhysical())
+            << "seed " << seed;
     }
 }
 

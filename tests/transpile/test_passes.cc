@@ -68,6 +68,45 @@ TEST(RouterTest, RoutedCircuitPreservesSemantics)
     }
 }
 
+TEST(RouterTest, AnchoredWireBindsNextToMovedAnchor)
+{
+    // 2x3 grid:  0 - 1 - 2
+    //            |   |   |
+    //            3 - 4 - 5
+    CouplingMap map(6);
+    for (const auto &[a, b] : {std::pair<Qubit, Qubit>{0, 1},
+                               {1, 2}, {3, 4}, {4, 5}, {0, 3},
+                               {1, 4}, {2, 5}})
+        map.addEdge(a, b);
+    // Wires 0-2 are the payload, wire 3 is an ancilla anchored to
+    // wire 0; cx(0, 2) swaps wire 0 from slot 0 to slot 1 first.
+    Circuit c(4);
+    c.cx(0, 2).cx(3, 0);
+    const Layout initial(6);
+
+    const RoutedCircuit anchored =
+        routeCircuit(c, map, initial, WireAnchors{{}, {}, {}, {0}});
+    // The ancilla takes the free slot next to wire 0's *current*
+    // position (4, beside 1), not its initial slot 3: the binding is
+    // a relabelling, so the only gate added is the routing SWAP.
+    EXPECT_EQ(anchored.insertedSwaps, 1u);
+    EXPECT_EQ(anchored.circuit.size(), 3u);
+    EXPECT_EQ(anchored.finalLayout.physical(0), 1u);
+    EXPECT_EQ(anchored.finalLayout.physical(3), 4u);
+    EXPECT_EQ(anchored.circuit.ops().back().qubits,
+              (std::vector<Qubit>{4, 1}));
+
+    // Without anchors the ancilla starts at slot 3 and needs a second
+    // SWAP; empty anchor lists are the same as none.
+    const RoutedCircuit plain = routeCircuit(c, map, initial);
+    EXPECT_EQ(plain.insertedSwaps, 2u);
+    const RoutedCircuit empty =
+        routeCircuit(c, map, initial, WireAnchors(4));
+    EXPECT_TRUE(empty.circuit == plain.circuit);
+    EXPECT_EQ(empty.finalLayout.virtualToPhysical(),
+              plain.finalLayout.virtualToPhysical());
+}
+
 TEST(RouterTest, CcxRejected)
 {
     const CouplingMap map = lineMap(3);

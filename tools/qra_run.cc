@@ -11,10 +11,10 @@
  *   qra_run FILE.qasm [--shots N] [--device ideal|ibmqx4]
  *           [--backend NAME|auto] [--jobs N] [--threads N]
  *           [--intra-threads N] [--fusion 0|1|2] [--seed S]
- *           [--passes legacy|postlayout] [--auto-assert]
- *           [--max-checks N] [--min-depth N] [--reuse-ancillas]
- *           [--no-barriers] [--target-halfwidth W] [--min-shots N]
- *           [--wave-shots N] [--simd scalar|portable|avx2|avx512]
+ *           [--auto-assert] [--max-checks N] [--min-depth N]
+ *           [--reuse-ancillas] [--no-barriers] [--target-halfwidth W]
+ *           [--min-shots N] [--wave-shots N]
+ *           [--simd scalar|portable|avx2|avx512]
  *           [--deadline-ms MS] [--retries N] [--inject-fault=SPEC]
  *           [--metrics[=FILE]] [--trace=FILE]
  *           [--trace-jsonl=FILE] [--dump-pipeline] [--draw]
@@ -79,8 +79,6 @@ struct Options
     std::size_t intraThreads = 0; // 0 = auto (pool / shards)
     int fusion = kernels::kFusionDefault; // 0 none, 1 runs, 2 windows
     std::uint64_t seed = 7;
-    compile::InjectionStrategy injection =
-        compile::InjectionStrategy::PreLayout;
     bool autoAssert = false;
     compile::AutoAssertOptions autoOptions;
     bool reuseAncillas = false;
@@ -113,11 +111,10 @@ usage()
         "[--threads N]\n"
         "               [--intra-threads N] [--fusion 0|1|2] [--seed "
         "S]\n"
-        "               [--passes legacy|postlayout] "
-        "[--auto-assert]\n"
-        "               [--max-checks N] [--min-depth N] "
-        "[--reuse-ancillas]\n"
-        "               [--no-barriers] [--target-halfwidth W]\n"
+        "               [--auto-assert] [--max-checks N] "
+        "[--min-depth N]\n"
+        "               [--reuse-ancillas] [--no-barriers]\n"
+        "               [--target-halfwidth W]\n"
         "               [--min-shots N] [--wave-shots N]\n"
         "               [--simd scalar|portable|avx2|avx512]\n"
         "               [--deadline-ms MS] [--retries N]\n"
@@ -191,20 +188,6 @@ parseArgs(int argc, char **argv, Options &opts)
             if (!v)
                 return false;
             opts.seed = std::strtoull(v, nullptr, 10);
-        } else if (arg == "--passes") {
-            const char *v = next();
-            if (!v)
-                return false;
-            if (std::strcmp(v, "legacy") == 0) {
-                opts.injection = compile::InjectionStrategy::PreLayout;
-            } else if (std::strcmp(v, "postlayout") == 0) {
-                opts.injection =
-                    compile::InjectionStrategy::PostLayout;
-            } else {
-                std::fprintf(stderr, "--passes must be legacy or "
-                                     "postlayout\n");
-                return false;
-            }
         } else if (arg == "--auto-assert") {
             opts.autoAssert = true;
         } else if (arg == "--max-checks") {
@@ -434,7 +417,6 @@ main(int argc, char **argv)
         spec.assertions = program.specs;
         spec.instrumentOptions.reuseAncillas = opts.reuseAncillas;
         spec.instrumentOptions.barriers = opts.barriers;
-        spec.injection = opts.injection;
         if (opts.autoAssert) {
             // Statically derived checks; any qra:assert-* directives
             // in the file are woven in alongside them.
