@@ -52,7 +52,8 @@ struct InstrumentOptions
      * Reuse a single ancilla pool across sequential checks by
      * resetting ancillas after measurement. Cuts qubit cost from
      * sum(ancillas) to max(ancillas); requires a backend that
-     * supports operating on measured qubits (TrajectorySimulator).
+     * supports operating on measured qubits: density up to its
+     * record-branch cap, trajectory past it.
      */
     bool reuseAncillas = false;
 

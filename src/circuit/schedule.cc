@@ -65,4 +65,23 @@ scheduleDuration(const std::vector<TimedMoment> &moments)
     return last.startNs + last.durationNs;
 }
 
+std::vector<bool>
+midCircuitMeasurements(const Circuit &circuit)
+{
+    // Walk backwards: a measurement is mid-circuit iff its qubit was
+    // touched by some op after it.
+    std::vector<bool> mid(circuit.size(), false);
+    std::vector<bool> touched(circuit.numQubits(), false);
+    for (std::size_t i = circuit.size(); i-- > 0;) {
+        const Operation &op = circuit.ops()[i];
+        if (op.kind == OpKind::Barrier)
+            continue;
+        if (op.kind == OpKind::Measure)
+            mid[i] = touched[op.qubits[0]];
+        for (const Qubit q : op.qubits)
+            touched[q] = true;
+    }
+    return mid;
+}
+
 } // namespace qra

@@ -55,6 +55,15 @@ std::vector<TimedMoment> computeTimedMoments(const Circuit &circuit,
 /** Total wall-clock time of the timed schedule, in nanoseconds. */
 double scheduleDuration(const std::vector<TimedMoment> &moments);
 
+/**
+ * Per op of @p circuit: true for a *mid-circuit* measurement, one whose
+ * qubit a later non-barrier op touches (gate, reset, post-selection or
+ * another measurement); false for every other op, terminal
+ * measurements included. Every schedule keeps each qubit's program
+ * order, so the split holds in any of them.
+ */
+std::vector<bool> midCircuitMeasurements(const Circuit &circuit);
+
 } // namespace qra
 
 #endif // QRA_CIRCUIT_SCHEDULE_HH

@@ -1,7 +1,8 @@
 #include "runtime/backend.hh"
 
-#include <set>
+#include <algorithm>
 
+#include "circuit/schedule.hh"
 #include "stabilizer/stabilizer_simulator.hh"
 
 namespace qra {
@@ -21,26 +22,10 @@ Backend::rejectReason(const Circuit &circuit,
     if (caps.cliffordOnly && !StabilizerSimulator::supports(circuit))
         return name() + " executes Clifford circuits only";
     if (!caps.supportsMidCircuitMeasurement &&
-        !measurementsTerminalPerQubit(circuit))
+        std::ranges::count(midCircuitMeasurements(circuit), true) > 0)
         return name() + " requires measurements to be terminal per "
                         "qubit (no reuse after measure, no reset)";
     return {};
-}
-
-bool
-measurementsTerminalPerQubit(const Circuit &circuit)
-{
-    std::set<Qubit> measured;
-    for (const Operation &op : circuit.ops()) {
-        if (op.kind == OpKind::Barrier)
-            continue;
-        for (const Qubit q : op.qubits)
-            if (measured.count(q))
-                return false;
-        if (op.kind == OpKind::Measure)
-            measured.insert(op.qubits[0]);
-    }
-    return true;
 }
 
 } // namespace runtime

@@ -33,8 +33,9 @@ struct BackendCapabilities
 
     /**
      * Allows operating on a qubit after it was measured (reset,
-     * ancilla reuse). The density backend models measurement as
-     * terminal dephasing and must reject such circuits.
+     * ancilla reuse). Every built-in backend does; the density
+     * backend keeps one state per mid-circuit record and caps the
+     * record count in its own rejectReason().
      */
     bool supportsMidCircuitMeasurement = false;
 
@@ -98,12 +99,6 @@ class Backend
 };
 
 using BackendPtr = std::shared_ptr<const Backend>;
-
-/**
- * True when no qubit is operated on (gated, reset, or re-measured)
- * after being measured — the restriction the density backend imposes.
- */
-bool measurementsTerminalPerQubit(const Circuit &circuit);
 
 } // namespace runtime
 } // namespace qra

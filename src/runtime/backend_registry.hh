@@ -55,9 +55,10 @@ class BackendRegistry
 
     /**
      * Pick the best backend for @p circuit: the exact density backend
-     * for noisy jobs that fit it, the trajectory backend for other
-     * noisy jobs, the stabilizer backend for Clifford circuits past
-     * state-vector reach, and the state-vector backend otherwise.
+     * for noisy jobs that fit it (ancilla reuse included, up to its
+     * record-branch cap), the trajectory backend for other noisy jobs,
+     * the stabilizer backend for Clifford circuits past state-vector
+     * reach, and the state-vector backend otherwise.
      * @throws SimulationError when no registered backend supports the
      *         circuit.
      */

@@ -1,5 +1,8 @@
 #include "runtime/builtin_backends.hh"
 
+#include <algorithm>
+
+#include "circuit/schedule.hh"
 #include "common/error.hh"
 #include "runtime/backend_registry.hh"
 #include "sim/density_simulator.hh"
@@ -83,12 +86,25 @@ class DensityBackend final : public BuiltinBackend
     DensityBackend()
         : BuiltinBackend("density",
                          {.supportsNoise = true,
-                          .supportsMidCircuitMeasurement = false,
+                          .supportsMidCircuitMeasurement = true,
                           .exactDistribution = true,
                           .cliffordOnly = false,
                           .maxQubits = kDensityMaxQubits,
                           .shardable = false})
     {
+    }
+
+    /** Adds the record-branch cap: 2^k states for k mid-circuit measures. */
+    std::string rejectReason(const Circuit &circuit,
+                             const NoiseModel *noise) const override
+    {
+        std::string reason = Backend::rejectReason(circuit, noise);
+        if (reason.empty())
+            reason = DensityMatrixSimulator::branchLimitReason(
+                circuit.numQubits(),
+                static_cast<std::size_t>(std::ranges::count(
+                    midCircuitMeasurements(circuit), true)));
+        return reason;
     }
 
     Result run(const Circuit &circuit, std::size_t shots,

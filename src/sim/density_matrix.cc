@@ -110,13 +110,7 @@ DensityMatrix::applyKernel(const kernels::PlanEntry &entry)
 double
 DensityMatrix::probabilityOfOne(Qubit q) const
 {
-    checkQubit(q);
-    const std::uint64_t bit = std::uint64_t{1} << q;
-    double p1 = 0.0;
-    for (std::uint64_t i = 0; i < dim(); ++i)
-        if (i & bit)
-            p1 += rho_(i, i).real();
-    return std::clamp(p1, 0.0, 1.0);
+    return std::clamp(outcomeWeight(q, 1), 0.0, 1.0);
 }
 
 void
@@ -127,24 +121,39 @@ DensityMatrix::dephase(Qubit q)
 }
 
 double
-DensityMatrix::postSelect(Qubit q, int outcome)
+DensityMatrix::outcomeWeight(Qubit q, int outcome) const
 {
     checkQubit(q);
-    const double p1 = probabilityOfOne(q);
-    const double p = outcome ? p1 : 1.0 - p1;
-    if (p < 1e-12)
-        throw SimulationError(
-            "post-selection onto a zero-probability branch (qubit " +
-            std::to_string(q) + " == " + std::to_string(outcome) + ")");
+    const std::uint64_t bit = std::uint64_t{1} << q;
+    const std::uint64_t match = outcome ? bit : 0;
+    double weight = 0.0;
+    for (std::uint64_t i = 0; i < dim(); ++i)
+        if ((i & bit) == match)
+            weight += rho_(i, i).real();
+    return weight;
+}
 
-    // Project the row index (qubit q + n) and renormalise, then
-    // project the column index (qubit q).
+void
+DensityMatrix::project(Qubit q, int outcome, double scale)
+{
+    checkQubit(q);
+    // Project the row index (qubit q + n), scaling, then the column
+    // index (qubit q).
     Complex *amps = rho_.data().data();
     const std::uint64_t n = rho_.data().size();
     kernels::collapseQubit(amps, n, q + static_cast<Qubit>(numQubits_),
-                           outcome, 1.0 / p);
+                           outcome, scale);
     kernels::collapseQubit(amps, n, q, outcome, 1.0);
-    return p;
+}
+
+DensityMatrix &
+DensityMatrix::operator+=(const DensityMatrix &other)
+{
+    if (other.numQubits_ != numQubits_)
+        throw SimulationError("density matrix sum over mismatched "
+                              "registers");
+    rho_ += other.rho_;
+    return *this;
 }
 
 void

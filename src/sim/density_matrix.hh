@@ -78,11 +78,19 @@ class DensityMatrix
     void dephase(Qubit q);
 
     /**
-     * Project qubit @p q onto @p outcome and renormalise.
-     * @return Probability of the selected branch.
-     * @throws SimulationError if the branch has (near-)zero weight.
+     * Tr(P rho P) for the projector P onto @p q == @p outcome: the
+     * probability of that outcome times the trace of rho.
      */
-    double postSelect(Qubit q, int outcome);
+    double outcomeWeight(Qubit q, int outcome) const;
+
+    /**
+     * rho <- scale * P rho P (P as in outcomeWeight()). Without a
+     * scale the trace drops to the outcome's weight: a record branch.
+     */
+    void project(Qubit q, int outcome, double scale = 1.0);
+
+    /** rho <- rho + other (the two must have one register size). */
+    DensityMatrix &operator+=(const DensityMatrix &other);
 
     /** Reset channel on one qubit: rho -> |0><0| (x) tr_q contents. */
     void resetQubit(Qubit q);

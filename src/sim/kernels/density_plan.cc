@@ -1,7 +1,6 @@
 #include "sim/kernels/density_plan.hh"
 
 #include "circuit/schedule.hh"
-#include "common/error.hh"
 #include "noise/channels.hh"
 
 namespace qra {
@@ -211,28 +210,36 @@ DensityPlan::compile(const Circuit &circuit, const NoiseModel *noise,
         }
     }
     std::size_t current_epoch = 0;
-    std::vector<bool> measured(n, false);
+    const std::vector<bool> mid = midCircuitMeasurements(circuit);
+    // Terminally measured qubits: frozen, see the file comment.
+    std::vector<bool> frozen(n, false);
 
     for (const TimedMoment &moment : moments) {
         for (const std::size_t idx : moment.opIndices) {
             const Operation &op = circuit.ops()[idx];
             ++plan.stats_.sourceOps;
-            for (const Qubit q : op.qubits)
-                if (measured[q])
-                    throw SimulationError(
-                        "density backend: qubit " + std::to_string(q) +
-                        " is used after measurement; use the "
-                        "trajectory backend for ancilla reuse");
             if (op_epoch[idx] != current_epoch) {
                 lower.fence();
                 current_epoch = op_epoch[idx];
             }
             switch (op.kind) {
               case OpKind::Measure:
-                lower.channel(op.qubits, dephase);
-                measured[op.qubits[0]] = true;
-                plan.wiring_.emplace_back(op.qubits[0], *op.clbit);
+              {
+                const Qubit q = op.qubits[0];
+                if (mid[idx]) {
+                    lower.fence();
+                    plan.entries_.push_back(lowerOperation(op));
+                    ++plan.records_;
+                } else {
+                    lower.channel(op.qubits, dephase);
+                    frozen[q] = true;
+                }
+                std::erase_if(plan.writers_, [&](const ClbitWriter &w) {
+                    return w.clbit == *op.clbit;
+                });
+                plan.writers_.push_back({q, *op.clbit, mid[idx]});
                 continue;
+              }
               case OpKind::Barrier:
                 continue;
               case OpKind::Reset:
@@ -270,9 +277,7 @@ DensityPlan::compile(const Circuit &circuit, const NoiseModel *noise,
 
         if (noisy && moment.durationNs > 0.0) {
             for (Qubit q = 0; q < n; ++q) {
-                // Measured qubits are classical records; freezing them
-                // preserves the recorded outcome statistics.
-                if (measured[q])
+                if (frozen[q])
                     continue;
                 if (auto relax =
                         noise->relaxationFor(q, moment.durationNs))

@@ -15,10 +15,13 @@
  *  - a channel {K} on Q is one superoperator S = sum K (x) conj(K)
  *    on (Q, Q + n): a 4x4 entry for a one-qubit channel, a 16x16
  *    GenericK for a two-qubit channel (see superoperator());
- *  - measurement dephasing, reset and post-selection projections are
- *    superoperators too; post-selection additionally renormalises by
- *    the kept trace, so it stays a PostSelectQ marker the simulator
- *    executes.
+ *  - terminal-measurement dephasing and reset are superoperators
+ *    too; post-selection projects and renormalises by the kept trace,
+ *    so it stays a PostSelectQ marker the simulator executes;
+ *  - a mid-circuit measurement (its qubit is used again, see
+ *    midCircuitMeasurements()) is a fence plus a Measure marker
+ *    (q0 -> clbit): the simulator splits every record branch there
+ *    with the two diagonal projectors (DensityMatrixSimulator).
  *
  * Fusion is levelled as for the other plans:
  *  - level 0: one entry (pair) per instruction and per channel;
@@ -29,18 +32,18 @@
  *    4x4 until a multi-qubit entry touches the qubit;
  *  - level 2: noise-free segments additionally get the two-qubit
  *    window pass (fuse2qWindows).
- * Barriers and post-selections fence all fusion.
+ * Barriers, post-selections and mid-circuit measurements fence all
+ * fusion.
  *
  * Instruction order is the timed ASAP moment schedule, with thermal
- * relaxation per moment on every qubit not yet measured, as the
- * density backend has always applied it. Measurements must be
- * terminal per qubit; compile() throws otherwise.
+ * relaxation per moment on every qubit except those already measured
+ * terminally (their record is taken, so they freeze); a qubit measured
+ * mid-circuit keeps relaxing, as in the trajectory model.
  */
 
 #ifndef QRA_SIM_KERNELS_DENSITY_PLAN_HH
 #define QRA_SIM_KERNELS_DENSITY_PLAN_HH
 
-#include <utility>
 #include <vector>
 
 #include "circuit/circuit.hh"
@@ -63,11 +66,23 @@ Matrix superoperator(const std::vector<Matrix> &kraus);
 class DensityPlan
 {
   public:
+    /** The measurement whose outcome a clbit ends up holding. */
+    struct ClbitWriter
+    {
+        Qubit qubit;
+        Clbit clbit;
+        /**
+         * True for a mid-circuit measurement: the bit is its branch
+         * record. False for a terminal one: the bit is read off the
+         * final diagonal.
+         */
+        bool record;
+    };
+
     /**
      * Lower @p circuit with @p noise folded in (nullptr or disabled =
      * ideal). Fusion level as ExecutablePlan::compile; negative =
      * the thread's currentFusionLevel().
-     * @throws SimulationError if a qubit is used after measurement.
      */
     static DensityPlan compile(const Circuit &circuit,
                                const NoiseModel *noise,
@@ -75,21 +90,29 @@ class DensityPlan
 
     /**
      * Unitary entries over the 2n-qubit vector view, plus PostSelectQ
-     * markers whose q0 is the register qubit.
+     * and Measure markers whose q0 is the register qubit.
      */
     const std::vector<PlanEntry> &entries() const { return entries_; }
 
-    /** Measured qubit -> clbit, in schedule order. */
-    const std::vector<std::pair<Qubit, Clbit>> &wiring() const
+    /**
+     * The last writer of each written clbit, in the schedule order of
+     * those last writes (a clbit written twice keeps only its later
+     * measurement, as a trajectory's register does).
+     */
+    const std::vector<ClbitWriter> &clbitWriters() const
     {
-        return wiring_;
+        return writers_;
     }
+
+    /** Number of Measure markers: a run holds up to 2^records() branches. */
+    std::size_t records() const { return records_; }
 
     const PlanStats &stats() const { return stats_; }
 
   private:
     std::vector<PlanEntry> entries_;
-    std::vector<std::pair<Qubit, Clbit>> wiring_;
+    std::vector<ClbitWriter> writers_;
+    std::size_t records_ = 0;
     PlanStats stats_;
 };
 

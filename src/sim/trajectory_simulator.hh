@@ -5,9 +5,9 @@
  * performs real measurement collapses, and flips recorded bits per the
  * readout confusion model.
  *
- * Handles everything the density backend rejects (ancilla reuse,
- * mid-circuit reset after measurement) and scales to more qubits, at
- * the cost of sampling error ~ 1/sqrt(shots).
+ * Handles ancilla reuse and mid-circuit reset past the density
+ * backend's record-branch cap and scales to more qubits, at the cost
+ * of sampling error ~ 1/sqrt(shots).
  *
  * Execution is plan-lowered by default: the circuit and noise model
  * are compiled once per run (or fetched from the active PlanCache)

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
 #include <set>
 
 #include "common/error.hh"
@@ -150,6 +151,44 @@ chiSquareTest(const Counts &observed, const Distribution &expected)
             result.statistic / 2.0);
     }
     return result;
+}
+
+ChiSquareResult
+pooledChiSquareTest(const Counts &observed, const Distribution &expected)
+{
+    constexpr double kMinExpected = 20.0;
+    const double n = static_cast<double>(totalShots(observed));
+    // Bin keys: kept outcomes keep theirs; kRest pools the small ones
+    // and kImpossible collects outcomes @p expected does not have.
+    constexpr std::uint64_t kRest = ~std::uint64_t{0};
+    constexpr std::uint64_t kImpossible = kRest - 1;
+    std::map<std::uint64_t, std::uint64_t> bin_of;
+    Distribution binned;
+    for (const auto &[key, p] : expected) {
+        const std::uint64_t bin = p * n >= kMinExpected ? key : kRest;
+        bin_of[key] = bin;
+        binned[bin] += p;
+    }
+    const auto rest = binned.find(kRest);
+    if (rest != binned.end() && rest->second * n < kMinExpected &&
+        binned.size() > 1) {
+        std::uint64_t smallest = kRest;
+        for (const auto &[bin, p] : binned)
+            if (bin != kRest &&
+                (smallest == kRest || p < binned.at(smallest)))
+                smallest = bin;
+        binned[smallest] += rest->second;
+        binned.erase(rest);
+        for (auto &[key, bin] : bin_of)
+            if (bin == kRest)
+                bin = smallest;
+    }
+    Counts pooled;
+    for (const auto &[key, count] : observed) {
+        const auto it = bin_of.find(key);
+        pooled[it == bin_of.end() ? kImpossible : it->second] += count;
+    }
+    return chiSquareTest(pooled, binned);
 }
 
 } // namespace stats

@@ -38,6 +38,16 @@ ChiSquareResult chiSquareTest(const Counts &observed,
                               const Distribution &expected);
 
 /**
+ * chiSquareTest() after pooling: every outcome expected fewer than
+ * 20 times joins one "rest" bin, and a rest bin that is
+ * itself that small joins the smallest kept bin, so the chi-square
+ * tail approximation holds far into the tail. An observed outcome
+ * that @p expected lacks still forces rejection.
+ */
+ChiSquareResult pooledChiSquareTest(const Counts &observed,
+                                    const Distribution &expected);
+
+/**
  * Upper regularised incomplete gamma Q(a, x) = Gamma(a, x)/Gamma(a);
  * the chi-square survival function is Q(k/2, x/2). Exposed for tests.
  */

@@ -99,5 +99,19 @@ TEST(ScheduleTest, EmptyCircuit)
         0.0);
 }
 
+TEST(ScheduleTest, MidCircuitMeasurementsAreThoseReusedLater)
+{
+    // q0: measured, reset, measured again (terminal). q1: measured
+    // before a barrier only (terminal). q2: measured, then
+    // post-selected (mid-circuit).
+    Circuit c(3, 3);
+    c.measure(0, 0).reset(0).measure(0, 0);
+    c.measure(1, 1).barrier();
+    c.measure(2, 2).postSelect(2, 0);
+    const std::vector<bool> want = {true,  false, false, false,
+                                    false, true,  false};
+    EXPECT_EQ(midCircuitMeasurements(c), want);
+}
+
 } // namespace
 } // namespace qra

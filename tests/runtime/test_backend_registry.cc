@@ -16,6 +16,26 @@
 using namespace qra;
 using namespace qra::runtime;
 
+namespace {
+
+/**
+ * @p reuses rounds of measure, reset and reuse on qubit 0 of a
+ * @p qubits-qubit register, then a terminal measurement: @p reuses
+ * mid-circuit measurements.
+ */
+Circuit
+reuseCircuit(std::size_t qubits, int reuses)
+{
+    Circuit c(qubits, 1);
+    c.h(0);
+    for (int i = 0; i < reuses; ++i)
+        c.measure(0, 0).reset(0).h(0);
+    c.measure(0, 0);
+    return c;
+}
+
+} // namespace
+
 TEST(BackendRegistry, GlobalHasAllBuiltins)
 {
     const auto names = BackendRegistry::global().names();
@@ -58,7 +78,7 @@ TEST(BackendRegistry, CapabilityFlags)
 
     const auto &density = registry.create("density")->capabilities();
     EXPECT_TRUE(density.supportsNoise);
-    EXPECT_FALSE(density.supportsMidCircuitMeasurement);
+    EXPECT_TRUE(density.supportsMidCircuitMeasurement);
     EXPECT_TRUE(density.exactDistribution);
     EXPECT_FALSE(density.shardable);
 
@@ -81,12 +101,22 @@ TEST(BackendRegistry, RejectReasons)
     EXPECT_TRUE(
         registry.create("statevector")->supports(t_gate, nullptr));
 
-    // Ancilla reuse: measured qubit gated again.
-    Circuit reuse(2, 2);
-    reuse.h(0).measure(0, 0).x(0).measure(1, 1);
-    EXPECT_FALSE(registry.create("density")->supports(reuse, nullptr));
-    EXPECT_TRUE(
-        registry.create("trajectory")->supports(reuse, nullptr));
+    // Ancilla reuse: measured qubit gated again. Density branches on
+    // up to six such records; the seventh is past its cap.
+    const BackendPtr density = registry.create("density");
+    EXPECT_TRUE(density->supports(reuseCircuit(5, 6), nullptr));
+    const std::string reason =
+        density->rejectReason(reuseCircuit(5, 7), nullptr);
+    EXPECT_NE(reason.find("at most 6 mid-circuit measurements"),
+              std::string::npos)
+        << reason;
+    // Past 2^records branches of the density cap's state size.
+    EXPECT_NE(density->rejectReason(reuseCircuit(12, 1), nullptr)
+                  .find("256 MiB"),
+              std::string::npos);
+    EXPECT_TRUE(density->supports(reuseCircuit(12, 0), nullptr));
+    EXPECT_TRUE(registry.create("trajectory")
+                    ->supports(reuseCircuit(5, 7), nullptr));
 
     // Noise on a noiseless backend.
     const DeviceModel device = DeviceModel::ibmqx4();
@@ -117,14 +147,18 @@ TEST(BackendRegistry, AutoPicksDensityForNoisyCircuits)
     EXPECT_EQ(backend->name(), "density");
 }
 
-TEST(BackendRegistry, AutoFallsBackToTrajectoryForNoisyReuse)
+TEST(BackendRegistry, AutoPicksDensityForNoisyReuseUpToBranchCap)
 {
+    // The cap bounds branch memory; it is not a speed boundary.
     const DeviceModel device = DeviceModel::ibmqx4();
-    Circuit reuse(2, 2);
-    reuse.h(0).measure(0, 0).x(0).measure(1, 1);
-    const BackendPtr backend = BackendRegistry::global().resolveAuto(
-        reuse, &device.noiseModel());
-    EXPECT_EQ(backend->name(), "trajectory");
+    const NoiseModel *noise = &device.noiseModel();
+    auto &registry = BackendRegistry::global();
+    EXPECT_EQ(registry.resolveAuto(reuseCircuit(5, 6), noise)->name(),
+              "density");
+    EXPECT_EQ(registry.resolveAuto(reuseCircuit(5, 7), noise)->name(),
+              "trajectory");
+    EXPECT_EQ(registry.resolveAuto(reuseCircuit(12, 1), noise)->name(),
+              "trajectory");
 }
 
 TEST(BackendRegistry, AutoFallsBackToTrajectoryPastDensityCap)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -112,22 +113,20 @@ TEST(DensityMatrixTest, DephaseOnlyTargetsQubit)
     EXPECT_NEAR(std::abs(dm.matrix()(0, 2)), 0.25, 1e-12);
 }
 
-TEST(DensityMatrixTest, PostSelectProjects)
+TEST(DensityMatrixTest, ProjectKeepsOutcomeWeight)
 {
     DensityMatrix dm(2);
     dm.applyUnitary({.kind = OpKind::H, .qubits = {0}});
     dm.applyUnitary({.kind = OpKind::CX, .qubits = {0, 1}});
-    const double p = dm.postSelect(0, 1);
-    EXPECT_NEAR(p, 0.5, 1e-12);
-    // Bell pair projected on q0=1 leaves |11>.
-    EXPECT_NEAR(dm.probabilityOfOne(1), 1.0, 1e-12);
+    EXPECT_NEAR(dm.outcomeWeight(0, 1), 0.5, 1e-12);
+    // Bell pair projected on q0=1 leaves |11>, unnormalised.
+    dm.project(0, 1);
+    EXPECT_NEAR(dm.trace(), 0.5, 1e-12);
+    EXPECT_NEAR(dm.matrix()(3, 3).real(), 0.5, 1e-12);
+    EXPECT_NEAR(dm.outcomeWeight(0, 0), 0.0, 1e-12);
+    // A scale renormalises the row index once, so the state once.
+    dm.project(0, 1, 2.0);
     EXPECT_NEAR(dm.trace(), 1.0, 1e-12);
-}
-
-TEST(DensityMatrixTest, PostSelectImpossibleThrows)
-{
-    DensityMatrix dm(1);
-    EXPECT_THROW(dm.postSelect(0, 1), SimulationError);
 }
 
 TEST(DensityMatrixTest, ResetChannel)
@@ -259,17 +258,93 @@ referenceChannel(const Matrix &rho, const std::vector<Matrix> &kraus,
     return out;
 }
 
-/** The density backend's noise semantics, evolved densely. */
-Matrix
-referenceRho(const Circuit &circuit, const NoiseModel &noise)
+/** True when an op after @p idx (barriers aside) touches its qubit. */
+bool
+usedLater(const Circuit &circuit, std::size_t idx)
+{
+    const Qubit q = circuit.ops()[idx].qubits[0];
+    for (std::size_t j = idx + 1; j < circuit.size(); ++j) {
+        const Operation &op = circuit.ops()[j];
+        if (op.kind != OpKind::Barrier &&
+            std::find(op.qubits.begin(), op.qubits.end(), q) !=
+                op.qubits.end())
+            return true;
+    }
+    return false;
+}
+
+/**
+ * The density backend's semantics, evolved densely: one rho per value
+ * of the mid-circuit records, keyed by the clbits they wrote (records
+ * that end up equal share one rho). A terminal measurement dephases
+ * and freezes its qubit; post-selection renormalises every rho by the
+ * total kept trace.
+ */
+struct Reference
+{
+    std::map<std::uint64_t, Matrix> rhos;
+    /** clbit -> (qubit, is a record) of its last measurement. */
+    std::map<Clbit, std::pair<Qubit, bool>> writers;
+
+    /** The state with the records traced out. */
+    Matrix
+    sum() const
+    {
+        Matrix total = rhos.begin()->second;
+        for (auto it = std::next(rhos.begin()); it != rhos.end(); ++it)
+            total += it->second;
+        return total;
+    }
+
+    /** Register distribution, readout confusion folded per clbit. */
+    std::map<std::uint64_t, double>
+    distribution(const NoiseModel &noise) const
+    {
+        std::map<std::uint64_t, double> dist;
+        for (const auto &[key, rho] : rhos)
+            for (std::size_t i = 0; i < rho.rows(); ++i) {
+                std::uint64_t reg = 0;
+                for (const auto &[c, w] : writers) {
+                    const auto &[q, record] = w;
+                    if (record ? (key >> c) & 1 : (i >> q) & 1)
+                        reg |= std::uint64_t{1} << c;
+                }
+                dist[reg] += rho(i, i).real();
+            }
+        for (const auto &[c, w] : writers) {
+            const ReadoutError *ro = noise.readoutFor(w.first);
+            if (ro == nullptr)
+                continue;
+            std::map<std::uint64_t, double> read;
+            const std::uint64_t bit = std::uint64_t{1} << c;
+            for (const auto &[reg, p] : dist) {
+                const int truth = (reg & bit) ? 1 : 0;
+                read[reg & ~bit] += p * ro->confusion(truth, 0);
+                read[reg | bit] += p * ro->confusion(truth, 1);
+            }
+            dist = std::move(read);
+        }
+        return dist;
+    }
+};
+
+Reference
+referenceRun(const Circuit &circuit, const NoiseModel &noise)
 {
     const std::size_t n = circuit.numQubits();
-    Matrix rho(std::size_t{1} << n, std::size_t{1} << n);
-    rho(0, 0) = 1.0;
+    Reference ref;
+    Matrix &initial = ref.rhos[0];
+    initial = Matrix(std::size_t{1} << n, std::size_t{1} << n);
+    initial(0, 0) = 1.0;
     const Matrix p0{{1.0, 0.0}, {0.0, 0.0}};
     const Matrix p1{{0.0, 0.0}, {0.0, 1.0}};
     const Matrix lower{{0.0, 1.0}, {0.0, 0.0}};
-    std::vector<bool> measured(n, false);
+    const auto every = [&](const std::vector<Matrix> &kraus,
+                           const std::vector<Qubit> &qubits) {
+        for (auto &[key, rho] : ref.rhos)
+            rho = referenceChannel(rho, kraus, qubits, n);
+    };
+    std::vector<bool> frozen(n, false);
     const auto duration = [&](const Operation &op) {
         return noise.opDuration(op);
     };
@@ -279,18 +354,45 @@ referenceRho(const Circuit &circuit, const NoiseModel &noise)
             const Operation &op = circuit.ops()[idx];
             switch (op.kind) {
               case OpKind::Measure:
-                rho = referenceChannel(rho, {p0, p1}, op.qubits, n);
-                measured[op.qubits[0]] = true;
+              {
+                const Qubit q = op.qubits[0];
+                const bool record = usedLater(circuit, idx);
+                ref.writers[*op.clbit] = {q, record};
+                if (!record) {
+                    every({p0, p1}, op.qubits);
+                    frozen[q] = true;
+                    continue;
+                }
+                const std::uint64_t bit = std::uint64_t{1} << *op.clbit;
+                std::map<std::uint64_t, Matrix> split;
+                for (const auto &[key, rho] : ref.rhos)
+                    for (const int outcome : {0, 1}) {
+                        const Matrix keep =
+                            embed(outcome ? p1 : p0, op.qubits, n);
+                        const std::uint64_t to =
+                            outcome ? key | bit : key & ~bit;
+                        const Matrix part = keep * rho * keep;
+                        auto [it, fresh] = split.emplace(to, part);
+                        if (!fresh)
+                            it->second += part;
+                    }
+                ref.rhos = std::move(split);
                 continue;
+              }
               case OpKind::Reset:
-                rho = referenceChannel(rho, {p0, lower}, op.qubits, n);
+                every({p0, lower}, op.qubits);
                 continue;
               case OpKind::PostSelect:
               {
                 const Matrix keep =
                     embed(op.postselectValue ? p1 : p0, op.qubits, n);
-                rho = keep * rho * keep;
-                rho *= Complex{1.0 / rho.trace().real(), 0.0};
+                double kept = 0.0;
+                for (auto &[key, rho] : ref.rhos) {
+                    rho = keep * rho * keep;
+                    kept += rho.trace().real();
+                }
+                for (auto &[key, rho] : ref.rhos)
+                    rho *= Complex{1.0 / kept, 0.0};
                 continue;
               }
               case OpKind::Barrier:
@@ -298,27 +400,39 @@ referenceRho(const Circuit &circuit, const NoiseModel &noise)
               default:
                 break;
             }
-            rho = referenceChannel(rho, {op.matrix()}, op.qubits, n);
+            every({op.matrix()}, op.qubits);
             for (const auto &applied : noise.channelsFor(op))
-                rho = referenceChannel(rho,
-                                       applied.channel.operators(),
-                                       applied.qubits, n);
+                every(applied.channel.operators(), applied.qubits);
         }
         for (Qubit q = 0; q < n; ++q) {
-            if (measured[q])
+            if (frozen[q])
                 continue;
             if (auto relax = noise.relaxationFor(q, moment.durationNs))
-                rho = referenceChannel(rho, relax->operators(), {q}, n);
+                every(relax->operators(), {q});
         }
     }
-    return rho;
+    return ref;
+}
+
+/** Largest |a - b| over the union of both distributions' outcomes. */
+double
+maxDistributionDiff(const std::map<std::uint64_t, double> &a,
+                    const std::map<std::uint64_t, double> &b)
+{
+    double diff = 0.0;
+    for (const auto &[key, p] : a)
+        diff = std::max(diff, std::abs(p - (b.count(key) ? b.at(key) : 0.0)));
+    for (const auto &[key, p] : b)
+        diff = std::max(diff, std::abs(p - (a.count(key) ? a.at(key) : 0.0)));
+    return diff;
 }
 
 /**
  * Seeded random circuit: 1q, 2q and 3q gates (CY is noise-free on
  * ibmqx4, CCX gets pairwise depolarising), resets, a post-selection
- * on a superposed qubit, a barrier, one early measurement and
- * terminal measures of the rest.
+ * on a superposed qubit, a barrier, one mid-circuit measurement whose
+ * qubit is reused, one early terminal measurement and terminal
+ * measures of the rest.
  */
 Circuit
 randomNoisyCircuit(std::uint64_t seed, std::size_t n)
@@ -327,7 +441,7 @@ randomNoisyCircuit(std::uint64_t seed, std::size_t n)
     const auto pick = [&](std::size_t bound) {
         return static_cast<std::size_t>(rng() % bound);
     };
-    Circuit c(n, n);
+    Circuit c(n, n + 1);
     std::vector<Qubit> live(n);
     for (Qubit q = 0; q < n; ++q)
         live[q] = q;
@@ -345,6 +459,11 @@ randomNoisyCircuit(std::uint64_t seed, std::size_t n)
     Clbit next_clbit = 0;
     const std::size_t length = 26;
     for (std::size_t i = 0; i < length; ++i) {
+        if (i == length / 4) {
+            // A record: the measured qubit is rotated and used again.
+            const Qubit q = any();
+            c.measure(q, next_clbit++).h(q);
+        }
         if (i == length / 2) {
             // One qubit measured mid-circuit, never touched again.
             const Qubit q = any();
@@ -385,20 +504,102 @@ randomNoisyCircuit(std::uint64_t seed, std::size_t n)
 
 TEST(DensityPlanOracle, RandomNoisyCircuitsMatchDenseKrausReference)
 {
+    // The state with records traced out, and the register distribution
+    // with each record's branch and readout folded in.
     const DeviceModel device = DeviceModel::ibmqx4();
     const NoiseModel &noise = device.noiseModel();
     for (std::uint64_t seed = 1; seed <= 12; ++seed) {
         const Circuit circuit = randomNoisyCircuit(seed, 4);
-        const Matrix reference = referenceRho(circuit, noise);
+        const Reference reference = referenceRun(circuit, noise);
+        ASSERT_EQ(reference.rhos.size(), 2u) << "seed " << seed;
         for (int fusion : {kernels::kFusionNone, kernels::kFusion1q,
                            kernels::kFusion2q}) {
             kernels::FusionScope scope(fusion);
             DensityMatrixSimulator sim;
             sim.setNoiseModel(&noise);
             const Matrix got = sim.finalState(circuit).matrix();
-            EXPECT_LE(got.maxAbsDiff(reference), 1e-12)
+            EXPECT_LE(got.maxAbsDiff(reference.sum()), 1e-12)
+                << "seed " << seed << " fusion " << fusion;
+            EXPECT_LE(maxDistributionDiff(sim.exactDistribution(circuit),
+                                          reference.distribution(noise)),
+                      1e-12)
                 << "seed " << seed << " fusion " << fusion;
         }
+    }
+}
+
+/**
+ * @p circuit with every mid-circuit measurement deferred: its qubit is
+ * CXed onto a fresh qubit, which is measured into the clbit at the end.
+ */
+Circuit
+deferMeasurements(const Circuit &circuit)
+{
+    std::vector<std::size_t> mid;
+    for (std::size_t i = 0; i < circuit.size(); ++i)
+        if (circuit.ops()[i].kind == OpKind::Measure && usedLater(circuit, i))
+            mid.push_back(i);
+    const std::size_t n = circuit.numQubits();
+    Circuit deferred(n + mid.size(), circuit.numClbits());
+    std::vector<std::pair<Qubit, Clbit>> finals;
+    for (std::size_t i = 0; i < circuit.size(); ++i) {
+        const Operation &op = circuit.ops()[i];
+        if (std::find(mid.begin(), mid.end(), i) == mid.end()) {
+            deferred.append(op);
+            continue;
+        }
+        const auto fresh = static_cast<Qubit>(n + finals.size());
+        deferred.cx(op.qubits[0], fresh);
+        finals.emplace_back(fresh, *op.clbit);
+    }
+    for (const auto &[q, c] : finals)
+        deferred.measure(q, c);
+    return deferred;
+}
+
+TEST(DensityPlanOracle, IdealRecordsMatchDeferredMeasurement)
+{
+    // Deferred, the record is a terminal measurement on today's
+    // dephasing path; branched, it is a projector split.
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        const Circuit circuit = randomNoisyCircuit(seed, 4);
+        const Circuit deferred = deferMeasurements(circuit);
+        ASSERT_EQ(deferred.numQubits(), 5u) << "seed " << seed;
+        DensityMatrixSimulator sim;
+        EXPECT_LE(maxDistributionDiff(sim.exactDistribution(circuit),
+                                      sim.exactDistribution(deferred)),
+                  1e-12)
+            << "seed " << seed;
+    }
+}
+
+TEST(DensityPlanOracle, BellWithReusedAncillaMatchesHand)
+{
+    // Table 2's Bell pair with two parity checks sharing ancilla q2,
+    // reset between them, and readout error alone: the payload is 00
+    // or 11 with 1/2 each, both checks read parity 0, and every bit is
+    // then read through its confusion independently.
+    Circuit c(3, 4);
+    c.h(0).cx(0, 1);
+    c.cx(0, 2).cx(1, 2).measure(2, 2).reset(2);
+    c.cx(0, 2).cx(1, 2).measure(2, 3);
+    c.measure(0, 0).measure(1, 1);
+    NoiseModel noise;
+    const ReadoutError ro(0.02, 0.05);
+    for (Qubit q = 0; q < 3; ++q)
+        noise.setReadoutError(q, ro);
+    DensityMatrixSimulator sim;
+    sim.setNoiseModel(&noise);
+    const auto dist = sim.exactDistribution(c);
+    ASSERT_EQ(dist.size(), 16u);
+    for (std::uint64_t reg = 0; reg < 16; ++reg) {
+        const auto read = [&](int truth, int bit) {
+            return ro.confusion(truth, static_cast<int>((reg >> bit) & 1));
+        };
+        double want = 0.0;
+        for (const int v : {0, 1})
+            want += 0.5 * read(v, 0) * read(v, 1) * read(0, 2) * read(0, 3);
+        EXPECT_NEAR(dist.at(reg), want, 1e-15) << reg;
     }
 }
 
@@ -411,7 +612,7 @@ TEST(DensityPlanOracle, IdealAndPublicMethodsMatchReference)
         const Circuit circuit = randomNoisyCircuit(seed, 4);
         DensityMatrixSimulator sim;
         EXPECT_LE(sim.finalState(circuit).matrix().maxAbsDiff(
-                      referenceRho(circuit, none)),
+                      referenceRun(circuit, none).sum()),
                   1e-12)
             << "seed " << seed;
     }

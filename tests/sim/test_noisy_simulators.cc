@@ -127,12 +127,86 @@ TEST(DensitySimulatorTest, RelaxationDuringIdle)
     EXPECT_LT(dist.at(1), 0.05);
 }
 
-TEST(DensitySimulatorTest, MeasuredQubitReuseRejected)
+TEST(DensitySimulatorTest, MeasuredQubitReuseBranchesOnRecord)
 {
-    Circuit c(1, 1);
-    c.measure(0, 0).x(0);
+    // The first read is a record branch; flipping the collapsed qubit
+    // makes the second read its complement.
+    Circuit c(1, 2);
+    c.h(0).measure(0, 0).x(0).measure(0, 1);
     DensityMatrixSimulator sim(15);
+    const auto dist = sim.exactDistribution(c);
+    ASSERT_EQ(dist.size(), 2u);
+    EXPECT_NEAR(dist.at(0b10), 0.5, 1e-12);
+    EXPECT_NEAR(dist.at(0b01), 0.5, 1e-12);
+}
+
+TEST(DensitySimulatorTest, AncillaReuseRecordsAgree)
+{
+    // Measure, reset, reuse: both reads of the Bell partner agree.
+    Circuit c(2, 2);
+    c.h(0).cx(0, 1).measure(1, 0).reset(1).cx(0, 1).measure(1, 1);
+    DensityMatrixSimulator sim(16);
+    const auto dist = sim.exactDistribution(c);
+    ASSERT_EQ(dist.size(), 2u);
+    EXPECT_NEAR(dist.at(0b00), 0.5, 1e-12);
+    EXPECT_NEAR(dist.at(0b11), 0.5, 1e-12);
+}
+
+TEST(DensitySimulatorTest, FinalStateTracesOutRecords)
+{
+    // |0> and |1> records, each rotated by H: the sum is I/2.
+    Circuit c(1, 1);
+    c.h(0).measure(0, 0).h(0);
+    DensityMatrixSimulator sim(18);
+    const Matrix rho = sim.finalState(c).matrix();
+    EXPECT_NEAR(rho(0, 0).real(), 0.5, 1e-12);
+    EXPECT_NEAR(rho(1, 1).real(), 0.5, 1e-12);
+    EXPECT_NEAR(std::abs(rho(0, 1)), 0.0, 1e-12);
+}
+
+TEST(DensitySimulatorTest, PostSelectRenormalisesAcrossBranches)
+{
+    // The record of q0 is copied onto q1, then q1 == 1 is kept: only
+    // the record-1 branch survives, with weight sin^2(0.45).
+    Circuit c(2, 2);
+    c.ry(0.9, 0).measure(0, 0).cx(0, 1).postSelect(1, 1).measure(1, 1);
+    DensityMatrixSimulator sim(20);
+    const Result r = sim.run(c, 64);
+    ASSERT_EQ(r.exactDistribution()->size(), 1u);
+    EXPECT_NEAR(r.exactDistribution()->at(0b11), 1.0, 1e-12);
+    EXPECT_NEAR(r.retainedFraction(), std::pow(std::sin(0.45), 2), 1e-12);
+}
+
+TEST(DensitySimulatorTest, ReadoutFoldedOncePerClbit)
+{
+    // Clbit 0 is written by q0 and then by q1: only q1's read counts,
+    // through q1's confusion alone. By hand: X's depolarising leaves
+    // |1> with 1 - 2p/3, the 1000 ns measure moment of q0 relaxes q1
+    // (T1 = 44 us), and q1 reads 0 with 0.030 from |1>, 0.982 from |0>.
+    const DeviceModel device = DeviceModel::ibmqx4();
+    Circuit c(2, 1);
+    c.x(1).measure(0, 0).measure(1, 0);
+    DensityMatrixSimulator sim(22);
+    sim.setNoiseModel(&device.noiseModel());
+    const auto dist = sim.exactDistribution(c);
+    const double p1 =
+        (1.0 - 2.0 * 1.2e-3 / 3.0) * std::exp(-1000.0 / 44000.0);
+    EXPECT_NEAR(dist.at(0), p1 * 0.030 + (1.0 - p1) * 0.982, 1e-12);
+    EXPECT_NEAR(dist.at(0) + dist.at(1), 1.0, 1e-12);
+}
+
+TEST(DensitySimulatorTest, BranchLimitThrows)
+{
+    // Seven records exceed the 2^6 branch cap.
+    Circuit c(1, 1);
+    for (int i = 0; i < 7; ++i)
+        c.h(0).measure(0, 0);
+    c.h(0).measure(0, 0);
+    DensityMatrixSimulator sim(24);
     EXPECT_THROW(sim.exactDistribution(c), SimulationError);
+    EXPECT_EQ(DensityMatrixSimulator::branchLimitReason(5, 6), "");
+    EXPECT_NE(DensityMatrixSimulator::branchLimitReason(5, 7), "");
+    EXPECT_NE(DensityMatrixSimulator::branchLimitReason(12, 1), "");
 }
 
 TEST(DensitySimulatorTest, MidCircuitMeasureOfAncillaWorks)
@@ -150,6 +224,14 @@ TEST(DensitySimulatorTest, MidCircuitMeasureOfAncillaWorks)
     // After measuring q1, q0 collapses to a classical state; H gives
     // 50/50 on q0 independent of q1's bit.
     EXPECT_NEAR(dist.at(0b00) + dist.at(0b01), 0.5, 1e-9);
+}
+
+TEST(DensitySimulatorTest, ImpossiblePostSelectThrows)
+{
+    Circuit c(1, 1);
+    c.postSelect(0, 1).measure(0, 0); // |0> post-selected on 1
+    DensityMatrixSimulator sim(21);
+    EXPECT_THROW(sim.exactDistribution(c), SimulationError);
 }
 
 TEST(DensitySimulatorTest, PostSelectTracksRetainedFraction)
@@ -196,8 +278,7 @@ TEST(TrajectorySimulatorTest, AgreesWithDensityUnderNoise)
 
 TEST(TrajectorySimulatorTest, HandlesAncillaReuse)
 {
-    // Measure, reset, reuse: rejected by the density backend but
-    // fine here.
+    // Measure, reset, reuse.
     Circuit c(2, 2);
     c.h(0).cx(0, 1).measure(1, 0).reset(1).cx(0, 1).measure(1, 1);
     TrajectorySimulator sim(27);

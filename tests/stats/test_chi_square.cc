@@ -111,6 +111,24 @@ TEST(ChiSquareTest, SingleCategoryPerfectFit)
     EXPECT_FALSE(r.reject());
 }
 
+TEST(ChiSquareTest, PooledTestMergesSmallBins)
+{
+    // 1000 shots: outcomes 2 and 3 expect 5 each, too few alone; they
+    // pool into one 10-shot bin, which joins the smallest kept bin.
+    const Distribution expected{{0, 0.6}, {1, 0.39}, {2, 0.005},
+                                {3, 0.005}};
+    const Counts observed{{0, 600}, {1, 390}, {2, 10}};
+    const ChiSquareResult plain = chiSquareTest(observed, expected);
+    const ChiSquareResult pooled = pooledChiSquareTest(observed, expected);
+    EXPECT_EQ(plain.degreesOfFreedom, 3u);
+    EXPECT_EQ(pooled.degreesOfFreedom, 1u);
+    EXPECT_LT(plain.pValue, 0.05);
+    EXPECT_NEAR(pooled.pValue, 1.0, 1e-9);
+    // An outcome outside the support is still impossible.
+    EXPECT_EQ(pooledChiSquareTest({{0, 600}, {7, 1}}, expected).pValue,
+              0.0);
+}
+
 } // namespace
 } // namespace stats
 } // namespace qra
