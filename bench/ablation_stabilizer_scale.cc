@@ -73,7 +73,7 @@ main()
         ok = ok && errors == 0;
     }
     bench::note("(a 256-qubit state vector would need 2^256 "
-                "amplitudes; the tableau needs ~0.5 MB)");
+                "amplitudes; the bit-packed tableau needs 32 KiB)");
 
     // Bug localisation at n = 60: break one link, instrument with
     // the chain assertion, and read off the failing check index.

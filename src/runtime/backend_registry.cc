@@ -71,8 +71,9 @@ BackendRegistry::resolveAuto(const Circuit &circuit,
     for (const std::string &entry : preference) {
         std::string name = entry;
         if (entry == "stabilizer_if_large") {
-            // Small Clifford circuits run faster on the dense
-            // simulator; past state-vector comfort the tableau wins.
+            // Up to 16 qubits the state vector samples a Clifford
+            // circuit's shots from one evolution faster than the
+            // tableau runs them (README, "Backends and the registry").
             if (circuit.numQubits() <= 16)
                 continue;
             name = "stabilizer";

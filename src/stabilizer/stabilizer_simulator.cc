@@ -14,10 +14,8 @@ StabilizerSimulator::supports(const Circuit &circuit)
 {
     for (const Operation &op : circuit.ops()) {
         switch (op.kind) {
-          case OpKind::Measure:
-          case OpKind::Reset:
-          case OpKind::Barrier:
-          case OpKind::PostSelect:
+          case OpKind::Measure: case OpKind::Reset:
+          case OpKind::Barrier: case OpKind::PostSelect:
             continue;
           default:
             if (!StabilizerState::isCliffordOp(op.kind))
@@ -52,13 +50,12 @@ StabilizerSimulator::runShot(const Circuit &circuit,
           case OpKind::PostSelect:
           {
             // Conditioning semantics shared with the other
-            // backends: survive with the branch probability.
-            StabilizerState trial = state;
+            // backends: survive with the branch probability. A
+            // discarded shot's state is dropped, so project in place.
             const double p =
-                trial.postSelect(op.qubits[0], op.postselectValue);
+                state.postSelect(op.qubits[0], op.postselectValue);
             if (p == 0.0 || rng_.uniform() >= p)
                 return false;
-            state = std::move(trial);
             break;
           }
           default:
