@@ -153,7 +153,13 @@ Kraus1q::weight(const QubitDensity &rho) const
 
 namespace {
 
-/** Build the Site for one applied channel. */
+/**
+ * Build the site for one applied channel. An exactly-zero operator
+ * (the identity of a p = 1 depolarising channel) carries no weight,
+ * so it neither blocks nor joins the fixed-weight branches:
+ * sampleDiscrete maps every draw past a zero weight to the same
+ * surviving branch.
+ */
 KrausSite
 makeSite(const KrausChannel &channel, const std::vector<Qubit> &qubits)
 {
@@ -161,33 +167,30 @@ makeSite(const KrausChannel &channel, const std::vector<Qubit> &qubits)
     site.qubits = qubits;
 
     const std::vector<Matrix> &ops = channel.operators();
-    std::vector<double> weights;
-    std::vector<std::vector<PlanEntry>> branches;
-    weights.reserve(ops.size());
-    branches.reserve(ops.size());
-    bool all_scaled_unitary = true;
+    site.fixedWeights = true;
     for (const Matrix &k : ops) {
+        if (std::ranges::all_of(k.data(), [](const Complex &z) {
+                return z == Complex{0.0, 0.0};
+            }))
+            continue;
         const double lambda = scaledUnitaryWeight(k);
         if (lambda < 0.0) {
-            all_scaled_unitary = false;
+            site.fixedWeights = false;
             break;
         }
-        weights.push_back(lambda);
-        branches.push_back(lowerUnitaryMatrix(
+        site.weights.push_back(lambda);
+        site.branches.push_back(lowerUnitaryMatrix(
             k * Complex{1.0 / std::sqrt(lambda), 0.0}, qubits));
     }
-
-    if (all_scaled_unitary) {
-        site.fixedWeights = true;
-        site.weights = std::move(weights);
-        site.branches = std::move(branches);
-    } else if (qubits.size() == 1) {
-        site.ops1q.reserve(ops.size());
-        for (const Matrix &k : ops)
-            site.ops1q.emplace_back(k);
-    } else {
-        site.ops = ops;
-    }
+    if (site.fixedWeights)
+        return site;
+    if (qubits.size() != 1)
+        throw SimulationError("trajectory plan: a multi-qubit Kraus "
+                              "channel must mix scaled unitaries");
+    site.weights.clear();
+    site.branches.clear();
+    for (const Matrix &k : ops)
+        site.ops1q.emplace_back(k);
     return site;
 }
 
@@ -209,8 +212,7 @@ TrajectoryPlan::compile(const Circuit &circuit, const NoiseModel *noise,
                          const std::vector<Qubit> &qubits) {
         if (channel.operators().size() == 1) {
             // Deterministic channel: the single operator is unitary
-            // (CPTP), so it lowers to a plain entry with no RNG draw —
-            // exactly what the legacy interpreter did.
+            // (CPTP), so it lowers to a plain entry with no RNG draw.
             for (const Qubit q : qubits)
                 buffer.flush(q, plan.entries_, plan.stats_);
             for (PlanEntry &entry :
@@ -218,6 +220,8 @@ TrajectoryPlan::compile(const Circuit &circuit, const NoiseModel *noise,
                 plan.entries_.push_back(std::move(entry));
             return;
         }
+        // Every other channel draws one uniform per shot, even if
+        // only one operator survives makeSite's zero filter.
         for (const Qubit q : qubits)
             buffer.flush(q, plan.entries_, plan.stats_);
         PlanEntry entry;
@@ -227,9 +231,8 @@ TrajectoryPlan::compile(const Circuit &circuit, const NoiseModel *noise,
         plan.sites_.push_back(makeSite(channel, qubits));
     };
 
-    // The schedule depends only on the circuit and noise model; the
-    // legacy interpreter computed it once per run and the plan bakes
-    // it in once per job.
+    // The schedule depends only on the circuit and noise model, so
+    // the plan bakes it in once per job.
     auto duration = [&](const Operation &op) {
         return noisy ? noise->opDuration(op) : 0.0;
     };

@@ -1,35 +1,32 @@
 /**
  * @file
- * TrajectoryPlan: a noisy circuit pre-lowered once per job into kernel
- * dispatch entries with interleaved noise hooks.
+ * TrajectoryPlan: a noisy circuit lowered once per job into kernel
+ * dispatch entries with interleaved noise hooks. Gate matrices, noise
+ * model lookups and thermal-relaxation channels (matrix exponentials)
+ * are loop-invariant, so the trajectory shot loop never sees them:
  *
- * The legacy trajectory path re-interpreted Operation structs every
- * shot: rebuilding gate matrices, looking channels up in the noise
- * model's maps, and re-deriving thermal-relaxation channels (matrix
- * exponentials) per moment — all loop-invariant work. Lowering hoists
- * it out of the shot loop:
- *
- *  - unitary segments between noise sites lower to classified kernel
- *    entries and fuse exactly like the ideal ExecutablePlan (noise
- *    sites and measurements fence fusion, so semantics are preserved);
- *  - every Kraus insertion becomes an explicit SampleKraus entry
- *    pointing at a pre-built Site. Sites whose operators are all
- *    *scaled unitaries* (depolarising channels: K_k = c_k U_k) carry
- *    fixed branch weights |c_k|^2 and pre-lowered branch kernels, so
- *    sampling costs one uniform draw and one in-place kernel — no
- *    per-branch state copies, no norm scans;
- *  - state-dependent one-qubit sites (thermal relaxation) carry each
- *    operator with its Gram matrix: one read of the state gives the
- *    qubit's 2x2 reduced density and from it every branch weight,
- *    and the chosen operator is applied pre-scaled in one pass;
- *  - readout confusion is attached to Measure entries as a site index,
+ *  - instructions run in the timed ASAP moment schedule; unitary
+ *    segments between noise sites lower to classified kernel entries
+ *    and fuse exactly like the ideal ExecutablePlan (noise sites,
+ *    measurements, resets and barriers fence fusion);
+ *  - a single-operator channel is unitary and lowers to plain entries;
+ *  - every other Kraus insertion becomes a SampleKraus entry pointing
+ *    at a pre-built KrausSite of one of two kinds. A *fixed-weight*
+ *    site has only scaled-unitary operators K_k = c_k U_k once the
+ *    exactly-zero ones are dropped (depolarising channels at any p),
+ *    so sampling costs one uniform draw against the weights |c_k|^2
+ *    and one or two in-place kernels. A *state-dependent one-qubit*
+ *    site (thermal relaxation) carries each operator with its Gram
+ *    matrix: one read of the state gives the qubit's 2x2 reduced
+ *    density and from it every branch weight, and the chosen operator
+ *    is applied pre-scaled in one pass;
+ *  - readout confusion is attached to Measure entries as an index,
  *    and relaxation channels are pre-derived per scheduled moment.
  *
- * RNG draw order matches the legacy interpreter exactly (one uniform
- * per multi-branch site, one per measurement, one per imperfect
- * readout, one per surviving post-selection), so for a fixed seed the
- * unfused plan draws the legacy trajectory's branches and outcomes;
- * its amplitudes agree with the legacy ones to rounding.
+ * A shot draws, in entry order, one uniform per SampleKraus site, one
+ * per measurement or reset, one per imperfect readout and one per
+ * post-selection of a possible outcome. Fusion leaves the sites and
+ * this draw sequence unchanged.
  */
 
 #ifndef QRA_SIM_KERNELS_NOISE_PLAN_HH
@@ -81,13 +78,17 @@ struct Kraus1q
     KernelKind kind = KernelKind::General1q;
 };
 
-/** One pre-built Kraus insertion point. */
+/**
+ * One pre-built Kraus insertion point: a fixed-weight site (any
+ * arity) or a state-dependent one-qubit site. compile() rejects a
+ * channel that is neither; no NoiseModel emits one.
+ */
 struct KrausSite
 {
     /**
-     * True when every operator is a scaled unitary: the branch Born
-     * weights are state-independent and the branches preserve the
-     * norm, so sampling needs no state copies.
+     * True when every nonzero operator is a scaled unitary: the branch
+     * Born weights are state-independent and the branches preserve
+     * the norm, so sampling needs no state reads.
      */
     bool fixedWeights = false;
 
@@ -110,13 +111,7 @@ struct KrausSite
      */
     std::vector<Kraus1q> ops1q;
 
-    /**
-     * Raw Kraus operators of a state-dependent multi-qubit site,
-     * sampled on branch copies (the legacy interpreter's path).
-     */
-    std::vector<Matrix> ops;
-
-    /** Operand qubits (state-dependent sites). */
+    /** Operand qubits. */
     std::vector<Qubit> qubits;
 };
 
@@ -127,9 +122,11 @@ class TrajectoryPlan
     /**
      * Lower @p circuit with @p noise interleaved (nullptr or disabled
      * = ideal). Fusion level as ExecutablePlan::compile; noise sites,
-     * measurements and resets fence fusion. The instruction order is
-     * the timed ASAP moment schedule — identical to what the legacy
-     * interpreter executed.
+     * measurements, resets and barriers fence fusion. The instruction
+     * order is the timed ASAP moment schedule of @p noise's gate
+     * durations.
+     * @throws SimulationError for a multi-qubit channel that is not
+     *         a mix of scaled unitaries.
      */
     static TrajectoryPlan compile(const Circuit &circuit,
                                   const NoiseModel *noise,

@@ -37,43 +37,6 @@ nonDegenerateBranch(const std::vector<double> &weights,
 } // namespace
 
 void
-TrajectorySimulator::sampleGeneralKraus(StateVector &state,
-                                        const std::vector<Matrix> &ops,
-                                        const std::vector<Qubit> &qubits)
-{
-    // Born weights of each branch: ||K_k psi||^2. Kraus operators are
-    // not unitary, so apply them to raw amplitude copies.
-    std::vector<std::vector<Complex>> branches(ops.size());
-    std::vector<double> weights(ops.size());
-    for (std::size_t k = 0; k < ops.size(); ++k) {
-        branches[k] = state.amplitudes();
-        kernels::applyMatrix(branches[k], ops[k], qubits);
-        double norm_sq = 0.0;
-        for (const Complex &a : branches[k])
-            norm_sq += std::norm(a);
-        weights[k] = norm_sq;
-    }
-
-    const std::size_t chosen =
-        nonDegenerateBranch(weights, sampleDiscrete(weights, rng_));
-    // fromAmplitudes renormalises the selected branch.
-    state = StateVector::fromAmplitudes(std::move(branches[chosen]));
-}
-
-void
-TrajectorySimulator::sampleKraus(StateVector &state,
-                                 const KrausChannel &channel,
-                                 const std::vector<Qubit> &qubits)
-{
-    const auto &ops = channel.operators();
-    if (ops.size() == 1) {
-        state.applyMatrix(ops[0], qubits);
-        return;
-    }
-    sampleGeneralKraus(state, ops, qubits);
-}
-
-void
 TrajectorySimulator::sampleSite(const kernels::KrausSite &site,
                                 StateVector &state)
 {
@@ -86,121 +49,35 @@ TrajectorySimulator::sampleSite(const kernels::KrausSite &site,
             state.applyKernel(entry);
         return;
     }
-    if (site.qubits.size() == 1) {
-        // State-dependent one-qubit channel (thermal relaxation): one
-        // read of the state gives the qubit's reduced density and
-        // from it every branch weight tr(G_k rho_q); the chosen
-        // operator, pre-scaled by 1/sqrt(w), is applied in one pass.
-        const Qubit q = site.qubits[0];
-        const kernels::QubitDensity rho = kernels::reduceQubitDensity(
-            state.amplitudes().data(), state.dim(), q);
-        weights_.resize(site.ops1q.size());
-        for (std::size_t k = 0; k < site.ops1q.size(); ++k)
-            weights_[k] = site.ops1q[k].weight(rho);
-        const std::size_t chosen = nonDegenerateBranch(
-            weights_, sampleDiscrete(weights_, rng_));
-        if (weights_[chosen] < 1e-30)
-            throw SimulationError("Kraus branch sampled with (near-)"
-                                  "zero Born weight (numerical issue)");
-        const kernels::Kraus1q &op = site.ops1q[chosen];
-        const double scale = 1.0 / std::sqrt(weights_[chosen]);
-        kernels::PlanEntry entry;
-        entry.kind = op.kind;
-        entry.q0 = q;
-        for (int j = 0; j < 4; ++j)
-            entry.m[j] = op.m[j] * scale;
-        state.applyKernel(entry);
-        return;
-    }
-    // General multi-qubit channel: the copy-based reference path.
-    sampleGeneralKraus(state, site.ops, site.qubits);
-}
-
-std::vector<TimedMoment>
-TrajectorySimulator::scheduleFor(const Circuit &circuit) const
-{
-    const bool noisy = noise_ != nullptr && noise_->enabled();
-    auto duration = [&](const Operation &op) {
-        return noisy ? noise_->opDuration(op) : 0.0;
-    };
-    return computeTimedMoments(circuit, duration);
+    // State-dependent one-qubit channel (thermal relaxation): one
+    // read of the state gives the qubit's reduced density and from it
+    // every branch weight tr(G_k rho_q); the chosen operator,
+    // pre-scaled by 1/sqrt(w), is applied in one pass.
+    const Qubit q = site.qubits[0];
+    const kernels::QubitDensity rho = kernels::reduceQubitDensity(
+        state.amplitudes().data(), state.dim(), q);
+    weights_.resize(site.ops1q.size());
+    for (std::size_t k = 0; k < site.ops1q.size(); ++k)
+        weights_[k] = site.ops1q[k].weight(rho);
+    const std::size_t chosen =
+        nonDegenerateBranch(weights_, sampleDiscrete(weights_, rng_));
+    if (weights_[chosen] < 1e-30)
+        throw SimulationError("Kraus branch sampled with (near-)"
+                              "zero Born weight (numerical issue)");
+    const kernels::Kraus1q &op = site.ops1q[chosen];
+    const double scale = 1.0 / std::sqrt(weights_[chosen]);
+    kernels::PlanEntry entry;
+    entry.kind = op.kind;
+    entry.q0 = q;
+    for (int j = 0; j < 4; ++j)
+        entry.m[j] = op.m[j] * scale;
+    state.applyKernel(entry);
 }
 
 bool
-TrajectorySimulator::runShot(const Circuit &circuit,
-                             const std::vector<TimedMoment> &moments,
+TrajectorySimulator::runShot(const kernels::TrajectoryPlan &plan,
                              StateVector &state,
                              std::uint64_t &register_value)
-{
-    const bool noisy = noise_ != nullptr && noise_->enabled();
-
-    register_value = 0;
-    for (const TimedMoment &moment : moments) {
-        for (std::size_t idx : moment.opIndices) {
-            const Operation &op = circuit.ops()[idx];
-            switch (op.kind) {
-              case OpKind::Measure:
-              {
-                int outcome = state.measure(op.qubits[0], rng_);
-                if (noisy) {
-                    const ReadoutError *ro =
-                        noise_->readoutFor(op.qubits[0]);
-                    if (ro != nullptr)
-                        outcome = ro->sampleReadout(outcome, rng_);
-                }
-                if (outcome)
-                    register_value |= std::uint64_t{1} << *op.clbit;
-                else
-                    register_value &= ~(std::uint64_t{1} << *op.clbit);
-                continue;
-              }
-              case OpKind::Barrier:
-                continue;
-              case OpKind::Reset:
-                state.resetQubit(op.qubits[0], rng_);
-                break;
-              case OpKind::PostSelect:
-              {
-                const double p1 =
-                    state.probabilityOfOne(op.qubits[0]);
-                const double p =
-                    op.postselectValue ? p1 : 1.0 - p1;
-                if (p < 1e-12)
-                    return false; // discard this trajectory
-                // Probabilistic conditioning: the trajectory survives
-                // with probability p, reproducing the post-selected
-                // ensemble without bias.
-                if (rng_.uniform() >= p)
-                    return false;
-                state.postSelect(op.qubits[0], op.postselectValue);
-                continue;
-              }
-              default:
-                state.applyUnitary(op);
-                break;
-            }
-
-            if (noisy) {
-                for (const auto &applied : noise_->channelsFor(op))
-                    sampleKraus(state, applied.channel, applied.qubits);
-            }
-        }
-
-        if (noisy && moment.durationNs > 0.0) {
-            for (Qubit q = 0; q < circuit.numQubits(); ++q) {
-                if (auto relax =
-                        noise_->relaxationFor(q, moment.durationNs))
-                    sampleKraus(state, *relax, {q});
-            }
-        }
-    }
-    return true;
-}
-
-bool
-TrajectorySimulator::runShotPlan(const kernels::TrajectoryPlan &plan,
-                                 StateVector &state,
-                                 std::uint64_t &register_value)
 {
     using kernels::KernelKind;
     register_value = 0;
@@ -256,37 +133,12 @@ Result
 TrajectorySimulator::run(const Circuit &circuit, std::size_t shots)
 {
     // Lower once per job (or fetch the cached artifact): every shot
-    // replays classified kernels and pre-built noise sites. The
-    // legacy interpreter re-walks Operation structs but consumes the
-    // identical RNG stream.
-    std::shared_ptr<const kernels::TrajectoryPlan> plan;
-    std::vector<TimedMoment> moments;
-    if (usePlan_)
-        plan = planFor(circuit);
-    else
-        moments = scheduleFor(circuit);
+    // replays classified kernels and pre-built noise sites.
+    const std::shared_ptr<const kernels::TrajectoryPlan> plan =
+        planFor(circuit);
     return runPostSelectedShots<StateVector>(
-        circuit, shots,
-        [&](StateVector &state, std::uint64_t &reg) {
-            return usePlan_ ? runShotPlan(*plan, state, reg)
-                            : runShot(circuit, moments, state, reg);
-        });
-}
-
-StateVector
-TrajectorySimulator::evolveOne(const Circuit &circuit)
-{
-    std::shared_ptr<const kernels::TrajectoryPlan> plan;
-    std::vector<TimedMoment> moments;
-    if (usePlan_)
-        plan = planFor(circuit);
-    else
-        moments = scheduleFor(circuit);
-    return firstKeptState<StateVector>(
-        circuit,
-        [&](StateVector &state, std::uint64_t &reg) {
-            return usePlan_ ? runShotPlan(*plan, state, reg)
-                            : runShot(circuit, moments, state, reg);
+        circuit, shots, [&](StateVector &state, std::uint64_t &reg) {
+            return runShot(*plan, state, reg);
         });
 }
 

@@ -1,18 +1,19 @@
 /**
  * @file
- * Trajectory plan-lowering tests: the pre-lowered noisy plan must
- * reproduce the legacy Operation interpreter bit-for-bit (same RNG
- * stream, fusion off), stay statistically faithful with fusion on,
- * classify noise sites correctly, and keep merged counts bit-identical
- * at any thread/lane count.
+ * Trajectory plan-lowering tests: golden counts at fusion off and on,
+ * a statistical fit to the density backend's exact distribution,
+ * noise-site classification, fusion fences, and merged counts that
+ * stay bit-identical at any thread/lane count.
  */
 
+#include <bit>
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "assertions/directives.hh"
 #include "assertions/entanglement_assertion.hh"
+#include "common/hash.hh"
 #include "compile/pipelines.hh"
 #include "noise/device_model.hh"
 #include "runtime/execution_engine.hh"
@@ -80,57 +81,6 @@ randomNoisyCircuit(std::size_t num_qubits, std::size_t num_gates,
     return c;
 }
 
-TEST(TrajectoryPlanTest, UnfusedPlanMatchesLegacyInterpreterExactly)
-{
-    // Fusion off, identical seed: the plan path consumes the same RNG
-    // stream through the same kernels, so counts must match
-    // bit-for-bit, per shot, under gate + readout noise.
-    for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
-        const std::size_t n = 5;
-        const Circuit c = randomNoisyCircuit(n, 36, 500 + seed);
-        const NoiseModel noise = depolarizingReadoutNoise(n);
-
-        kernels::FusionScope fusion(kernels::kFusionNone);
-        TrajectorySimulator legacy(seed);
-        legacy.setNoiseModel(&noise);
-        legacy.setUseLoweredPlan(false);
-        const Result a = legacy.run(c, 400);
-
-        TrajectorySimulator lowered(seed);
-        lowered.setNoiseModel(&noise);
-        const Result b = lowered.run(c, 400);
-
-        EXPECT_EQ(a.rawCounts(), b.rawCounts()) << "seed " << seed;
-        EXPECT_EQ(a.retainedFraction(), b.retainedFraction());
-    }
-}
-
-TEST(TrajectoryPlanTest, UnfusedPlanMatchesLegacyUnderRelaxation)
-{
-    // Thermal relaxation exercises the state-dependent (non-unitary
-    // Kraus) sites; the copy-free weight computation must track the
-    // legacy branch weights.
-    const std::size_t n = 4;
-    Circuit c(n, n);
-    c.h(0).cx(0, 1).cx(1, 2).cx(2, 3).measureAll();
-    NoiseModel noise;
-    noise.setGateError(OpKind::CX, 0.02);
-    noise.setGateDuration(OpKind::CX, 300.0);
-    noise.setGateDuration(OpKind::H, 50.0);
-    for (Qubit q = 0; q < n; ++q)
-        noise.setQubitRelaxation(q, 50000.0, 30000.0);
-
-    kernels::FusionScope fusion(kernels::kFusionNone);
-    TrajectorySimulator legacy(21);
-    legacy.setNoiseModel(&noise);
-    legacy.setUseLoweredPlan(false);
-    TrajectorySimulator lowered(21);
-    lowered.setNoiseModel(&noise);
-
-    EXPECT_EQ(legacy.run(c, 600).rawCounts(),
-              lowered.run(c, 600).rawCounts());
-}
-
 /**
  * Table 2's Bell pair with two entanglement checks sharing one reset
  * ancilla, prepared for ibmqx4: mid-circuit measure + reset on the
@@ -154,53 +104,87 @@ reusePreparedBell(const DeviceModel &device)
     return compile::prepare(payload, prep).circuit;
 }
 
-TEST(TrajectoryPlanTest, ReuseShapeMatchesLegacyUnderIbmqx4)
+/** FNV-1a digest of a run's raw counts and retained fraction. */
+std::uint64_t
+countsDigest(const Result &r)
 {
-    const DeviceModel device = DeviceModel::ibmqx4();
-    const NoiseModel &noise = device.noiseModel();
-    const Circuit c = reusePreparedBell(device);
+    std::uint64_t h = kFnv1aOffset;
+    for (const auto &[key, count] : r.rawCounts())
+        h = fnv1aMix64(fnv1aMix64(h, key), count);
+    return fnv1aMix64(h,
+                      std::bit_cast<std::uint64_t>(r.retainedFraction()));
+}
+
+// Pinned from the Operation interpreter the plan replaced: at fusion
+// off the plan drew the same RNG stream through the same kernels and
+// matched it count for count, and fusion moved none of these counts.
+TEST(TrajectoryPlanTest, GoldenCountsAtFusionLevels)
+{
+    const NoiseModel depolarizing = depolarizingReadoutNoise(5);
+    // Thermal relaxation: state-dependent one-qubit sites.
+    NoiseModel relaxation;
+    relaxation.setGateError(OpKind::CX, 0.02);
+    relaxation.setGateDuration(OpKind::CX, 300.0);
+    relaxation.setGateDuration(OpKind::H, 50.0);
+    for (Qubit q = 0; q < 4; ++q)
+        relaxation.setQubitRelaxation(q, 50000.0, 30000.0);
+    Circuit ghz4(4, 4);
+    ghz4.h(0).cx(0, 1).cx(1, 2).cx(2, 3).measureAll();
     // The shared ancilla is reset after its first measurement, and the
     // device register leaves qubits idle.
+    const DeviceModel device = DeviceModel::ibmqx4();
+    const Circuit reuse = reusePreparedBell(device);
     std::size_t resets = 0;
-    for (const Operation &op : c.ops())
+    for (const Operation &op : reuse.ops())
         resets += op.kind == OpKind::Reset ? 1 : 0;
     ASSERT_GE(resets, 1u);
-    ASSERT_EQ(c.numQubits(), device.couplingMap().numQubits());
+    ASSERT_EQ(reuse.numQubits(), device.couplingMap().numQubits());
 
-    kernels::FusionScope fusion(kernels::kFusionNone);
-    for (const std::uint64_t seed : {41u, 42u}) {
-        TrajectorySimulator legacy(seed);
-        legacy.setNoiseModel(&noise);
-        legacy.setUseLoweredPlan(false);
-        const Result want = legacy.run(c, 600);
-
-        TrajectorySimulator lowered(seed);
-        lowered.setNoiseModel(&noise);
-        EXPECT_EQ(want.rawCounts(), lowered.run(c, 600).rawCounts())
-            << "seed " << seed;
-
-        // A cached plan (miss, then hit) replays the same counts.
-        kernels::PlanCache cache;
-        kernels::PlanCacheScope scope(&cache);
-        for (int pass = 0; pass < 2; ++pass) {
-            TrajectorySimulator cached(seed);
-            cached.setNoiseModel(&noise);
-            EXPECT_EQ(want.rawCounts(), cached.run(c, 600).rawCounts())
-                << "seed " << seed << " pass " << pass;
+    const struct
+    {
+        const char *name;
+        Circuit circuit;
+        const NoiseModel *noise;
+        std::uint64_t seed;
+        std::size_t shots;
+        std::uint64_t digest;
+    } runs[] = {
+        {"depolarizing", randomNoisyCircuit(5, 36, 511), &depolarizing,
+         11, 400, 0x8a0e44eeb432fac6ULL},
+        {"depolarizing", randomNoisyCircuit(5, 36, 512), &depolarizing,
+         12, 400, 0x1f7b0bce20f9eff8ULL},
+        {"depolarizing", randomNoisyCircuit(5, 36, 513), &depolarizing,
+         13, 400, 0xd105debc230dd4d6ULL},
+        {"depolarizing", randomNoisyCircuit(5, 36, 514), &depolarizing,
+         14, 400, 0xd569346126de1341ULL},
+        {"relaxation", ghz4, &relaxation, 21, 600, 0x5d7c2c98b9c4b346ULL},
+        {"reuse_ibmqx4", reuse, &device.noiseModel(), 41, 600,
+         0xa54e2f85a5141990ULL},
+        {"reuse_ibmqx4", reuse, &device.noiseModel(), 42, 600,
+         0xc7c52fd9539b3618ULL},
+        {"ideal", randomNoisyCircuit(5, 30, 1300), nullptr, 5, 300,
+         0x19dda9d6971d387eULL},
+    };
+    for (const auto &run : runs)
+        for (const int level :
+             {kernels::kFusionNone, kernels::kFusionDefault}) {
+            kernels::FusionScope fusion(level);
+            // A cached plan replays the same counts on a miss and a hit.
+            kernels::PlanCache cache;
+            kernels::PlanCacheScope scope(&cache);
+            for (int pass = 0; pass < 2; ++pass) {
+                TrajectorySimulator sim(run.seed);
+                sim.setNoiseModel(run.noise);
+                const std::uint64_t digest =
+                    countsDigest(sim.run(run.circuit, run.shots));
+                EXPECT_EQ(digest, run.digest)
+                    << run.name << " seed " << run.seed << " fusion "
+                    << level << " pass " << pass << ": digest 0x"
+                    << std::hex << digest;
+            }
+            EXPECT_EQ(cache.stats().misses, 1u);
+            EXPECT_EQ(cache.stats().hits, 1u);
         }
-        EXPECT_EQ(cache.stats().misses, 1u);
-        EXPECT_EQ(cache.stats().hits, 1u);
-
-        // One trajectory: same branches, amplitudes equal to rounding.
-        legacy.seed(seed);
-        lowered.seed(seed);
-        const StateVector a = legacy.evolveOne(c);
-        const StateVector b = lowered.evolveOne(c);
-        ASSERT_EQ(a.dim(), b.dim());
-        for (std::size_t i = 0; i < a.dim(); ++i)
-            EXPECT_LE(std::abs(a.amplitude(i) - b.amplitude(i)), 1e-12)
-                << "seed " << seed << " amplitude " << i;
-    }
 }
 
 /**
@@ -383,10 +367,11 @@ TEST(TrajectoryPlanTest, RelaxationSitesAreStateDependent)
     ASSERT_GE(plan.numSites(), 1u);
     const kernels::KrausSite &site = plan.site(0);
     EXPECT_FALSE(site.fixedWeights);
-    // One-qubit sites keep only the flat operators with their Gram
-    // matrices; the Matrix list is the multi-qubit fallback's.
+    // The flat operators with their Gram matrices, and no branch
+    // tables of the fixed-weight kind.
     EXPECT_EQ(site.ops1q.size(), 4u);
-    EXPECT_TRUE(site.ops.empty());
+    EXPECT_TRUE(site.weights.empty());
+    EXPECT_TRUE(site.branches.empty());
 
     // Completeness: sum_k G_k = I, so the weights of any reduced
     // density sum to its trace.
@@ -395,6 +380,51 @@ TEST(TrajectoryPlanTest, RelaxationSitesAreStateDependent)
     for (const kernels::Kraus1q &op : site.ops1q)
         total += op.weight(rho);
     EXPECT_NEAR(total, 1.0, 1e-12);
+}
+
+TEST(TrajectoryPlanTest, CertainGateErrorsLowerToFixedWeights)
+{
+    // At p = 1 a depolarising channel's identity operator is exactly
+    // zero; the site drops it and keeps the 3 (1q) or 15 (2q) scaled
+    // Paulis, with weights summing to 1.
+    Circuit c(2, 2);
+    c.h(0).cx(0, 1).measureAll();
+    NoiseModel certain;
+    certain.setGateError(OpKind::H, 1.0);
+    certain.setGateError(OpKind::CX, 1.0);
+    NoiseModel base;
+    base.setGateError(OpKind::CX, 0.3);
+    const NoiseModel clamped = base.scaled(4.0); // clamps to p = 1
+
+    const NoiseModel *const models[] = {&certain, &clamped};
+    for (const NoiseModel *noise : models) {
+        const kernels::TrajectoryPlan plan =
+            kernels::TrajectoryPlan::compile(c, noise,
+                                             kernels::kFusionNone);
+        ASSERT_EQ(plan.numSites(), noise == &certain ? 2u : 1u);
+        for (std::size_t i = 0; i < plan.numSites(); ++i) {
+            const kernels::KrausSite &site =
+                plan.site(static_cast<std::int32_t>(i));
+            EXPECT_TRUE(site.fixedWeights);
+            EXPECT_EQ(site.weights.size(),
+                      site.qubits.size() == 1 ? 3u : 15u);
+            double total = 0.0;
+            for (const double w : site.weights)
+                total += w;
+            EXPECT_NEAR(total, 1.0, 1e-10);
+        }
+
+        DensityMatrixSimulator density;
+        density.setNoiseModel(noise);
+        const auto exact = density.exactDistribution(c);
+        TrajectorySimulator sim(3);
+        sim.setNoiseModel(noise);
+        EXPECT_GE(stats::pooledChiSquareTest(
+                      sim.run(c, 8192).rawCounts(),
+                      stats::Distribution(exact.begin(), exact.end()))
+                      .pValue,
+                  1e-6);
+    }
 }
 
 TEST(TrajectoryPlanTest, CleanSegmentsFuseNoisyGatesFence)
@@ -453,19 +483,6 @@ TEST(TrajectoryPlanTest, BarriersFenceTrajectoryFusion)
                                          kernels::kFusion2q);
     for (const kernels::PlanEntry &entry : open.entries())
         EXPECT_NE(entry.kind, kernels::KernelKind::ControlledX);
-}
-
-TEST(TrajectoryPlanTest, IdealPlanMatchesIdealLegacy)
-{
-    // No noise model at all: the plan path must still reproduce the
-    // legacy interpreter (pure trajectory semantics).
-    const Circuit c = randomNoisyCircuit(5, 30, 1300);
-    kernels::FusionScope fusion(kernels::kFusionNone);
-    TrajectorySimulator legacy(5);
-    legacy.setUseLoweredPlan(false);
-    TrajectorySimulator lowered(5);
-    EXPECT_EQ(legacy.run(c, 300).rawCounts(),
-              lowered.run(c, 300).rawCounts());
 }
 
 TEST(TrajectoryPlanTest, PlanCacheReusesTrajectoryPlans)
