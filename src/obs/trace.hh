@@ -19,8 +19,7 @@
  *   wave (engine, async)   one adaptive wave, begin at launch
  *   wave_merge (engine)    shard-order merge of a finished wave
  *   stopping_eval (engine) stopping-rule evaluation after a wave
- *   sampled_run /
- *   pershot_run (sim)      one simulator invocation
+ *   sampled_run (sim)      one sampled state-vector run
  *
  * Recording is guarded by obs::tracingEnabled(): a disabled span is
  * one relaxed atomic load and nothing else.

@@ -839,6 +839,35 @@ fuseSegmentTail(std::vector<PlanEntry> &entries,
     fence_start = entries.size();
 }
 
+void
+pinTraversal(std::vector<PlanEntry> &entries, std::size_t num_qubits)
+{
+    const std::uint64_t n = std::uint64_t{1} << num_qubits;
+    for (PlanEntry &entry : entries) {
+        std::uint64_t max_bit = 0;
+        std::size_t resident = 2;
+        switch (entry.kind) {
+          case KernelKind::General1q:
+          case KernelKind::AntiDiagonal1q:
+            max_bit = std::uint64_t{1} << entry.q0;
+            break;
+          case KernelKind::Controlled1q:
+            max_bit = std::uint64_t{1}
+                      << std::max(entry.q0, entry.q1);
+            break;
+          case KernelKind::General2q:
+            max_bit = std::uint64_t{1}
+                      << std::max(entry.q0, entry.q1);
+            resident = 4;
+            break;
+          default:
+            continue;
+        }
+        entry.traversal =
+            resolveTraversal(Traversal::Auto, n, max_bit, resident);
+    }
+}
+
 ExecutablePlan
 ExecutablePlan::compile(const Circuit &circuit, int fusion)
 {
@@ -878,39 +907,7 @@ ExecutablePlan::compile(const Circuit &circuit, int fusion)
     buffer.flushAll(plan.entries_, plan.stats_);
     fuseSegmentTail(plan.entries_, fence_start, fusion, plan.stats_);
 
-    // Finalize pass: pin Linear/Blocked traversal per pair-kernel
-    // entry now that the state size is known, hoisting the stride
-    // decision out of the shot loop. Either choice is bit-identical;
-    // this only decides scheduling (see traversal.hh). Uses the
-    // cache-block budget at compile time — cached plans keep their
-    // pinned choice, which is safe for the same reason.
-    const std::uint64_t n = std::uint64_t{1} << plan.numQubits_;
-    for (PlanEntry &entry : plan.entries_) {
-        std::uint64_t max_bit = 0;
-        std::size_t resident = 2;
-        switch (entry.kind) {
-          case KernelKind::General1q:
-          case KernelKind::AntiDiagonal1q:
-            max_bit = std::uint64_t{1} << entry.q0;
-            break;
-          case KernelKind::Controlled1q:
-            max_bit = std::uint64_t{1}
-                      << std::max(entry.q0, entry.q1);
-            break;
-          case KernelKind::General2q:
-            max_bit = std::uint64_t{1}
-                      << std::max(entry.q0, entry.q1);
-            resident = 4;
-            break;
-          default:
-            continue;
-        }
-        entry.traversal =
-            resolveTraversal(Traversal::Auto, n, max_bit, resident);
-        if (entry.traversal == Traversal::Blocked)
-            ++plan.stats_.blockedEntries;
-    }
-
+    pinTraversal(plan.entries_, plan.numQubits_);
     plan.stats_.entries = plan.entries_.size();
     return plan;
 }

@@ -83,10 +83,10 @@ struct PlanEntry
     /**
      * Traversal the pair kernels (General1q / AntiDiagonal1q /
      * Controlled1q / General2q) should walk the state with.
-     * ExecutablePlan::compile pins Linear or Blocked per entry from
-     * the operand strides, hoisting the decision out of the shot
-     * loop; ad-hoc entries stay Auto and resolve at call time. The
-     * choice never changes results (see traversal.hh).
+     * pinTraversal fixes Linear or Blocked per entry from the operand
+     * strides, hoisting the decision out of the shot loop; ad-hoc
+     * entries stay Auto and resolve at call time. The choice never
+     * changes results (see traversal.hh).
      */
     Traversal traversal = Traversal::Auto;
 
@@ -179,7 +179,6 @@ struct PlanStats
     std::size_t entries = 0;     // plan entries emitted
     std::size_t fusedGates = 0;  // 1q gates absorbed into a neighbour
     std::size_t fused2qWindows = 0; // pair windows collapsed by pass 2
-    std::size_t blockedEntries = 0; // entries pinned to Blocked
 };
 
 /**
@@ -229,6 +228,14 @@ std::vector<PlanEntry> fuse2qWindows(std::vector<PlanEntry> entries,
 void fuseSegmentTail(std::vector<PlanEntry> &entries,
                      std::size_t &fence_start, int fusion,
                      PlanStats &stats);
+
+/**
+ * Finalize pass of both plan compilers: pin Linear/Blocked traversal
+ * on every pair-kernel entry of a @p num_qubits state, with the
+ * cache-block budget at call time. Either choice is bit-identical, so
+ * cached plans may keep theirs (see traversal.hh).
+ */
+void pinTraversal(std::vector<PlanEntry> &entries, std::size_t num_qubits);
 
 /** A circuit lowered to kernel dispatch entries. */
 class ExecutablePlan

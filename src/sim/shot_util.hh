@@ -1,7 +1,8 @@
 /**
  * @file
  * The shared post-selecting shot loop of the per-shot simulators
- * (trajectory, per-shot statevector, stabilizer).
+ * (trajectory, which also runs the statevector simulator's
+ * non-terminal circuits, and stabilizer).
  */
 
 #ifndef QRA_SIM_SHOT_UTIL_HH

@@ -1,14 +1,15 @@
 #include "sim/statevector_simulator.hh"
 
-#include <set>
+#include <algorithm>
 
+#include "circuit/schedule.hh"
 #include "common/error.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/kernels/alias_table.hh"
 #include "sim/kernels/plan.hh"
 #include "sim/kernels/plan_cache.hh"
-#include "sim/shot_util.hh"
+#include "sim/trajectory_simulator.hh"
 
 namespace qra {
 
@@ -18,7 +19,6 @@ namespace {
 struct SimMetrics
 {
     obs::CounterHandle sampledShots;
-    obs::CounterHandle perShotShots;
     obs::GaugeHandle sampledShotsPerSec;
 };
 
@@ -29,7 +29,6 @@ simMetrics()
         obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
         SimMetrics m;
         m.sampledShots = reg.counter("sim.sampled.shots");
-        m.perShotShots = reg.counter("sim.pershot.shots");
         m.sampledShotsPerSec = reg.gauge("sim.sampled.shots_per_sec");
         return m;
     }();
@@ -47,6 +46,37 @@ planFor(const Circuit &circuit)
 }
 
 /**
+ * The deterministic walk of @p plan over @p state: Measure is skipped,
+ * PostSelect projects, and Reset draws from @p rng (null: a reset is
+ * an error). Returns the retained fraction, the product of the
+ * PostSelect branch probabilities.
+ */
+double
+evolveIdeal(const kernels::ExecutablePlan &plan, StateVector &state,
+            Rng *rng)
+{
+    double retained = 1.0;
+    for (const kernels::PlanEntry &entry : plan.entries()) {
+        switch (entry.kind) {
+          case kernels::KernelKind::Measure:
+            break;
+          case kernels::KernelKind::PostSelectQ:
+            retained *= state.postSelect(entry.q0, entry.postselectValue);
+            break;
+          case kernels::KernelKind::ResetQ:
+            // Sampled execution never sees a Reset circuit.
+            if (rng == nullptr)
+                throw SimulationError("reset in sampled execution");
+            state.resetQubit(entry.q0, *rng);
+            break;
+          default:
+            state.applyKernel(entry);
+        }
+    }
+    return retained;
+}
+
+/**
  * One-time work of sampled execution: evolve the state, derive the
  * measured-qubit marginal and its clbit wiring, and build the alias
  * table. Cached across shards and jobs via the PlanCache.
@@ -59,40 +89,24 @@ buildSampledDistribution(const Circuit &circuit)
 
     const std::shared_ptr<const kernels::ExecutablePlan> plan =
         planFor(circuit);
-
-    // Qubit -> clbit wiring of the (terminal) measurements.
-    std::vector<std::pair<Qubit, Clbit>> wiring;
-    for (const kernels::PlanEntry &entry : plan->entries()) {
-        switch (entry.kind) {
-          case kernels::KernelKind::Measure:
-            wiring.emplace_back(entry.q0, entry.clbit);
-            break;
-          case kernels::KernelKind::PostSelectQ:
-            dist->retainedFraction *=
-                state.postSelect(entry.q0, entry.postselectValue);
-            break;
-          case kernels::KernelKind::ResetQ:
-            // measurementsAreTerminal rejects Reset circuits.
-            throw SimulationError("reset in sampled execution");
-          default:
-            state.applyKernel(entry);
-        }
-    }
-    if (wiring.empty())
-        return dist; // no measurements: every shot reads zero
+    dist->retainedFraction = evolveIdeal(*plan, state, nullptr);
 
     // Measured qubits, deduplicated: the marginal distribution is
-    // over one bit per distinct qubit, and each wiring entry maps its
-    // qubit's bit to a clbit.
+    // over one bit per distinct qubit, and each (terminal) Measure
+    // maps its qubit's bit to its clbit.
     std::vector<Qubit> measured;
-    for (const auto &[q, c] : wiring) {
+    for (const kernels::PlanEntry &entry : plan->entries()) {
+        if (entry.kind != kernels::KernelKind::Measure)
+            continue;
         std::size_t j = 0;
-        while (j < measured.size() && measured[j] != q)
+        while (j < measured.size() && measured[j] != entry.q0)
             ++j;
         if (j == measured.size())
-            measured.push_back(q);
-        dist->bitWiring.emplace_back(j, c);
+            measured.push_back(entry.q0);
+        dist->bitWiring.emplace_back(j, entry.clbit);
     }
+    if (measured.empty())
+        return dist; // no measurements: every shot reads zero
 
     // measureAll-style circuits (every qubit, in wire order) use the
     // parallel elementwise probability kernel; true marginals use the
@@ -125,34 +139,21 @@ StatevectorSimulator::StatevectorSimulator(std::uint64_t seed)
 {
 }
 
-bool
-StatevectorSimulator::measurementsAreTerminal(const Circuit &circuit)
-{
-    std::set<Qubit> measured;
-    for (const Operation &op : circuit.ops()) {
-        switch (op.kind) {
-          case OpKind::Reset:
-            return false;
-          case OpKind::Measure:
-            measured.insert(op.qubits[0]);
-            break;
-          case OpKind::Barrier:
-            break;
-          default:
-            for (Qubit q : op.qubits)
-                if (measured.count(q))
-                    return false;
-        }
-    }
-    return true;
-}
-
 Result
 StatevectorSimulator::run(const Circuit &circuit, std::size_t shots)
 {
-    if (measurementsAreTerminal(circuit))
+    // Sample the final distribution when nothing resets and every
+    // measurement is terminal; otherwise run noiseless trajectories.
+    const std::vector<bool> mid = midCircuitMeasurements(circuit);
+    const bool terminal =
+        std::find(mid.begin(), mid.end(), true) == mid.end() &&
+        std::none_of(circuit.ops().begin(), circuit.ops().end(),
+                     [](const Operation &op) {
+                         return op.kind == OpKind::Reset;
+                     });
+    if (terminal)
         return runSampled(circuit, shots);
-    return runPerShot(circuit, shots);
+    return TrajectorySimulator(rng_()).run(circuit, shots);
 }
 
 Result
@@ -211,100 +212,18 @@ StatevectorSimulator::runSampled(const Circuit &circuit,
     return result;
 }
 
-Result
-StatevectorSimulator::runPerShot(const Circuit &circuit,
-                                 std::size_t shots)
-{
-    obs::Span run_span("sim", "pershot_run", {{"shots", shots}});
-    obs::count(simMetrics().perShotShots, shots);
-    // Lower (and fuse) once; every shot replays the same plan.
-    const std::shared_ptr<const kernels::ExecutablePlan> plan =
-        planFor(circuit);
-
-    // Post-selection in per-shot mode conditions the ensemble: a shot
-    // survives each PostSelect with the branch probability, otherwise
-    // it is discarded and re-attempted (same semantics as the
-    // trajectory backend).
-    return runPostSelectedShots<StateVector>(
-        circuit, shots,
-        [&](StateVector &state, std::uint64_t &reg) {
-            for (const kernels::PlanEntry &entry : plan->entries()) {
-                switch (entry.kind) {
-                  case kernels::KernelKind::Measure:
-                  {
-                    const int outcome = state.measure(entry.q0, rng_);
-                    if (outcome)
-                        reg |= std::uint64_t{1} << entry.clbit;
-                    else
-                        reg &= ~(std::uint64_t{1} << entry.clbit);
-                    break;
-                  }
-                  case kernels::KernelKind::ResetQ:
-                    state.resetQubit(entry.q0, rng_);
-                    break;
-                  case kernels::KernelKind::PostSelectQ:
-                  {
-                    const double p1 = state.probabilityOfOne(entry.q0);
-                    const double p =
-                        entry.postselectValue ? p1 : 1.0 - p1;
-                    if (p < 1e-12 || rng_.uniform() >= p)
-                        return false;
-                    state.postSelect(entry.q0, entry.postselectValue);
-                    break;
-                  }
-                  default:
-                    state.applyKernel(entry);
-                }
-            }
-            return true;
-        });
-}
-
 StateVector
 StatevectorSimulator::finalState(const Circuit &circuit)
 {
     StateVector state(circuit.numQubits());
-    const std::shared_ptr<const kernels::ExecutablePlan> plan =
-        planFor(circuit);
-    for (const kernels::PlanEntry &entry : plan->entries()) {
-        switch (entry.kind) {
-          case kernels::KernelKind::Measure:
-            break;
-          case kernels::KernelKind::ResetQ:
-            state.resetQubit(entry.q0, rng_);
-            break;
-          case kernels::KernelKind::PostSelectQ:
-            state.postSelect(entry.q0, entry.postselectValue);
-            break;
-          default:
-            state.applyKernel(entry);
-        }
-    }
+    evolveIdeal(*planFor(circuit), state, &rng_);
     return state;
 }
 
 StateVector
 StatevectorSimulator::evolveWithMeasurements(const Circuit &circuit)
 {
-    StateVector state(circuit.numQubits());
-    const std::shared_ptr<const kernels::ExecutablePlan> plan =
-        planFor(circuit);
-    for (const kernels::PlanEntry &entry : plan->entries()) {
-        switch (entry.kind) {
-          case kernels::KernelKind::Measure:
-            state.measure(entry.q0, rng_);
-            break;
-          case kernels::KernelKind::ResetQ:
-            state.resetQubit(entry.q0, rng_);
-            break;
-          case kernels::KernelKind::PostSelectQ:
-            state.postSelect(entry.q0, entry.postselectValue);
-            break;
-          default:
-            state.applyKernel(entry);
-        }
-    }
-    return state;
+    return TrajectorySimulator(rng_()).evolveOne(circuit);
 }
 
 } // namespace qra

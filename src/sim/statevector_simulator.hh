@@ -2,12 +2,13 @@
  * @file
  * Ideal (noiseless) shot-based simulator on the StateVector backend.
  *
- * Two execution strategies:
- *  - If every measurement is terminal (no gate touches a measured
+ * Two execution strategies, sampled, else a noiseless trajectory:
+ *  - If every measurement is terminal (no op touches a measured
  *    qubit afterwards) and there is no Reset, the circuit is evolved
  *    once and outcomes are sampled from the final distribution.
- *  - Otherwise each shot is executed independently (mid-circuit
- *    measurement, reset, ancilla reuse all work).
+ *  - Otherwise (mid-circuit measurement, reset, ancilla reuse) the
+ *    run is a noiseless TrajectorySimulator run, seeded by one draw
+ *    from this simulator's generator.
  *
  * PostSelect directives condition the run: trajectories in the
  * discarded branch are dropped and the retained fraction is reported
@@ -44,8 +45,12 @@ class StatevectorSimulator
     StateVector finalState(const Circuit &circuit);
 
     /**
-     * Evolve one trajectory with real measurement collapses and
-     * return the final state (outcomes are discarded).
+     * The final state of the first kept trajectory: real measurement
+     * collapses (outcomes discarded), and PostSelect conditions the
+     * trajectory, which is re-attempted when discarded.
+     *
+     * @throws SimulationError when post-selection discards every
+     * attempt.
      */
     StateVector evolveWithMeasurements(const Circuit &circuit);
 
@@ -53,11 +58,7 @@ class StatevectorSimulator
     void seed(std::uint64_t seed) { rng_.seed(seed); }
 
   private:
-    /** True if the fast sample-at-end strategy is valid. */
-    static bool measurementsAreTerminal(const Circuit &circuit);
-
     Result runSampled(const Circuit &circuit, std::size_t shots);
-    Result runPerShot(const Circuit &circuit, std::size_t shots);
 
     Rng rng_;
 };

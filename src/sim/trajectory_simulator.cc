@@ -142,4 +142,15 @@ TrajectorySimulator::run(const Circuit &circuit, std::size_t shots)
         });
 }
 
+StateVector
+TrajectorySimulator::evolveOne(const Circuit &circuit)
+{
+    const std::shared_ptr<const kernels::TrajectoryPlan> plan =
+        planFor(circuit);
+    return firstKeptState<StateVector>(
+        circuit, [&](StateVector &state, std::uint64_t &reg) {
+            return runShot(*plan, state, reg);
+        });
+}
+
 } // namespace qra

@@ -46,6 +46,12 @@ class TrajectorySimulator
      */
     Result run(const Circuit &circuit, std::size_t shots);
 
+    /**
+     * The final state of the first kept trajectory of @p circuit,
+     * outcomes discarded. @throws SimulationError as firstKeptState.
+     */
+    StateVector evolveOne(const Circuit &circuit);
+
     void seed(std::uint64_t seed) { rng_.seed(seed); }
 
   private:

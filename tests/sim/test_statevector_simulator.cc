@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hh"
 #include "sim/statevector_simulator.hh"
 #include "testutil.hh"
 
@@ -63,6 +64,15 @@ TEST(StatevectorSimulatorTest, MidCircuitMeasurementForcesPerShot)
         EXPECT_NE(b0, b1) << "outcome " << key << " x" << n;
     }
     EXPECT_NEAR(r.probability(std::uint64_t{0b10}), 0.5, 0.05);
+
+    // A qubit measured twice is mid-circuit too; the second read
+    // repeats the collapsed first one.
+    Circuit twice(1, 2);
+    twice.h(0).measure(0, 0).measure(0, 1);
+    const Result rt = sim.run(twice, 2000);
+    for (const auto &[key, n] : rt.rawCounts())
+        EXPECT_EQ(key & 1, (key >> 1) & 1) << "outcome " << key << " x" << n;
+    EXPECT_NEAR(rt.probability(std::uint64_t{0b11}), 0.5, 0.05);
 }
 
 TEST(StatevectorSimulatorTest, ResetPath)
@@ -119,6 +129,22 @@ TEST(StatevectorSimulatorTest, EvolveWithMeasurementsCollapses)
     EXPECT_NEAR(sv.qubitPurity(0), 1.0, 1e-12);
     EXPECT_NEAR(sv.qubitPurity(1), 1.0, 1e-12);
     EXPECT_NEAR(sv.probabilityOfOne(0), sv.probabilityOfOne(1), 1e-12);
+}
+
+TEST(StatevectorSimulatorTest, EvolveWithMeasurementsPostSelects)
+{
+    // A possible PostSelect conditions the kept trajectory: the state
+    // comes back projected onto the selected branch.
+    Circuit c(2, 1);
+    c.h(0).cx(0, 1).postSelect(0, 1).measure(1, 0);
+    StatevectorSimulator sim(29);
+    const StateVector sv = sim.evolveWithMeasurements(c);
+    EXPECT_NEAR(std::abs(sv.amplitude(0b11)), 1.0, 1e-12);
+
+    // An impossible one discards every attempt.
+    Circuit never(1);
+    never.postSelect(0, 1);
+    EXPECT_THROW(sim.evolveWithMeasurements(never), SimulationError);
 }
 
 TEST(StatevectorSimulatorTest, SeedReproducibility)

@@ -20,6 +20,7 @@
 #include "sim/density_simulator.hh"
 #include "sim/kernels/noise_plan.hh"
 #include "sim/kernels/plan_cache.hh"
+#include "sim/statevector_simulator.hh"
 #include "sim/trajectory_simulator.hh"
 #include "stats/chi_square.hh"
 #include "stats/distance.hh"
@@ -262,6 +263,21 @@ TEST(TrajectoryPlanTest, ReuseShapesFitExactBranchedDistribution)
                           .pValue,
                       1e-6)
                 << name << " seed " << seed;
+        }
+
+        // Noiseless: StatevectorSimulator runs these reset circuits as
+        // noise-free trajectories.
+        const auto ideal = DensityMatrixSimulator().exactDistribution(c);
+        const stats::Distribution ideal_reference(ideal.begin(),
+                                                  ideal.end());
+        for (const std::uint64_t seed : {1u, 2u}) {
+            StatevectorSimulator sim(seed);
+            const Result r = sim.run(c, 8192);
+            EXPECT_GE(stats::pooledChiSquareTest(r.rawCounts(),
+                                                 ideal_reference)
+                          .pValue,
+                      1e-6)
+                << name << " ideal seed " << seed;
         }
     }
 }
