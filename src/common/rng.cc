@@ -1,5 +1,7 @@
 #include "common/rng.hh"
 
+#include <algorithm>
+
 #include "common/error.hh"
 
 namespace qra {
@@ -96,6 +98,32 @@ sampleDiscrete(const std::vector<double> &probs, Rng &rng)
     }
     // Numerical drift: the cumulative sum fell slightly short of 1.
     return probs.size() - 1;
+}
+
+std::vector<double>
+cumulativeWeights(const std::vector<double> &probs)
+{
+    std::vector<double> prefix;
+    prefix.reserve(probs.size());
+    double acc = 0.0;
+    for (const double p : probs) {
+        QRA_ASSERT(p >= 0.0, "sampling weights must be non-negative");
+        acc += p;
+        prefix.push_back(acc);
+    }
+    return prefix;
+}
+
+std::size_t
+sampleCumulative(const std::vector<double> &prefix, Rng &rng)
+{
+    QRA_ASSERT(!prefix.empty(), "cannot sample from empty distribution");
+    // The first sum above u is the first index sampleDiscrete's scan
+    // stops at (u < acc); none above u is its drift fallback.
+    const double u = rng.uniform();
+    const auto it = std::upper_bound(prefix.begin(), prefix.end(), u);
+    return std::min(static_cast<std::size_t>(it - prefix.begin()),
+                    prefix.size() - 1);
 }
 
 } // namespace qra

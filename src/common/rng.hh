@@ -80,6 +80,25 @@ std::uint64_t splitSeed(std::uint64_t base, std::uint64_t stream);
  */
 std::size_t sampleDiscrete(const std::vector<double> &probs, Rng &rng);
 
+/**
+ * Running sums of @p probs, accumulated in sampleDiscrete's order, for
+ * sampleCumulative.
+ *
+ * @throws Error when a weight is negative or NaN: the sums would
+ *         not be monotone, and a binary search over them would leave
+ *         sampleDiscrete's stream.
+ */
+std::vector<double> cumulativeWeights(const std::vector<double> &probs);
+
+/**
+ * Draw an index from cumulativeWeights(probs): a binary search that
+ * returns sampleDiscrete(probs, rng)'s index for every draw, drift
+ * fallback to the last index included, in O(log n) instead of O(n).
+ *
+ * @throws Error when @p prefix is empty.
+ */
+std::size_t sampleCumulative(const std::vector<double> &prefix, Rng &rng);
+
 } // namespace qra
 
 #endif // QRA_COMMON_RNG_HH

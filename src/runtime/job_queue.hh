@@ -221,9 +221,10 @@ class JobQueue
     /**
      * The cross-job sampling/artifact cache this queue installs
      * around every job it submits: lowered plans, noisy trajectory
-     * plans, and sampled-execution alias tables, keyed by (circuit
-     * hash, noise fingerprint, fusion level). Hit/miss counters live
-     * on its stats().
+     * and density plans, sampled-execution alias tables and density
+     * register distributions, keyed by (circuit hash, noise
+     * fingerprint, fusion level). Hit/miss counters live on its
+     * stats().
      */
     std::shared_ptr<kernels::PlanCache> artifactCache() const;
 

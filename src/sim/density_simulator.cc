@@ -130,10 +130,26 @@ DensityMatrixSimulator::postSelectAll(std::vector<Branch> &branches,
 std::map<std::uint64_t, double>
 DensityMatrixSimulator::exactDistribution(const Circuit &circuit)
 {
-    return distribution(execute(circuit));
+    return registerDistribution(circuit)->distribution;
 }
 
-std::map<std::uint64_t, double>
+std::shared_ptr<const kernels::DensityDistribution>
+DensityMatrixSimulator::registerDistribution(const Circuit &circuit)
+{
+    // The distribution depends only on (circuit, noise, fusion); a
+    // miss evolves once, and its nested densityPlan lookup is safe
+    // because the cache builds outside its lock.
+    const auto build = [&]() {
+        return std::make_shared<const kernels::DensityDistribution>(
+            distribution(execute(circuit)));
+    };
+    if (kernels::PlanCache *cache = kernels::currentPlanCache())
+        return cache->densityDistribution(
+            circuit, noise_, kernels::currentFusionLevel(), build);
+    return build();
+}
+
+kernels::DensityDistribution
 DensityMatrixSimulator::distribution(const Execution &exec) const
 {
     // Joint distribution over the classical register: each branch's
@@ -181,30 +197,35 @@ DensityMatrixSimulator::distribution(const Execution &exec) const
             dist = std::move(flipped);
         }
     }
-    return dist;
+
+    kernels::DensityDistribution out;
+    out.retainedFraction = exec.retained;
+    std::vector<double> probs;
+    out.keys.reserve(dist.size());
+    probs.reserve(dist.size());
+    for (const auto &[reg, p] : dist) {
+        out.keys.push_back(reg);
+        probs.push_back(p);
+    }
+    out.prefix = cumulativeWeights(probs);
+    out.distribution = std::move(dist);
+    return out;
 }
 
 Result
 DensityMatrixSimulator::run(const Circuit &circuit, std::size_t shots)
 {
-    const Execution exec = execute(circuit);
-    const std::map<std::uint64_t, double> dist = distribution(exec);
-
+    const auto dist = registerDistribution(circuit);
     Result result(circuit.numClbits());
-    result.setExactDistribution(dist);
-    result.setRetainedFraction(exec.retained);
+    result.setExactDistribution(dist->distribution);
+    result.setRetainedFraction(dist->retainedFraction);
 
-    // Sample counts from the exact distribution.
-    std::vector<std::uint64_t> keys;
-    std::vector<double> probs;
-    keys.reserve(dist.size());
-    probs.reserve(dist.size());
-    for (const auto &[reg, p] : dist) {
-        keys.push_back(reg);
-        probs.push_back(p);
-    }
+    // Count per key, then fold into the Result once.
+    std::vector<std::size_t> counts(dist->keys.size());
     for (std::size_t s = 0; s < shots; ++s)
-        result.record(keys[sampleDiscrete(probs, rng_)]);
+        ++counts[sampleCumulative(dist->prefix, rng_)];
+    for (std::size_t i = 0; i < counts.size(); ++i)
+        result.record(dist->keys[i], counts[i]);
     return result;
 }
 

@@ -6,9 +6,13 @@
  * instruction, thermal relaxation to every qubit for the duration of
  * each scheduled moment, and classical readout confusion folded into
  * the final outcome distribution. The circuit and noise lower once
- * into a kernels::DensityPlan of superoperator entries over vec(rho),
- * served by the active PlanCache when there is one (the runtime
- * installs it), so repeated jobs only replay the plan.
+ * into a kernels::DensityPlan of superoperator entries over vec(rho).
+ * The evolved register distribution depends on nothing else, so with
+ * an active PlanCache (the runtime installs one) run() and
+ * exactDistribution() evolve once per (circuit, noise, fusion) and a
+ * repeated job only samples: one binary search over the cached prefix
+ * sums per shot, the same index sampleDiscrete's scan would draw.
+ * finalState() always evolves; it is the test oracle.
  *
  * A mid-circuit measurement (its qubit is used again, e.g. a reset
  * ancilla shared by several checks) branches the run: the state is a
@@ -46,6 +50,10 @@
 
 namespace qra {
 
+namespace kernels {
+struct DensityDistribution;
+} // namespace kernels
+
 /** Exact (all-branches) noisy execution engine. */
 class DensityMatrixSimulator
 {
@@ -80,10 +88,11 @@ class DensityMatrixSimulator
     /**
      * Most mid-circuit measurements one run branches on. Like the
      * byte cap below it bounds memory, not speed: branched cost grows
-     * as 2^k·4^n per plan entry against trajectory's shots·2^n, so
-     * trajectory is faster at 256 shots past 4 records on 5 qubits,
-     * density at 8192 shots on every allowed shape measured (README,
-     * "Backends and the registry").
+     * as 2^k·4^n per plan entry against trajectory's shots·2^n, so on
+     * a cache miss trajectory is faster at 256 shots past 4 records on
+     * 5 qubits, density at 8192 shots on every allowed shape measured
+     * (README, "Backends and the registry"). A cache hit pays no
+     * evolution at all, only one binary search per shot.
      */
     static constexpr std::size_t kMaxRecords = 6;
 
@@ -114,6 +123,13 @@ class DensityMatrixSimulator
 
     Execution execute(const Circuit &circuit);
 
+    /**
+     * The register distribution of @p circuit: from the active
+     * PlanCache, evolved there on a miss, or evolved here without one.
+     */
+    std::shared_ptr<const kernels::DensityDistribution>
+    registerDistribution(const Circuit &circuit);
+
     /** Split every branch on the record of Measure marker @p entry. */
     static void splitOnRecord(std::vector<Branch> &branches,
                               const kernels::PlanEntry &entry);
@@ -126,9 +142,11 @@ class DensityMatrixSimulator
     static double postSelectAll(std::vector<Branch> &branches,
                                 const kernels::PlanEntry &entry);
 
-    /** Register distribution of @p exec, readout error folded in. */
-    std::map<std::uint64_t, double>
-    distribution(const Execution &exec) const;
+    /**
+     * Register distribution of @p exec, readout error folded in, with
+     * its keys and sampling sums.
+     */
+    kernels::DensityDistribution distribution(const Execution &exec) const;
 
     const NoiseModel *noise_ = nullptr;
     Rng rng_;

@@ -198,6 +198,18 @@ PlanCache::sampledDistribution(
     return lookup(sampled_, planKey(circuit, fusion), build);
 }
 
+std::shared_ptr<const DensityDistribution>
+PlanCache::densityDistribution(
+    const Circuit &circuit, const NoiseModel *noise, int fusion,
+    const std::function<std::shared_ptr<const DensityDistribution>()>
+        &build)
+{
+    if (fusion < 0)
+        fusion = currentFusionLevel();
+    return lookup(densityDistributions_,
+                  noisyPlanKey(circuit, noise, fusion), build);
+}
+
 PlanCache::Stats
 PlanCache::stats() const
 {

@@ -3,14 +3,19 @@
  * PlanCache: memoised per-circuit execution artifacts, shared across
  * jobs and shards.
  *
- * Lowered plans, noisy trajectory plans, density superoperator plans,
- * and sampled-execution distributions (alias table + clbit wiring)
- * depend only on the circuit (semantic hash), the noise model
- * (semantic fingerprint), and the fusion level — never on shots,
- * seeds, or thread counts. A PlanCache keyed on those lets every
- * shard of a job, and every repeated job over the same prepared
- * circuit (the batched-assertion sweep pattern), build each artifact
- * exactly once.
+ * Five artifacts depend only on the circuit (semantic hash), the
+ * noise model (semantic fingerprint) and the fusion level — never on
+ * shots, seeds or thread counts:
+ *  - lowered ideal plans;
+ *  - noisy trajectory plans;
+ *  - density superoperator plans;
+ *  - sampled-execution distributions (alias table + clbit wiring);
+ *  - density register distributions (the evolved, readout-folded
+ *    distribution and its sampling prefix sums).
+ * A PlanCache keyed on those lets every shard of a job, and every
+ * repeated job over the same prepared circuit (the batched-assertion
+ * sweep pattern), build each artifact exactly once. A cached density
+ * distribution makes a repeated density job cost its sampling only.
  *
  * The cache reaches the simulators the same way the thread pool does:
  * the execution engine installs a PlanCacheScope around each shard,
@@ -36,6 +41,7 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -62,6 +68,21 @@ struct SampledDistribution
     /** (marginal bit index, clbit) per measurement, program order. */
     std::vector<std::pair<std::size_t, Clbit>> bitWiring;
     double retainedFraction = 1.0;
+};
+
+/**
+ * Everything a density run samples after its one-time evolution: the
+ * register distribution with readout folded in, the post-selection
+ * retention, and the distribution's keys with their running sums in
+ * key order (common/rng's cumulativeWeights), so each shot is one
+ * sampleCumulative search.
+ */
+struct DensityDistribution
+{
+    std::map<std::uint64_t, double> distribution;
+    double retainedFraction = 1.0;
+    std::vector<std::uint64_t> keys;
+    std::vector<double> prefix;
 };
 
 /** Cross-job artifact cache (see file comment). */
@@ -116,6 +137,15 @@ class PlanCache
         const std::function<std::shared_ptr<const SampledDistribution>()>
             &build);
 
+    /**
+     * Density register distribution, keyed like densityPlan(). @p build
+     * runs at most once per key; it may itself look up densityPlan().
+     */
+    std::shared_ptr<const DensityDistribution> densityDistribution(
+        const Circuit &circuit, const NoiseModel *noise, int fusion,
+        const std::function<std::shared_ptr<const DensityDistribution>()>
+            &build);
+
     /** Aggregate hit/miss counters over all artifact kinds. */
     Stats stats() const;
 
@@ -153,6 +183,7 @@ class PlanCache
     Store<TrajectoryPlan> trajectoryPlans_;
     Store<DensityPlan> densityPlans_;
     Store<SampledDistribution> sampled_;
+    Store<DensityDistribution> densityDistributions_;
     Stats stats_;
     std::uint64_t nextId_ = 0;
 };

@@ -20,6 +20,8 @@ Result::record(std::uint64_t outcome)
 void
 Result::record(std::uint64_t outcome, std::size_t count)
 {
+    if (count == 0)
+        return;
     counts_[outcome] += count;
     shots_ += count;
 }

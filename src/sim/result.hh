@@ -62,7 +62,7 @@ class Result
     /** Record one shot with classical-register value @p outcome. */
     void record(std::uint64_t outcome);
 
-    /** Record @p count shots of the same outcome. */
+    /** Record @p count shots of the same outcome (0 adds no key). */
     void record(std::uint64_t outcome, std::size_t count);
 
     /** Counts keyed by integer register value. */

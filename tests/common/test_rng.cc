@@ -1,6 +1,7 @@
 /** @file Tests for the xoshiro256++ RNG and discrete sampling. */
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -110,6 +111,82 @@ TEST(RngTest, SampleDiscreteEmptyThrows)
 {
     Xoshiro256 rng(4);
     EXPECT_ANY_THROW(sampleDiscrete({}, rng));
+}
+
+/** Draws @p draws times from twin streams; both samplers must agree. */
+void
+expectCumulativeMatchesScan(const std::vector<double> &probs,
+                            std::uint64_t seed, std::size_t draws)
+{
+    const std::vector<double> prefix = cumulativeWeights(probs);
+    ASSERT_EQ(prefix.size(), probs.size());
+    Xoshiro256 scan(seed);
+    Xoshiro256 search(seed);
+    for (std::size_t i = 0; i < draws; ++i) {
+        const std::size_t want = sampleDiscrete(probs, scan);
+        const std::size_t got = sampleCumulative(prefix, search);
+        if (got != want) {
+            ADD_FAILURE() << "draw " << i << ": search " << got
+                          << " != scan " << want;
+            return;
+        }
+    }
+}
+
+TEST(RngTest, SampleCumulativeMatchesScanDrawForDraw)
+{
+    const std::size_t draws = 1000000;
+    // Zero weights in the middle and at the end.
+    expectCumulativeMatchesScan({0.3, 0.0, 0.2, 0.0, 0.5, 0.0, 0.0}, 10,
+                                draws);
+    // A sum short of 1: 5% of draws take the drift fallback.
+    expectCumulativeMatchesScan({0.25, 0.25, 0.25, 0.2}, 11, draws);
+    // A sum above 1: the last entry is never reached.
+    expectCumulativeMatchesScan({0.5, 0.4, 0.3}, 12, draws);
+    // A single entry, whole and short.
+    expectCumulativeMatchesScan({1.0}, 13, draws);
+    expectCumulativeMatchesScan({0.5}, 14, draws);
+    // Many entries with ragged, rounding-prone weights and zero runs.
+    std::vector<double> wide(300);
+    for (std::size_t i = 0; i < wide.size(); ++i)
+        wide[i] = i % 7 < 2 ? 0.0 : std::sin(0.37 * double(i)) + 1.0;
+    double total = 0.0;
+    for (const double w : wide)
+        total += w;
+    for (double &w : wide)
+        w /= total;
+    expectCumulativeMatchesScan(wide, 15, draws);
+}
+
+TEST(RngTest, SampleCumulativeDrawOnAPrefixValue)
+{
+    // u equal to a running sum: the scan moves past it (u < acc fails),
+    // so the search must too, also past the zero weight after it.
+    for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
+        const double u = Xoshiro256(seed).uniform();
+        for (const std::vector<double> &probs :
+             {std::vector<double>{u, 1.0 - u},
+              std::vector<double>{u, 0.0, 1.0 - u}}) {
+            const std::vector<double> prefix = cumulativeWeights(probs);
+            ASSERT_EQ(prefix[0], u);
+            Xoshiro256 scan(seed);
+            Xoshiro256 search(seed);
+            const std::size_t want = sampleDiscrete(probs, scan);
+            EXPECT_EQ(want, probs.size() - 1) << "seed " << seed;
+            EXPECT_EQ(sampleCumulative(prefix, search), want)
+                << "seed " << seed;
+        }
+    }
+}
+
+TEST(RngTest, SampleCumulativeRejectsEmptyAndNegative)
+{
+    Xoshiro256 rng(4);
+    EXPECT_TRUE(cumulativeWeights({}).empty());
+    EXPECT_ANY_THROW(sampleCumulative({}, rng));
+    // A negative or NaN weight breaks the sums' monotonicity.
+    EXPECT_ANY_THROW(cumulativeWeights({0.5, -0.1, 0.6}));
+    EXPECT_ANY_THROW(cumulativeWeights({0.5, std::nan(""), 0.5}));
 }
 
 } // namespace

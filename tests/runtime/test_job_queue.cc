@@ -205,6 +205,49 @@ TEST(JobQueue, SamplingCacheKeysTrajectoryPlansByNoise)
     EXPECT_EQ(queue.samplingCacheMisses(), 2u);
 }
 
+TEST(JobQueue, SamplingCacheKeysDensityDistributionsByNoise)
+{
+    ExecutionEngine engine(EngineOptions{.threads = 2});
+    JobQueue queue(engine);
+
+    NoiseModel noise;
+    noise.setGateError(OpKind::CX, 0.05);
+    noise.setReadoutError(0, ReadoutError(0.02, 0.04));
+    const NoiseModel doubled = noise.scaled(2.0);
+    NoiseModel reread = noise;
+    reread.setReadoutError(0, ReadoutError(0.03, 0.04));
+
+    JobSpec spec = bellSpec(11);
+    spec.backend = "density";
+    spec.noise = &noise;
+    // A miss builds the distribution and, inside it, the plan.
+    const Result first = queue.submit(spec).get();
+    EXPECT_EQ(queue.samplingCacheMisses(), 2u);
+    EXPECT_EQ(queue.samplingCacheHits(), 0u);
+    // A repeat samples the cached distribution: one hit, same counts.
+    const Result second = queue.submit(spec).get();
+    EXPECT_EQ(queue.samplingCacheMisses(), 2u);
+    EXPECT_EQ(queue.samplingCacheHits(), 1u);
+    EXPECT_EQ(second.rawCounts(), first.rawCounts());
+    EXPECT_EQ(second.exactDistribution(), first.exactDistribution());
+
+    // A scaled model, and one that differs only in readout error,
+    // which the plan never sees but the distribution folds in.
+    spec.noise = &doubled;
+    queue.submit(spec).get();
+    EXPECT_EQ(queue.samplingCacheMisses(), 4u);
+    spec.noise = &reread;
+    const Result readout = queue.submit(spec).get();
+    EXPECT_EQ(queue.samplingCacheMisses(), 6u);
+    EXPECT_EQ(queue.samplingCacheHits(), 1u);
+    EXPECT_NE(readout.exactDistribution(), first.exactDistribution());
+
+    // A cold queue reproduces the cached counts.
+    spec.noise = &noise;
+    JobQueue cold(engine);
+    EXPECT_EQ(cold.submit(spec).get().rawCounts(), first.rawCounts());
+}
+
 TEST(JobQueue, TranspileOptionsParticipateInPrepareKey)
 {
     ExecutionEngine engine(EngineOptions{.threads = 2});

@@ -1,6 +1,7 @@
 /** @file Tests for the DensityMatrix backend. */
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <random>
@@ -9,6 +10,7 @@
 
 #include "circuit/schedule.hh"
 #include "common/error.hh"
+#include "common/hash.hh"
 #include "math/gates.hh"
 #include "noise/channels.hh"
 #include "noise/device_model.hh"
@@ -17,6 +19,7 @@
 #include "sim/density_simulator.hh"
 #include "sim/kernels/plan_cache.hh"
 #include "sim/state_vector.hh"
+#include "paper_circuits.hh"
 
 namespace qra {
 namespace {
@@ -670,6 +673,146 @@ TEST(DensityPlanOracle, CachedAndThreadedRunsAreBitIdentical)
         EXPECT_EQ(a.rawCounts(), b.rawCounts());
     }
     EXPECT_EQ(cache.stats().hits, 3u);
+}
+
+/** Folds a run's raw counts, retained fraction and exact distribution. */
+std::uint64_t
+mixRun(std::uint64_t h, const Result &r)
+{
+    for (const auto &[key, count] : r.rawCounts())
+        h = fnv1aMix64(fnv1aMix64(h, key), count);
+    h = fnv1aMix64(h, std::bit_cast<std::uint64_t>(r.retainedFraction()));
+    if (r.exactDistribution())
+        for (const auto &[key, p] : *r.exactDistribution())
+            h = fnv1aMix64(fnv1aMix64(h, key),
+                           std::bit_cast<std::uint64_t>(p));
+    return h;
+}
+
+// Pinned before the register distribution was cached: every later
+// change to the density backend's sampling or caching must reproduce
+// these counts, exact distributions and retained fractions bit for
+// bit. Never re-pin them.
+TEST(DensityGoldenCounts, PaperAndRandomCircuitsAcrossRunners)
+{
+    const DeviceModel device = DeviceModel::ibmqx4();
+    std::vector<std::pair<std::string, Circuit>> circuits =
+        test::paperPreparedShapes(device, false);
+    for (auto &shape : test::paperPreparedShapes(device, true))
+        circuits.push_back(std::move(shape));
+    for (const std::uint64_t seed : {1u, 2u, 3u})
+        circuits.emplace_back("random" + std::to_string(seed),
+                              randomNoisyCircuit(seed, 4));
+
+    // Per (circuit, noise): the direct simulator's digest and the
+    // engine's (whose shard seed is derived from the job seed).
+    const std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>
+        golden = {
+            {"table1/ideal",
+             {0x32fa48816a45b1c5ULL, 0x32fa48816a45b1c5ULL}},
+            {"table1/ibmqx4",
+             {0xba1ee67f6bdb5604ULL, 0x76114021ff3f46d8ULL}},
+            {"table2_bell/ideal",
+             {0xa1ab3a915670e2c0ULL, 0x2ef03ecbc6cfbf77ULL}},
+            {"table2_bell/ibmqx4",
+             {0xa53fb6c1d390548aULL, 0xc22634e65dbf6618ULL}},
+            {"sec43_plus/ideal",
+             {0x5c7110f85210a8aeULL, 0xf97d674650b3389bULL}},
+            {"sec43_plus/ibmqx4",
+             {0x3b58ad8bd4c376a0ULL, 0x49e653f1c0b130abULL}},
+            {"fig4_ghz3/ideal",
+             {0xcf767e77bc7f7ee4ULL, 0xe3e7d9479308c407ULL}},
+            {"fig4_ghz3/ibmqx4",
+             {0xb4f92a59557a7c38ULL, 0xf9f525c14c11bfffULL}},
+            {"ghz4_auto/ideal",
+             {0xcc206e99d17be36cULL, 0x2d6c47230db38f97ULL}},
+            {"ghz4_auto/ibmqx4",
+             {0xd67e45f3c4bb056dULL, 0x763e4b9285505185ULL}},
+            {"w3_auto/ideal",
+             {0xeba46cc5d9dfaf6cULL, 0xe07676de56d0fcabULL}},
+            {"w3_auto/ibmqx4",
+             {0x8cc8c858f9bf599ULL, 0xb4d410ddf269128bULL}},
+            {"table1_x2/ideal",
+             {0x32fa48816a45b1c5ULL, 0x32fa48816a45b1c5ULL}},
+            {"table1_x2/ibmqx4",
+             {0x476e9bf08d2e0bcbULL, 0xc736a49f1914b77dULL}},
+            {"table2_bell_x2/ideal",
+             {0xb44569682e7a8040ULL, 0xeee1491a1f2f3ce7ULL}},
+            {"table2_bell_x2/ibmqx4",
+             {0x148cf6dbb0da2571ULL, 0x66fb3ae3d95c9558ULL}},
+            {"sec43_plus_x2/ideal",
+             {0x71017a006e3cc14eULL, 0x8c7b7dd1586dd443ULL}},
+            {"sec43_plus_x2/ibmqx4",
+             {0xb9642aa30d7fb422ULL, 0x4ea1f470efd1a742ULL}},
+            {"fig4_ghz3_seq/ideal",
+             {0xe43b6de60aacd274ULL, 0x5f3c347f5182d8c7ULL}},
+            {"fig4_ghz3_seq/ibmqx4",
+             {0xa30b66833789f79aULL, 0x9ed162069bb6520ULL}},
+            {"ghz4_seq/ideal",
+             {0xcb111dc86114e6cULL, 0xf069bae60593037fULL}},
+            {"ghz4_seq/ibmqx4",
+             {0xeebeccd0e10a7ffeULL, 0xe4d06a1cbde618ceULL}},
+            {"random1/ideal",
+             {0x4e9f6990927e605eULL, 0x372550ce8408ffa3ULL}},
+            {"random1/ibmqx4",
+             {0xe592c3cf10235e99ULL, 0x4937791779043eb1ULL}},
+            {"random2/ideal",
+             {0x4b6bda155d320e9fULL, 0x7743bb7263789b41ULL}},
+            {"random2/ibmqx4",
+             {0x37ff14e0cff65a39ULL, 0x857a45d3c8f4358bULL}},
+            {"random3/ideal",
+             {0xd9c61ff34432d186ULL, 0xdd19e585ab667289ULL}},
+            {"random3/ibmqx4",
+             {0xf5d140f93d0bc26fULL, 0xb3ecb4f8b5b2f68eULL}},
+        };
+    const NoiseModel *noises[] = {nullptr, &device.noiseModel()};
+    for (const auto &[name, circuit] : circuits)
+        for (const NoiseModel *noise : noises) {
+            const std::string key =
+                name + (noise != nullptr ? "/ibmqx4" : "/ideal");
+            std::uint64_t direct = kFnv1aOffset;
+            std::uint64_t cached = kFnv1aOffset;
+            std::uint64_t engine[2] = {kFnv1aOffset, kFnv1aOffset};
+            auto artifacts = std::make_shared<kernels::PlanCache>();
+            runtime::ExecutionEngine one(
+                runtime::EngineOptions{.threads = 1});
+            runtime::ExecutionEngine four(
+                runtime::EngineOptions{.threads = 4});
+            for (const std::size_t shots : {1u, 256u, 8192u})
+                for (const std::uint64_t seed : {5u, 6u}) {
+                    DensityMatrixSimulator sim(seed);
+                    sim.setNoiseModel(noise);
+                    direct = mixRun(direct, sim.run(circuit, shots));
+                    {
+                        // Miss on the first (shots, seed), hits after.
+                        kernels::PlanCacheScope scope(artifacts.get());
+                        DensityMatrixSimulator hit(seed);
+                        hit.setNoiseModel(noise);
+                        cached = mixRun(cached, hit.run(circuit, shots));
+                    }
+                    runtime::ExecutionEngine *engines[] = {&one, &four};
+                    for (int e = 0; e < 2; ++e) {
+                        runtime::Job job(circuit, shots, "density", seed,
+                                         noise);
+                        job.artifacts = artifacts;
+                        engine[e] = mixRun(engine[e],
+                                           engines[e]->run(job));
+                    }
+                }
+            EXPECT_EQ(cached, direct) << key;
+            EXPECT_EQ(engine[1], engine[0]) << key;
+            const auto it = golden.find(key);
+            if (it == golden.end()) {
+                ADD_FAILURE() << "unpinned {\"" << key << "\", {0x"
+                              << std::hex << direct << "ULL, 0x"
+                              << engine[0] << "ULL}},";
+                continue;
+            }
+            EXPECT_EQ(direct, it->second.first)
+                << key << ": direct 0x" << std::hex << direct;
+            EXPECT_EQ(engine[0], it->second.second)
+                << key << ": engine 0x" << std::hex << engine[0];
+        }
 }
 
 } // namespace

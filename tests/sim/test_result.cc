@@ -1,13 +1,15 @@
 /**
  * @file
  * Result: merge semantics (counts, exact-distribution adoption and
- * conflict detection) and adaptive-run metadata.
+ * conflict detection), adaptive-run metadata, and zero-count records.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/error.hh"
 #include "sim/result.hh"
+#include "sim/statevector_simulator.hh"
+#include "sim/trajectory_simulator.hh"
 
 using namespace qra;
 
@@ -103,4 +105,27 @@ TEST(ResultMetadata, MergeWithImplicitBudgetUsesShots)
     adaptive.merge(plain);
     EXPECT_EQ(adaptive.shotsRequested(), 1024u + 256u);
     EXPECT_TRUE(adaptive.stoppedEarly());
+}
+
+TEST(ResultRecord, ZeroCountAddsNoKey)
+{
+    Result r(3);
+    r.record(5, 0);
+    EXPECT_TRUE(r.rawCounts().empty());
+    EXPECT_EQ(r.shots(), 0u);
+    EXPECT_EQ(r.str(), "");
+    r.record(5, 2);
+    r.record(5, 0);
+    EXPECT_EQ(r.rawCounts(), (std::map<std::uint64_t, std::size_t>{{5, 2}}));
+}
+
+TEST(ResultRecord, ZeroShotsOfAMeasurementFreeCircuitHaveNoKeys)
+{
+    // The sampled path records "all-zero register" shots in one call.
+    Circuit c(2, 2);
+    c.h(0).cx(0, 1);
+    EXPECT_TRUE(StatevectorSimulator(1).run(c, 0).rawCounts().empty());
+    EXPECT_TRUE(TrajectorySimulator(1).run(c, 0).rawCounts().empty());
+    EXPECT_EQ(StatevectorSimulator(1).run(c, 3).rawCounts(),
+              (std::map<std::uint64_t, std::size_t>{{0, 3}}));
 }

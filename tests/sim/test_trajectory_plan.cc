@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "assertions/directives.hh"
 #include "assertions/entanglement_assertion.hh"
 #include "common/hash.hh"
 #include "compile/pipelines.hh"
@@ -24,6 +23,7 @@
 #include "sim/trajectory_simulator.hh"
 #include "stats/chi_square.hh"
 #include "stats/distance.hh"
+#include "paper_circuits.hh"
 #include "testutil.hh"
 
 namespace qra {
@@ -188,56 +188,6 @@ TEST(TrajectoryPlanTest, GoldenCountsAtFusionLevels)
         }
 }
 
-/**
- * The paper's Table 1, Table 2, section 4.3, Fig. 4 GHZ(3) and GHZ(4)
- * circuits with two checks each sharing one reset ancilla, prepared
- * for ibmqx4 (the e2ebench paper_reuse_traj jobs).
- */
-std::vector<std::pair<std::string, Circuit>>
-paperReuseShapes(const DeviceModel &device)
-{
-    const std::string head = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n";
-    auto regs = [&](int n) {
-        return head + "qreg q[" + std::to_string(n) + "];\ncreg c[" +
-               std::to_string(n) + "];\n";
-    };
-    auto measure = [](int n) {
-        std::string text;
-        for (int q = 0; q < n; ++q)
-            text += "measure q[" + std::to_string(q) + "] -> c[" +
-                    std::to_string(q) + "];\n";
-        return text;
-    };
-    const std::string classical = "// qra:assert-classical q[0] == 0\n";
-    const std::string bell = "// qra:assert-entangled q[0], q[1]\n";
-    const std::string plus = "// qra:assert-superposition q[0]\n";
-    const std::string ghz3 = "// qra:assert-entangled q[0], q[1], q[2]\n";
-    const std::vector<std::pair<std::string, std::string>> sources = {
-        {"table1_x2", regs(1) + classical + classical + measure(1)},
-        {"table2_bell_x2",
-         regs(2) + "h q[0];\ncx q[0],q[1];\n" + bell + bell + measure(2)},
-        {"sec43_plus_x2", regs(1) + "h q[0];\n" + plus + plus + measure(1)},
-        {"fig4_ghz3_seq", regs(3) + "h q[0];\ncx q[0],q[1];\n" + bell +
-                              "cx q[1],q[2];\n" + ghz3 + measure(3)},
-        {"ghz4_seq",
-         regs(4) + "h q[0];\ncx q[0],q[1];\ncx q[1],q[2];\n" + ghz3 +
-             "cx q[2],q[3];\n"
-             "// qra:assert-entangled q[0], q[1], q[2], q[3]\n" +
-             measure(4)},
-    };
-    std::vector<std::pair<std::string, Circuit>> shapes;
-    for (const auto &[name, text] : sources) {
-        const AnnotatedProgram program = parseAnnotatedQasm(text);
-        compile::PrepareSpec prep;
-        prep.assertions = program.specs;
-        prep.instrumentOptions.reuseAncillas = true;
-        prep.coupling = &device.couplingMap();
-        shapes.emplace_back(name,
-                            compile::prepare(program.payload, prep).circuit);
-    }
-    return shapes;
-}
-
 TEST(TrajectoryPlanTest, ReuseShapesFitExactBranchedDistribution)
 {
     // The trajectory plan against the density backend's exact record
@@ -245,7 +195,7 @@ TEST(TrajectoryPlanTest, ReuseShapesFitExactBranchedDistribution)
     // chi-square at a 1e-6 false-alarm rate.
     const DeviceModel device = DeviceModel::ibmqx4();
     const NoiseModel &noise = device.noiseModel();
-    for (const auto &[name, c] : paperReuseShapes(device)) {
+    for (const auto &[name, c] : test::paperPreparedShapes(device, true)) {
         std::size_t resets = 0;
         for (const Operation &op : c.ops())
             resets += op.kind == OpKind::Reset ? 1 : 0;
