@@ -6,7 +6,7 @@
  * test, made quantitative with confidence intervals.
  *
  * Unlike a fixed-budget sweep, every estimate here runs through the
- * adaptive ExecutionEngine with a StoppingRule: shot waves stop as
+ * ExecutionEngine with a StoppingRule: shot waves stop as
  * soon as the error statistic's Wilson 95% half-width reaches the
  * target, so easy amplitudes (error rates far from 1/2) spend far
  * fewer shots than the worst case. The shots saved across the whole
@@ -42,12 +42,13 @@ constexpr std::size_t kShardShots = 1024;
 constexpr std::size_t kBudget = 48 * kShardShots; // 49152
 
 /**
- * Run @p inst through the adaptive engine until the any-error rate's
+ * Run @p inst through the engine until the any-error rate's
  * 95% half-width is <= @p target_half_width (or the budget runs out).
  */
 Result
-runAdaptive(ExecutionEngine &engine, const InstrumentedCircuit &inst,
-            double target_half_width, std::uint64_t seed)
+runUntilConverged(ExecutionEngine &engine,
+                  const InstrumentedCircuit &inst,
+                  double target_half_width, std::uint64_t seed)
 {
     Job job(inst.circuit(), kBudget, "statevector", seed);
     job.instrumented = std::make_shared<InstrumentedCircuit>(inst);
@@ -55,7 +56,7 @@ runAdaptive(ExecutionEngine &engine, const InstrumentedCircuit &inst,
     job.stopping.targetHalfWidth = target_half_width;
     job.stopping.minShots = 2 * kShardShots;
     job.stopping.waveShots = 4 * kShardShots;
-    return engine.runAdaptive(job);
+    return engine.run(job);
 }
 
 InstrumentedCircuit
@@ -98,8 +99,8 @@ main()
     for (double theta : {0.4, 1.0, M_PI / 2, 2.3}) {
         const InstrumentedCircuit inst = classicalWorkload(theta);
         const Result r =
-            runAdaptive(engine, inst, target_half_width,
-                        static_cast<std::uint64_t>(theta * 1000));
+            runUntilConverged(engine, inst, target_half_width,
+                              static_cast<std::uint64_t>(theta * 1000));
         const auto est = estimateFromClassicalAssertion(
             countErrors(inst, r), r.shots());
 
@@ -133,8 +134,8 @@ main()
         const InstrumentedCircuit inst = instrument(payload, {spec});
 
         const Result r =
-            runAdaptive(engine, inst, target_half_width,
-                        static_cast<std::uint64_t>(theta * 7777));
+            runUntilConverged(engine, inst, target_half_width,
+                              static_cast<std::uint64_t>(theta * 7777));
         const auto est = estimateFromSuperpositionAssertion(
             countErrors(inst, r), r.shots());
 
@@ -171,7 +172,8 @@ main()
     const InstrumentedCircuit sweep_inst = classicalWorkload(M_PI / 2);
     std::size_t previous_shots = 0;
     for (double target : {0.02, 0.01, 0.005}) {
-        const Result r = runAdaptive(engine, sweep_inst, target, 4242);
+        const Result r =
+            runUntilConverged(engine, sweep_inst, target, 4242);
         bench::note("  target " + formatDouble(target, 3) + ": " +
                     std::to_string(r.shots()) + "/" +
                     std::to_string(r.shotsRequested()) + " shots" +

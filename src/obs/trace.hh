@@ -16,9 +16,10 @@
  *   prepare (queue)        one JobQueue preparation (cache miss path)
  *   pass:<name> (compile)  one compile-pass execution
  *   shard (engine)         one shard's backend run, args shots/wait_ns
- *   wave (engine, async)   one adaptive wave, begin at launch
+ *   wave (engine, async)   one shot wave of a job, begin at launch
  *   wave_merge (engine)    shard-order merge of a finished wave
  *   stopping_eval (engine) stopping-rule evaluation after a wave
+ *                          (enabled rule or progress stream only)
  *   sampled_run (sim)      one sampled state-vector run
  *
  * Recording is guarded by obs::tracingEnabled(): a disabled span is

@@ -49,10 +49,13 @@ struct BackendCapabilities
     std::size_t maxQubits = 0;
 
     /**
-     * Whether a shot budget may be split across parallel shards.
-     * Exact backends re-derive the full final state per run() call,
-     * so sharding them multiplies the dominant cost; the engine runs
-     * them as a single shard instead.
+     * Whether a shot budget may be split across parallel shards. The
+     * density backend is not. Cost is not the reason: with a
+     * PlanCache installed (the JobQueue installs one) its exact
+     * distribution is built once per (circuit, noise, fusion) however
+     * many shards sample it. Splitting its budget would change the
+     * shard seeds its samples draw from, and with them its pinned
+     * counts. The engine runs unshardable backends as one shard.
      */
     bool shardable = true;
 };

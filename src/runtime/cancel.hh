@@ -8,9 +8,13 @@
  * wants the runtime to wind the job down. The engine polls the token
  * at shard starts and wave boundaries — cancellation is cooperative
  * and shard-granular, never preemptive: shards already running finish,
- * shards not yet started are skipped (fixed-budget paths) or never
- * launched (adaptive waves), and the delivered Result is the merge of
- * exactly the shards that completed, stamped cancelled().
+ * shards not yet started are skipped (unless the job has a checkpoint
+ * sink, whose in-flight wave always completes), later waves never
+ * launch, and the delivered Result is the merge of exactly the shards
+ * that completed. It is stamped cancelled() whenever the poll at the
+ * final wave boundary finds the token fired — also when the cancel
+ * arrived too late to skip anything, so shots() <= shotsRequested(),
+ * with equality when every shard had started.
  *
  * Deadlines ride the same state: the engine arms the token with a
  * monotonic-clock expiry at dispatch (Job::deadlineMs), and poll()

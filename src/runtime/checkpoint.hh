@@ -1,8 +1,8 @@
 /**
  * @file
- * JobCheckpoint: the resumable cursor of an adaptive (wave-based) job.
+ * JobCheckpoint: the resumable cursor of a job's shot waves.
  *
- * An adaptive job's progress is fully described by its position in
+ * A job's progress is fully described by its position in
  * the deterministic shard plan: the merged counts so far, the index
  * of the next shard to launch, and the last stopping evaluation.
  * Because the plan depends only on (budget, seed, shardShots,
@@ -37,7 +37,7 @@
 namespace qra {
 namespace runtime {
 
-/** Resumable cursor of an adaptive job (see file comment). */
+/** Resumable cursor of a job's shot waves (see file comment). */
 struct JobCheckpoint
 {
     /** Hash of the circuit the shards ran (resume must match). */

@@ -106,37 +106,6 @@ effectiveFaultPlan(const Job &job)
 }
 
 /**
- * Stamp a fixed-budget merge that came up short because the job was
- * cancelled: cancelled() + reason, plus the original ask so
- * shotsRequested() reports the shortfall.
- */
-void
-stampCancelledFixed(Result &merged, const CancelToken &cancel,
-                    std::size_t shots)
-{
-    if (!cancel.poll() || merged.shots() >= shots)
-        return;
-    merged.setShotsRequested(shots);
-    merged.setCancelled(cancelReasonName(cancel.reason()));
-    obs::count(engineMetrics().cancelled);
-}
-
-/** The ExecStats every entry point reports: shards merged, shard
-    retries, and engine wall time from dispatch to completion. */
-ExecStats
-engineStats(std::size_t shards, const std::atomic<std::size_t> &retries,
-            obs::Tracer::Clock::time_point start)
-{
-    ExecStats stats;
-    stats.shards = shards;
-    stats.retries = retries.load(std::memory_order_relaxed);
-    stats.engineSeconds = std::chrono::duration<double>(
-                              obs::Tracer::Clock::now() - start)
-                              .count();
-    return stats;
-}
-
-/**
  * A Completion that settles @p promise. The promise is heap-held: the
  * pool-side callback may still be inside set_value's epilogue when
  * get() unblocks the waiting thread.
@@ -228,7 +197,7 @@ ExecutionEngine::checkAndLaneCount(const Job &job,
 std::function<Result()>
 ExecutionEngine::shardRunner(
     const Job &job, const BackendPtr &backend, const Shard &shard,
-    std::size_t lanes, std::size_t shard_index, bool skip_on_cancel,
+    std::size_t lanes, std::size_t shard_index,
     std::shared_ptr<std::atomic<std::size_t>> retries)
 {
     // The enqueue timestamp is only captured when telemetry is on:
@@ -241,17 +210,18 @@ ExecutionEngine::shardRunner(
             simd_tier = options_.simdTier,
             cache_block = options_.cacheBlockBytes,
             artifacts = job.artifacts,
-            enqueued, shard_index, skip_on_cancel,
+            enqueued, shard_index,
+            skip_on_cancel = job.checkpoint == nullptr,
             cancel = job.cancel, retry = job.retry,
             faults_owner = job.faults,
             faults = effectiveFaultPlan(job),
             retries = std::move(retries)]() {
-        // Cancellation is shard-granular: a fixed-budget shard the
-        // pool dequeues after cancel() contributes zero shots and the
-        // merge stays bit-identical to the completed prefix. Adaptive
-        // wave shards never skip (skip_on_cancel=false) so a wave
-        // either fully merges or fully fails — the invariant the
-        // checkpoint cursor depends on.
+        // Cancellation is shard-granular: a shard the pool dequeues
+        // after cancel() contributes zero shots and the merge stays
+        // bit-identical to the shards that ran. Shards of a job with
+        // a checkpoint sink never skip, so a wave either fully merges
+        // or fully fails — the invariant the checkpoint cursor
+        // depends on.
         if (skip_on_cancel && cancel.poll())
             return Result(circuit->numClbits());
         kernels::ParallelScope scope(pool, lanes);
@@ -280,9 +250,7 @@ ExecutionEngine::shardRunner(
                         attempt + 1 >= retry.maxAttempts ||
                         cancel.cancelled())
                         std::rethrow_exception(error);
-                    if (retries)
-                        retries->fetch_add(
-                            1, std::memory_order_relaxed);
+                    retries->fetch_add(1, std::memory_order_relaxed);
                     obs::count(engineMetrics().retries);
                     const double delay_ms = retryBackoffMs(
                         retry, attempt + 1, shard.seed);
@@ -315,7 +283,7 @@ void
 ExecutionEngine::runShards(
     const Job &job, const BackendPtr &backend,
     const std::vector<Shard> &plan, std::size_t begin,
-    std::size_t count, std::size_t lanes, bool skip_on_cancel,
+    std::size_t count, std::size_t lanes,
     std::shared_ptr<std::atomic<std::size_t>> retries, BatchDone done)
 {
     struct Batch
@@ -334,7 +302,7 @@ ExecutionEngine::runShards(
     batch->errorIndex = count;
     batch->done = std::move(done);
     if (count == 0) {
-        // Nothing to run (a resumed adaptive job whose checkpoint is
+        // Nothing to run (a resumed job whose checkpoint is
         // exhausted): the epilogue still runs on a pool thread.
         pool_.submit([batch]() { batch->done({}, nullptr); });
         return;
@@ -343,7 +311,7 @@ ExecutionEngine::runShards(
         pool_.submit([batch, i,
                       runner = shardRunner(job, backend, plan[begin + i],
                                            lanes, begin + i,
-                                           skip_on_cancel, retries)]() {
+                                           retries)]() {
             Result part;
             std::exception_ptr error;
             try {
@@ -369,9 +337,14 @@ ExecutionEngine::runShards(
 }
 
 Result
-ExecutionEngine::run(const Job &job)
+ExecutionEngine::run(const Job &job, Progress on_progress)
 {
-    return submit(job).get();
+    auto promise = std::make_shared<std::promise<Result>>();
+    std::future<Result> future = promise->get_future();
+    submitAsync(job, settle(std::move(promise)), std::move(on_progress));
+    // Safe to park here: the caller is not a pool thread, so waves
+    // drain freely.
+    return future.get();
 }
 
 Result
@@ -391,65 +364,15 @@ ExecutionEngine::submit(Job job)
     return future;
 }
 
-void
-ExecutionEngine::submitAsync(Job job, Completion on_complete)
-{
-    if (!on_complete)
-        throw ValueError("submitAsync requires a completion callback");
-    if (!job.circuit)
-        throw ValueError("job has no circuit");
-    const auto start = obs::Tracer::Clock::now();
-    obs::count(engineMetrics().jobs);
-    const BackendPtr backend =
-        registry_->resolve(job.backend, *job.circuit, job.noise);
-    armJobDeadline(job);
-    const std::vector<Shard> plan =
-        shardPlan(job.shots, job.seed, *backend);
-    const std::size_t lanes =
-        checkAndLaneCount(job, backend, plan.size());
-    auto retries = std::make_shared<std::atomic<std::size_t>>(0);
-
-    // The last shard to finish merges the parts in shard order and
-    // invokes the callback on its pool thread: no thread ever blocks
-    // in a join.
-    runShards(
-        job, backend, plan, 0, plan.size(), lanes,
-        /*skip_on_cancel=*/true, retries,
-        [callback = std::move(on_complete),
-         num_clbits = job.circuit->numClbits(), shots = job.shots,
-         cancel = job.cancel, retries,
-         start](std::vector<Result> parts, std::exception_ptr error) {
-            Result merged(num_clbits);
-            if (!error) {
-                try {
-                    for (Result &part : parts)
-                        merged.merge(part);
-                    stampCancelledFixed(merged, cancel, shots);
-                    merged.setExecStats(
-                        engineStats(parts.size(), *retries, start));
-                } catch (...) {
-                    // Merge failure: deliver it rather than dropping
-                    // the completion on the floor.
-                    merged = Result(num_clbits);
-                    error = std::current_exception();
-                }
-            }
-            // A throwing callback would otherwise vanish into a
-            // discarded pool future; invokeGuarded surfaces it.
-            invokeGuarded("submitAsync completion callback", callback,
-                          std::move(merged), error);
-        });
-}
-
 namespace {
 
 /**
- * Shared state of one adaptive run. It is only touched by the
- * dispatching thread or by a wave's last-finishing shard (the shard
- * batch's mutex orders those accesses), so the merge/evaluate/relaunch
- * sequence runs unlocked.
+ * Shared state of one job. It is only touched by the dispatching
+ * thread or by a wave's last-finishing shard (the shard batch's mutex
+ * orders those accesses), so the merge/evaluate/relaunch sequence
+ * runs unlocked.
  */
-struct AdaptiveState
+struct JobState
 {
     Job job;
     BackendPtr backend;
@@ -478,8 +401,16 @@ struct AdaptiveState
     ExecutionEngine::Progress progress;
     ExecutionEngine::Completion done;
     /** Captures only the engine; the pool tasks keep `this` alive. */
-    std::function<void(std::shared_ptr<AdaptiveState>)> launchWave;
+    std::function<void(std::shared_ptr<JobState>)> launchWave;
 };
+
+/** Deliver @p error (with an empty Result) through the completion. */
+void
+fail(const JobState &state, std::exception_ptr error)
+{
+    invokeGuarded("submitAsync completion callback", state.done,
+                  Result(state.numClbits), error);
+}
 
 /**
  * Fill the job's checkpoint sink (if any) with the current cursor.
@@ -490,7 +421,7 @@ struct AdaptiveState
  * stamping, so resuming merges cleanly on top of it.
  */
 void
-writeCheckpoint(const std::shared_ptr<AdaptiveState> &state,
+writeCheckpoint(const std::shared_ptr<JobState> &state,
                 std::size_t next_shard)
 {
     if (!state->job.checkpoint)
@@ -508,8 +439,8 @@ writeCheckpoint(const std::shared_ptr<AdaptiveState> &state,
 
 /** Wave epilogue, run by the wave's last-finishing shard. */
 void
-finishAdaptiveWave(const std::shared_ptr<AdaptiveState> &state,
-                   std::vector<Result> &parts, std::exception_ptr error)
+finishWave(const std::shared_ptr<JobState> &state,
+           std::vector<Result> &parts, std::exception_ptr error)
 {
     // Wave-scope fault sites fail the epilogue itself (there is no
     // per-wave retry — recovery is the checkpoint/resume path).
@@ -526,12 +457,11 @@ finishAdaptiveWave(const std::shared_ptr<AdaptiveState> &state,
         // checkpoint cursor to its first shard so a resume re-runs
         // exactly the lost shots.
         writeCheckpoint(state, state->waveBegin);
-        invokeGuarded("submitAdaptive completion callback",
-                      state->done, Result(state->numClbits), error);
+        fail(*state, error);
         return;
     }
-    // Merge in shard order: together with waves walking the plan in
-    // shard-index order this reproduces run()'s merge order exactly.
+    // Merge in shard order: with waves walking the plan in
+    // shard-index order, every wave setting merges the same sequence.
     {
         obs::Span merge_span("engine", "wave_merge",
                              {{"wave", state->wave + 1},
@@ -542,45 +472,29 @@ finishAdaptiveWave(const std::shared_ptr<AdaptiveState> &state,
     ++state->wave;
     obs::count(engineMetrics().waves);
 
+    // Only an enabled rule or a progress stream needs the statistic:
+    // evaluating it decodes every register of the merge.
+    const StoppingRule &rule = state->job.stopping;
     StoppingStatus status;
-    {
+    status.shotsDone = state->merged.shots();
+    if (rule.enabled() || state->progress) {
         obs::Span eval_span("engine", "stopping_eval",
                             {{"wave", state->wave}});
-        if (state->job.stopping.enabled()) {
-            try {
-                status =
-                    evaluateStopping(state->job.stopping,
-                                     state->merged,
-                                     state->job.instrumented.get());
-            } catch (...) {
-                invokeGuarded("submitAdaptive completion callback",
-                              state->done, Result(state->numClbits),
-                              std::current_exception());
-                return;
-            }
-        } else {
-            // No convergence target: waves always run the full
-            // budget, but when the job carries enough decode
-            // bookkeeping the statistic is still evaluated so
-            // streaming consumers see a live estimate rather than
-            // the defaults.
-            try {
-                status =
-                    evaluateStopping(state->job.stopping,
-                                     state->merged,
-                                     state->job.instrumented.get());
-            } catch (const Error &) {
-                // Nothing to watch (e.g. any-error without
-                // assertions): stream shot progress only.
-                status.shotsDone = state->merged.shots();
-            }
+        try {
+            status = evaluateStopping(rule, state->merged,
+                                      state->job.instrumented.get());
+        } catch (const Error &) {
+            // An enabled rule's failure fails the job. A disabled one
+            // with nothing to watch (e.g. any-error without
+            // assertions) streams shot progress only.
+            if (rule.enabled())
+                throw;
         }
     }
     status.wave = state->wave;
     status.shotsRequested = state->budget;
-    // Cancellation is polled only here, at the wave boundary: the
-    // wave that was in flight when cancel() fired still merges in
-    // full, so the checkpoint cursor always sits between waves.
+    // Cancellation is polled here, at the wave boundary: this is the
+    // poll that stamps cancelled() and stops further waves.
     status.cancelled = state->job.cancel.poll();
     status.finished = status.converged || status.cancelled ||
                       state->nextShard >= state->plan.size();
@@ -592,8 +506,8 @@ finishAdaptiveWave(const std::shared_ptr<AdaptiveState> &state,
     }
 
     if (state->progress)
-        invokeGuarded("submitAdaptive progress callback",
-                      state->progress, state->merged, status);
+        invokeGuarded("submitAsync progress callback", state->progress,
+                      state->merged, status);
 
     if (!status.finished) {
         state->launchWave(state);
@@ -607,35 +521,37 @@ finishAdaptiveWave(const std::shared_ptr<AdaptiveState> &state,
     final_result.setStoppedEarly(status.converged &&
                                  final_result.shots() <
                                      state->budget);
+    const EngineMetrics &m = engineMetrics();
     if (status.cancelled) {
         final_result.setCancelled(
             cancelReasonName(state->job.cancel.reason()));
-        obs::count(engineMetrics().cancelled);
-    }
-    ExecStats stats =
-        engineStats(state->nextShard, state->retryCount, state->start);
-    stats.waves = state->wave;
-    stats.resumedShots = state->resumedShots;
-    final_result.setExecStats(stats);
-    if (obs::metricsEnabled() && !status.cancelled) {
-        const EngineMetrics &m = engineMetrics();
+        obs::count(m.cancelled);
+    } else if (rule.enabled() && obs::metricsEnabled()) {
         obs::count(m.adaptiveBudgetShots, state->budget);
         obs::count(m.adaptiveShotsSaved,
                    state->budget - final_result.shots());
     }
-    invokeGuarded("submitAdaptive completion callback", state->done,
+    ExecStats stats;
+    stats.shards = state->nextShard;
+    stats.waves = state->wave;
+    stats.retries = state->retryCount.load(std::memory_order_relaxed);
+    stats.resumedShots = state->resumedShots;
+    stats.engineSeconds = std::chrono::duration<double>(
+                              obs::Tracer::Clock::now() - state->start)
+                              .count();
+    final_result.setExecStats(stats);
+    invokeGuarded("submitAsync completion callback", state->done,
                   std::move(final_result), nullptr);
 }
 
 } // namespace
 
 void
-ExecutionEngine::submitAdaptive(Job job, Progress on_progress,
-                                Completion on_complete)
+ExecutionEngine::submitAsync(Job job, Completion on_complete,
+                             Progress on_progress)
 {
     if (!on_complete)
-        throw ValueError(
-            "submitAdaptive requires a completion callback");
+        throw ValueError("submitAsync requires a completion callback");
     if (!job.circuit)
         throw ValueError("job has no circuit");
     const auto start_time = obs::Tracer::Clock::now();
@@ -647,8 +563,6 @@ ExecutionEngine::submitAdaptive(Job job, Progress on_progress,
     const StoppingRule &rule = job.stopping;
     const std::size_t budget =
         rule.maxShots != 0 ? rule.maxShots : job.shots;
-    if (budget == 0)
-        throw ValueError("adaptive job has no shot budget");
     // Misconfigured rules (assertion statistic without an
     // instrumented circuit, bad check index, bad outcome string) must
     // throw here, synchronously, not inside a pool callback.
@@ -656,11 +570,10 @@ ExecutionEngine::submitAdaptive(Job job, Progress on_progress,
         evaluateStopping(rule, Result(job.circuit->numClbits()),
                          job.instrumented.get());
 
-    auto state = std::make_shared<AdaptiveState>();
-    // Waves partition the *budget's* shard plan by shard index; the
-    // plan (and with it every shard's shots and RNG stream) is the
-    // same one run() would use for the full budget, which is what
-    // makes waved counts bit-identical to a single block.
+    auto state = std::make_shared<JobState>();
+    // Waves partition the *budget's* shard plan by shard index, so
+    // every shard's shots and RNG stream are the same at any wave
+    // size: waved counts are bit-identical to a single wave.
     state->plan = shardPlan(budget, job.seed, *backend);
     if (rule.waveShots > 0) {
         // Round the requested wave size up to whole shards.
@@ -671,8 +584,7 @@ ExecutionEngine::submitAdaptive(Job job, Progress on_progress,
             state->plan.size());
     } else if (!rule.enabled()) {
         // No convergence target and no explicit wave size: one wave
-        // of the whole plan, i.e. run()'s schedule (full shard
-        // parallelism) plus a single progress report.
+        // of the whole plan (full shard parallelism).
         state->perWave = state->plan.size();
     } else {
         // Auto wave size: about one shard per pool thread keeps the
@@ -730,7 +642,7 @@ ExecutionEngine::submitAdaptive(Job job, Progress on_progress,
     state->progress = std::move(on_progress);
     state->done = std::move(on_complete);
     state->start = start_time;
-    state->launchWave = [this](std::shared_ptr<AdaptiveState> st) {
+    state->launchWave = [this](std::shared_ptr<JobState> st) {
         const std::size_t begin = st->nextShard;
         st->waveBegin = begin;
         const std::size_t count =
@@ -746,7 +658,6 @@ ExecutionEngine::submitAdaptive(Job job, Progress on_progress,
         }
         runShards(
             st->job, st->backend, st->plan, begin, count, st->lanes,
-            /*skip_on_cancel=*/false,
             std::shared_ptr<std::atomic<std::size_t>>(st,
                                                       &st->retryCount),
             [st](std::vector<Result> parts, std::exception_ptr error) {
@@ -755,11 +666,9 @@ ExecutionEngine::submitAdaptive(Job job, Progress on_progress,
                 // discarded future and leave the job uncompleted;
                 // deliver it instead.
                 try {
-                    finishAdaptiveWave(st, parts, error);
+                    finishWave(st, parts, error);
                 } catch (...) {
-                    invokeGuarded("submitAdaptive completion callback",
-                                  st->done, Result(st->numClbits),
-                                  std::current_exception());
+                    fail(*st, std::current_exception());
                 }
             });
     };
@@ -767,18 +676,6 @@ ExecutionEngine::submitAdaptive(Job job, Progress on_progress,
     // goes straight to the epilogue, which re-evaluates the rule on
     // the merged counts and completes.
     state->launchWave(state);
-}
-
-Result
-ExecutionEngine::runAdaptive(const Job &job, Progress on_progress)
-{
-    auto promise = std::make_shared<std::promise<Result>>();
-    std::future<Result> future = promise->get_future();
-    submitAdaptive(job, std::move(on_progress),
-                   settle(std::move(promise)));
-    // Safe to park here: the caller is not a pool thread (the same
-    // contract as future-based submit()), so waves drain freely.
-    return future.get();
 }
 
 AssertionReport

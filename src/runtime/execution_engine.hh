@@ -10,6 +10,12 @@
  * index, and the partial Results are merged in shard order, so the
  * merged counts for a fixed seed are bit-identical whether the
  * engine drives 1 thread or 64.
+ *
+ * Every job has one lifecycle: its shards execute in waves, and each
+ * wave's epilogue merges the wave, evaluates the stopping rule,
+ * streams progress, and either launches the next wave or stamps and
+ * delivers the Result. A fixed-budget job (stopping rule disabled,
+ * no wave size) is a one-wave job over its whole shard plan.
  */
 
 #ifndef QRA_RUNTIME_EXECUTION_ENGINE_HH
@@ -60,10 +66,10 @@ struct Job
     std::shared_ptr<kernels::PlanCache> artifacts;
 
     /**
-     * Early-stopping policy for the adaptive entry points
-     * (runAdaptive/submitAdaptive). When the convergence target is
-     * unset the adaptive paths still execute in waves but always run
-     * the full budget. Ignored by run()/submit()/submitAsync().
+     * Early-stopping policy. With the convergence target unset the
+     * job runs its full budget: in one wave, or in waves of
+     * stopping.waveShots when that is set. With it set, waves stop
+     * once the watched statistic's interval is tight.
      */
     StoppingRule stopping;
 
@@ -77,12 +83,13 @@ struct Job
 
     /**
      * Cooperative cancellation handle. Keep a copy and call
-     * cancel(): fixed-budget paths skip every shard not yet started,
-     * adaptive paths stop at the next wave boundary (in-flight wave
-     * shards always finish so checkpoints stay wave-aligned). The
-     * delivered Result is the merge of exactly the shards that
+     * cancel(): shards not yet started are skipped — unless the job
+     * has a checkpoint sink, whose in-flight wave always finishes so
+     * the cursor stays wave-aligned — and no further wave launches.
+     * The delivered Result is the merge of exactly the shards that
      * completed — bit-identical to those shards of an uncancelled
-     * run — stamped cancelled().
+     * run — stamped cancelled() whenever the token has fired by the
+     * final wave boundary.
      */
     CancelToken cancel;
 
@@ -106,17 +113,16 @@ struct Job
     std::shared_ptr<const FaultPlan> faults;
 
     /**
-     * Checkpoint sink for the adaptive paths: when set, the engine
-     * writes the job's resumable cursor here at completion,
-     * cancellation, and wave failure (see checkpoint.hh). Ignored by
-     * the fixed-budget paths.
+     * Checkpoint sink: when set, the engine writes the job's
+     * resumable cursor here at completion, cancellation, and wave
+     * failure (see checkpoint.hh).
      */
     std::shared_ptr<JobCheckpoint> checkpoint;
 
     /**
-     * Resume source for the adaptive paths: skip the shards a prior
-     * run already merged. Must match this job's circuit, seed, and
-     * budget (validated synchronously); the stopping rule may differ.
+     * Resume source: skip the shards a prior run already merged.
+     * Must match this job's circuit, seed, and budget (validated
+     * synchronously); the stopping rule may differ.
      */
     std::shared_ptr<const JobCheckpoint> resumeFrom;
 
@@ -223,12 +229,25 @@ class ExecutionEngine
                                  const Backend &backend) const;
 
     /**
-     * Execute @p job synchronously: submit(job).get(). @throws
-     * SimulationError/ValueError on unsupported circuits or unknown
-     * backend names, and rethrows the lowest-index failing shard's
-     * error.
+     * Streaming callback: the merged partial Result after each wave
+     * plus the stopping evaluation. Invoked on a pool thread,
+     * strictly between waves (never concurrently with shard execution
+     * of the same job), so the partial may be read without locking
+     * but must not be retained past the callback's return — the next
+     * wave mutates it.
      */
-    Result run(const Job &job);
+    using Progress =
+        std::function<void(const Result &, const StoppingStatus &)>;
+
+    /**
+     * Execute @p job synchronously through submitAsync, streaming
+     * each wave to @p onProgress (optional). Safe to call from any
+     * thread that is not a pool thread. @throws
+     * SimulationError/ValueError on unsupported circuits, unknown
+     * backend names or misconfigured stopping rules, and rethrows the
+     * lowest-index failing shard's error.
+     */
+    Result run(const Job &job, Progress onProgress = nullptr);
 
     /** Convenience: run a circuit without building a Job by hand. */
     Result run(const Circuit &circuit, std::size_t shots,
@@ -254,63 +273,40 @@ class ExecutionEngine
     using Completion = std::function<void(Result, std::exception_ptr)>;
 
     /**
-     * Dispatch @p job's shards and deliver the merged Result through
-     * @p onComplete instead of a future. The last shard to finish
-     * merges (in shard order, so counts are bit-identical to run())
-     * and invokes the callback *on a pool thread*: callbacks must not
-     * block on pool work they themselves wait for, but may submit new
-     * jobs. Errors during dispatch (unknown backend, rejected
-     * circuit) still throw synchronously. Callbacks should not throw;
-     * an exception escaping one is logged as a warning and dropped
-     * (there is no future to carry it).
-     */
-    void submitAsync(Job job, Completion onComplete);
-
-    /**
-     * Streaming callback of the adaptive entry points: the merged
-     * partial Result after each wave plus the stopping evaluation.
-     * Invoked on a pool thread, strictly between waves (never
-     * concurrently with shard execution of the same job), so the
-     * partial may be read without locking but must not be retained
-     * past the callback's return — the next wave mutates it.
-     */
-    using Progress =
-        std::function<void(const Result &, const StoppingStatus &)>;
-
-    /**
-     * Adaptive wave-based execution with early stopping. The job's
-     * shot budget (stopping.maxShots, defaulting to job.shots) is
-     * laid out as the usual deterministic shard plan, and the shards
-     * execute in waves of ~stopping.waveShots shots. After each wave
-     * the merged-so-far Result is evaluated against the stopping
-     * rule; @p onProgress (optional) streams the partial result, and
-     * the run ends early once the watched statistic's Wilson 95%
-     * half-width reaches the target (past any minShots floor).
+     * The one job lifecycle. The job's shot budget
+     * (stopping.maxShots, defaulting to job.shots) is laid out as the
+     * deterministic shard plan, and the shards execute in waves: the
+     * whole plan in one wave when the stopping rule is disabled and
+     * stopping.waveShots is 0, else waves of ~stopping.waveShots
+     * shots (about one shard per pool thread when only the target is
+     * set). The last shard of each wave merges it (in shard order),
+     * evaluates the stopping rule when it is enabled or @p onProgress
+     * is attached, invokes @p onProgress on its pool thread, and
+     * either launches the next wave or delivers the final Result
+     * through @p onComplete (also on a pool thread). The run ends
+     * early once the watched statistic's Wilson 95% half-width
+     * reaches the target (past any minShots floor).
      *
      * Determinism: waves partition the budget's shard plan by shard
-     * index, and waves merge in shard order, so a run that executes
-     * the whole budget is bit-identical to run() with the same total
-     * at ANY thread/wave/shard setting. An early-stopped run equals
-     * run() of the shots actually taken whenever those form the same
-     * shard decomposition — guaranteed when the budget is a multiple
-     * of shardShots and within maxShards (uniform shard plan).
+     * index and merge in shard order, so a run that executes the
+     * whole budget is bit-identical at ANY thread/wave/shard-per-wave
+     * setting. An early-stopped run equals a fixed run of the shots
+     * actually taken whenever those form the same shard decomposition
+     * — guaranteed when the budget is a multiple of shardShots and
+     * within maxShards (uniform shard plan).
      *
-     * The final Result carries shotsRequested() = budget and
-     * stoppedEarly() when it converged with budget to spare.
+     * The final Result carries shotsRequested() = budget,
+     * stoppedEarly() when it converged with budget to spare, and
+     * cancelled() when the token fired by the final wave boundary.
+     * Callbacks must not block on pool work they themselves wait for
+     * (submitting new jobs is fine) and should not throw: an
+     * exception escaping one is logged as a warning and dropped.
+     * Errors during dispatch (unknown backend, rejected circuit,
+     * misconfigured rule, mismatched resume checkpoint) throw
+     * synchronously.
      */
-    Result runAdaptive(const Job &job, Progress onProgress = nullptr);
-
-    /**
-     * Asynchronous form of runAdaptive: shards of the current wave go
-     * to the pool; the last shard of each wave merges (in shard
-     * order), evaluates the rule, invokes @p onProgress on its pool
-     * thread, and either launches the next wave or delivers the final
-     * Result through @p onComplete (also on a pool thread). Both
-     * callbacks follow submitAsync's rules: they must not block on
-     * pool work they wait for themselves, and should not throw.
-     */
-    void submitAdaptive(Job job, Progress onProgress,
-                        Completion onComplete);
+    void submitAsync(Job job, Completion onComplete,
+                     Progress onProgress = nullptr);
 
     /**
      * Assertion-flow entry point: execute an instrumented circuit and
@@ -332,16 +328,16 @@ class ExecutionEngine
                                   std::size_t shard_count) const;
 
     /**
-     * The per-shard execution closure shared by all submit paths:
-     * cancellation poll (skip_on_cancel = fixed-budget paths only;
-     * adaptive wave shards always run so waves complete atomically),
-     * fault injection at @p shard_index, and the transient-failure
-     * retry loop (attempts re-counted into @p retries when non-null).
+     * The per-shard execution closure: cancellation poll (skipped
+     * for jobs with a checkpoint sink, whose waves must complete
+     * atomically), fault injection at @p shard_index, and the
+     * transient-failure retry loop (attempts re-counted into
+     * @p retries).
      */
     std::function<Result()>
     shardRunner(const Job &job, const BackendPtr &backend,
                 const Shard &shard, std::size_t lanes,
-                std::size_t shard_index, bool skip_on_cancel,
+                std::size_t shard_index,
                 std::shared_ptr<std::atomic<std::size_t>> retries);
 
     /**
@@ -354,16 +350,15 @@ class ExecutionEngine
         std::function<void(std::vector<Result>, std::exception_ptr)>;
 
     /**
-     * The one shard-completion path behind submitAsync and the
-     * adaptive waves: run shards [@p begin, @p begin + @p count) of
-     * @p plan on the pool, store each part and error under a mutex,
-     * and let the last shard to finish call @p done. An empty batch
-     * calls @p done from a pool task.
+     * The one shard-completion path behind every wave: run shards
+     * [@p begin, @p begin + @p count) of @p plan on the pool, store
+     * each part and error under a mutex, and let the last shard to
+     * finish call @p done. An empty batch calls @p done from a pool
+     * task.
      */
     void runShards(const Job &job, const BackendPtr &backend,
                    const std::vector<Shard> &plan, std::size_t begin,
                    std::size_t count, std::size_t lanes,
-                   bool skip_on_cancel,
                    std::shared_ptr<std::atomic<std::size_t>> retries,
                    BatchDone done);
 

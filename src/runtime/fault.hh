@@ -19,7 +19,8 @@
  *   shard:I:KIND[:N|:perm]   fault shard index I (N = first N
  *                            attempts, default 1; perm = permanent,
  *                            every attempt)
- *   wave:I:KIND              fault the epilogue of adaptive wave I
+ *   wave:I:KIND              fault the epilogue of wave I (a
+ *                            fixed-budget job's only wave is 0)
  *   prepare:KIND[:N|:perm]   fault the JobQueue prepare pipeline
  *   rate:P:KIND              fault any shard with probability P per
  *                            (shard, attempt), seeded
@@ -66,7 +67,7 @@ struct FaultSite
     {
         /** A shard run (index = global shard index of the plan). */
         Shard,
-        /** An adaptive wave epilogue (index = 0-based wave index). */
+        /** A wave epilogue (index = 0-based wave index). */
         Wave,
         /** The JobQueue prepare pipeline (index ignored; attempts
             count prepare builds). */

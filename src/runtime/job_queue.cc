@@ -212,19 +212,6 @@ JobQueue::makeJob(const JobSpec &spec, PrepInfo *info)
     return job;
 }
 
-namespace {
-
-/** Specs with lifecycle state only the wave engine maintains
-    (checkpoint sink, resume source) force the adaptive path. */
-bool
-needsAdaptive(const JobSpec &spec)
-{
-    return spec.stopping.enabled() || spec.checkpoint != nullptr ||
-           spec.resumeFrom != nullptr;
-}
-
-} // namespace
-
 JobQueue::Completion
 JobQueue::stamped(Completion on_complete, PrepInfo info)
 {
@@ -266,7 +253,7 @@ JobQueue::submit(const JobSpec &spec)
                else
                    promise->set_value(std::move(result));
            },
-           /*stream=*/false, /*track=*/false);
+           /*track=*/false);
     return future;
 }
 
@@ -275,8 +262,7 @@ JobQueue::submit(const JobSpec &spec, Completion on_complete)
 {
     if (!on_complete)
         throw ValueError("submit requires a completion callback");
-    launch(spec, nullptr, std::move(on_complete), /*stream=*/false,
-           /*track=*/true);
+    launch(spec, nullptr, std::move(on_complete), /*track=*/true);
 }
 
 void
@@ -286,12 +272,12 @@ JobQueue::submit(const JobSpec &spec, Progress on_progress,
     if (!on_complete)
         throw ValueError("submit requires a completion callback");
     launch(spec, std::move(on_progress), std::move(on_complete),
-           /*stream=*/true, /*track=*/true);
+           /*track=*/true);
 }
 
 void
 JobQueue::launch(const JobSpec &spec, Progress on_progress,
-                 Completion on_complete, bool stream, bool track)
+                 Completion on_complete, bool track)
 {
     PrepInfo info;
     Job job = makeJob(spec, &info);
@@ -322,16 +308,8 @@ JobQueue::launch(const JobSpec &spec, Progress on_progress,
         };
     }
     try {
-        // Fixed-budget specs take the one-block submitAsync path; an
-        // enabled stopping rule, checkpoint/resume state, or a
-        // progress stream (every wave reports, even with the rule
-        // disabled) routes through the wave engine.
-        if (stream || needsAdaptive(spec))
-            engine_.submitAdaptive(std::move(job),
-                                   std::move(on_progress),
-                                   std::move(done));
-        else
-            engine_.submitAsync(std::move(job), std::move(done));
+        engine_.submitAsync(std::move(job), std::move(done),
+                            std::move(on_progress));
     } catch (...) {
         // Synchronous dispatch failure: the callback will never run.
         if (track)

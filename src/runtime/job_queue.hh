@@ -100,7 +100,7 @@ struct JobSpec
      * and shotsRequested(). Assertion statistics (AnyError,
      * CheckError) require `assertions` to be non-empty. Not part of
      * the prepare key: the rule changes how many shots run, never
-     * the prepared circuit, so adaptive resubmissions share cache
+     * the prepared circuit, so early-stopping resubmissions share cache
      * entries (and warm sampling artifacts) with fixed ones.
      */
     StoppingRule stopping;
@@ -118,10 +118,9 @@ struct JobSpec
     RetryPolicy retry;
     /** Fault-injection plan; null = the process-wide QRA_FAULTS one. */
     std::shared_ptr<const FaultPlan> faults;
-    /** Checkpoint sink; setting it routes the spec through the wave
-        engine even when the stopping rule is disabled. */
+    /** Checkpoint sink (see checkpoint.hh). */
     std::shared_ptr<JobCheckpoint> checkpoint;
-    /** Resume source (also routes through the wave engine). */
+    /** Resume source (see checkpoint.hh). */
     std::shared_ptr<const JobCheckpoint> resumeFrom;
 };
 
@@ -149,10 +148,9 @@ class JobQueue
      * finishes (the merge runs on that shard's pool thread, not on
      * the get() thread), and a failed job rethrows the lowest-index
      * failing shard's error. Specs whose stopping rule is enabled
-     * execute adaptively (in waves, stopping early on convergence);
-     * the future then resolves to the partial-but-converged Result.
-     * These jobs are not tracked by waitIdle(), and the future may
-     * outlive the queue.
+     * stop early on convergence; the future then resolves to the
+     * partial-but-converged Result. These jobs are not tracked by
+     * waitIdle(), and the future may outlive the queue.
      */
     std::future<Result> submit(const JobSpec &spec);
 
@@ -174,12 +172,12 @@ class JobQueue
     void submit(const JobSpec &spec, Completion onComplete);
 
     /**
-     * Streaming submission: like submit(spec, onComplete) but the
-     * job always executes in waves (adaptive path) and @p onProgress
-     * receives the merged partial Result plus the stopping evaluation
-     * after every wave, on a pool thread. Useful both for live
-     * dashboards over fixed-budget jobs (rule disabled: every wave
-     * runs) and for confidence-driven early stopping (rule enabled).
+     * Streaming submission: like submit(spec, onComplete), and
+     * @p onProgress receives the merged partial Result plus the
+     * stopping evaluation after every wave, on a pool thread. Useful
+     * both for live dashboards over fixed-budget jobs (rule disabled:
+     * every wave runs; one wave unless stopping.waveShots is set) and
+     * for confidence-driven early stopping (rule enabled).
      */
     void submit(const JobSpec &spec, Progress onProgress,
                 Completion onComplete);
@@ -220,11 +218,11 @@ class JobQueue
 
     /**
      * The cross-job sampling/artifact cache this queue installs
-     * around every job it submits: lowered plans, noisy trajectory
-     * and density plans, sampled-execution alias tables and density
-     * register distributions, keyed by (circuit hash, noise
-     * fingerprint, fusion level). Hit/miss counters live on its
-     * stats().
+     * around every shard of every job it submits, whatever its
+     * stopping rule: lowered plans, noisy trajectory and density
+     * plans, sampled-execution alias tables and density register
+     * distributions, keyed by (circuit hash, noise fingerprint,
+     * fusion level). Hit/miss counters live on its stats().
      */
     std::shared_ptr<kernels::PlanCache> artifactCache() const;
 
@@ -299,13 +297,12 @@ class JobQueue
 
     /**
      * The one launch behind every submit(): prepare @p spec, stamp
-     * @p onComplete, and hand the job to the engine — the wave
-     * engine when @p stream is set or the spec needs it, else the
-     * one-block path. @p track counts the job in waitIdle()'s
-     * outstanding set (callback submissions only).
+     * @p onComplete, and hand the job to the engine's submitAsync.
+     * @p track counts the job in waitIdle()'s outstanding set
+     * (callback submissions only).
      */
     void launch(const JobSpec &spec, Progress onProgress,
-                Completion onComplete, bool stream, bool track);
+                Completion onComplete, bool track);
 
     ExecutionEngine &engine_;
     mutable std::mutex mutex_;

@@ -81,7 +81,7 @@ struct StoppingRule
     bool enabled() const { return targetHalfWidth > 0.0; }
 };
 
-/** Progress of an adaptive run, delivered after every wave. */
+/** Progress of a run, delivered after every wave. */
 struct StoppingStatus
 {
     /** Waves completed so far (1 after the first wave). */

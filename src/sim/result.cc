@@ -116,7 +116,7 @@ Result::merge(const Result &other)
     else if (exact_ && other.exact_ && *exact_ != *other.exact_)
         QRA_FATAL("cannot merge results with conflicting exact "
                   "distributions (distinct jobs?)");
-    // Adaptive-run metadata: a merged result stopped early if any
+    // Run metadata: a merged result stopped early if any
     // part did, and its budget is the sum of the parts' budgets
     // (tracked only once either side carries explicit bookkeeping).
     if (shotsRequested_ != 0 || other.shotsRequested_ != 0)

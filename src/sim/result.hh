@@ -26,7 +26,8 @@ struct ExecStats
 {
     /** Shards executed and merged into this result. */
     std::size_t shards = 0;
-    /** Adaptive waves executed (0 = single-block run). */
+    /** Shot waves executed (1 for a fixed-budget run; 0 for a
+        Result no engine produced). */
     std::size_t waves = 0;
     /** True when the JobQueue's prepare cache supplied the circuit. */
     bool prepareCacheHit = false;
@@ -109,17 +110,17 @@ class Result
     void setRetainedFraction(double f) { retainedFraction_ = f; }
 
     /**
-     * True when an adaptive (wave-based) run converged on its
-     * stopping rule before exhausting the shot budget; shots() then
-     * holds the shots actually taken.
+     * True when a run with an enabled stopping rule converged before
+     * exhausting the shot budget; shots() then holds the shots
+     * actually taken.
      */
     bool stoppedEarly() const { return stoppedEarly_; }
     void setStoppedEarly(bool stopped) { stoppedEarly_ = stopped; }
 
     /**
-     * The shot budget the job asked for. Equals shots() for fixed
-     * runs; an early-stopped adaptive run reports the full budget
-     * here and the (smaller) shots taken in shots().
+     * The shot budget the job asked for. Equals shots() for runs that
+     * executed their whole budget; an early-stopped or cancelled run
+     * reports the full budget here and the shots taken in shots().
      */
     std::size_t shotsRequested() const
     {
@@ -131,10 +132,13 @@ class Result
     }
 
     /**
-     * True when the job was cancelled (CancelToken or deadline)
-     * before its budget completed. The counts are the merge of
-     * exactly the shards that finished — bit-identical to those
-     * shards of an uncancelled run — and shots() < shotsRequested().
+     * True when the job's CancelToken fired (cancel() or deadline)
+     * by the engine's final wave boundary. The counts are the merge
+     * of exactly the shards that finished — bit-identical to those
+     * shards of an uncancelled run — and shots() <= shotsRequested().
+     * The two are equal when the cancel arrived after every shard had
+     * started (or, with a checkpoint sink, inside the last wave):
+     * nothing was skipped, but the job was still cancelled.
      */
     bool cancelled() const { return cancelled_; }
 

@@ -1,15 +1,17 @@
 /**
  * @file
  * Cancellation and deadlines: CancelToken semantics, shard-granular
- * skipping on the fixed-budget paths, wave-boundary stopping on the
- * adaptive path, and the partial-result contract (merged counts
- * bit-identical to the shards that completed).
+ * skipping, wave-boundary stopping (whole waves for jobs with a
+ * checkpoint sink), the cancelled() stamp at the final wave boundary,
+ * and the partial-result contract (merged counts bit-identical to the
+ * shards that completed).
  */
 
 #include <chrono>
 
 #include <gtest/gtest.h>
 
+#include "runtime/backend_registry.hh"
 #include "runtime/cancel.hh"
 #include "runtime/execution_engine.hh"
 #include "runtime/fault.hh"
@@ -35,6 +37,36 @@ eightShardOptions(std::size_t threads)
     options.shardShots = 256;
     return options;
 }
+
+/** The statevector backend, but each run() first fires @p token. */
+class CancellingBackend : public Backend
+{
+  public:
+    explicit CancellingBackend(CancelToken token)
+        : inner_(BackendRegistry::global().create("statevector")),
+          token_(std::move(token))
+    {
+    }
+
+    const std::string &name() const override { return inner_->name(); }
+
+    const BackendCapabilities &capabilities() const override
+    {
+        return inner_->capabilities();
+    }
+
+    Result run(const Circuit &circuit, std::size_t shots,
+               std::uint64_t seed,
+               const NoiseModel *noise) const override
+    {
+        token_.cancel();
+        return inner_->run(circuit, shots, seed, noise);
+    }
+
+  private:
+    BackendPtr inner_;
+    CancelToken token_;
+};
 
 } // namespace
 
@@ -90,6 +122,31 @@ TEST(Cancellation, PreCancelledFixedJobRunsNothing)
     EXPECT_EQ(result.shotsRequested(), 2048u);
 }
 
+TEST(Cancellation, FixedJobCancelledInsideItsOnlyShard)
+{
+    // The cancel lands after the job's only shard started: nothing is
+    // skipped, so the counts are the full uncancelled run's, yet the
+    // final wave boundary's poll still stamps the job cancelled.
+    Job job(bellCircuit(), 1024, "cancelling", 5);
+    BackendRegistry registry;
+    registry.registerBackend("cancelling", [token = job.cancel]() {
+        return std::make_shared<CancellingBackend>(token);
+    });
+    ExecutionEngine engine(EngineOptions{.threads = 1}, &registry);
+    const Result result = engine.run(job);
+
+    EXPECT_TRUE(result.cancelled());
+    EXPECT_EQ(result.cancelReason(), "user");
+    EXPECT_EQ(result.shots(), 1024u);
+    EXPECT_EQ(result.shotsRequested(), 1024u);
+
+    ExecutionEngine reference(EngineOptions{.threads = 1});
+    const Result uncancelled =
+        reference.run(bellCircuit(), 1024, "statevector", 5);
+    EXPECT_FALSE(uncancelled.cancelled());
+    EXPECT_EQ(result.rawCounts(), uncancelled.rawCounts());
+}
+
 TEST(Cancellation, DeadlinePartialIsBitIdenticalPrefix)
 {
     // Shard 0 stalls past the deadline; with one worker the remaining
@@ -127,7 +184,7 @@ TEST(Cancellation, AdaptiveStopsAtWaveBoundary)
 
         std::size_t waves_seen = 0;
         bool saw_cancelled_status = false;
-        const Result partial = engine.runAdaptive(
+        const Result partial = engine.run(
             job, [&](const Result &, const StoppingStatus &status) {
                 ++waves_seen;
                 if (status.wave == 1)
@@ -170,7 +227,7 @@ TEST(Cancellation, AdaptiveDeadlineReportsReason)
         FaultPlan::parse("shard:0:stall,shard:1:stall,stall-ms:20");
     job.faults = std::make_shared<const FaultPlan>(plan);
 
-    const Result partial = engine.runAdaptive(job);
+    const Result partial = engine.run(job);
     EXPECT_TRUE(partial.cancelled());
     EXPECT_EQ(partial.cancelReason(), "deadline");
     EXPECT_EQ(partial.shots(), 256u);

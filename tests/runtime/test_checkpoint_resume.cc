@@ -45,7 +45,7 @@ cancelAtFirstWave(ExecutionEngine &engine, Job job)
 {
     job.checkpoint = std::make_shared<JobCheckpoint>();
     const CancelToken token = job.cancel;
-    const Result partial = engine.runAdaptive(
+    const Result partial = engine.run(
         job, [&](const Result &, const StoppingStatus &status) {
             if (status.wave == 1)
                 token.cancel();
@@ -86,7 +86,7 @@ TEST(CheckpointResume, CancelledThenResumedEqualsUninterrupted)
             Job resume(bellCircuit(), 2048);
             resume.stopping.waveShots = wave_shots;
             resume.resumeFrom = ck;
-            const Result resumed = engine.runAdaptive(resume);
+            const Result resumed = engine.run(resume);
 
             EXPECT_EQ(resumed.rawCounts(),
                       uninterrupted.rawCounts());
@@ -122,19 +122,19 @@ TEST(CheckpointResume, TighterTargetUsesNoMoreShotsThanDirect)
     options.maxShards = 64;
     ExecutionEngine engine(options);
 
-    const Result direct = engine.runAdaptive(make_job(0.04));
+    const Result direct = engine.run(make_job(0.04));
     EXPECT_TRUE(direct.stoppedEarly());
 
     Job loose = make_job(0.08);
     loose.checkpoint = std::make_shared<JobCheckpoint>();
-    const Result first = engine.runAdaptive(loose);
+    const Result first = engine.run(loose);
     EXPECT_TRUE(first.stoppedEarly());
     ASSERT_TRUE(loose.checkpoint->valid());
     EXPECT_LT(loose.checkpoint->merged.shots(), direct.shots());
 
     Job tight = make_job(0.04);
     tight.resumeFrom = loose.checkpoint;
-    const Result resumed = engine.runAdaptive(tight);
+    const Result resumed = engine.run(tight);
 
     // Same wave boundaries → the tight target trips at the same
     // cumulative shot count, and the merged counts match exactly.
@@ -157,7 +157,7 @@ TEST(CheckpointResume, WaveFailureRewindsCursor)
     job.checkpoint = std::make_shared<JobCheckpoint>();
     job.faults = std::make_shared<const FaultPlan>(
         FaultPlan::parse("wave:1:throw"));
-    EXPECT_THROW(engine.runAdaptive(job), TransientSimulationError);
+    EXPECT_THROW(engine.run(job), TransientSimulationError);
 
     const JobCheckpoint &ck = *job.checkpoint;
     ASSERT_TRUE(ck.valid());
@@ -168,7 +168,7 @@ TEST(CheckpointResume, WaveFailureRewindsCursor)
     Job resume(bellCircuit(), 2048);
     resume.stopping.waveShots = 512;
     resume.resumeFrom = job.checkpoint;
-    const Result resumed = engine.runAdaptive(resume);
+    const Result resumed = engine.run(resume);
     EXPECT_EQ(resumed.rawCounts(), uninterrupted.rawCounts());
     EXPECT_EQ(resumed.shots(), 2048u);
 }
@@ -178,13 +178,13 @@ TEST(CheckpointResume, ExhaustedCheckpointJustRedelivers)
     ExecutionEngine engine(eightShardOptions(1));
     Job job(bellCircuit(), 2048);
     job.checkpoint = std::make_shared<JobCheckpoint>();
-    const Result full = engine.runAdaptive(job);
+    const Result full = engine.run(job);
     ASSERT_TRUE(job.checkpoint->valid());
     EXPECT_TRUE(job.checkpoint->exhausted());
 
     Job resume(bellCircuit(), 2048);
     resume.resumeFrom = job.checkpoint;
-    const Result redelivered = engine.runAdaptive(resume);
+    const Result redelivered = engine.run(resume);
     EXPECT_EQ(redelivered.rawCounts(), full.rawCounts());
     EXPECT_EQ(redelivered.shots(), 2048u);
     EXPECT_EQ(redelivered.execStats().resumedShots, 2048u);
@@ -201,25 +201,25 @@ TEST(CheckpointResume, MismatchedCheckpointsAreRefused)
     // Never-written checkpoint.
     Job invalid(bellCircuit(), 2048);
     invalid.resumeFrom = std::make_shared<JobCheckpoint>();
-    EXPECT_THROW(engine.runAdaptive(invalid), ValueError);
+    EXPECT_THROW(engine.run(invalid), ValueError);
 
     // Different seed.
     Job wrong_seed(bellCircuit(), 2048);
     wrong_seed.seed = 12345;
     wrong_seed.resumeFrom = ck;
-    EXPECT_THROW(engine.runAdaptive(wrong_seed), ValueError);
+    EXPECT_THROW(engine.run(wrong_seed), ValueError);
 
     // Different budget.
     Job wrong_budget(bellCircuit(), 4096);
     wrong_budget.resumeFrom = ck;
-    EXPECT_THROW(engine.runAdaptive(wrong_budget), ValueError);
+    EXPECT_THROW(engine.run(wrong_budget), ValueError);
 
     // Different circuit.
     Circuit ghz(3, 3, "ghz");
     ghz.h(0).cx(0, 1).cx(1, 2).measureAll();
     Job wrong_circuit(ghz, 2048);
     wrong_circuit.resumeFrom = ck;
-    EXPECT_THROW(engine.runAdaptive(wrong_circuit), ValueError);
+    EXPECT_THROW(engine.run(wrong_circuit), ValueError);
 
     // Different shard decomposition (engine options).
     EngineOptions coarse;
@@ -228,7 +228,7 @@ TEST(CheckpointResume, MismatchedCheckpointsAreRefused)
     ExecutionEngine coarse_engine(coarse);
     Job wrong_plan(bellCircuit(), 2048);
     wrong_plan.resumeFrom = ck;
-    EXPECT_THROW(coarse_engine.runAdaptive(wrong_plan), ValueError);
+    EXPECT_THROW(coarse_engine.run(wrong_plan), ValueError);
 }
 
 TEST(CheckpointResume, JobQueueRoutesCheckpointSpecs)

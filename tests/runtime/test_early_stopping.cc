@@ -112,7 +112,7 @@ TEST(EarlyStopping, WavedCountsBitIdenticalToSingleBlock)
                 Job job(bellCircuit(), kBudget, "statevector", kSeed);
                 job.stopping.waveShots = wave_shots;
                 // No convergence target: every wave runs.
-                const Result waved = engine.runAdaptive(job);
+                const Result waved = engine.run(job);
                 EXPECT_EQ(waved.shots(), kBudget);
                 EXPECT_FALSE(waved.stoppedEarly());
                 EXPECT_EQ(waved.shotsRequested(), kBudget);
@@ -139,7 +139,7 @@ TEST(EarlyStopping, NoisyBackendWavedCountsMatchSingleBlock)
         .threads = 4, .shardShots = 128, .maxShards = 64});
     Job job(bellCircuit(), 1024, "trajectory", 13, &noise);
     job.stopping.waveShots = 256;
-    const Result waved = engine.runAdaptive(job);
+    const Result waved = engine.run(job);
     EXPECT_EQ(waved.rawCounts(), reference.rawCounts());
 }
 
@@ -213,7 +213,7 @@ TEST(EarlyStopping, OutcomeProbabilityRuleOnPlainCircuit)
     job.stopping.targetHalfWidth = 0.05;
     job.stopping.waveShots = 128;
 
-    const Result result = engine.runAdaptive(job);
+    const Result result = engine.run(job);
     EXPECT_TRUE(result.stoppedEarly());
     EXPECT_LT(result.shots(), 2048u);
     EXPECT_NEAR(result.probability(std::uint64_t{0}), 0.5, 0.15);
@@ -295,7 +295,7 @@ TEST(EarlyStopping, MaxShotsOverridesJobBudget)
         .threads = 2, .shardShots = 128, .maxShards = 64});
     Job job(bellCircuit(), 4096, "statevector", 3);
     job.stopping.maxShots = 512; // tighter than job.shots
-    const Result result = engine.runAdaptive(job);
+    const Result result = engine.run(job);
     EXPECT_EQ(result.shots(), 512u);
     EXPECT_EQ(result.shotsRequested(), 512u);
     EXPECT_FALSE(result.stoppedEarly());

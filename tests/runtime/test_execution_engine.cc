@@ -5,15 +5,20 @@
  * thread count, on every backend.
  */
 
+#include <bit>
+#include <functional>
 #include <map>
+#include <mutex>
 
 #include <gtest/gtest.h>
 
 #include "assertions/entanglement_assertion.hh"
 #include "common/error.hh"
+#include "common/hash.hh"
 #include "library/algorithms.hh"
 #include "noise/device_model.hh"
 #include "runtime/execution_engine.hh"
+#include "runtime/job_queue.hh"
 
 using namespace qra;
 using namespace qra::runtime;
@@ -220,4 +225,125 @@ TEST(ExecutionEngine, RunInstrumentedDecodesAssertionReport)
     // Ideal Bell pair: the entanglement check never fires.
     EXPECT_NEAR(report.anyErrorRate, 0.0, 1e-12);
     EXPECT_NEAR(report.keptFraction, 1.0, 1e-12);
+}
+
+namespace {
+
+/** Folds counts, shot bookkeeping, the cancel flag and retention. */
+std::uint64_t
+engineDigest(const Result &r)
+{
+    std::uint64_t h = kFnv1aOffset;
+    for (const auto &[key, count] : r.rawCounts())
+        h = fnv1aMix64(fnv1aMix64(h, key), count);
+    h = fnv1aMix64(h, r.shots());
+    h = fnv1aMix64(h, r.shotsRequested());
+    h = fnv1aMix64(h, r.cancelled() ? 1 : 0);
+    return fnv1aMix64(
+        h, std::bit_cast<std::uint64_t>(r.retainedFraction()));
+}
+
+} // namespace
+
+// Pinned before fixed-budget jobs moved onto the wave lifecycle: every
+// entry point, thread count, shard size and retried fault must keep
+// delivering these counts and bookkeeping bit for bit. Never re-pin.
+TEST(EngineGoldenCounts, EveryEntryPointBackendAndShardPlan)
+{
+    const DeviceModel device = DeviceModel::ibmqx4();
+    JobSpec base;
+    base.circuit = Circuit(2, 2, "bell");
+    base.circuit.h(0).cx(0, 1).measureAll();
+    AssertionSpec check;
+    check.assertion = std::make_shared<EntanglementAssertion>(2);
+    check.targets = {0, 1};
+    check.insertAt = 2;
+    base.assertions = {check};
+    base.shots = 3000;
+    base.seed = 2024;
+
+    const struct
+    {
+        const char *backend;
+        const NoiseModel *noise;
+        std::size_t shardShots;
+        std::uint64_t digest;
+    } golden[] = {
+        {"statevector", nullptr, 128, 0xbaaa75378e836fffULL},
+        {"statevector", nullptr, 1024, 0x3e6669989963d94fULL},
+        {"stabilizer", nullptr, 128, 0xe30be590af7b046dULL},
+        {"stabilizer", nullptr, 1024, 0x1b6481a0294980f1ULL},
+        {"trajectory", &device.noiseModel(), 128, 0xe8926b28185913b5ULL},
+        {"trajectory", &device.noiseModel(), 1024, 0x6b78e183f417122dULL},
+        {"density", &device.noiseModel(), 128, 0x25c3192010cbf96fULL},
+        {"density", &device.noiseModel(), 1024, 0x25c3192010cbf96fULL},
+    };
+    const auto faulty = std::make_shared<const FaultPlan>(
+        FaultPlan::parse("shard:2:throw"));
+
+    for (const auto &g : golden)
+        for (const std::size_t threads : {1u, 4u})
+            for (const bool fault : {false, true}) {
+                ExecutionEngine engine(EngineOptions{
+                    .threads = threads, .shardShots = g.shardShots});
+                JobQueue queue(engine);
+                JobSpec spec = base;
+                spec.backend = g.backend;
+                spec.noise = g.noise;
+                if (fault) {
+                    spec.faults = faulty;
+                    spec.retry.maxAttempts = 4;
+                }
+                Job job(queue.instrumented(spec)->circuit(), spec.shots,
+                        spec.backend, spec.seed, spec.noise);
+                job.faults = spec.faults;
+                job.retry = spec.retry;
+
+                auto via_callback = [&](bool stream) {
+                    std::mutex mutex;
+                    Result out;
+                    std::exception_ptr error;
+                    auto done = [&](Result r, std::exception_ptr e) {
+                        std::lock_guard<std::mutex> lock(mutex);
+                        out = std::move(r);
+                        error = e;
+                    };
+                    if (stream)
+                        queue.submit(
+                            spec,
+                            [](const Result &, const StoppingStatus &) {},
+                            done);
+                    else
+                        queue.submit(spec, done);
+                    queue.waitIdle();
+                    if (error)
+                        std::rethrow_exception(error);
+                    return out;
+                };
+                const std::pair<const char *, std::function<Result()>>
+                    entries[] = {
+                        {"run", [&]() { return engine.run(job); }},
+                        {"submit", [&]() {
+                             return engine.submit(job).get();
+                         }},
+                        {"queue future", [&]() {
+                             return queue.submit(spec).get();
+                         }},
+                        {"queue callback",
+                         [&]() { return via_callback(false); }},
+                        {"queue stream",
+                         [&]() { return via_callback(true); }},
+                        {"runAll", [&]() {
+                             return queue.runAll({spec}).front();
+                         }},
+                    };
+                for (const auto &[entry, run] : entries) {
+                    const Result r = run();
+                    EXPECT_EQ(engineDigest(r), g.digest)
+                        << g.backend << " shardShots " << g.shardShots
+                        << " threads " << threads << " fault " << fault
+                        << " via " << entry << ": digest 0x"
+                        << std::hex << engineDigest(r);
+                }
+            }
 }

@@ -197,7 +197,7 @@ TEST(Retry, AdaptiveRecoveryMatchesToo)
     job.stopping.waveShots = 512;
     job.retry = fastRetry(3);
     job.faults = plan("shard:1:throw:2");
-    const Result recovered = engine.runAdaptive(job);
+    const Result recovered = engine.run(job);
 
     EXPECT_EQ(recovered.rawCounts(), clean.rawCounts());
     EXPECT_EQ(recovered.execStats().retries, 2u);
@@ -268,11 +268,11 @@ TEST(Retry, FailedJobReportsLowestFailingShard)
         Job job(bellCircuit(), 2048);
         job.retry = stall;
         job.faults = faults;
-        // Disabled stopping rule: runAdaptive runs one wave covering
-        // all eight shards.
+        // Disabled stopping rule: run() runs one wave covering all
+        // eight shards.
         expect_shard_1(errorOf([&]() { engine.run(job); }));
         expect_shard_1(errorOf([&]() { engine.submit(job).get(); }));
-        expect_shard_1(errorOf([&]() { engine.runAdaptive(job); }));
+        expect_shard_1(errorOf([&]() { engine.run(job); }));
 
         JobQueue queue(engine);
         JobSpec spec;
@@ -291,6 +291,26 @@ TEST(Retry, FailedJobReportsLowestFailingShard)
         expect_shard_1(
             errorOf([&]() { std::rethrow_exception(delivered); }));
     }
+}
+
+TEST(WaveFault, FixedJobFailsAtItsOnlyWave)
+{
+    // A fixed-budget job is one wave over its whole shard plan, so
+    // wave 0's epilogue fault fails it and a wave-1 site never fires.
+    ExecutionEngine engine(eightShardOptions(1));
+    const Result clean = engine.run(Job(bellCircuit(), 2048));
+
+    Job failing(bellCircuit(), 2048);
+    failing.faults = plan("wave:0:throw");
+    EXPECT_NE(errorOf([&]() { engine.run(failing); })
+                  .find("injected fault: wave 0 "),
+              std::string::npos);
+
+    Job later(bellCircuit(), 2048);
+    later.faults = plan("wave:1:throw");
+    const Result result = engine.run(later);
+    EXPECT_EQ(result.rawCounts(), clean.rawCounts());
+    EXPECT_EQ(result.execStats().waves, 1u);
 }
 
 TEST(JobQueue, PrepareFaultEvictsPoisonedKey)

@@ -587,7 +587,7 @@ sampledCounts(const Circuit &circuit, int tier, std::size_t threads,
     if (!adaptive)
         return engine.run(job).rawCounts();
     job.stopping.waveShots = 512;
-    return engine.runAdaptive(job).rawCounts();
+    return engine.run(job).rawCounts();
 }
 
 } // namespace
@@ -612,7 +612,7 @@ TEST(SampledCountsParity, IdenticalAcrossTiersThreadsAndWaves)
                           sampledCounts(circuit,
                                         static_cast<int>(tier),
                                         threads, true))
-                    << "runAdaptive: tier " << simd::tierName(tier)
+                    << "waves: tier " << simd::tierName(tier)
                     << " threads " << threads;
             }
         }

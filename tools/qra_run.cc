@@ -45,16 +45,14 @@
  * (--metrics=FILE writes the JSON snapshot instead); --trace=FILE
  * writes Chrome trace-event JSON (open in Perfetto or
  * chrome://tracing), --trace-jsonl=FILE the same events as JSON
- * lines. Either flag routes execution through the streaming wave
- * path so traces contain prepare, per-pass, shard, and wave spans —
- * counts are bit-identical to the plain path.
+ * lines. Traces contain prepare, per-pass, shard, and wave spans;
+ * telemetry never changes the counts.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -472,40 +470,15 @@ main(int argc, char **argv)
             batch.push_back(spec);
         }
 
-        std::vector<Result> results(batch.size());
-        std::size_t waves = 0;
-        // Telemetry also routes through the streaming wave path so
-        // the trace contains wave spans; with a disabled stopping
-        // rule every wave runs and counts are bit-identical to the
-        // plain path.
-        if (opts.targetHalfWidth > 0.0 || want_trace || want_metrics) {
-            // Streaming submission: count waves across the batch and
-            // let each job stop as soon as its interval is tight.
-            std::mutex mutex;
-            std::exception_ptr first_error;
-            for (std::size_t i = 0; i < batch.size(); ++i)
-                queue.submit(
-                    batch[i],
-                    [&](const Result &, const StoppingStatus &) {
-                        std::lock_guard<std::mutex> lock(mutex);
-                        ++waves;
-                    },
-                    [&, i](Result partial, std::exception_ptr error) {
-                        std::lock_guard<std::mutex> lock(mutex);
-                        if (error && !first_error)
-                            first_error = error;
-                        results[i] = std::move(partial);
-                    });
-            queue.waitIdle();
-            if (first_error)
-                std::rethrow_exception(first_error);
-        } else {
-            results = queue.runAll(batch);
-        }
-
+        // Each job stops as soon as its interval is tight when early
+        // stopping is on; otherwise it runs its budget in one wave.
+        const std::vector<Result> results = queue.runAll(batch);
         Result result(results.front().numClbits());
-        for (const Result &partial : results)
+        std::size_t waves = 0;
+        for (const Result &partial : results) {
             result.merge(partial);
+            waves += partial.execStats().waves;
+        }
 
         // Plain QASM (no qra:assert-* directives) still runs; the
         // report then has no checks and filtering is the identity.
