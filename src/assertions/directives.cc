@@ -1,9 +1,11 @@
 #include "assertions/directives.hh"
 
+#include <algorithm>
 #include <cctype>
-#include <cstring>
+#include <charconv>
 #include <memory>
-#include <sstream>
+#include <optional>
+#include <string_view>
 
 #include "assertions/classical_assertion.hh"
 #include "assertions/entanglement_assertion.hh"
@@ -16,73 +18,74 @@ namespace qra {
 
 namespace {
 
-std::string
-stripWs(const std::string &s)
-{
-    std::size_t b = 0;
-    std::size_t e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
-}
-
 /** Parse "q[3]" -> 3. */
 Qubit
-parseQubitToken(const std::string &token)
+parseQubitToken(std::string_view token)
 {
-    if (token.rfind("q[", 0) != 0 || token.back() != ']')
-        throw QasmError("expected q[i] in directive, got '" + token +
-                        "'");
-    const std::string digits = token.substr(2, token.size() - 3);
+    if (!token.starts_with("q[") || token.back() != ']')
+        throw QasmError("expected q[i] in directive, got '" +
+                        std::string(token) + "'");
+    const std::string_view digits = token.substr(2, token.size() - 3);
     if (digits.empty())
         throw QasmError("empty qubit index in directive");
     for (char c : digits)
         if (!std::isdigit(static_cast<unsigned char>(c)))
             throw QasmError("bad qubit index in directive: '" +
-                            token + "'");
-    return static_cast<Qubit>(std::stoul(digits));
+                            std::string(token) + "'");
+    Qubit index = 0;
+    if (std::from_chars(digits.data(), digits.data() + digits.size(), index)
+            .ec != std::errc())
+        throw QasmError("qubit index out of range in directive: '" +
+                        std::string(token) + "'");
+    return index;
 }
 
-/** Parse a comma-separated qubit list prefix of @p text. */
+/** Parse a comma-separated qubit list. */
 std::vector<Qubit>
-parseQubitList(const std::string &text)
+parseQubitList(std::string_view text)
 {
     std::vector<Qubit> qubits;
-    std::istringstream is(text);
-    std::string piece;
-    while (std::getline(is, piece, ',')) {
-        piece = stripWs(piece);
+    while (!text.empty()) {
+        const std::size_t comma = std::min(text.find(','), text.size());
+        const std::string_view piece = trimWhitespace(text.substr(0, comma));
         if (!piece.empty())
             qubits.push_back(parseQubitToken(piece));
+        text = text.substr(std::min(comma + 1, text.size()));
     }
     if (qubits.empty())
         throw QasmError("directive names no qubits");
     return qubits;
 }
 
+/** @p text after @p prefix, trimmed, or nothing when it lacks it. */
+std::optional<std::string_view>
+after(std::string_view text, std::string_view prefix)
+{
+    if (!text.starts_with(prefix))
+        return std::nullopt;
+    return trimWhitespace(text.substr(prefix.size()));
+}
+
 /** Build the spec for one directive body (text after "qra:"). */
 AssertionSpec
-parseDirective(const std::string &body, std::size_t insert_at)
+parseDirective(std::string_view body, std::size_t insert_at)
 {
+    const std::string text(body);
     AssertionSpec spec;
     spec.insertAt = insert_at;
+    spec.label = "qasm: " + text;
 
-    if (body.rfind("assert-classical", 0) == 0) {
-        const std::string rest =
-            stripWs(body.substr(std::string("assert-classical").size()));
-        const auto eq = rest.find("==");
-        if (eq == std::string::npos)
-            throw QasmError("assert-classical needs '== value': " +
-                            body);
+    if (const auto rest = after(body, "assert-classical")) {
+        const auto eq = rest->find("==");
+        if (eq == std::string_view::npos)
+            throw QasmError("assert-classical needs '== value': " + text);
         const std::vector<Qubit> qubits =
-            parseQubitList(stripWs(rest.substr(0, eq)));
-        const std::string value_text = stripWs(rest.substr(eq + 2));
+            parseQubitList(trimWhitespace(rest->substr(0, eq)));
+        const std::string value_text(trimWhitespace(rest->substr(eq + 2)));
         const std::uint64_t value = fromBitstring(value_text);
         if (value_text.size() != qubits.size())
             throw QasmError("assert-classical value width must match "
-                            "the qubit count: " + body);
+                            "the qubit count: " + text);
 
         // The directive lists qubits MSB-first (like the rendered
         // value); targets are stored LSB-first.
@@ -90,47 +93,35 @@ parseDirective(const std::string &body, std::size_t insert_at)
         spec.assertion = std::make_shared<ClassicalAssertion>(
             value, targets.size());
         spec.targets = std::move(targets);
-        spec.label = "qasm: " + body;
         return spec;
     }
 
-    if (body.rfind("assert-superposition", 0) == 0) {
-        const std::string rest = stripWs(
-            body.substr(std::string("assert-superposition").size()));
-        std::string sign = "+";
-        std::string qubit_text = rest;
-        if (!rest.empty() &&
-            (rest.back() == '+' || rest.back() == '-')) {
-            sign = rest.substr(rest.size() - 1);
-            qubit_text = stripWs(rest.substr(0, rest.size() - 1));
+    if (auto rest = after(body, "assert-superposition")) {
+        auto target = SuperpositionAssertion::Target::Plus;
+        if (!rest->empty() && (rest->back() == '+' || rest->back() == '-')) {
+            if (rest->back() == '-')
+                target = SuperpositionAssertion::Target::Minus;
+            rest = trimWhitespace(rest->substr(0, rest->size() - 1));
         }
-        const std::vector<Qubit> qubits = parseQubitList(qubit_text);
+        const std::vector<Qubit> qubits = parseQubitList(*rest);
         if (qubits.size() != 1)
             throw QasmError("assert-superposition takes exactly one "
-                            "qubit: " + body);
-        spec.assertion = std::make_shared<SuperpositionAssertion>(
-            sign == "+" ? SuperpositionAssertion::Target::Plus
-                        : SuperpositionAssertion::Target::Minus);
+                            "qubit: " + text);
+        spec.assertion = std::make_shared<SuperpositionAssertion>(target);
         spec.targets = qubits;
-        spec.label = "qasm: " + body;
         return spec;
     }
 
-    if (body.rfind("assert-entangled", 0) == 0) {
-        std::string rest = stripWs(
-            body.substr(std::string("assert-entangled").size()));
+    if (auto rest = after(body, "assert-entangled")) {
         auto parity = EntanglementAssertion::Parity::Even;
         auto mode = EntanglementAssertion::Mode::PairParity;
 
-        auto strip_suffix = [&](const char *word) {
-            if (rest.size() >= std::strlen(word) &&
-                rest.compare(rest.size() - std::strlen(word),
-                             std::strlen(word), word) == 0) {
-                rest = stripWs(
-                    rest.substr(0, rest.size() - std::strlen(word)));
-                return true;
-            }
-            return false;
+        auto strip_suffix = [&rest](std::string_view word) {
+            if (rest->size() < word.size() ||
+                rest->substr(rest->size() - word.size()) != word)
+                return false;
+            rest = trimWhitespace(rest->substr(0, rest->size() - word.size()));
+            return true;
         };
         for (bool progressed = true; progressed;) {
             progressed = false;
@@ -146,25 +137,14 @@ parseDirective(const std::string &body, std::size_t insert_at)
                 progressed = true;
         }
 
-        const std::vector<Qubit> qubits = parseQubitList(rest);
+        const std::vector<Qubit> qubits = parseQubitList(*rest);
         spec.assertion = std::make_shared<EntanglementAssertion>(
             qubits.size(), parity, mode);
         spec.targets = qubits;
-        spec.label = "qasm: " + body;
         return spec;
     }
 
-    throw QasmError("unknown qra directive: " + body);
-}
-
-/** Number of circuit operations one QASM statement produces. */
-bool
-statementEmitsOp(const std::string &stmt)
-{
-    return !(stmt.empty() || stmt.rfind("OPENQASM", 0) == 0 ||
-             stmt.rfind("include", 0) == 0 ||
-             stmt.rfind("qreg", 0) == 0 ||
-             stmt.rfind("creg", 0) == 0);
+    throw QasmError("unknown qra directive: " + text);
 }
 
 } // namespace
@@ -172,48 +152,11 @@ statementEmitsOp(const std::string &stmt)
 AnnotatedProgram
 parseAnnotatedQasm(const std::string &text)
 {
-    // Strip directive comments for the payload parse, collecting
-    // (directive body, op index) pairs in file order.
-    std::ostringstream plain;
-    std::vector<std::pair<std::string, std::size_t>> directives;
-    std::size_t op_count = 0;
-
-    std::istringstream lines(text);
-    std::string line;
-    while (std::getline(lines, line)) {
-        const auto marker = line.find("// qra:");
-        if (marker != std::string::npos &&
-            line.find("qra:postselect") == std::string::npos) {
-            const std::string body =
-                stripWs(line.substr(marker + 7));
-            directives.emplace_back(body, op_count);
-            continue;
-        }
-
-        // Count ops this line will contribute (strip comments, then
-        // split on ';'). PostSelect directives count as one op.
-        std::string body = line;
-        if (line.find("// qra:postselect") != std::string::npos) {
-            ++op_count;
-            plain << line << "\n";
-            continue;
-        }
-        const auto comment = body.find("//");
-        if (comment != std::string::npos)
-            body = body.substr(0, comment);
-        std::istringstream stmts(body);
-        std::string stmt;
-        while (std::getline(stmts, stmt, ';')) {
-            if (statementEmitsOp(stripWs(stmt)))
-                ++op_count;
-        }
-        plain << line << "\n";
-    }
-
+    std::vector<detail::QasmDirective> directives;
     AnnotatedProgram program;
-    program.payload = fromQasm(plain.str());
-    for (const auto &[body, at] : directives)
-        program.specs.push_back(parseDirective(body, at));
+    program.payload = detail::readQasm(text, &directives);
+    for (const detail::QasmDirective &d : directives)
+        program.specs.push_back(parseDirective(d.body, d.opIndex));
     return program;
 }
 

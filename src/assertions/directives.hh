@@ -2,7 +2,7 @@
  * @file
  * Assertion directives embedded in OpenQASM comments, so existing
  * QASM programs can be instrumented without touching the code that
- * generated them. Syntax (each on its own line, between statements):
+ * generated them. Syntax (a `//` comment, to the end of its line):
  *
  *   // qra:assert-classical q[0] == 0
  *   // qra:assert-classical q[2], q[1] == 10
@@ -12,8 +12,12 @@
  *   // qra:assert-entangled q[0], q[1], q[2] chain
  *   // qra:assert-entangled q[0], q[1] odd
  *
- * The directive applies at its position in the program: the check
- * runs after every statement that precedes it in the file.
+ * The directive applies at its position in the text: the check runs
+ * after every statement that ends (at its `;`) before the directive,
+ * including statements earlier on the same line, and before every
+ * statement that ends after it. The QASM reader (circuit/qasm.hh)
+ * scans the text once and reports each directive with the number of
+ * instructions emitted before it.
  */
 
 #ifndef QRA_ASSERTIONS_DIRECTIVES_HH
@@ -37,9 +41,10 @@ struct AnnotatedProgram
 /**
  * Parse QASM text with qra:assert-* comment directives.
  *
- * The payload is the plain circuit (directives stripped); each
- * directive becomes an AssertionSpec whose insertAt points at the
- * payload instruction the directive preceded.
+ * The payload is the plain circuit (directives stripped, postselects
+ * kept); each directive becomes an AssertionSpec whose insertAt is the
+ * number of payload instructions before it. Payload errors are
+ * reported before directive errors.
  *
  * @throws QasmError on malformed programs or directives.
  */

@@ -67,6 +67,14 @@ Circuit::validate(const Operation &op) const
     }
 }
 
+std::vector<Operation>
+Circuit::takeOps()
+{
+    std::vector<Operation> ops;
+    ops.swap(ops_);
+    return ops;
+}
+
 Circuit &
 Circuit::append(Operation op)
 {

@@ -81,6 +81,16 @@ class Circuit
     /** Simulator-only: post-select @p q onto outcome @p value. */
     Circuit &postSelect(Qubit q, int value);
 
+    /**
+     * Move the instruction list out, leaving the circuit empty (its
+     * registers and name stay). Lets a rewrite pass consume its input
+     * instead of copying every Operation.
+     */
+    std::vector<Operation> takeOps();
+
+    /** Make room for @p count instructions in total. */
+    void reserve(std::size_t count) { ops_.reserve(count); }
+
     /** Append a pre-built operation (validated). */
     Circuit &append(Operation op);
 
@@ -145,9 +155,9 @@ class Circuit
     /**
      * Semantic 64-bit hash: register widths plus every instruction's
      * kind, operands, parameters, clbit wiring, and post-selection
-     * value. Names and provenance labels are excluded, so two
-     * circuits that execute identically hash identically. Used as
-     * the preparation-cache key in the runtime JobQueue.
+     * value. Names are excluded, so two circuits that execute
+     * identically hash identically. Used as the preparation-cache
+     * key in the runtime JobQueue.
      */
     std::uint64_t hash() const;
 

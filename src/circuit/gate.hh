@@ -66,9 +66,6 @@ struct Operation
     /** Post-selected outcome, 0 or 1 (PostSelect only). */
     int postselectValue = 0;
 
-    /** Optional provenance label (e.g. which assertion inserted it). */
-    std::string label;
-
     /**
      * Unitary matrix of this operation in the local little-endian
      * qubit order (bit i of the matrix index = qubits[i]).

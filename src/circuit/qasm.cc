@@ -1,10 +1,13 @@
 #include "circuit/qasm.hh"
 
-#include <cctype>
+#include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <list>
 #include <sstream>
 
 #include "common/error.hh"
+#include "common/strings.hh"
 
 namespace qra {
 
@@ -63,11 +66,42 @@ toQasm(const Circuit &circuit)
 
 namespace {
 
+/** std::isdigit and std::isalnum in the "C" locale. */
+bool
+isDigit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+bool
+isAlnum(char c)
+{
+    return isDigit(c) || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+
+/**
+ * Call @p fn on each @p delim-separated piece of @p s, trimmed. Like
+ * std::getline splitting, an empty final piece is not a piece.
+ */
+template <typename Fn>
+void
+forEachPiece(std::string_view s, char delim, Fn &&fn)
+{
+    std::size_t begin = 0;
+    while (begin < s.size()) {
+        std::size_t end = s.find(delim, begin);
+        if (end == std::string_view::npos)
+            end = s.size();
+        fn(trimWhitespace(s.substr(begin, end - begin)));
+        begin = end + 1;
+    }
+}
+
 /** Recursive-descent evaluator for QASM parameter expressions. */
 class ExprParser
 {
   public:
-    explicit ExprParser(const std::string &text) : text_(text) {}
+    explicit ExprParser(std::string_view text) : text_(text) {}
 
     double
     parse()
@@ -76,7 +110,7 @@ class ExprParser
         skipWs();
         if (pos_ != text_.size())
             throw QasmError("trailing characters in expression: '" +
-                            text_ + "'");
+                            std::string(text_) + "'");
         return v;
     }
 
@@ -84,8 +118,7 @@ class ExprParser
     void
     skipWs()
     {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
+        while (pos_ < text_.size() && isSpace(text_[pos_]))
             ++pos_;
     }
 
@@ -152,80 +185,66 @@ class ExprParser
                 throw QasmError("missing ')' in expression");
             return v;
         }
-        if (text_.compare(pos_, 2, "pi") == 0) {
+        if (text_.substr(pos_).starts_with("pi")) {
             pos_ += 2;
             return M_PI;
         }
         std::size_t end = pos_;
         while (end < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[end])) ||
+               (isDigit(text_[end]) ||
                 text_[end] == '.' || text_[end] == 'e' ||
                 text_[end] == 'E' ||
                 ((text_[end] == '+' || text_[end] == '-') && end > pos_ &&
                  (text_[end - 1] == 'e' || text_[end - 1] == 'E')))) {
             ++end;
         }
-        if (end == pos_)
-            throw QasmError("expected number in expression: '" + text_ +
-                            "'");
-        const double v = std::stod(text_.substr(pos_, end - pos_));
+        // from_chars rounds correctly, as strtod does, and reads the
+        // longest number the span starts with.
+        double v = 0.0;
+        const std::errc ec =
+            std::from_chars(text_.data() + pos_, text_.data() + end, v).ec;
+        if (ec == std::errc::result_out_of_range)
+            throw QasmError("number out of range in expression: '" +
+                            std::string(text_) + "'");
+        if (ec != std::errc())
+            throw QasmError("expected number in expression: '" +
+                            std::string(text_) + "'");
         pos_ = end;
         return v;
     }
 
-    const std::string &text_;
+    std::string_view text_;
     std::size_t pos_ = 0;
 };
 
 /** Parse "q[3]" into the index 3, validating the register name. */
-std::size_t
-parseRegIndex(const std::string &token, const std::string &reg_name)
+Qubit
+parseRegIndex(std::string_view token, char reg)
 {
-    const std::string prefix = reg_name + "[";
-    if (token.compare(0, prefix.size(), prefix) != 0 ||
-        token.back() != ']') {
-        throw QasmError("expected " + reg_name + "[i], got '" + token +
-                        "'");
-    }
-    const std::string digits =
-        token.substr(prefix.size(), token.size() - prefix.size() - 1);
+    if (token.size() < 3 || token[0] != reg || token[1] != '[' ||
+        token.back() != ']')
+        throw QasmError(std::string("expected ") + reg + "[i], got '" +
+                        std::string(token) + "'");
+    const std::string_view digits = token.substr(2, token.size() - 3);
     if (digits.empty())
-        throw QasmError("empty register index in '" + token + "'");
+        throw QasmError("empty register index in '" + std::string(token) +
+                        "'");
     for (char c : digits)
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-            throw QasmError("bad register index in '" + token + "'");
-    return std::stoul(digits);
-}
-
-/** Strip leading/trailing whitespace. */
-std::string
-strip(const std::string &s)
-{
-    std::size_t b = 0;
-    std::size_t e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
-}
-
-/** Split on a delimiter, stripping each piece. */
-std::vector<std::string>
-splitStrip(const std::string &s, char delim)
-{
-    std::vector<std::string> out;
-    std::string piece;
-    std::istringstream is(s);
-    while (std::getline(is, piece, delim))
-        out.push_back(strip(piece));
-    return out;
+        if (!isDigit(c))
+            throw QasmError("bad register index in '" +
+                            std::string(token) + "'");
+    Qubit index = 0;
+    if (std::from_chars(digits.data(), digits.data() + digits.size(), index)
+            .ec != std::errc())
+        throw QasmError("register index out of range in '" +
+                        std::string(token) + "'");
+    return index;
 }
 
 OpKind
-kindFromName(const std::string &name)
+kindFromName(std::string_view name)
 {
-    static const std::pair<const char *, OpKind> table[] = {
+    static constexpr std::pair<std::string_view, OpKind> table[] = {
         {"id", OpKind::I},   {"x", OpKind::X},     {"y", OpKind::Y},
         {"z", OpKind::Z},    {"h", OpKind::H},     {"s", OpKind::S},
         {"sdg", OpKind::Sdg}, {"t", OpKind::T},    {"tdg", OpKind::Tdg},
@@ -238,62 +257,241 @@ kindFromName(const std::string &name)
     for (const auto &[n, k] : table)
         if (name == n)
             return k;
-    throw QasmError("unknown gate '" + name + "'");
+    throw QasmError("unknown gate '" + std::string(name) + "'");
+}
+
+/** "// qra:postselect q[i] == v", trimmed, from its "//". */
+void
+applyPostSelect(Circuit &circuit, std::string_view directive)
+{
+    // Whitespace-separated fields after the 17-character marker, read
+    // as `is >> qubit >> "==" >> value` would read them.
+    std::string_view rest = directive.substr(17);
+    auto field = [&rest]() {
+        std::size_t b = 0;
+        while (b < rest.size() && isSpace(rest[b]))
+            ++b;
+        std::size_t e = b;
+        while (e < rest.size() && !isSpace(rest[e]))
+            ++e;
+        const std::string_view out = rest.substr(b, e - b);
+        rest = rest.substr(e);
+        return out;
+    };
+    const std::string_view qubit = field();
+    if (field() != "==")
+        throw QasmError("malformed postselect directive: " +
+                        std::string(directive));
+    const std::string_view value = trimWhitespace(rest);
+    int v = 0;
+    const char *first = value.data();
+    if (value.starts_with("+") && !value.substr(1).starts_with("-"))
+        ++first;
+    // Unreadable reads 0, as a failed stream read does; an int
+    // overflow is an invalid value either way.
+    if (std::from_chars(first, value.data() + value.size(), v).ec ==
+        std::errc::result_out_of_range)
+        v = -1;
+    circuit.postSelect(parseRegIndex(qubit, 'q'), v);
+}
+
+/** Apply one trimmed, non-empty, non-declaration statement. */
+void
+applyStatement(Circuit &circuit, std::string_view s)
+{
+    // The first-letter tests only spare most ops the prefix compare.
+    if (s[0] == 'm' && s.starts_with("measure")) {
+        const std::string_view rest = trimWhitespace(s.substr(7));
+        const auto arrow = rest.find("->");
+        if (arrow == std::string_view::npos)
+            throw QasmError("measure without '->': " + std::string(s));
+        const Qubit q =
+            parseRegIndex(trimWhitespace(rest.substr(0, arrow)), 'q');
+        const Clbit c =
+            parseRegIndex(trimWhitespace(rest.substr(arrow + 2)), 'c');
+        circuit.measure(q, c);
+        return;
+    }
+
+    std::vector<Qubit> qubits;
+    auto read_qubits = [&qubits](std::string_view operands) {
+        qubits.reserve(1 +
+                       std::count(operands.begin(), operands.end(), ','));
+        forEachPiece(operands, ',', [&qubits](std::string_view tok) {
+            if (!tok.empty())
+                qubits.push_back(parseRegIndex(tok, 'q'));
+        });
+    };
+
+    if (s[0] == 'b' && s.starts_with("barrier")) {
+        const std::string_view rest = trimWhitespace(s.substr(7));
+        if (rest == "q") {
+            circuit.barrier();
+            return;
+        }
+        read_qubits(rest);
+        circuit.append(
+            {.kind = OpKind::Barrier, .qubits = std::move(qubits)});
+        return;
+    }
+
+    // Generic gate: name[(params)] operand[, operand...]
+    std::size_t name_end = 0;
+    while (name_end < s.size() && isAlnum(s[name_end]))
+        ++name_end;
+    const std::string_view name = s.substr(0, name_end);
+    std::string_view rest = trimWhitespace(s.substr(name_end));
+
+    std::vector<double> params;
+    if (!rest.empty() && rest[0] == '(') {
+        // Find the matching close paren (params may nest).
+        std::size_t depth = 0;
+        std::size_t close = std::string_view::npos;
+        for (std::size_t i = 0; i < rest.size(); ++i) {
+            if (rest[i] == '(') {
+                ++depth;
+            } else if (rest[i] == ')') {
+                if (--depth == 0) {
+                    close = i;
+                    break;
+                }
+            }
+        }
+        if (close == std::string_view::npos)
+            throw QasmError("missing ')' in: " + std::string(s));
+        forEachPiece(rest.substr(1, close - 1), ',',
+                     [&params](std::string_view e) {
+                         params.push_back(ExprParser(e).parse());
+                     });
+        rest = trimWhitespace(rest.substr(close + 1));
+    }
+    read_qubits(rest);
+
+    // qelib1 aliases: u3 == u and u1 == p map via the name table;
+    // u2(phi, lambda) = u(pi/2, phi, lambda) needs rewriting.
+    if (name == "u2") {
+        if (params.size() != 2)
+            throw QasmError("u2 expects 2 parameters");
+        circuit.append({.kind = OpKind::U,
+                        .qubits = std::move(qubits),
+                        .params = {M_PI / 2.0, params[0], params[1]}});
+        return;
+    }
+    circuit.append({.kind = kindFromName(name),
+                    .qubits = std::move(qubits),
+                    .params = std::move(params)});
 }
 
 } // namespace
 
+namespace detail {
+
 Circuit
-fromQasm(const std::string &text)
+readQasm(std::string_view text, std::vector<QasmDirective> *directives)
 {
-    std::istringstream input(text);
-    std::string line;
+    // One walk over the text collects the instruction-emitting items
+    // in order and reads the register declarations; the circuit is
+    // built once both registers are known, so declaration errors come
+    // first, as for a program whose qreg follows its gates.
+    struct Item
+    {
+        std::string_view text;
+        bool postselect;
+    };
+    std::vector<Item> items;
+    items.reserve(std::count(text.begin(), text.end(), ';'));
+    // A statement a comment interrupts is re-joined here (rare); list
+    // elements never move, so views into them stay valid.
+    std::list<std::string> joined;
+    std::string pending;
 
     std::size_t num_qubits = 0;
     std::size_t num_clbits = 0;
-    std::vector<std::string> statements;
-
-    // First pass: gather statements (split on ';') and directives.
-    std::string pending;
-    std::vector<std::string> raw_lines;
-    while (std::getline(input, line)) {
-        // Handle qra:postselect comment directives before stripping.
-        const auto directive = line.find("// qra:postselect");
-        if (directive != std::string::npos)
-            raw_lines.push_back(strip(line.substr(directive)));
-        const auto comment = line.find("//");
-        if (comment != std::string::npos)
-            line = line.substr(0, comment);
-        pending += line + "\n";
-    }
-
-    std::string stmt;
-    std::istringstream stmts(pending);
-    while (std::getline(stmts, stmt, ';')) {
-        stmt = strip(stmt);
-        if (!stmt.empty())
-            statements.push_back(stmt);
-    }
-
-    // Interleaving of postselect comments with statements is not
-    // preserved by this two-pass scheme; postselects are rare and are
-    // re-attached in order at the end of parsing below only when the
-    // source had them after all gate statements (the exporter's form
-    // keeps program order because it writes one statement per line, so
-    // we re-parse in line order instead when directives are present).
-    const bool has_postselect = !raw_lines.empty();
-
     std::size_t qreg_seen = 0;
     std::size_t creg_seen = 0;
-    for (const std::string &s : statements) {
-        if (s.rfind("qreg", 0) == 0) {
-            num_qubits = parseRegIndex(strip(s.substr(4)), "q");
-            ++qreg_seen;
-        } else if (s.rfind("creg", 0) == 0) {
-            num_clbits = parseRegIndex(strip(s.substr(4)), "c");
-            ++creg_seen;
+
+    auto end_statement = [&](std::string_view tail) {
+        std::string_view stmt = tail;
+        if (!pending.empty()) {
+            pending.append(tail);
+            joined.push_back(std::move(pending));
+            pending.clear();
+            stmt = joined.back();
         }
+        stmt = trimWhitespace(stmt);
+        if (stmt.empty())
+            return;
+        switch (stmt[0]) {
+          case 'O':
+            if (stmt.starts_with("OPENQASM"))
+                return;
+            break;
+          case 'i':
+            if (stmt.starts_with("include"))
+                return;
+            break;
+          case 'q':
+            if (stmt.starts_with("qreg")) {
+                num_qubits =
+                    parseRegIndex(trimWhitespace(stmt.substr(4)), 'q');
+                ++qreg_seen;
+                return;
+            }
+            break;
+          case 'c':
+            if (stmt.starts_with("creg")) {
+                num_clbits =
+                    parseRegIndex(trimWhitespace(stmt.substr(4)), 'c');
+                ++creg_seen;
+                return;
+            }
+            break;
+        }
+        items.push_back({stmt, false});
+    };
+
+    // The next ';' and "//" at or after the open statement's start;
+    // whichever comes first ends the statement or starts a comment.
+    std::size_t start = 0;
+    std::size_t semi = text.find(';');
+    std::size_t slash = text.find("//");
+    for (;;) {
+        if (slash < semi) {
+            // A line comment: keep the open statement's text so far
+            // (the line break after the comment still separates it),
+            // then read the comment as a directive if it is one.
+            const std::size_t eol =
+                std::min(text.find('\n', slash), text.size());
+            const std::string_view head =
+                text.substr(start, slash - start);
+            if (!pending.empty() || !trimWhitespace(head).empty())
+                pending.append(head);
+            const std::string_view comment =
+                text.substr(slash, eol - slash);
+            const auto marker = comment.find("// qra:");
+            if (marker != std::string_view::npos) {
+                if (comment.substr(marker + 7).starts_with("postselect"))
+                    items.push_back(
+                        {trimWhitespace(comment.substr(marker)), true});
+                else if (directives)
+                    directives->push_back(
+                        {trimWhitespace(comment.substr(marker + 7)),
+                         items.size()});
+            }
+            start = eol;
+            slash = text.find("//", eol);
+            if (semi < eol) // the ';' was inside the comment
+                semi = text.find(';', eol);
+            continue;
+        }
+        if (semi == std::string_view::npos)
+            break;
+        end_statement(text.substr(start, semi - start));
+        start = semi + 1;
+        semi = text.find(';', start);
     }
+    end_statement(text.substr(start));
+
     if (qreg_seen != 1)
         throw QasmError("expected exactly one qreg declaration");
     if (creg_seen > 1)
@@ -302,132 +500,22 @@ fromQasm(const std::string &text)
         throw QasmError("qreg must declare at least one qubit");
 
     Circuit circuit(num_qubits, num_clbits, "qasm");
-
-    auto apply_statement = [&](const std::string &s) {
-        if (s.rfind("OPENQASM", 0) == 0 || s.rfind("include", 0) == 0 ||
-            s.rfind("qreg", 0) == 0 || s.rfind("creg", 0) == 0)
-            return;
-
-        if (s.rfind("// qra:postselect", 0) == 0) {
-            // Form: // qra:postselect q[i] == v
-            std::istringstream is(s.substr(17));
-            std::string qtok, eq;
-            int value = 0;
-            is >> qtok >> eq >> value;
-            if (eq != "==")
-                throw QasmError("malformed postselect directive: " + s);
-            circuit.postSelect(
-                static_cast<Qubit>(parseRegIndex(qtok, "q")), value);
-            return;
-        }
-
-        if (s.rfind("measure", 0) == 0) {
-            const std::string rest = strip(s.substr(7));
-            const auto arrow = rest.find("->");
-            if (arrow == std::string::npos)
-                throw QasmError("measure without '->': " + s);
-            const std::size_t q =
-                parseRegIndex(strip(rest.substr(0, arrow)), "q");
-            const std::size_t c =
-                parseRegIndex(strip(rest.substr(arrow + 2)), "c");
-            circuit.measure(static_cast<Qubit>(q),
-                            static_cast<Clbit>(c));
-            return;
-        }
-
-        if (s.rfind("barrier", 0) == 0) {
-            const std::string rest = strip(s.substr(7));
-            std::vector<Qubit> qubits;
-            if (rest == "q") {
-                circuit.barrier();
-                return;
-            }
-            for (const std::string &tok : splitStrip(rest, ','))
-                if (!tok.empty())
-                    qubits.push_back(
-                        static_cast<Qubit>(parseRegIndex(tok, "q")));
-            circuit.barrier(qubits);
-            return;
-        }
-
-        // Generic gate: name[(params)] operand[, operand...]
-        std::size_t name_end = 0;
-        while (name_end < s.size() &&
-               (std::isalnum(static_cast<unsigned char>(s[name_end]))))
-            ++name_end;
-        const std::string name = s.substr(0, name_end);
-        std::string rest = strip(s.substr(name_end));
-
-        std::vector<double> params;
-        if (!rest.empty() && rest[0] == '(') {
-            // Find the matching close paren (params may nest).
-            std::size_t depth = 0;
-            std::size_t close = std::string::npos;
-            for (std::size_t i = 0; i < rest.size(); ++i) {
-                if (rest[i] == '(') {
-                    ++depth;
-                } else if (rest[i] == ')') {
-                    if (--depth == 0) {
-                        close = i;
-                        break;
-                    }
-                }
-            }
-            if (close == std::string::npos)
-                throw QasmError("missing ')' in: " + s);
-            for (const std::string &e :
-                 splitStrip(rest.substr(1, close - 1), ','))
-                params.push_back(ExprParser(e).parse());
-            rest = strip(rest.substr(close + 1));
-        }
-
-        std::vector<Qubit> qubits;
-        for (const std::string &tok : splitStrip(rest, ','))
-            if (!tok.empty())
-                qubits.push_back(
-                    static_cast<Qubit>(parseRegIndex(tok, "q")));
-
-        // qelib1 aliases: u3 == u and u1 == p map via the name table;
-        // u2(phi, lambda) = u(pi/2, phi, lambda) needs rewriting.
-        if (name == "u2") {
-            if (params.size() != 2)
-                throw QasmError("u2 expects 2 parameters");
-            circuit.append({.kind = OpKind::U,
-                            .qubits = qubits,
-                            .params = {M_PI / 2.0, params[0],
-                                       params[1]}});
-            return;
-        }
-        const OpKind kind = kindFromName(name);
-        circuit.append({.kind = kind, .qubits = qubits,
-                        .params = params});
-    };
-
-    if (has_postselect) {
-        // Re-parse line by line to preserve directive ordering.
-        Circuit ordered(num_qubits, num_clbits, "qasm");
-        circuit = ordered;
-        std::istringstream lines(text);
-        while (std::getline(lines, line)) {
-            const auto directive = line.find("// qra:postselect");
-            std::string body = line;
-            if (directive != std::string::npos) {
-                apply_statement(strip(line.substr(directive)));
-                continue;
-            }
-            const auto comment = body.find("//");
-            if (comment != std::string::npos)
-                body = body.substr(0, comment);
-            for (const std::string &piece : splitStrip(body, ';'))
-                if (!piece.empty())
-                    apply_statement(piece);
-        }
-    } else {
-        for (const std::string &s : statements)
-            apply_statement(s);
+    circuit.reserve(items.size());
+    for (const Item &item : items) {
+        if (item.postselect)
+            applyPostSelect(circuit, item.text);
+        else
+            applyStatement(circuit, item.text);
     }
-
     return circuit;
+}
+
+} // namespace detail
+
+Circuit
+fromQasm(const std::string &text)
+{
+    return detail::readQasm(text, nullptr);
 }
 
 } // namespace qra

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace qra {
@@ -28,6 +29,26 @@ std::string toBitstring(std::uint64_t value, std::size_t width);
  * @throws ValueError if the string contains non-binary characters.
  */
 std::uint64_t fromBitstring(const std::string &bits);
+
+/** std::isspace in the "C" locale: space, \t, \n, \v, \f, \r. */
+constexpr bool
+isSpace(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/** @p s without leading and trailing whitespace (a view into @p s). */
+constexpr std::string_view
+trimWhitespace(std::string_view s)
+{
+    std::size_t b = 0;
+    std::size_t e = s.size();
+    while (b < e && isSpace(s[b]))
+        ++b;
+    while (e > b && isSpace(s[e - 1]))
+        --e;
+    return s.substr(b, e - b);
+}
 
 /** Join @p parts with @p sep between consecutive elements. */
 std::string join(const std::vector<std::string> &parts,

@@ -48,7 +48,7 @@ DecomposePass::describe() const
 void
 DecomposePass::run(CompileContext &ctx) const
 {
-    ctx.circuit = decompose(ctx.circuit, options_);
+    ctx.circuit = decompose(std::move(ctx.circuit), options_);
 }
 
 // --- LayoutPass ------------------------------------------------------
@@ -91,7 +91,8 @@ RoutingPass::run(CompileContext &ctx) const
                     anchors[a] = check.spec.targets;
     }
     RoutedCircuit routed =
-        routeCircuit(ctx.circuit, map, *ctx.initialLayout, anchors);
+        routeCircuit(std::move(ctx.circuit), map, *ctx.initialLayout,
+                     anchors);
     ctx.insertedSwaps += routed.insertedSwaps;
     ctx.pendingNote =
         std::to_string(routed.insertedSwaps) + " swaps inserted";
@@ -105,7 +106,8 @@ void
 DirectionFixPass::run(CompileContext &ctx) const
 {
     const CouplingMap &map = requireCoupling(ctx, "direction-fix");
-    DirectionFixResult fixed = fixDirections(ctx.circuit, map);
+    DirectionFixResult fixed =
+        fixDirections(std::move(ctx.circuit), map);
     ctx.reversedCx += fixed.reversedCx;
     ctx.pendingNote =
         std::to_string(fixed.reversedCx) + " cx reversed";
@@ -117,7 +119,7 @@ DirectionFixPass::run(CompileContext &ctx) const
 void
 OptimizePass::run(CompileContext &ctx) const
 {
-    OptimizeResult opt = optimizeCircuit(ctx.circuit);
+    OptimizeResult opt = optimizeCircuit(std::move(ctx.circuit));
     ctx.cancelledGates += opt.cancelledGates;
     ctx.mergedRotations += opt.mergedRotations;
     ctx.pendingNote = std::to_string(opt.cancelledGates) +

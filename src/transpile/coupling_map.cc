@@ -10,7 +10,8 @@
 namespace qra {
 
 CouplingMap::CouplingMap(std::size_t num_qubits)
-    : numQubits_(num_qubits), adjacency_(num_qubits)
+    : numQubits_(num_qubits), adjacency_(num_qubits),
+      directions_(num_qubits * num_qubits, 0)
 {
     if (num_qubits == 0)
         throw TranspileError("coupling map needs at least one qubit");
@@ -34,28 +35,29 @@ CouplingMap::addEdge(Qubit control, Qubit target)
     if (hasEdge(control, target))
         return;
     edges_.emplace_back(control, target);
-    auto &ac = adjacency_[control];
-    auto &at = adjacency_[target];
-    if (std::find(ac.begin(), ac.end(), target) == ac.end())
-        ac.push_back(target);
-    if (std::find(at.begin(), at.end(), control) == at.end())
-        at.push_back(control);
+    if (!connected(control, target)) {
+        adjacency_[control].push_back(target);
+        adjacency_[target].push_back(control);
+    }
+    directions_[control * numQubits_ + target] |= kForward;
+    directions_[target * numQubits_ + control] |= kBackward;
 }
 
 bool
 CouplingMap::hasEdge(Qubit control, Qubit target) const
 {
-    return std::find(edges_.begin(), edges_.end(),
-                     std::make_pair(control, target)) != edges_.end();
+    return control < numQubits_ && target < numQubits_ &&
+           (directions_[control * numQubits_ + target] & kForward) != 0;
 }
 
 bool
 CouplingMap::connected(Qubit a, Qubit b) const
 {
-    return hasEdge(a, b) || hasEdge(b, a);
+    return a < numQubits_ && b < numQubits_ &&
+           directions_[a * numQubits_ + b] != 0;
 }
 
-std::vector<Qubit>
+const std::vector<Qubit> &
 CouplingMap::neighbors(Qubit q) const
 {
     checkQubit(q);
@@ -111,10 +113,23 @@ CouplingMap::shortestPath(Qubit a, Qubit b) const
 bool
 CouplingMap::isConnected() const
 {
-    for (Qubit q = 1; q < numQubits_; ++q)
-        if (shortestPath(0, q).empty())
-            return false;
-    return true;
+    // One breadth-first walk from qubit 0 must reach every qubit.
+    std::vector<bool> seen(numQubits_, false);
+    std::vector<Qubit> frontier{0};
+    seen[0] = true;
+    std::size_t reached = 1;
+    while (!frontier.empty()) {
+        const Qubit cur = frontier.back();
+        frontier.pop_back();
+        for (const Qubit next : adjacency_[cur]) {
+            if (!seen[next]) {
+                seen[next] = true;
+                ++reached;
+                frontier.push_back(next);
+            }
+        }
+    }
+    return reached == numQubits_;
 }
 
 std::string

@@ -10,6 +10,7 @@
 #define QRA_TRANSPILE_COUPLING_MAP_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,14 +36,21 @@ class CouplingMap
         return edges_;
     }
 
-    /** True if a native CNOT control->target exists. */
+    /**
+     * True if a native CNOT control->target exists. O(1): a lookup in
+     * a dense per-pair direction table; false for out-of-range qubits.
+     */
     bool hasEdge(Qubit control, Qubit target) const;
 
-    /** True if the pair is connected in either direction. */
+    /** True if the pair is connected in either direction. O(1). */
     bool connected(Qubit a, Qubit b) const;
 
-    /** Neighbours of @p q (union of both edge directions). */
-    std::vector<Qubit> neighbors(Qubit q) const;
+    /**
+     * Neighbours of @p q (union of both edge directions), in the order
+     * their first edge was added. The reference lives as long as the
+     * map and is invalidated by addEdge.
+     */
+    const std::vector<Qubit> &neighbors(Qubit q) const;
 
     /**
      * Length of the shortest undirected path between two qubits
@@ -65,9 +73,14 @@ class CouplingMap
   private:
     void checkQubit(Qubit q) const;
 
+    /** directions_[a * n + b] bits: a->b native, b->a native. */
+    static constexpr std::uint8_t kForward = 1;
+    static constexpr std::uint8_t kBackward = 2;
+
     std::size_t numQubits_;
     std::vector<std::pair<Qubit, Qubit>> edges_;
     std::vector<std::vector<Qubit>> adjacency_; ///< undirected
+    std::vector<std::uint8_t> directions_;      ///< n x n, see kForward
 };
 
 } // namespace qra

@@ -1,5 +1,7 @@
 #include "transpile/decomposer.hh"
 
+#include <algorithm>
+
 namespace qra {
 
 namespace {
@@ -33,48 +35,62 @@ emitCcx(Circuit &out, Qubit c0, Qubit c1, Qubit target)
     out.cx(c0, c1);
 }
 
+/** True when @p options lower @p kind. */
+bool
+lowers(OpKind kind, const DecomposeOptions &options)
+{
+    switch (kind) {
+      case OpKind::Swap:
+        return options.decomposeSwap;
+      case OpKind::CCX:
+        return options.decomposeCcx;
+      case OpKind::CZ:
+      case OpKind::CY:
+        return options.decomposeControlledPaulis;
+      default:
+        return false;
+    }
+}
+
 } // namespace
 
 Circuit
-decompose(const Circuit &circuit, const DecomposeOptions &options)
+decompose(Circuit circuit, const DecomposeOptions &options)
 {
-    Circuit out(circuit.numQubits(), circuit.numClbits(),
-                circuit.name() + "_decomposed");
+    std::string name = circuit.name() + "_decomposed";
+    const std::vector<Operation> &ops = circuit.ops();
+    if (std::none_of(ops.begin(), ops.end(), [&](const Operation &op) {
+            return lowers(op.kind, options);
+        })) {
+        circuit.setName(std::move(name));
+        return circuit;
+    }
 
-    for (const Operation &op : circuit.ops()) {
+    Circuit out(circuit.numQubits(), circuit.numClbits(), std::move(name));
+    for (Operation &op : circuit.takeOps()) {
+        if (!lowers(op.kind, options)) {
+            out.append(std::move(op));
+            continue;
+        }
+        const std::vector<Qubit> &q = op.qubits;
         switch (op.kind) {
           case OpKind::Swap:
-            if (options.decomposeSwap) {
-                emitSwap(out, op.qubits[0], op.qubits[1]);
-                continue;
-            }
+            emitSwap(out, q[0], q[1]);
             break;
           case OpKind::CCX:
-            if (options.decomposeCcx) {
-                emitCcx(out, op.qubits[0], op.qubits[1], op.qubits[2]);
-                continue;
-            }
+            emitCcx(out, q[0], q[1], q[2]);
             break;
           case OpKind::CZ:
-            if (options.decomposeControlledPaulis) {
-                out.h(op.qubits[1]);
-                out.cx(op.qubits[0], op.qubits[1]);
-                out.h(op.qubits[1]);
-                continue;
-            }
+            out.h(q[1]);
+            out.cx(q[0], q[1]);
+            out.h(q[1]);
             break;
-          case OpKind::CY:
-            if (options.decomposeControlledPaulis) {
-                out.sdg(op.qubits[1]);
-                out.cx(op.qubits[0], op.qubits[1]);
-                out.s(op.qubits[1]);
-                continue;
-            }
-            break;
-          default:
+          default: // CY
+            out.sdg(q[1]);
+            out.cx(q[0], q[1]);
+            out.s(q[1]);
             break;
         }
-        out.append(op);
     }
     return out;
 }

@@ -21,9 +21,13 @@ struct DecomposeOptions
     bool decomposeControlledPaulis = false;
 };
 
-/** Rewrite @p circuit per @p options; other gates pass through. */
-Circuit decompose(const Circuit &circuit,
-                  const DecomposeOptions &options = {});
+/**
+ * Rewrite @p circuit per @p options; other gates pass through. When
+ * no gate is one @p options lower, the input comes back as it went in
+ * (renamed "<name>_decomposed") rather than rebuilt. Consumes
+ * @p circuit (pass an rvalue to avoid a copy).
+ */
+Circuit decompose(Circuit circuit, const DecomposeOptions &options = {});
 
 } // namespace qra
 

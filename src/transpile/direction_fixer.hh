@@ -28,13 +28,17 @@ struct DirectionFixResult
 /**
  * Rewrite every CX whose orientation is not native into the
  * H-conjugated reverse CX. CZ and Swap are symmetric and pass
- * through; any other 2-qubit gate on a wrong-direction edge is an
- * error (decompose first).
+ * through; any other 2-qubit gate is an error (decompose first).
+ *
+ * Every 2-qubit gate is checked, but the circuit is rebuilt only when
+ * some CX is reversed: on a map whose edges are all bidirectional the
+ * input comes back as it went in (renamed "<name>_directed"). Consumes
+ * @p circuit (pass an rvalue to avoid a copy).
  *
  * @pre Every 2-qubit gate acts on a coupled pair (route first).
+ * @throws TranspileError on an uncoupled pair or a gate it cannot fix.
  */
-DirectionFixResult fixDirections(const Circuit &circuit,
-                                 const CouplingMap &map);
+DirectionFixResult fixDirections(Circuit circuit, const CouplingMap &map);
 
 } // namespace qra
 

@@ -1,9 +1,6 @@
 #include "transpile/optimizer.hh"
 
 #include <cmath>
-#include <optional>
-
-#include "common/error.hh"
 
 namespace qra {
 
@@ -42,52 +39,48 @@ isNullAngle(OpKind kind, double theta)
 } // namespace
 
 OptimizeResult
-optimizeCircuit(const Circuit &circuit)
+optimizeCircuit(Circuit circuit)
 {
-    std::vector<Operation> ops(circuit.ops());
+    // One pass of a stack reaches the fixed point. The stack never
+    // holds an adjacent pair that cancels or merges: a push is checked
+    // against the top, a pop leaves an already-reduced prefix, and a
+    // merge keeps the top's kind and operands, which did not match
+    // the op below it. ops[0, top) is the stack, compacted in place.
+    std::vector<Operation> ops = circuit.takeOps();
+    std::size_t top = 0;
     std::size_t cancelled = 0;
     std::size_t merged = 0;
 
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        std::vector<Operation> next;
-        next.reserve(ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        Operation &op = ops[i];
+        if (top > 0) {
+            Operation &prev = ops[top - 1];
 
-        for (const Operation &op : ops) {
-            if (!next.empty()) {
-                Operation &prev = next.back();
-
-                // Only compare against the previous op when no
-                // intervening op shares a qubit; with a simple stack
-                // we approximate by requiring *adjacency on the same
-                // operand set*, which is safe (sound, not complete).
-                if (cancels(prev, op)) {
-                    next.pop_back();
-                    cancelled += 2;
-                    changed = true;
-                    continue;
-                }
-                if (op.kind == prev.kind && mergeable(op.kind) &&
-                    op.qubits == prev.qubits) {
-                    prev.params[0] += op.params[0];
-                    ++merged;
-                    changed = true;
-                    if (isNullAngle(prev.kind, prev.params[0])) {
-                        next.pop_back();
-                        cancelled += 1;
-                    }
-                    continue;
-                }
-
-                // Barriers and any op sharing qubits block further
-                // peepholes; nothing to do — the adjacency check
-                // above already encodes this.
+            // Only compare against the previous op when no
+            // intervening op shares a qubit; with a simple stack
+            // we approximate by requiring *adjacency on the same
+            // operand set*, which is safe (sound, not complete).
+            if (cancels(prev, op)) {
+                --top;
+                cancelled += 2;
+                continue;
             }
-            next.push_back(op);
+            if (op.kind == prev.kind && mergeable(op.kind) &&
+                op.qubits == prev.qubits) {
+                prev.params[0] += op.params[0];
+                ++merged;
+                if (isNullAngle(prev.kind, prev.params[0])) {
+                    --top;
+                    cancelled += 1;
+                }
+                continue;
+            }
         }
-        ops = std::move(next);
+        if (top != i)
+            ops[top] = std::move(op);
+        ++top;
     }
+    ops.resize(top);
 
     Circuit out(circuit.numQubits(), circuit.numClbits(),
                 circuit.name() + "_opt");

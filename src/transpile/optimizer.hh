@@ -25,12 +25,15 @@ struct OptimizeResult
 };
 
 /**
- * Run cancellation/merging to a fixed point.
+ * Run cancellation/merging to a fixed point in one pass: each op is
+ * checked against the last kept op on the same operand list, so
+ * optimizeCircuit(optimizeCircuit(c).circuit) finds nothing more.
+ * Consumes @p circuit (pass an rvalue to move its ops, not copy them).
  *
  * Barriers fence the optimiser: nothing cancels across a barrier, so
  * assertion blocks wrapped in barriers are never optimised away.
  */
-OptimizeResult optimizeCircuit(const Circuit &circuit);
+OptimizeResult optimizeCircuit(Circuit circuit);
 
 } // namespace qra
 

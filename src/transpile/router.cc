@@ -49,7 +49,7 @@ nearestFree(const CouplingMap &map, const Layout &layout,
 } // namespace
 
 RoutedCircuit
-routeCircuit(const Circuit &circuit, const CouplingMap &map,
+routeCircuit(Circuit circuit, const CouplingMap &map,
              const Layout &initial, const WireAnchors &anchors)
 {
     if (circuit.numQubits() > map.numQubits())
@@ -79,18 +79,19 @@ routeCircuit(const Circuit &circuit, const CouplingMap &map,
         bound[v] = true;
     };
 
-    for (const Operation &op : circuit.ops()) {
+    for (Operation &op : circuit.takeOps()) {
         if (op.kind == OpKind::CCX)
             throw TranspileError("decompose CCX before routing");
         for (const Qubit q : op.qubits)
             if (!bound[q])
                 bind(q);
 
-        Operation mapped = op;
-
+        // Relabel the op's virtual operands to physical ones in place.
         if (op.qubits.size() == 2 && opIsUnitary(op.kind)) {
-            Qubit pa = layout.physical(op.qubits[0]);
-            Qubit pb = layout.physical(op.qubits[1]);
+            const Qubit va = op.qubits[0];
+            const Qubit vb = op.qubits[1];
+            Qubit pa = layout.physical(va);
+            Qubit pb = layout.physical(vb);
 
             if (!map.connected(pa, pb)) {
                 const std::vector<Qubit> path = map.shortestPath(pa, pb);
@@ -104,18 +105,19 @@ routeCircuit(const Circuit &circuit, const CouplingMap &map,
                     layout.swapPhysical(path[i], path[i + 1]);
                     ++swaps;
                 }
-                pa = layout.physical(op.qubits[0]);
-                pb = layout.physical(op.qubits[1]);
+                pa = layout.physical(va);
+                pb = layout.physical(vb);
                 QRA_ASSERT(map.connected(pa, pb),
                            "routing failed to connect operands");
             }
-            mapped.qubits = {pa, pb};
+            op.qubits[0] = pa;
+            op.qubits[1] = pb;
         } else {
-            for (auto &q : mapped.qubits)
+            for (auto &q : op.qubits)
                 q = layout.physical(q);
         }
 
-        routed.append(std::move(mapped));
+        routed.append(std::move(op));
     }
 
     return RoutedCircuit{std::move(routed), std::move(layout), swaps};

@@ -53,9 +53,9 @@ using WireAnchors = std::vector<std::vector<Qubit>>;
  * ancilla next to its targets: binding when the check is reached,
  * rather than before any SWAP exists, keeps layout drift from
  * stranding the ancilla. Without anchors the output is that of plain
- * routing.
+ * routing. Consumes @p circuit (pass an rvalue to move its ops).
  */
-RoutedCircuit routeCircuit(const Circuit &circuit, const CouplingMap &map,
+RoutedCircuit routeCircuit(Circuit circuit, const CouplingMap &map,
                            const Layout &initial,
                            const WireAnchors &anchors = {});
 

@@ -1,15 +1,18 @@
 /**
  * @file
  * Randomised property tests across module boundaries: QASM
- * round-trips of random circuits, transpiler semantic preservation
+ * round-trips of random circuits (plain, and annotated text laid out
+ * at random), optimizer idempotence, transpiler semantic preservation
  * under fuzzing, complex-phase extensions of the paper's proofs, and
  * register-limit enforcement.
  */
 
 #include <cmath>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "assertions/directives.hh"
 #include "assertions/injector.hh"
 #include "assertions/superposition_assertion.hh"
 #include "circuit/qasm.hh"
@@ -17,6 +20,7 @@
 #include "noise/device_model.hh"
 #include "sim/statevector_simulator.hh"
 #include "testutil.hh"
+#include "transpile/optimizer.hh"
 #include "transpile/transpiler.hh"
 
 namespace qra {
@@ -116,6 +120,150 @@ TEST_P(FuzzSweep, TranspilerPreservesDistributions)
                     0.025)
             << "outcome " << key;
     }
+}
+
+/** One line of a canonical annotated program. */
+struct Piece
+{
+    std::string text;
+    /** A `//` directive: it runs to the end of its line. */
+    bool comment;
+};
+
+/**
+ * Lay @p pieces out at random: several statements per line,
+ * statements split across lines (with a comment inside the split),
+ * trailing comments, CRLF, and directives after a statement on its
+ * line or on their own line.
+ */
+std::string
+randomLayout(const std::vector<Piece> &pieces, Rng &rng)
+{
+    const std::string eol = rng.below(2) ? "\r\n" : "\n";
+    std::string text;
+    for (const Piece &piece : pieces) {
+        if (piece.comment) {
+            const bool fresh_line = text.empty() || text.back() == '\n';
+            if (!fresh_line && rng.below(2))
+                text += eol;
+            text += (fresh_line ? "" : " ") + piece.text + eol;
+            continue;
+        }
+        std::string stmt = piece.text;
+        if (rng.below(3) == 0) {
+            const std::size_t comma = stmt.find(", ");
+            const std::size_t space = stmt.find(' ');
+            if (comma != std::string::npos)
+                stmt.replace(comma, 2,
+                             rng.below(2) ? "," + eol : ", // split" + eol);
+            else if (space != std::string::npos)
+                stmt.replace(space, 1, eol);
+        }
+        text += stmt;
+        switch (rng.below(4)) {
+          case 0: text += rng.below(2) ? " " : ""; break;
+          case 1: text += " // note" + eol; break;
+          default: text += eol; break;
+        }
+    }
+    return text;
+}
+
+TEST_P(FuzzSweep, AnnotatedQasmLayoutsParseToCanonical)
+{
+    Rng rng(4000 + GetParam());
+    Circuit original = randomCircuit(4, 30, rng, true);
+    for (int k = 0; k < 3; ++k) {
+        Operation post{.kind = OpKind::PostSelect,
+                       .qubits = {static_cast<Qubit>(rng.below(4))}};
+        post.postselectValue = static_cast<int>(rng.below(2));
+        original.insert(rng.below(original.size() + 1), std::move(post));
+    }
+
+    // toQasm writes one statement or postselect per line; weave assert
+    // directives in between and remember where each one applies.
+    std::vector<Piece> pieces;
+    std::vector<std::size_t> expected_at;
+    std::size_t ops_before = 0;
+    std::istringstream lines(toQasm(original));
+    for (std::string line; std::getline(lines, line);) {
+        const bool is_op = line.rfind("//", 0) == 0 ||
+                           !(line.rfind("OPENQASM", 0) == 0 ||
+                             line.rfind("include", 0) == 0 ||
+                             line.rfind("qreg", 0) == 0 ||
+                             line.rfind("creg", 0) == 0);
+        pieces.push_back({line, line.rfind("//", 0) == 0});
+        ops_before += is_op ? 1 : 0;
+        if (is_op && rng.below(4) == 0) {
+            const Qubit q = static_cast<Qubit>(rng.below(4));
+            const Qubit r = (q + 1) % 4;
+            const std::string directive[] = {
+                "// qra:assert-superposition q[" + std::to_string(q) + "] -",
+                "// qra:assert-entangled q[" + std::to_string(q) + "], q[" +
+                    std::to_string(r) + "] odd",
+                "// qra:assert-classical q[" + std::to_string(q) + "], q[" +
+                    std::to_string(r) + "] == 10"};
+            pieces.push_back({directive[rng.below(3)], true});
+            expected_at.push_back(ops_before);
+        }
+    }
+
+    std::string canonical_text;
+    for (const Piece &piece : pieces)
+        canonical_text += piece.text + "\n";
+    const AnnotatedProgram canonical = parseAnnotatedQasm(canonical_text);
+    ASSERT_TRUE(canonical.payload == original);
+    ASSERT_EQ(canonical.specs.size(), expected_at.size());
+    for (std::size_t i = 0; i < expected_at.size(); ++i)
+        EXPECT_EQ(canonical.specs[i].insertAt, expected_at[i]) << i;
+
+    for (int layout = 0; layout < 8; ++layout) {
+        const std::string text = randomLayout(pieces, rng);
+        const AnnotatedProgram got = parseAnnotatedQasm(text);
+        EXPECT_TRUE(got.payload == original) << text;
+        EXPECT_EQ(got.payload.hash(), original.hash());
+        EXPECT_TRUE(fromQasm(text) == original);
+        ASSERT_EQ(got.specs.size(), canonical.specs.size()) << text;
+        for (std::size_t i = 0; i < got.specs.size(); ++i) {
+            EXPECT_EQ(got.specs[i].insertAt, canonical.specs[i].insertAt)
+                << text;
+            EXPECT_EQ(got.specs[i].targets, canonical.specs[i].targets);
+            EXPECT_EQ(got.specs[i].label, canonical.specs[i].label);
+        }
+    }
+}
+
+TEST_P(FuzzSweep, OptimizerReachesItsFixedPointInOnePass)
+{
+    // Two qubits and a cancel-rich alphabet make long chains of
+    // adjacent inverse pairs and mergeable rotations.
+    Rng rng(5000 + GetParam());
+    Circuit c(2, 2, "fuzz");
+    for (int i = 0; i < 200; ++i) {
+        const Qubit q = static_cast<Qubit>(rng.below(2));
+        switch (rng.below(9)) {
+          case 0: c.h(q); break;
+          case 1: c.x(q); break;
+          case 2: c.s(q); break;
+          case 3: c.sdg(q); break;
+          case 4: c.t(q); break;
+          case 5: c.tdg(q); break;
+          case 6: c.rz(rng.below(2) ? M_PI : -M_PI, q); break;
+          case 7: c.cx(q, 1 - q); break;
+          default:
+            if (rng.below(4) == 0)
+                c.barrier();
+            else
+                c.rx(0.5 * static_cast<double>(rng.below(4)), q);
+            break;
+        }
+    }
+    const OptimizeResult once = optimizeCircuit(c);
+    EXPECT_GT(once.cancelledGates + once.mergedRotations, 0u);
+    const OptimizeResult twice = optimizeCircuit(once.circuit);
+    EXPECT_EQ(twice.cancelledGates, 0u);
+    EXPECT_EQ(twice.mergedRotations, 0u);
+    EXPECT_TRUE(twice.circuit == once.circuit);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSweep, ::testing::Range(0, 8));

@@ -20,15 +20,25 @@
 namespace qra {
 namespace test {
 
+/** One paper circuit as annotated QASM, with how e2ebench submits it. */
+struct PaperSource
+{
+    const char *name;
+    std::string text;
+    /** A paper_reuse_traj kind (two checks sharing one ancilla). */
+    bool reuse;
+    /** Checks come from auto-assert rather than directives. */
+    bool autoAssert;
+};
+
 /**
- * Table 1, Table 2, section 4.3, Fig. 4 GHZ(3) and GHZ(4) prepared for
- * @p device. With @p reuse false these are the paper_ibmqx4 kinds: one
- * check each, plus GHZ(4) and W(3) auto-asserted. With @p reuse true
- * they are the paper_reuse_traj kinds: two checks each sharing one
- * reset ancilla.
+ * Table 1, Table 2, section 4.3, Fig. 4 GHZ(3) and GHZ(4) as annotated
+ * QASM. The paper_ibmqx4 kinds (reuse false) carry one check each,
+ * plus GHZ(4) and W(3) auto-asserted; the paper_reuse_traj kinds carry
+ * two checks each.
  */
-inline std::vector<std::pair<std::string, Circuit>>
-paperPreparedShapes(const DeviceModel &device, bool reuse)
+inline std::vector<PaperSource>
+paperSources()
 {
     const auto regs = [](int n) {
         return "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[" +
@@ -51,13 +61,7 @@ paperPreparedShapes(const DeviceModel &device, bool reuse)
     Circuit w3 = library::wState(3);
     w3.addClbits(3);
     w3.measureAll();
-    const struct
-    {
-        const char *name;
-        std::string text;
-        bool reuse;
-        bool autoAssert;
-    } sources[] = {
+    return {
         {"table1", regs(1) + classical + measure(1), false, false},
         {"table2_bell",
          regs(2) + "h q[0];\ncx q[0],q[1];\n" + bell + measure(2), false,
@@ -85,8 +89,17 @@ paperPreparedShapes(const DeviceModel &device, bool reuse)
              measure(4),
          true, false},
     };
+}
+
+/**
+ * The paperSources() kinds of one workload (@p reuse) prepared for
+ * @p device, as e2ebench prepares them.
+ */
+inline std::vector<std::pair<std::string, Circuit>>
+paperPreparedShapes(const DeviceModel &device, bool reuse)
+{
     std::vector<std::pair<std::string, Circuit>> shapes;
-    for (const auto &source : sources) {
+    for (const PaperSource &source : paperSources()) {
         if (source.reuse != reuse)
             continue;
         const AnnotatedProgram program = parseAnnotatedQasm(source.text);
