@@ -76,12 +76,13 @@ TrajectorySimulator::sampleSite(const kernels::KrausSite &site,
 
 bool
 TrajectorySimulator::runShot(const kernels::TrajectoryPlan &plan,
+                             std::span<const kernels::PlanEntry> entries,
                              StateVector &state,
                              std::uint64_t &register_value)
 {
     using kernels::KernelKind;
     register_value = 0;
-    for (const kernels::PlanEntry &entry : plan.entries()) {
+    for (const kernels::PlanEntry &entry : entries) {
         switch (entry.kind) {
           case KernelKind::Measure:
           {
@@ -129,6 +130,28 @@ TrajectorySimulator::planFor(const Circuit &circuit) const
         kernels::TrajectoryPlan::compile(circuit, noise_));
 }
 
+namespace {
+
+/**
+ * Split before the first entry that can draw: a measurement, a reset,
+ * a PostSelect or a noise site. Noisy plans split at their first
+ * noise site, which is near the start.
+ */
+SplitSteps<kernels::PlanEntry>
+splitPlan(const kernels::TrajectoryPlan &plan)
+{
+    using kernels::KernelKind;
+    return splitAtFirstDraw(
+        plan.entries(), [](const kernels::PlanEntry &entry) {
+            return entry.kind == KernelKind::Measure ||
+                   entry.kind == KernelKind::ResetQ ||
+                   entry.kind == KernelKind::PostSelectQ ||
+                   entry.kind == KernelKind::SampleKraus;
+        });
+}
+
+} // namespace
+
 Result
 TrajectorySimulator::run(const Circuit &circuit, std::size_t shots)
 {
@@ -137,8 +160,11 @@ TrajectorySimulator::run(const Circuit &circuit, std::size_t shots)
     const std::shared_ptr<const kernels::TrajectoryPlan> plan =
         planFor(circuit);
     return runPostSelectedShots<StateVector>(
-        circuit, shots, [&](StateVector &state, std::uint64_t &reg) {
-            return runShot(*plan, state, reg);
+        circuit, shots, splitPlan(*plan),
+        [&](StateVector &state,
+            std::span<const kernels::PlanEntry> entries,
+            std::uint64_t &reg) {
+            return runShot(*plan, entries, state, reg);
         });
 }
 
@@ -148,8 +174,11 @@ TrajectorySimulator::evolveOne(const Circuit &circuit)
     const std::shared_ptr<const kernels::TrajectoryPlan> plan =
         planFor(circuit);
     return firstKeptState<StateVector>(
-        circuit, [&](StateVector &state, std::uint64_t &reg) {
-            return runShot(*plan, state, reg);
+        circuit, splitPlan(*plan),
+        [&](StateVector &state,
+            std::span<const kernels::PlanEntry> entries,
+            std::uint64_t &reg) {
+            return runShot(*plan, entries, state, reg);
         });
 }
 

@@ -12,6 +12,17 @@
  * The circuit and noise model are lowered once per run (or fetched
  * from the active PlanCache) into a kernels::TrajectoryPlan; every
  * shot replays its classified kernels and pre-built noise sites.
+ *
+ * The plan entries before the first Measure, ResetQ, PostSelectQ or
+ * SampleKraus entry draw no random number, so a run evolves them once
+ * and each shot starts from a copy (runPostSelectedShots); counts
+ * equal a full replay per shot. Memory: while a run (or evolveOne)
+ * with such a prefix is in progress it holds two state vectors, the
+ * prefix and the working state, where one whose first entry draws
+ * holds one.
+ * Noiseless mid-circuit circuits (the statevector simulator's
+ * non-terminal runs) and most noisy plans, which split at their first
+ * noise site right after the first gate, have a prefix.
  */
 
 #ifndef QRA_SIM_TRAJECTORY_SIMULATOR_HH
@@ -19,6 +30,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 
 #include "circuit/circuit.hh"
 #include "common/rng.hh"
@@ -59,11 +71,13 @@ class TrajectorySimulator
     void sampleSite(const kernels::KrausSite &site, StateVector &state);
 
     /**
-     * Replay @p plan's entries and sites for one shot.
+     * Replay @p entries of @p plan (and their noise sites) for one
+     * shot.
      * @return false if the shot must be discarded (post-selection).
      */
-    bool runShot(const kernels::TrajectoryPlan &plan, StateVector &state,
-                 std::uint64_t &register_value);
+    bool runShot(const kernels::TrajectoryPlan &plan,
+                 std::span<const kernels::PlanEntry> entries,
+                 StateVector &state, std::uint64_t &register_value);
 
     /** Compile (or fetch from the active PlanCache) the plan. */
     std::shared_ptr<const kernels::TrajectoryPlan>

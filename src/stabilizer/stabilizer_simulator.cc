@@ -26,12 +26,12 @@ StabilizerSimulator::supports(const Circuit &circuit)
 }
 
 bool
-StabilizerSimulator::runShot(const Circuit &circuit,
+StabilizerSimulator::runShot(std::span<const Operation> ops,
                              StabilizerState &state,
                              std::uint64_t &register_value)
 {
     register_value = 0;
-    for (const Operation &op : circuit.ops()) {
+    for (const Operation &op : ops) {
         switch (op.kind) {
           case OpKind::Measure:
           {
@@ -65,24 +65,39 @@ StabilizerSimulator::runShot(const Circuit &circuit,
     return true;
 }
 
+namespace {
+
+/**
+ * Split before the first op that can draw: a measurement or reset
+ * draws when its outcome is random, a PostSelect always draws.
+ */
+SplitSteps<Operation>
+splitCircuit(const Circuit &circuit)
+{
+    return splitAtFirstDraw(circuit.ops(), [](const Operation &op) {
+        return op.kind == OpKind::Measure || op.kind == OpKind::Reset ||
+               op.kind == OpKind::PostSelect;
+    });
+}
+
+} // namespace
+
 Result
 StabilizerSimulator::run(const Circuit &circuit, std::size_t shots)
 {
     return runPostSelectedShots<StabilizerState>(
-        circuit, shots,
-        [&](StabilizerState &state, std::uint64_t &reg) {
-            return runShot(circuit, state, reg);
-        });
+        circuit, shots, splitCircuit(circuit),
+        [&](StabilizerState &state, std::span<const Operation> ops,
+            std::uint64_t &reg) { return runShot(ops, state, reg); });
 }
 
 StabilizerState
 StabilizerSimulator::evolveOne(const Circuit &circuit)
 {
     return firstKeptState<StabilizerState>(
-        circuit,
-        [&](StabilizerState &state, std::uint64_t &reg) {
-            return runShot(circuit, state, reg);
-        });
+        circuit, splitCircuit(circuit),
+        [&](StabilizerState &state, std::span<const Operation> ops,
+            std::uint64_t &reg) { return runShot(ops, state, reg); });
 }
 
 } // namespace qra

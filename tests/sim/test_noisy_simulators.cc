@@ -1,10 +1,12 @@
 /** @file Tests for the density-matrix and trajectory noisy engines. */
 
+#include <bit>
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "common/error.hh"
+#include "common/hash.hh"
 #include "noise/device_model.hh"
 #include "sim/density_simulator.hh"
 #include "sim/statevector_simulator.hh"
@@ -348,6 +350,106 @@ TEST(IbmqxDeviceSmokeTest, BellOnIbmqx4HasErrorsButMostlyCorrect)
     const double correct = dist.at(0b00) + dist.at(0b11);
     EXPECT_GT(correct, 0.85);
     EXPECT_LT(correct, 0.999);
+}
+
+TEST(TrajectorySimulatorTest, ZeroShotsRetainEverything)
+{
+    Circuit c(2, 2);
+    c.h(0).measure(0, 0).reset(0).cx(1, 0).measure(0, 1);
+    TrajectorySimulator sim(37);
+    const Result r = sim.run(c, 0);
+    EXPECT_EQ(r.shots(), 0u);
+    EXPECT_TRUE(r.rawCounts().empty());
+    EXPECT_EQ(r.retainedFraction(), 1.0);
+}
+
+TEST(TrajectorySimulatorTest, FirstEntryDraws)
+{
+    // The first plan entry already draws, so no entry runs before the
+    // shot loop.
+    Circuit post(1, 1);
+    post.postSelect(0, 0).h(0).measure(0, 0);
+    TrajectorySimulator sim(39);
+    const Result r = sim.run(post, 2000);
+    EXPECT_EQ(r.retainedFraction(), 1.0);
+    EXPECT_NEAR(r.probability(std::uint64_t{1}), 0.5, 0.05);
+
+    Circuit measured(1, 2);
+    measured.measure(0, 0).x(0).measure(0, 1);
+    const Result m = sim.run(measured, 100);
+    EXPECT_EQ(m.count(std::uint64_t{0b10}), 100u);
+    EXPECT_NEAR(std::abs(sim.evolveOne(measured).amplitude(1)), 1.0,
+                1e-12);
+}
+
+TEST(TrajectorySimulatorTest, NothingDraws)
+{
+    // No measurement at all: the whole plan is the shared prefix.
+    Circuit c(2, 1);
+    c.h(0).cx(0, 1).barrier();
+    TrajectorySimulator sim(41);
+    const Result r = sim.run(c, 10);
+    EXPECT_EQ(r.count(std::uint64_t{0}), 10u);
+    EXPECT_EQ(r.retainedFraction(), 1.0);
+    const StateVector psi = sim.evolveOne(c);
+    EXPECT_NEAR(std::abs(psi.amplitude(0b00)), std::sqrt(0.5), 1e-12);
+    EXPECT_NEAR(std::abs(psi.amplitude(0b11)), std::sqrt(0.5), 1e-12);
+}
+
+TEST(TrajectorySimulatorTest, EveryAttemptDiscardedMessages)
+{
+    // The discarding PostSelect follows a unitary prefix.
+    Circuit c(2, 1);
+    c.x(0).cx(0, 1).postSelect(1, 0).measure(0, 0);
+    TrajectorySimulator sim(43);
+    try {
+        sim.run(c, 10);
+        FAIL() << "run kept a shot";
+    } catch (const SimulationError &e) {
+        EXPECT_STREQ(e.what(), "post-selection discarded nearly every "
+                               "shot; circuit is inconsistent");
+    }
+    try {
+        sim.evolveOne(c);
+        FAIL() << "evolveOne kept an attempt";
+    } catch (const SimulationError &e) {
+        EXPECT_STREQ(e.what(),
+                     "post-selection discarded every attempt");
+    }
+}
+
+// Pinned before the shot loop evolved the shot-independent prefix once:
+// noisy trajectories draw from their first noise site on, and their
+// raw counts and retained fraction must stay bit for bit. The
+// simpleNoise run has a noiseless X/S prefix before its first H. Never
+// re-pin.
+TEST(ShotLoopGolden, NoisyTrajectoryCounts)
+{
+    const DeviceModel device = DeviceModel::ibmqx4();
+    const NoiseModel simple = simpleNoise();
+    Circuit c(5, 4);
+    c.x(1).s(2).x(3).h(0).cx(0, 1).cx(1, 2).measure(2, 0).reset(2);
+    c.h(3).cx(3, 4).postSelect(3, 1).cx(0, 2).measure(0, 1);
+    c.measure(1, 2).measure(4, 3);
+    const struct
+    {
+        const NoiseModel *noise;
+        std::uint64_t digest;
+    } cases[] = {
+        {&device.noiseModel(), 0xa0b0da7c71ff542cULL},
+        {&simple, 0xf4c34cf704985be2ULL},
+    };
+    for (const auto &tc : cases) {
+        TrajectorySimulator sim(45);
+        sim.setNoiseModel(tc.noise);
+        const Result r = sim.run(c, 300);
+        std::uint64_t h = kFnv1aOffset;
+        for (const auto &[key, count] : r.rawCounts())
+            h = fnv1aMix64(fnv1aMix64(h, key), count);
+        h = fnv1aMix64(
+            h, std::bit_cast<std::uint64_t>(r.retainedFraction()));
+        EXPECT_EQ(h, tc.digest) << "digest 0x" << std::hex << h;
+    }
 }
 
 } // namespace

@@ -1,8 +1,12 @@
 /** @file Tests for the ideal shot-based simulator. */
 
+#include <bit>
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "common/error.hh"
+#include "common/hash.hh"
 #include "sim/statevector_simulator.hh"
 #include "testutil.hh"
 
@@ -169,6 +173,90 @@ TEST(StatevectorSimulatorTest, GhzScalesTo10Qubits)
     const std::uint64_t all_ones = (std::uint64_t{1} << 10) - 1;
     EXPECT_EQ(r.count(std::uint64_t{0}) + r.count(all_ones), 2000u);
     EXPECT_NEAR(r.probability(std::uint64_t{0}), 0.5, 0.05);
+}
+
+TEST(StatevectorSimulatorTest, ZeroShotsRetainEverything)
+{
+    Circuit c(2, 2);
+    c.h(0).measure(0, 0).reset(0).cx(1, 0).measure(0, 1);
+    StatevectorSimulator sim(31);
+    const Result r = sim.run(c, 0);
+    EXPECT_EQ(r.shots(), 0u);
+    EXPECT_TRUE(r.rawCounts().empty());
+    EXPECT_EQ(r.retainedFraction(), 1.0);
+}
+
+/**
+ * perf_engine's per-shot workload: a random layer of H, T, RY and CX,
+ * a mid-circuit measurement and reset of qubit 0 (a PostSelect of
+ * qubit 1 after an H, when @p postselect), a second random layer and
+ * terminal measurements of every qubit.
+ */
+Circuit
+midCircuitWorkload(std::size_t n, std::size_t gates, std::uint64_t seed,
+                   bool postselect)
+{
+    Circuit c(n, n);
+    Rng gen(seed);
+    auto random_layer = [&](std::size_t count) {
+        for (std::size_t i = 0; i < count; ++i) {
+            const Qubit q = static_cast<Qubit>(gen.below(n));
+            switch (gen.below(4)) {
+              case 0: c.h(q); break;
+              case 1: c.t(q); break;
+              case 2: c.ry(gen.uniform() * M_PI, q); break;
+              default:
+                c.cx(q, static_cast<Qubit>(
+                            (q + 1 + gen.below(n - 1)) % n));
+            }
+        }
+    };
+    random_layer(gates / 2);
+    if (postselect)
+        c.h(1).postSelect(1, 1);
+    c.measure(0, 0);
+    c.reset(0);
+    random_layer(gates - gates / 2);
+    c.measureAll();
+    return c;
+}
+
+// Pinned before the shot loop evolved the shot-independent prefix once:
+// the noiseless per-shot path's raw counts, retained fraction and
+// evolveWithMeasurements' amplitudes must stay bit for bit. Never
+// re-pin.
+TEST(ShotLoopGolden, NoiselessMidCircuitCountsAndAmplitudes)
+{
+    const struct
+    {
+        std::size_t n;
+        bool postselect;
+        std::uint64_t digest;
+    } cases[] = {
+        {4, false, 0x5e03ea0ec79fa933ULL},
+        {6, false, 0x2cfa80d6e3e47e81ULL},
+        {8, true, 0x23c49435c25d12a9ULL},
+        {10, false, 0x82a5496472c5dec5ULL},
+        {12, false, 0xf0129333a2bffb70ULL},
+    };
+    for (const auto &tc : cases) {
+        const Circuit c =
+            midCircuitWorkload(tc.n, 64, 500 + tc.n, tc.postselect);
+        StatevectorSimulator sim(600 + tc.n);
+        const Result r = sim.run(c, 64);
+        std::uint64_t h = kFnv1aOffset;
+        for (const auto &[key, count] : r.rawCounts())
+            h = fnv1aMix64(fnv1aMix64(h, key), count);
+        h = fnv1aMix64(
+            h, std::bit_cast<std::uint64_t>(r.retainedFraction()));
+        const StateVector psi = sim.evolveWithMeasurements(c);
+        for (const Complex &a : psi.amplitudes())
+            h = fnv1aMix64(
+                fnv1aMix64(h, std::bit_cast<std::uint64_t>(a.real())),
+                std::bit_cast<std::uint64_t>(a.imag()));
+        EXPECT_EQ(h, tc.digest)
+            << "n = " << tc.n << ": digest 0x" << std::hex << h;
+    }
 }
 
 } // namespace
