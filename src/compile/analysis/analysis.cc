@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <map>
 #include <numeric>
 
 #include "math/matrix.hh"
@@ -98,12 +97,14 @@ class SlotPartition
     std::vector<std::uint32_t>
     snapshot()
     {
+        constexpr std::uint32_t kUnseen = static_cast<std::uint32_t>(-1);
+        std::vector<std::uint32_t> firstWire(parent_.size(), kUnseen);
         std::vector<std::uint32_t> byWire(slotOf_.size());
-        std::map<std::uint32_t, std::uint32_t> firstWire;
         for (Qubit w = 0; w < slotOf_.size(); ++w) {
-            std::uint32_t root = find(slotOf_[w]);
-            auto it = firstWire.emplace(root, static_cast<std::uint32_t>(w));
-            byWire[w] = it.first->second;
+            std::uint32_t &first = firstWire[find(slotOf_[w])];
+            if (first == kUnseen)
+                first = static_cast<std::uint32_t>(w);
+            byWire[w] = first;
         }
         return byWire;
     }
@@ -254,6 +255,27 @@ computeActions(const Circuit &circuit)
         i = end;
     }
     return actions;
+}
+
+/** Apply one instruction's partition action to @p partition. */
+void
+applyAction(SlotPartition &partition, const Operation &op,
+            PartitionAction action)
+{
+    switch (action) {
+      case PartitionAction::None:
+        break;
+      case PartitionAction::Merge:
+        for (std::size_t j = 1; j < op.qubits.size(); ++j)
+            partition.merge(op.qubits[0], op.qubits[j]);
+        break;
+      case PartitionAction::SwapSlots:
+        partition.swapSlots(op.qubits[0], op.qubits[1]);
+        break;
+      case PartitionAction::Reslot:
+        partition.reslot(op.qubits[0]);
+        break;
+    }
 }
 
 /** Deterministic measurement outcome, or -1 when the qubit is random. */
@@ -462,12 +484,6 @@ groupStateName(GroupState state)
     return "?";
 }
 
-std::uint32_t
-CircuitAnalysis::groupIdAt(std::size_t i, Qubit q) const
-{
-    return partitionAt.at(i).at(q);
-}
-
 CircuitAnalysis
 analyzeCircuit(const Circuit &circuit)
 {
@@ -477,18 +493,14 @@ analyzeCircuit(const Circuit &circuit)
     CircuitAnalysis result;
     result.numQubits = n;
     result.numOps = ops.size();
-    result.timeline.resize(n);
-    result.partitionAt.reserve(ops.size() + 1);
 
     SlotPartition partition(n);
     StabilizerState tableau(n);
     Frontier frontier(n);
-    std::vector<char> collapsed(n, 0);
     const std::vector<PartitionAction> actions = computeActions(circuit);
 
     for (std::size_t i = 0; i < ops.size(); ++i) {
         const Operation &op = ops[i];
-        result.partitionAt.push_back(partition.snapshot());
 
         // --- stabilizer-prefix domain --------------------------------
         if (op.kind != OpKind::Barrier) {
@@ -514,20 +526,7 @@ analyzeCircuit(const Circuit &circuit)
                 }
             }
             // --- separability partition ------------------------------
-            switch (actions[i]) {
-              case PartitionAction::None:
-                break;
-              case PartitionAction::Merge:
-                for (std::size_t j = 1; j < op.qubits.size(); ++j)
-                    partition.merge(op.qubits[0], op.qubits[j]);
-                break;
-              case PartitionAction::SwapSlots:
-                partition.swapSlots(op.qubits[0], op.qubits[1]);
-                break;
-              case PartitionAction::Reslot:
-                partition.reslot(op.qubits[0]);
-                break;
-            }
+            applyAction(partition, op, actions[i]);
             if (track) {
                 // Count the gate for each (post-merge) operand group.
                 std::uint32_t last_root =
@@ -543,31 +542,7 @@ analyzeCircuit(const Circuit &circuit)
 
         // --- known-basis frontier ------------------------------------
         frontier.step(op, i, result.frontier);
-
-        // --- lint timeline -------------------------------------------
-        if (opIsUnitary(op.kind)) {
-            for (Qubit q : op.qubits)
-                ++result.timeline[q].gateCount;
-            if (op.qubits.size() >= 2)
-                for (Qubit q : op.qubits)
-                    if (collapsed[q] &&
-                        result.timeline[q].reuseWithoutReset ==
-                            QubitTimeline::kNever)
-                        result.timeline[q].reuseWithoutReset = i;
-        } else if (op.kind == OpKind::Measure) {
-            Qubit q = op.qubits[0];
-            if (result.timeline[q].firstMeasure == QubitTimeline::kNever)
-                result.timeline[q].firstMeasure = i;
-            result.timeline[q].lastMeasure = i;
-            collapsed[q] = 1;
-        } else if (op.kind == OpKind::Reset) {
-            result.timeline[op.qubits[0]].everReset = true;
-            collapsed[op.qubits[0]] = 0;
-        } else if (op.kind == OpKind::PostSelect) {
-            result.timeline[op.qubits[0]].everPostSelected = true;
-        }
     }
-    result.partitionAt.push_back(partition.snapshot());
     frontier.finish(circuit, result.frontier);
 
     // Groups still alive at the end of the circuit: their Clifford
@@ -592,14 +567,41 @@ analyzeCircuit(const Circuit &circuit)
               });
 
     // Final partition, one sorted group per entry, ordered by leader.
-    std::map<std::uint32_t, std::vector<Qubit>> groups;
-    const auto &final_snapshot = result.partitionAt.back();
+    const std::vector<std::uint32_t> leader = partition.snapshot();
+    std::vector<std::vector<Qubit>> groups(n);
     for (Qubit w = 0; w < n; ++w)
-        groups[final_snapshot[w]].push_back(w);
-    for (auto &entry : groups)
-        result.finalGroups.push_back(std::move(entry.second));
+        groups[leader[w]].push_back(w);
+    for (auto &group : groups)
+        if (!group.empty())
+            result.finalGroups.push_back(std::move(group));
 
     return result;
+}
+
+std::vector<std::vector<std::uint32_t>>
+groupIdsAt(const Circuit &circuit, const std::vector<std::size_t> &boundaries)
+{
+    if (boundaries.empty())
+        return {};
+    const auto &ops = circuit.ops();
+    const std::vector<PartitionAction> actions = computeActions(circuit);
+    std::vector<std::size_t> order(boundaries.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(),
+              [&boundaries](std::size_t a, std::size_t b) {
+                  return boundaries[a] < boundaries[b];
+              });
+
+    std::vector<std::vector<std::uint32_t>> ids(boundaries.size());
+    SlotPartition partition(circuit.numQubits());
+    std::size_t applied = 0;
+    for (std::size_t k : order) {
+        const std::size_t boundary = std::min(boundaries[k], ops.size());
+        for (; applied < boundary; ++applied)
+            applyAction(partition, ops[applied], actions[applied]);
+        ids[k] = partition.snapshot();
+    }
+    return ids;
 }
 
 } // namespace analysis

@@ -23,8 +23,11 @@
  *     (which survive non-Clifford diagonals like T where the tableau
  *     gives up).
  *
- * The facts power AutoAssertPass (derive and place the paper's
- * assertion checks with zero annotation) and the lint pass.
+ * analyzeCircuit keeps only what its readers use: the cut-point facts
+ * and the frontier (AutoAssertPass, AnalyzePass's note), the final
+ * partition and the tableau's gate count. The partition at an earlier
+ * boundary is not kept; groupIdsAt re-derives it for the few
+ * boundaries lint asks about.
  */
 
 #ifndef QRA_COMPILE_ANALYSIS_ANALYSIS_HH
@@ -98,22 +101,11 @@ struct FrontierFact
     std::size_t opsTouched = 0;
 };
 
-/** Per-qubit observation/lifecycle timeline used by the lint pass. */
-struct QubitTimeline
-{
-    static constexpr std::size_t kNever = static_cast<std::size_t>(-1);
-
-    /** Unitary gates touching the qubit. */
-    std::size_t gateCount = 0;
-    std::size_t firstMeasure = kNever;
-    std::size_t lastMeasure = kNever;
-    /** First 2q gate on a collapsed (measured, un-reset) qubit. */
-    std::size_t reuseWithoutReset = kNever;
-    bool everReset = false;
-    bool everPostSelected = false;
-};
-
-/** Everything one forward pass over the circuit established. */
+/**
+ * What one forward pass over the circuit established. The
+ * JobQueue prepare cache holds one per prepared auto-assert job, so
+ * everything here is O(facts + n), never O(ops x n).
+ */
 struct CircuitAnalysis
 {
     std::size_t numQubits = 0;
@@ -130,22 +122,6 @@ struct CircuitAnalysis
 
     /** Total Clifford gates the tableau executed across all groups. */
     std::size_t cliffordPrefixGates = 0;
-
-    std::vector<QubitTimeline> timeline;
-
-    /**
-     * Partition snapshot per instruction boundary:
-     * partitionAt[i][q] is the smallest wire index in q's group
-     * *before* instruction i (i in [0, numOps]). Two qubits are
-     * provably unentangled at boundary i iff their ids differ.
-     * Precision note: inside a cancelling gate run (e.g. between the
-     * two gates of a CX·CX pair) the snapshot reports the run's net
-     * effect, i.e. the qubits stay split.
-     */
-    std::vector<std::vector<std::uint32_t>> partitionAt;
-
-    /** Group id (smallest member wire) of @p q at boundary @p i. */
-    std::uint32_t groupIdAt(std::size_t i, Qubit q) const;
 };
 
 /**
@@ -153,6 +129,19 @@ struct CircuitAnalysis
  * Deterministic: equal circuits produce equal analyses.
  */
 CircuitAnalysis analyzeCircuit(const Circuit &circuit);
+
+/**
+ * The separability partition of analyzeCircuit at each of
+ * @p boundaries: result[k][q] is the smallest wire index in q's group
+ * *before* instruction boundaries[k] (clamped to the circuit's size).
+ * Two qubits are provably unentangled at a boundary iff their ids
+ * differ. The pair-run refinement is taken over the whole circuit, so
+ * a boundary inside a cancelling gate run (e.g. between the two gates
+ * of a CX·CX pair) sees the run's net effect: the qubits stay split.
+ * One walk over the circuit serves every boundary.
+ */
+std::vector<std::vector<std::uint32_t>>
+groupIdsAt(const Circuit &circuit, const std::vector<std::size_t> &boundaries);
 
 } // namespace analysis
 } // namespace compile

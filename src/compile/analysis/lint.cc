@@ -4,15 +4,70 @@
 #include <numeric>
 #include <queue>
 
-#include "common/hash.hh"
-#include "compile/passes.hh"
-#include "obs/metrics.hh"
+#include "compile/analysis/analysis.hh"
 
 namespace qra {
 namespace compile {
 namespace analysis {
 
 namespace {
+
+/** What the walk over the ops learns about one qubit. */
+struct QubitTimeline
+{
+    static constexpr std::size_t kNever = static_cast<std::size_t>(-1);
+
+    /** Unitary gates touching the qubit. */
+    std::size_t gateCount = 0;
+    bool everMeasured = false;
+    bool everPostSelected = false;
+    /** Measured and not reset since. */
+    bool collapsed = false;
+    /** A reset or multi-qubit gate followed the last measurement. */
+    bool reusedSinceMeasure = false;
+    /** First 1q gate after the last measurement. */
+    std::size_t gateAfterMeasure = kNever;
+    /** First 2q gate on a collapsed qubit. */
+    std::size_t reuseWithoutReset = kNever;
+};
+
+std::vector<QubitTimeline>
+buildTimeline(const Circuit &circuit)
+{
+    const auto &ops = circuit.ops();
+    std::vector<QubitTimeline> timeline(circuit.numQubits());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        const Operation &op = ops[i];
+        if (opIsUnitary(op.kind)) {
+            for (Qubit q : op.qubits) {
+                QubitTimeline &line = timeline[q];
+                ++line.gateCount;
+                if (op.qubits.size() >= 2) {
+                    line.reusedSinceMeasure = true;
+                    if (line.collapsed &&
+                        line.reuseWithoutReset == QubitTimeline::kNever)
+                        line.reuseWithoutReset = i;
+                } else if (line.everMeasured &&
+                           line.gateAfterMeasure == QubitTimeline::kNever) {
+                    line.gateAfterMeasure = i;
+                }
+            }
+        } else if (op.kind == OpKind::Measure) {
+            QubitTimeline &line = timeline[op.qubits[0]];
+            line.everMeasured = true;
+            line.collapsed = true;
+            line.reusedSinceMeasure = false;
+            line.gateAfterMeasure = QubitTimeline::kNever;
+        } else if (op.kind == OpKind::Reset) {
+            QubitTimeline &line = timeline[op.qubits[0]];
+            line.collapsed = false;
+            line.reusedSinceMeasure = true;
+        } else if (op.kind == OpKind::PostSelect) {
+            timeline[op.qubits[0]].everPostSelected = true;
+        }
+    }
+    return timeline;
+}
 
 /** Size of the largest connected component of the coupling graph. */
 std::size_t
@@ -104,12 +159,12 @@ LintWarning::str() const
 }
 
 std::vector<LintWarning>
-lintCircuit(const Circuit &circuit, const CircuitAnalysis &analysis,
+lintCircuit(const Circuit &circuit,
             const std::vector<AssertionSpec> &specs,
             const CouplingMap *coupling)
 {
     std::vector<LintWarning> warnings;
-    const auto &ops = circuit.ops();
+    const std::vector<QubitTimeline> timeline = buildTimeline(circuit);
 
     std::vector<char> asserted(circuit.numQubits(), 0);
     for (const AssertionSpec &spec : specs)
@@ -119,9 +174,8 @@ lintCircuit(const Circuit &circuit, const CircuitAnalysis &analysis,
 
     // QRA-L001: gated but never observed.
     for (Qubit q = 0; q < circuit.numQubits(); ++q) {
-        const QubitTimeline &line = analysis.timeline[q];
-        if (line.gateCount == 0 ||
-            line.firstMeasure != QubitTimeline::kNever ||
+        const QubitTimeline &line = timeline[q];
+        if (line.gateCount == 0 || line.everMeasured ||
             line.everPostSelected || asserted[q])
             continue;
         warnings.push_back(
@@ -131,50 +185,40 @@ lintCircuit(const Circuit &circuit, const CircuitAnalysis &analysis,
              "work is unobservable"});
     }
 
-    // QRA-L002: single-qubit gate after the final measurement.
+    // QRA-L002: single-qubit gate after the final measurement. A
+    // reset or a multi-qubit gate after it means intentional
+    // re-preparation or QRA-L004's concern.
     for (Qubit q = 0; q < circuit.numQubits(); ++q) {
-        const QubitTimeline &line = analysis.timeline[q];
-        if (line.lastMeasure == QubitTimeline::kNever)
-            continue;
-        std::size_t first1q = QubitTimeline::kNever;
-        bool reused = false;
-        for (std::size_t i = line.lastMeasure + 1; i < ops.size(); ++i) {
-            const Operation &op = ops[i];
-            bool involved = false;
-            for (Qubit w : op.qubits)
-                involved = involved || w == q;
-            if (!involved)
-                continue;
-            if (op.kind == OpKind::Reset ||
-                (opIsUnitary(op.kind) && op.qubits.size() >= 2)) {
-                // Multi-qubit reuse is QRA-L004's concern; a reset
-                // means intentional re-preparation.
-                reused = true;
-                break;
-            }
-            if (opIsUnitary(op.kind) && first1q == QubitTimeline::kNever)
-                first1q = i;
-        }
-        if (!reused && first1q != QubitTimeline::kNever)
+        const QubitTimeline &line = timeline[q];
+        if (!line.reusedSinceMeasure &&
+            line.gateAfterMeasure != QubitTimeline::kNever)
             warnings.push_back(
-                {LintCode::GateAfterMeasure, first1q,
+                {LintCode::GateAfterMeasure, line.gateAfterMeasure,
                  {q},
                  "gate after the qubit's final measurement is dead "
                  "code"});
     }
 
     // QRA-L003: entanglement check over provably separable targets.
+    std::vector<const AssertionSpec *> entangled;
+    std::vector<std::size_t> boundaries;
     for (const AssertionSpec &spec : specs) {
         if (!spec.assertion ||
             spec.assertion->kind() != AssertionKind::Entanglement ||
             spec.targets.size() < 2)
             continue;
-        const std::size_t boundary =
-            std::min(spec.insertAt, analysis.numOps);
+        entangled.push_back(&spec);
+        boundaries.push_back(std::min(spec.insertAt, circuit.size()));
+    }
+    const std::vector<std::vector<std::uint32_t>> groupIds =
+        groupIdsAt(circuit, boundaries);
+    for (std::size_t k = 0; k < entangled.size(); ++k) {
+        const AssertionSpec &spec = *entangled[k];
+        const std::size_t boundary = boundaries[k];
+        const std::vector<std::uint32_t> &ids = groupIds[k];
         bool split = false;
         for (std::size_t j = 1; j < spec.targets.size() && !split; ++j)
-            split = analysis.groupIdAt(boundary, spec.targets[j]) !=
-                    analysis.groupIdAt(boundary, spec.targets[0]);
+            split = ids.at(spec.targets[j]) != ids.at(spec.targets[0]);
         if (!split)
             continue;
         std::vector<Qubit> targets = spec.targets;
@@ -191,7 +235,7 @@ lintCircuit(const Circuit &circuit, const CircuitAnalysis &analysis,
 
     // QRA-L004: collapsed ancilla reused without reset.
     for (Qubit q = 0; q < circuit.numQubits(); ++q) {
-        const QubitTimeline &line = analysis.timeline[q];
+        const QubitTimeline &line = timeline[q];
         if (line.reuseWithoutReset == QubitTimeline::kNever)
             continue;
         warnings.push_back(
@@ -241,55 +285,5 @@ lintCircuit(const Circuit &circuit, const CircuitAnalysis &analysis,
 }
 
 } // namespace analysis
-
-namespace {
-
-const obs::CounterHandle &
-lintWarningsCounter()
-{
-    static const obs::CounterHandle handle =
-        obs::MetricsRegistry::global().counter(
-            "compile.analysis.lint_warnings");
-    return handle;
-}
-
-} // namespace
-
-std::uint64_t
-DiagnosticsPass::fingerprint(std::uint64_t h) const
-{
-    h = fnv1aMix64(h, specs_.size());
-    for (const AssertionSpec &spec : specs_)
-        h = foldAssertionSpec(h, spec);
-    return h;
-}
-
-std::string
-DiagnosticsPass::describe() const
-{
-    if (specs_.empty())
-        return "lint";
-    return "lint (" + std::to_string(specs_.size()) + " specs)";
-}
-
-void
-DiagnosticsPass::run(CompileContext &ctx) const
-{
-    std::shared_ptr<const analysis::CircuitAnalysis> result =
-        ctx.analysis;
-    if (!result)
-        result = std::make_shared<analysis::CircuitAnalysis>(
-            analysis::analyzeCircuit(ctx.circuit));
-
-    std::vector<analysis::LintWarning> warnings =
-        analysis::lintCircuit(ctx.circuit, *result, specs_,
-                              ctx.coupling);
-    for (const analysis::LintWarning &warning : warnings)
-        ctx.diagnostics.push_back(warning.str());
-    obs::count(lintWarningsCounter(), warnings.size());
-    ctx.pendingNote =
-        std::to_string(warnings.size()) + " warnings";
-}
-
 } // namespace compile
 } // namespace qra

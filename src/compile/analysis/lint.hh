@@ -1,7 +1,8 @@
 /**
  * @file
- * Circuit lint: structured warnings derived from the static analysis,
- * catching broken circuits before they burn simulator time.
+ * Circuit lint: structured warnings read off the circuit and its
+ * assertion specs, catching broken circuits before they burn simulator
+ * time.
  *
  * Warning codes:
  *   QRA-L001  qubit is gated but never measured, asserted, or
@@ -25,8 +26,7 @@
 #include <vector>
 
 #include "assertions/injector.hh"
-#include "compile/analysis/analysis.hh"
-#include "compile/pass.hh"
+#include "circuit/circuit.hh"
 #include "transpile/coupling_map.hh"
 
 namespace qra {
@@ -64,40 +64,19 @@ struct LintWarning
 };
 
 /**
- * Lint @p circuit using @p analysis facts. @p specs are the assertion
- * specs that will be woven (their targets count as observed and their
- * entanglement checks are validated against the separability
- * partition); @p coupling enables the routability check (null skips
- * it). Deterministic; warnings are ordered by (code, opIndex, qubit).
+ * Lint @p circuit. @p specs are the assertion specs that will be
+ * woven (their targets count as observed and their entanglement
+ * checks are validated against the separability partition at their
+ * insertion points, see groupIdsAt); @p coupling enables the
+ * routability check (null skips it). Deterministic; warnings are
+ * ordered by (code, opIndex, qubit).
  */
 std::vector<LintWarning>
-lintCircuit(const Circuit &circuit, const CircuitAnalysis &analysis,
+lintCircuit(const Circuit &circuit,
             const std::vector<AssertionSpec> &specs = {},
             const CouplingMap *coupling = nullptr);
 
 } // namespace analysis
-
-/**
- * Lint as a pipeline stage: renders each warning into
- * CompileContext::diagnostics (never fails the compile).
- */
-class DiagnosticsPass : public Pass
-{
-  public:
-    explicit DiagnosticsPass(std::vector<AssertionSpec> specs = {})
-        : specs_(std::move(specs))
-    {
-    }
-
-    std::string name() const override { return "lint"; }
-    std::uint64_t fingerprint(std::uint64_t h) const override;
-    std::string describe() const override;
-    void run(CompileContext &ctx) const override;
-
-  private:
-    std::vector<AssertionSpec> specs_;
-};
-
 } // namespace compile
 } // namespace qra
 

@@ -89,9 +89,6 @@ struct CompileContext
      * (the PassManager moves it into place after the pass returns).
      */
     std::string pendingNote;
-
-    /** Human-readable warnings passes want surfaced. */
-    std::vector<std::string> diagnostics;
 };
 
 /** One composable stage of the compile pipeline. */

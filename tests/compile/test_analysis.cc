@@ -9,18 +9,21 @@
  */
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "assertions/entanglement_assertion.hh"
 #include "assertions/report.hh"
+#include "common/hash.hh"
 #include "common/rng.hh"
 #include "compile/analysis/analysis.hh"
 #include "compile/analysis/auto_assert.hh"
 #include "compile/analysis/lint.hh"
 #include "library/algorithms.hh"
 #include "noise/device_model.hh"
+#include "paper_circuits.hh"
 #include "runtime/job_queue.hh"
 #include "stabilizer/stabilizer_state.hh"
 
@@ -360,8 +363,7 @@ TEST(Lint, FlagsEachBrokenPattern)
     {
         Circuit c(2, 2);
         c.h(0).measure(0, 0).x(1);
-        const auto warnings = analysis::lintCircuit(
-            c, analysis::analyzeCircuit(c));
+        const auto warnings = analysis::lintCircuit(c);
         ASSERT_EQ(warnings.size(), 1u);
         EXPECT_EQ(warnings[0].code, LintCode::NeverObserved);
         EXPECT_EQ(warnings[0].qubits, (std::vector<Qubit>{1}));
@@ -370,8 +372,7 @@ TEST(Lint, FlagsEachBrokenPattern)
     {
         Circuit c(1, 1);
         c.h(0).measure(0, 0).x(0);
-        const auto warnings = analysis::lintCircuit(
-            c, analysis::analyzeCircuit(c));
+        const auto warnings = analysis::lintCircuit(c);
         ASSERT_EQ(warnings.size(), 1u);
         EXPECT_EQ(warnings[0].code, LintCode::GateAfterMeasure);
         EXPECT_EQ(warnings[0].opIndex, 2u);
@@ -384,39 +385,32 @@ TEST(Lint, FlagsEachBrokenPattern)
         spec.assertion = std::make_shared<EntanglementAssertion>(2);
         spec.targets = {0, 1};
         spec.insertAt = 2;
-        const auto warnings = analysis::lintCircuit(
-            c, analysis::analyzeCircuit(c), {spec});
+        const auto warnings = analysis::lintCircuit(c, {spec});
         ASSERT_EQ(warnings.size(), 1u);
         EXPECT_EQ(warnings[0].code, LintCode::VacuousEntanglement);
         // The same spec on a real Bell pair is clean.
         Circuit bell(2, 2);
         bell.h(0).cx(0, 1).measureAll();
-        EXPECT_TRUE(analysis::lintCircuit(
-                        bell, analysis::analyzeCircuit(bell), {spec})
-                        .empty());
+        EXPECT_TRUE(analysis::lintCircuit(bell, {spec}).empty());
     }
     // L004: measured qubit reused in a 2q gate without reset.
     {
         Circuit c(2, 2);
         c.h(0).measure(0, 0).cx(0, 1).measure(1, 1);
-        const auto warnings = analysis::lintCircuit(
-            c, analysis::analyzeCircuit(c));
+        const auto warnings = analysis::lintCircuit(c);
         ASSERT_EQ(warnings.size(), 1u);
         EXPECT_EQ(warnings[0].code, LintCode::ReuseWithoutReset);
         // With a reset in between the reuse is legitimate.
         Circuit ok(2, 2);
         ok.h(0).measure(0, 0).reset(0).cx(0, 1).measure(1, 1);
-        EXPECT_TRUE(
-            analysis::lintCircuit(ok, analysis::analyzeCircuit(ok))
-                .empty());
+        EXPECT_TRUE(analysis::lintCircuit(ok).empty());
     }
     // L005: more qubits than the device has.
     {
         const CouplingMap map = DeviceModel::ibmqx4().couplingMap();
         Circuit c(6, 6);
         c.h(0).cx(4, 5).measureAll();
-        const auto warnings = analysis::lintCircuit(
-            c, analysis::analyzeCircuit(c), {}, &map);
+        const auto warnings = analysis::lintCircuit(c, {}, &map);
         ASSERT_EQ(warnings.size(), 1u);
         EXPECT_EQ(warnings[0].code, LintCode::Unroutable);
     }
@@ -425,10 +419,319 @@ TEST(Lint, FlagsEachBrokenPattern)
         const CouplingMap map = DeviceModel::ibmqx4().couplingMap();
         Circuit bell(2, 2);
         bell.h(0).cx(0, 1).measureAll();
-        EXPECT_TRUE(analysis::lintCircuit(
-                        bell, analysis::analyzeCircuit(bell), {}, &map)
-                        .empty());
+        EXPECT_TRUE(analysis::lintCircuit(bell, {}, &map).empty());
     }
+}
+
+namespace {
+
+/** Whether lint flags an entanglement check on @p targets at @p at. */
+bool
+flagsVacuous(const Circuit &c, std::vector<Qubit> targets, std::size_t at)
+{
+    AssertionSpec spec;
+    spec.assertion =
+        std::make_shared<EntanglementAssertion>(targets.size());
+    spec.targets = std::move(targets);
+    spec.insertAt = at;
+    for (const LintWarning &warning : analysis::lintCircuit(c, {spec}))
+        if (warning.code == LintCode::VacuousEntanglement)
+            return true;
+    return false;
+}
+
+} // namespace
+
+TEST(Lint, VacuousEntanglementBoundaries)
+{
+    // Inside a cancelling CX·CX run the pair stays split: the run's
+    // net action is what counts, not its first gate.
+    {
+        Circuit c(2, 2);
+        c.h(0).cx(0, 1).cx(0, 1).measureAll();
+        EXPECT_TRUE(flagsVacuous(c, {0, 1}, 2));
+        EXPECT_TRUE(flagsVacuous(c, {0, 1}, 3));
+    }
+    // A swap moves the entangled wire: the Bell partner of q0 is q2
+    // after it, not q1.
+    {
+        Circuit c(3, 3);
+        c.h(0).cx(0, 1).swap(1, 2).measureAll();
+        EXPECT_FALSE(flagsVacuous(c, {0, 1}, 2));
+        EXPECT_TRUE(flagsVacuous(c, {0, 2}, 2));
+        EXPECT_TRUE(flagsVacuous(c, {0, 1}, 3));
+        EXPECT_FALSE(flagsVacuous(c, {0, 2}, 3));
+    }
+    // Measurement and reset return the wire to its own group.
+    {
+        Circuit c(2, 2);
+        c.h(0).cx(0, 1).measure(0, 0).measure(1, 1);
+        EXPECT_FALSE(flagsVacuous(c, {0, 1}, 2));
+        EXPECT_TRUE(flagsVacuous(c, {0, 1}, 3));
+        Circuit r(2, 2);
+        r.h(0).cx(0, 1).reset(1).measureAll();
+        EXPECT_FALSE(flagsVacuous(r, {0, 1}, 2));
+        EXPECT_TRUE(flagsVacuous(r, {1, 0}, 3));
+    }
+    // A GHZ group at the circuit's end is one group, also for a check
+    // placed past the end (clamped to the last boundary).
+    {
+        const Circuit ghz = library::ghzState(3);
+        EXPECT_FALSE(flagsVacuous(ghz, {0, 1, 2}, ghz.size()));
+        EXPECT_FALSE(flagsVacuous(ghz, {2, 0}, ghz.size() + 5));
+        EXPECT_TRUE(flagsVacuous(ghz, {0, 1, 2}, 2));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Golden digests. Pinned before the analyzer stopped snapshotting the
+// partition at every op and lint took over the per-qubit timeline and
+// the QRA-L003 boundaries; never edited afterwards.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * A compile_fresh-shaped Clifford circuit over @p n (12..18) qubits:
+ * two GHZ blocks scrambled by cz/swap/z/s/sdg, two |+> qubits flipped
+ * by x/z, and a basis block scrambled by cx/swap/x/z, then measured.
+ */
+Circuit
+cliffordBlocks(std::size_t n, Rng &rng)
+{
+    struct Block
+    {
+        Qubit first;
+        Qubit size;
+        enum { Ghz, Plus, Basis } type;
+    };
+    const Block blocks[] = {{0, 4, Block::Ghz},
+                            {4, 3, Block::Ghz},
+                            {7, 1, Block::Plus},
+                            {8, 1, Block::Plus},
+                            {9, static_cast<Qubit>(n - 9), Block::Basis}};
+    Circuit c(n, n, "clifford_blocks");
+    c.h(0).cx(0, 1).cx(1, 2).cx(2, 3);
+    c.h(4).cx(4, 5).cx(5, 6);
+    c.h(7).h(8);
+    for (int g = 0; g < 300; ++g) {
+        const Block &b = blocks[rng.below(5)];
+        const Qubit a = b.first + static_cast<Qubit>(rng.below(b.size));
+        const Qubit d =
+            b.size > 1 ? b.first + static_cast<Qubit>(
+                                       (a - b.first + 1 +
+                                        rng.below(b.size - 1)) %
+                                       b.size)
+                       : a;
+        switch (b.type) {
+          case Block::Ghz:
+            switch (rng.below(5)) {
+              case 0: c.cz(a, d); break;
+              case 1: c.swap(a, d); break;
+              case 2: c.z(a); break;
+              case 3: c.s(a); break;
+              default: c.sdg(a); break;
+            }
+            break;
+          case Block::Plus:
+            if (rng.below(2))
+                c.x(a);
+            else
+                c.z(a);
+            break;
+          case Block::Basis:
+            switch (rng.below(4)) {
+              case 0:
+              case 1: c.cx(a, d); break;
+              case 2: c.swap(a, d); break;
+              default:
+                if (rng.below(2))
+                    c.x(a);
+                else
+                    c.z(a);
+                break;
+            }
+            break;
+        }
+    }
+    c.measureAll();
+    return c;
+}
+
+/**
+ * Random circuit over @p n qubits mixing Clifford and T gates with
+ * swaps, mid-circuit measure and reset, and repeated-pair runs: a
+ * cancelling CX·CX pair and a CX·CX·CX run that collapses to a SWAP.
+ */
+Circuit
+randomMixed(std::size_t n, std::size_t steps, Rng &rng)
+{
+    Circuit c(n, n, "random_mixed");
+    for (std::size_t g = 0; g < steps; ++g) {
+        const Qubit a = static_cast<Qubit>(rng.below(n));
+        Qubit b = static_cast<Qubit>(rng.below(n - 1));
+        if (b >= a)
+            ++b;
+        switch (rng.below(12)) {
+          case 0: c.h(a); break;
+          case 1: c.t(a); break;
+          case 2: c.s(a); break;
+          case 3: c.x(a); break;
+          case 4: c.cx(a, b); break;
+          case 5: c.cx(a, b).cx(a, b); break;
+          case 6: c.cx(a, b).cx(b, a).cx(a, b); break;
+          case 7: c.cz(a, b); break;
+          case 8: c.swap(a, b); break;
+          case 9: c.measure(a, a); break;
+          case 10: c.reset(a); break;
+          default: c.h(a).cx(a, b); break;
+        }
+    }
+    return c;
+}
+
+std::vector<Circuit>
+cliffordBlockSet()
+{
+    std::vector<Circuit> circuits;
+    Rng rng(2903);
+    for (std::size_t i = 0; i < 21; ++i)
+        circuits.push_back(cliffordBlocks(12 + i % 7, rng));
+    return circuits;
+}
+
+std::vector<Circuit>
+randomMixedSet()
+{
+    std::vector<Circuit> circuits;
+    Rng rng(2904);
+    for (std::size_t i = 0; i < 30; ++i)
+        circuits.push_back(randomMixed(4 + i % 3, 28, rng));
+    return circuits;
+}
+
+/** Folds facts, frontier, final groups and the prefix gate count. */
+std::uint64_t
+analysisDigest(const CircuitAnalysis &a)
+{
+    std::uint64_t h = fnv1aMix64(kFnv1aOffset, a.numQubits);
+    h = fnv1aMix64(h, a.numOps);
+    h = fnv1aMix64(h, a.facts.size());
+    for (const GroupFact &fact : a.facts) {
+        h = fnv1aMix64(h, fact.qubits.size());
+        for (Qubit q : fact.qubits)
+            h = fnv1aMix64(h, q);
+        h = fnv1aMix64(h, fact.cutIndex);
+        h = fnv1aMix64(h, fact.prefixGates);
+        h = fnv1aMix64(h, static_cast<std::uint64_t>(fact.state));
+        h = fnv1aMix64(h, fact.basisBits);
+        h = fnv1aMix64(h, fact.minusPhase ? 1 : 0);
+        h = fnv1aMix64(h, fact.oddParity ? 1 : 0);
+    }
+    h = fnv1aMix64(h, a.frontier.size());
+    for (const analysis::FrontierFact &fact : a.frontier) {
+        h = fnv1aMix64(h, fact.qubit);
+        h = fnv1aMix64(h, fact.cutIndex);
+        h = fnv1aMix64(h, static_cast<std::uint64_t>(fact.value));
+        h = fnv1aMix64(h, fact.opsTouched);
+    }
+    h = fnv1aMix64(h, a.finalGroups.size());
+    for (const auto &group : a.finalGroups) {
+        h = fnv1aMix64(h, group.size());
+        for (Qubit q : group)
+            h = fnv1aMix64(h, q);
+    }
+    return fnv1aMix64(h, a.cliffordPrefixGates);
+}
+
+std::uint64_t
+analysisSetDigest(const std::vector<Circuit> &circuits)
+{
+    std::uint64_t h = kFnv1aOffset;
+    for (const Circuit &c : circuits)
+        h = fnv1aMix64(h, analysisDigest(analysis::analyzeCircuit(c)));
+    return h;
+}
+
+std::uint64_t
+lintDigest(const std::vector<LintWarning> &warnings)
+{
+    std::uint64_t h = fnv1aMix64(kFnv1aOffset, warnings.size());
+    for (const LintWarning &warning : warnings)
+        h = fnv1aMixString(h, warning.str());
+    return h;
+}
+
+std::string
+hex(std::uint64_t value)
+{
+    char text[19];
+    std::snprintf(text, sizeof text, "0x%016llx",
+                  static_cast<unsigned long long>(value));
+    return text;
+}
+
+} // namespace
+
+TEST(AnalysisGolden, FactsFrontierAndGroups)
+{
+    std::vector<Circuit> paper;
+    for (const test::PaperSource &source : test::paperSources())
+        paper.push_back(parseAnnotatedQasm(source.text).payload);
+    const std::uint64_t paper_digest = analysisSetDigest(paper);
+    const std::uint64_t blocks_digest =
+        analysisSetDigest(cliffordBlockSet());
+    const std::uint64_t mixed_digest =
+        analysisSetDigest(randomMixedSet());
+    EXPECT_EQ(paper_digest, 0x6cd946fb0ed50863ULL) << hex(paper_digest);
+    EXPECT_EQ(blocks_digest, 0x61f04397ebc5be3dULL) << hex(blocks_digest);
+    EXPECT_EQ(mixed_digest, 0x5e5e05a2126da549ULL) << hex(mixed_digest);
+}
+
+TEST(AnalysisPartition, GroupIdsAtTheEndAreTheFinalGroups)
+{
+    // Boundaries in any order: before op 0 every wire is alone, and
+    // after the last op the lint-side walk agrees with analyzeCircuit.
+    for (const Circuit &c : randomMixedSet()) {
+        const CircuitAnalysis a = analysis::analyzeCircuit(c);
+        const auto ids = analysis::groupIdsAt(c, {c.size(), 0});
+        ASSERT_EQ(ids.size(), 2u);
+        for (const auto &group : a.finalGroups)
+            for (Qubit q : group)
+                EXPECT_EQ(ids[0][q], group[0]);
+        for (Qubit q = 0; q < c.numQubits(); ++q)
+            EXPECT_EQ(ids[1][q], q);
+    }
+}
+
+TEST(LintGolden, VacuousEntanglementAtEveryBoundary)
+{
+    // Every boundary 0..numOps, one past it (clamped to numOps), and
+    // every qubit pair, through the public lint API; plus each
+    // circuit's lint with no specs, and the paper circuits with their
+    // own directives.
+    std::uint64_t h = kFnv1aOffset;
+    for (const Circuit &c : randomMixedSet()) {
+        std::vector<AssertionSpec> specs;
+        for (std::size_t at = 0; at <= c.size() + 1; ++at)
+            for (Qubit a = 0; a < c.numQubits(); ++a)
+                for (Qubit b = a + 1; b < c.numQubits(); ++b) {
+                    AssertionSpec spec;
+                    spec.assertion =
+                        std::make_shared<EntanglementAssertion>(2);
+                    spec.targets = {a, b};
+                    spec.insertAt = at;
+                    specs.push_back(spec);
+                }
+        h = fnv1aMix64(h, lintDigest(analysis::lintCircuit(c)));
+        h = fnv1aMix64(h, lintDigest(analysis::lintCircuit(c, specs)));
+    }
+    for (const test::PaperSource &source : test::paperSources()) {
+        const AnnotatedProgram program = parseAnnotatedQasm(source.text);
+        h = fnv1aMix64(h, lintDigest(analysis::lintCircuit(
+                              program.payload, program.specs)));
+    }
+    EXPECT_EQ(h, 0x4a68ea7d577da4d3ULL) << hex(h);
 }
 
 // ---------------------------------------------------------------------

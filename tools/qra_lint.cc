@@ -88,10 +88,8 @@ lintFile(const std::string &path, const CouplingMap *coupling,
     try {
         const AnnotatedProgram program =
             parseAnnotatedQasm(buffer.str());
-        const analysis::CircuitAnalysis a =
-            analysis::analyzeCircuit(program.payload);
         const std::vector<analysis::LintWarning> warnings =
-            analysis::lintCircuit(program.payload, a, program.specs,
+            analysis::lintCircuit(program.payload, program.specs,
                                   coupling);
         if (!quiet)
             for (const analysis::LintWarning &warning : warnings)
