@@ -1,6 +1,8 @@
 #include "common/rng.hh"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 
 #include "common/error.hh"
 
@@ -100,30 +102,65 @@ sampleDiscrete(const std::vector<double> &probs, Rng &rng)
     return probs.size() - 1;
 }
 
-std::vector<double>
-cumulativeWeights(const std::vector<double> &probs)
+CumulativeSampler::CumulativeSampler(const std::vector<double> &weights)
 {
-    std::vector<double> prefix;
-    prefix.reserve(probs.size());
+    QRA_ASSERT(weights.size() < std::numeric_limits<std::uint32_t>::max(),
+               "too many sampling weights for the guide's indices");
+    sums_.reserve(weights.size());
     double acc = 0.0;
-    for (const double p : probs) {
-        QRA_ASSERT(p >= 0.0, "sampling weights must be non-negative");
-        acc += p;
-        prefix.push_back(acc);
+    for (const double w : weights) {
+        QRA_ASSERT(w >= 0.0, "sampling weights must be non-negative");
+        acc += w;
+        sums_.push_back(acc);
     }
-    return prefix;
+    if (sums_.empty())
+        return;
+
+    const std::size_t buckets =
+        std::max<std::size_t>(256, std::bit_ceil(2 * sums_.size()));
+    scale_ = static_cast<double>(buckets);
+    guide_.resize(buckets);
+    // One merge of the bucket edges b * 2^-m into the sums; each edge
+    // is exact, and the last index is the drift fallback.
+    const std::size_t last = sums_.size() - 1;
+    std::size_t i = 0;
+    for (std::size_t b = 0; b < buckets; ++b) {
+        const double edge = static_cast<double>(b) / scale_;
+        while (i < last && sums_[i] <= edge)
+            ++i;
+        guide_[b] = static_cast<std::uint32_t>(i);
+    }
+}
+
+inline std::size_t
+CumulativeSampler::draw(double u) const
+{
+    // The first sum above u is the first index sampleDiscrete's scan
+    // stops at (u < acc); none above u is its drift fallback.
+    const std::size_t last = sums_.size() - 1;
+    std::size_t i = guide_[static_cast<std::size_t>(u * scale_)];
+    while (i < last && sums_[i] <= u)
+        ++i;
+    return i;
 }
 
 std::size_t
-sampleCumulative(const std::vector<double> &prefix, Rng &rng)
+CumulativeSampler::operator()(Rng &rng) const
 {
-    QRA_ASSERT(!prefix.empty(), "cannot sample from empty distribution");
-    // The first sum above u is the first index sampleDiscrete's scan
-    // stops at (u < acc); none above u is its drift fallback.
-    const double u = rng.uniform();
-    const auto it = std::upper_bound(prefix.begin(), prefix.end(), u);
-    return std::min(static_cast<std::size_t>(it - prefix.begin()),
-                    prefix.size() - 1);
+    QRA_ASSERT(!sums_.empty(), "cannot sample from empty distribution");
+    return draw(rng.uniform());
+}
+
+std::vector<std::size_t>
+CumulativeSampler::counts(std::size_t shots, Rng &rng) const
+{
+    std::vector<std::size_t> out(sums_.size());
+    if (shots == 0)
+        return out;
+    QRA_ASSERT(!sums_.empty(), "cannot sample from empty distribution");
+    for (std::size_t s = 0; s < shots; ++s)
+        ++out[draw(rng.uniform())];
+    return out;
 }
 
 } // namespace qra

@@ -81,23 +81,62 @@ std::uint64_t splitSeed(std::uint64_t base, std::uint64_t stream);
 std::size_t sampleDiscrete(const std::vector<double> &probs, Rng &rng);
 
 /**
- * Running sums of @p probs, accumulated in sampleDiscrete's order, for
- * sampleCumulative.
+ * Draws an index from a fixed weight vector in expected O(1): the same
+ * index sampleDiscrete's scan returns for every draw, drift fallback to
+ * the last index included.
  *
- * @throws Error when a weight is negative or NaN: the sums would
- *         not be monotone, and a binary search over them would leave
- *         sampleDiscrete's stream.
+ * It holds the running sums of the weights, accumulated in
+ * sampleDiscrete's order, and a guide of 2^m buckets, 2^m = max(256,
+ * the next power of two >= 2 * size()). guide()[b] is the first index
+ * whose sum exceeds b * 2^-m, clamped to the last index. A draw takes
+ * u = rng.uniform(), starts at guide()[u * 2^m] and scans forward while
+ * the sum is <= u. Both products are exact for a power-of-two bucket
+ * count, so the start never passes the first sum above u, and the scan
+ * stops on it (or on the last index, when drift leaves every sum <= u).
+ * With at least two buckets per index a draw scans about one step.
  */
-std::vector<double> cumulativeWeights(const std::vector<double> &probs);
+class CumulativeSampler
+{
+  public:
+    /** An empty sampler: nothing to draw. */
+    CumulativeSampler() = default;
 
-/**
- * Draw an index from cumulativeWeights(probs): a binary search that
- * returns sampleDiscrete(probs, rng)'s index for every draw, drift
- * fallback to the last index included, in O(log n) instead of O(n).
- *
- * @throws Error when @p prefix is empty.
- */
-std::size_t sampleCumulative(const std::vector<double> &prefix, Rng &rng);
+    /**
+     * @throws Error when a weight is negative or NaN: the sums would
+     *         not be monotone, and a draw would leave sampleDiscrete's
+     *         stream.
+     */
+    explicit CumulativeSampler(const std::vector<double> &weights);
+
+    std::size_t size() const { return sums_.size(); }
+
+    /** Running sums of the weights, in sampleDiscrete's order. */
+    const std::vector<double> &sums() const { return sums_; }
+
+    /** Start index per bucket (see class comment); empty when size() is 0. */
+    const std::vector<std::uint32_t> &guide() const { return guide_; }
+
+    /**
+     * One draw: sampleDiscrete(weights, rng)'s index.
+     * @throws Error when the sampler is empty.
+     */
+    std::size_t operator()(Rng &rng) const;
+
+    /**
+     * Draw @p shots indices and count them per index: the counts of
+     * @p shots successive operator() draws, in one call.
+     * @throws Error when the sampler is empty and @p shots > 0.
+     */
+    std::vector<std::size_t> counts(std::size_t shots, Rng &rng) const;
+
+  private:
+    std::size_t draw(double u) const;
+
+    std::vector<double> sums_;
+    std::vector<std::uint32_t> guide_;
+    /** guide_.size() as a double: u * scale_ is the bucket of u. */
+    double scale_ = 0.0;
+};
 
 } // namespace qra
 

@@ -207,7 +207,7 @@ DensityMatrixSimulator::distribution(const Execution &exec) const
         out.keys.push_back(reg);
         probs.push_back(p);
     }
-    out.prefix = cumulativeWeights(probs);
+    out.sampler = CumulativeSampler(probs);
     out.distribution = std::move(dist);
     return out;
 }
@@ -221,9 +221,8 @@ DensityMatrixSimulator::run(const Circuit &circuit, std::size_t shots)
     result.setRetainedFraction(dist->retainedFraction);
 
     // Count per key, then fold into the Result once.
-    std::vector<std::size_t> counts(dist->keys.size());
-    for (std::size_t s = 0; s < shots; ++s)
-        ++counts[sampleCumulative(dist->prefix, rng_)];
+    const std::vector<std::size_t> counts =
+        dist->sampler.counts(shots, rng_);
     for (std::size_t i = 0; i < counts.size(); ++i)
         result.record(dist->keys[i], counts[i]);
     return result;

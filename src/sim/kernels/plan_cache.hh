@@ -11,7 +11,7 @@
  *  - density superoperator plans;
  *  - sampled-execution distributions (alias table + clbit wiring);
  *  - density register distributions (the evolved, readout-folded
- *    distribution and its sampling prefix sums).
+ *    distribution and its guided CumulativeSampler).
  * A PlanCache keyed on those lets every shard of a job, and every
  * repeated job over the same prepared circuit (the batched-assertion
  * sweep pattern), build each artifact exactly once. A cached density
@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "circuit/circuit.hh"
+#include "common/rng.hh"
 #include "noise/noise_model.hh"
 #include "sim/kernels/alias_table.hh"
 #include "sim/kernels/density_plan.hh"
@@ -73,16 +74,16 @@ struct SampledDistribution
 /**
  * Everything a density run samples after its one-time evolution: the
  * register distribution with readout folded in, the post-selection
- * retention, and the distribution's keys with their running sums in
- * key order (common/rng's cumulativeWeights), so each shot is one
- * sampleCumulative search.
+ * retention, and the distribution's keys with a CumulativeSampler over
+ * their probabilities in key order, built once with the entry, so
+ * each shot of a cache hit is one guided O(1) draw.
  */
 struct DensityDistribution
 {
     std::map<std::uint64_t, double> distribution;
     double retainedFraction = 1.0;
     std::vector<std::uint64_t> keys;
-    std::vector<double> prefix;
+    CumulativeSampler sampler;
 };
 
 /** Cross-job artifact cache (see file comment). */

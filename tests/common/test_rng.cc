@@ -1,6 +1,7 @@
 /** @file Tests for the xoshiro256++ RNG and discrete sampling. */
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -115,39 +116,29 @@ TEST(RngTest, SampleDiscreteEmptyThrows)
 
 /** Draws @p draws times from twin streams; both samplers must agree. */
 void
-expectCumulativeMatchesScan(const std::vector<double> &probs,
-                            std::uint64_t seed, std::size_t draws)
+expectSamplerMatchesScan(const std::vector<double> &probs,
+                         std::uint64_t seed, std::size_t draws)
 {
-    const std::vector<double> prefix = cumulativeWeights(probs);
-    ASSERT_EQ(prefix.size(), probs.size());
+    const CumulativeSampler sampler(probs);
+    ASSERT_EQ(sampler.size(), probs.size());
     Xoshiro256 scan(seed);
-    Xoshiro256 search(seed);
+    Xoshiro256 guided(seed);
     for (std::size_t i = 0; i < draws; ++i) {
         const std::size_t want = sampleDiscrete(probs, scan);
-        const std::size_t got = sampleCumulative(prefix, search);
+        const std::size_t got = sampler(guided);
         if (got != want) {
-            ADD_FAILURE() << "draw " << i << ": search " << got
+            ADD_FAILURE() << "draw " << i << ": guided " << got
                           << " != scan " << want;
             return;
         }
     }
 }
 
-TEST(RngTest, SampleCumulativeMatchesScanDrawForDraw)
+/** @p n ragged, rounding-prone weights with zero runs, summing to ~1. */
+std::vector<double>
+raggedWeights(std::size_t n)
 {
-    const std::size_t draws = 1000000;
-    // Zero weights in the middle and at the end.
-    expectCumulativeMatchesScan({0.3, 0.0, 0.2, 0.0, 0.5, 0.0, 0.0}, 10,
-                                draws);
-    // A sum short of 1: 5% of draws take the drift fallback.
-    expectCumulativeMatchesScan({0.25, 0.25, 0.25, 0.2}, 11, draws);
-    // A sum above 1: the last entry is never reached.
-    expectCumulativeMatchesScan({0.5, 0.4, 0.3}, 12, draws);
-    // A single entry, whole and short.
-    expectCumulativeMatchesScan({1.0}, 13, draws);
-    expectCumulativeMatchesScan({0.5}, 14, draws);
-    // Many entries with ragged, rounding-prone weights and zero runs.
-    std::vector<double> wide(300);
+    std::vector<double> wide(n);
     for (std::size_t i = 0; i < wide.size(); ++i)
         wide[i] = i % 7 < 2 ? 0.0 : std::sin(0.37 * double(i)) + 1.0;
     double total = 0.0;
@@ -155,38 +146,161 @@ TEST(RngTest, SampleCumulativeMatchesScanDrawForDraw)
         total += w;
     for (double &w : wide)
         w /= total;
-    expectCumulativeMatchesScan(wide, 15, draws);
+    return wide;
 }
 
-TEST(RngTest, SampleCumulativeDrawOnAPrefixValue)
+/** 0.5, 0.25, ..., 2^-k, 2^-k: running sums on power-of-two edges. */
+std::vector<double>
+halvingWeights(int k)
+{
+    std::vector<double> probs;
+    for (int i = 1; i <= k; ++i)
+        probs.push_back(std::ldexp(1.0, -i));
+    probs.push_back(std::ldexp(1.0, -k));
+    return probs;
+}
+
+/** Zero runs of @p run keys at the start, on bucket edges and at the end. */
+std::vector<double>
+zeroRunWeights(std::size_t run)
+{
+    std::vector<double> probs(run, 0.0);
+    for (const double w : {0.25, 0.25, 0.5}) {
+        probs.push_back(w);
+        probs.insert(probs.end(), run, 0.0);
+    }
+    return probs;
+}
+
+TEST(RngTest, CumulativeSamplerMatchesScanDrawForDraw)
+{
+    const std::size_t draws = 1000000;
+    // Zero weights in the middle and at the end.
+    expectSamplerMatchesScan({0.3, 0.0, 0.2, 0.0, 0.5, 0.0, 0.0}, 10,
+                             draws);
+    // A sum short of 1: 5% of draws take the drift fallback.
+    expectSamplerMatchesScan({0.25, 0.25, 0.25, 0.2}, 11, draws);
+    // A sum above 1: the last entry is never reached.
+    expectSamplerMatchesScan({0.5, 0.4, 0.3}, 12, draws);
+    // A single entry, whole and short.
+    expectSamplerMatchesScan({1.0}, 13, draws);
+    expectSamplerMatchesScan({0.5}, 14, draws);
+    // Many entries with ragged, rounding-prone weights and zero runs.
+    expectSamplerMatchesScan(raggedWeights(300), 15, draws);
+}
+
+TEST(RngTest, CumulativeSamplerMatchesScanOnGuideEdges)
+{
+    const std::size_t draws = 1000000;
+    // Running sums exactly on bucket edges: a draw in the bucket that
+    // starts at a sum must move past it.
+    expectSamplerMatchesScan(halvingWeights(12), 20, draws);
+    // Runs of 40 zero weights before, between and after the others:
+    // runs of equal sums, the inner ones on bucket edges.
+    expectSamplerMatchesScan(zeroRunWeights(40), 21, draws);
+    // 1000 ragged keys: a 2048-bucket guide.
+    const std::vector<double> ragged = raggedWeights(1000);
+    ASSERT_EQ(CumulativeSampler(ragged).guide().size(), 2048u);
+    expectSamplerMatchesScan(ragged, 22, draws);
+    // A sum of 0.9: the drift tail covers whole buckets, whose start is
+    // the clamped last index.
+    expectSamplerMatchesScan({0.3, 0.3, 0.3}, 23, draws);
+    expectSamplerMatchesScan({0.6, 0.0, 0.3, 0.0}, 24, draws);
+    // A sum above 1 and a single key.
+    expectSamplerMatchesScan({0.7, 0.6, 0.2}, 25, draws);
+    expectSamplerMatchesScan({0.25}, 26, draws);
+}
+
+TEST(RngTest, CumulativeSamplerDrawOnASumValue)
 {
     // u equal to a running sum: the scan moves past it (u < acc fails),
-    // so the search must too, also past the zero weight after it.
+    // so the guided draw must too, also past the zero weight after it.
     for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
         const double u = Xoshiro256(seed).uniform();
         for (const std::vector<double> &probs :
              {std::vector<double>{u, 1.0 - u},
               std::vector<double>{u, 0.0, 1.0 - u}}) {
-            const std::vector<double> prefix = cumulativeWeights(probs);
-            ASSERT_EQ(prefix[0], u);
+            const CumulativeSampler sampler(probs);
+            ASSERT_EQ(sampler.sums()[0], u);
             Xoshiro256 scan(seed);
-            Xoshiro256 search(seed);
+            Xoshiro256 guided(seed);
             const std::size_t want = sampleDiscrete(probs, scan);
             EXPECT_EQ(want, probs.size() - 1) << "seed " << seed;
-            EXPECT_EQ(sampleCumulative(prefix, search), want)
-                << "seed " << seed;
+            EXPECT_EQ(sampler(guided), want) << "seed " << seed;
         }
     }
 }
 
-TEST(RngTest, SampleCumulativeRejectsEmptyAndNegative)
+TEST(RngTest, CumulativeSamplerRejectsEmptyAndNegative)
 {
     Xoshiro256 rng(4);
-    EXPECT_TRUE(cumulativeWeights({}).empty());
-    EXPECT_ANY_THROW(sampleCumulative({}, rng));
+    const CumulativeSampler empty(std::vector<double>{});
+    EXPECT_EQ(empty.size(), 0u);
+    EXPECT_TRUE(empty.guide().empty());
+    EXPECT_ANY_THROW(empty(rng));
+    EXPECT_ANY_THROW(empty.counts(1, rng));
+    EXPECT_TRUE(empty.counts(0, rng).empty());
     // A negative or NaN weight breaks the sums' monotonicity.
-    EXPECT_ANY_THROW(cumulativeWeights({0.5, -0.1, 0.6}));
-    EXPECT_ANY_THROW(cumulativeWeights({0.5, std::nan(""), 0.5}));
+    EXPECT_ANY_THROW(CumulativeSampler({0.5, -0.1, 0.6}));
+    EXPECT_ANY_THROW(CumulativeSampler({0.5, std::nan(""), 0.5}));
+}
+
+TEST(RngTest, CumulativeSamplerGuideSizeIsFixed)
+{
+    // max(256, the next power of two >= 2 * keys).
+    for (const auto &[keys, buckets] :
+         std::vector<std::pair<std::size_t, std::size_t>>{
+             {1, 256}, {2, 256}, {100, 256}, {128, 256}, {129, 512},
+             {512, 1024}, {1000, 2048}, {1024, 2048}, {1025, 4096}})
+        EXPECT_EQ(CumulativeSampler(std::vector<double>(keys, 1.0 / keys))
+                      .guide()
+                      .size(),
+                  buckets)
+            << keys << " keys";
+}
+
+TEST(RngTest, CumulativeSamplerGuideStartsAtEachEdgesAnswer)
+{
+    // guide[b] is the draw's answer for u on the bucket edge b * 2^-m:
+    // the first sum above the edge, clamped to the last index.
+    for (const std::vector<double> &probs :
+         {halvingWeights(12), zeroRunWeights(40), raggedWeights(1000),
+          std::vector<double>{0.3, 0.3, 0.3},
+          std::vector<double>{0.7, 0.6, 0.2}, std::vector<double>{1.0}}) {
+        const CumulativeSampler sampler(probs);
+        const std::vector<double> &sums = sampler.sums();
+        const std::vector<std::uint32_t> &guide = sampler.guide();
+        ASSERT_TRUE(std::has_single_bit(guide.size()));
+        for (std::size_t b = 0; b < guide.size(); ++b) {
+            const double edge =
+                static_cast<double>(b) / static_cast<double>(guide.size());
+            const std::size_t want = std::min<std::size_t>(
+                std::upper_bound(sums.begin(), sums.end(), edge) -
+                    sums.begin(),
+                sums.size() - 1);
+            if (guide[b] != want) {
+                ADD_FAILURE() << probs.size() << " keys, bucket " << b
+                              << ": guide " << guide[b] << " != " << want;
+                break;
+            }
+        }
+    }
+}
+
+TEST(RngTest, CumulativeSamplerCountsAreSuccessiveDraws)
+{
+    const std::vector<double> probs = raggedWeights(300);
+    const CumulativeSampler sampler(probs);
+    for (const std::size_t shots : {0u, 1u, 10000u}) {
+        Xoshiro256 batch(31);
+        Xoshiro256 single(31);
+        std::vector<std::size_t> want(probs.size());
+        for (std::size_t s = 0; s < shots; ++s)
+            ++want[sampler(single)];
+        EXPECT_EQ(sampler.counts(shots, batch), want) << shots;
+        // Both streams end at the same place.
+        EXPECT_EQ(batch(), single()) << shots;
+    }
 }
 
 } // namespace

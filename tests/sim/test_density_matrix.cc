@@ -815,5 +815,101 @@ TEST(DensityGoldenCounts, PaperAndRandomCircuitsAcrossRunners)
         }
 }
 
+/**
+ * Five ibmqx4 qubits, each of the first @p records measured mid-circuit
+ * and rotated again, then all five measured at the end: 5 + records
+ * clbits, every register value reachable once readout noise is folded.
+ */
+Circuit
+wideRegisterCircuit(std::size_t records)
+{
+    Circuit c(5, 5 + records);
+    for (Qubit q = 0; q < 5; ++q)
+        c.ry(0.3 + 0.41 * double(q), q);
+    c.cx(0, 1).cx(1, 2).cx(2, 3).cx(3, 4);
+    for (Qubit q = 0; q < records; ++q)
+        c.measure(q, q).rx(0.7 + 0.23 * double(q), q);
+    c.cx(4, 0).cz(1, 3).ry(1.1, 2);
+    for (Qubit q = 0; q < 5; ++q)
+        c.measure(q, records + q);
+    return c;
+}
+
+// Pinned before the density sampler's per-shot search was replaced:
+// registers of 9 and 10 clbits carry 512 and 1024 keys under readout
+// noise, more than the smallest sampling structures hold. Never
+// re-pin them.
+TEST(DensityGoldenCounts, WideReadoutNoisyRegisters)
+{
+    const DeviceModel device = DeviceModel::ibmqx4();
+    const std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>
+        golden = {
+            {"records4/ideal",
+             {0xc95dd368108037a3ULL, 0xf30c301fe6e2dc04ULL}},
+            {"records4/ibmqx4",
+             {0xbea156e47694833bULL, 0x9ee34065e0984f9aULL}},
+            {"records5/ideal",
+             {0xea0d54d3c344eb95ULL, 0xc374ecf19b89c6ebULL}},
+            {"records5/ibmqx4",
+             {0xb0b9655c5803770dULL, 0x6df6b326578708d2ULL}},
+        };
+    const NoiseModel *noises[] = {nullptr, &device.noiseModel()};
+    for (const std::size_t records : {4u, 5u})
+        for (const NoiseModel *noise : noises) {
+            const Circuit circuit = wideRegisterCircuit(records);
+            const std::string key =
+                "records" + std::to_string(records) +
+                (noise != nullptr ? "/ibmqx4" : "/ideal");
+            std::uint64_t direct = kFnv1aOffset;
+            std::uint64_t cached = kFnv1aOffset;
+            std::uint64_t engine[2] = {kFnv1aOffset, kFnv1aOffset};
+            auto artifacts = std::make_shared<kernels::PlanCache>();
+            runtime::ExecutionEngine one(
+                runtime::EngineOptions{.threads = 1});
+            runtime::ExecutionEngine four(
+                runtime::EngineOptions{.threads = 4});
+            for (const std::size_t shots : {1u, 256u, 65536u})
+                for (const std::uint64_t seed : {5u, 6u}) {
+                    DensityMatrixSimulator sim(seed);
+                    sim.setNoiseModel(noise);
+                    direct = mixRun(direct, sim.run(circuit, shots));
+                    {
+                        kernels::PlanCacheScope scope(artifacts.get());
+                        DensityMatrixSimulator hit(seed);
+                        hit.setNoiseModel(noise);
+                        cached = mixRun(cached, hit.run(circuit, shots));
+                    }
+                    runtime::ExecutionEngine *engines[] = {&one, &four};
+                    for (int e = 0; e < 2; ++e) {
+                        runtime::Job job(circuit, shots, "density", seed,
+                                         noise);
+                        job.artifacts = artifacts;
+                        engine[e] = mixRun(engine[e],
+                                           engines[e]->run(job));
+                    }
+                }
+            if (noise != nullptr) {
+                DensityMatrixSimulator sim;
+                sim.setNoiseModel(noise);
+                EXPECT_EQ(sim.exactDistribution(circuit).size(),
+                          std::size_t{1} << (5 + records))
+                    << key;
+            }
+            EXPECT_EQ(cached, direct) << key;
+            EXPECT_EQ(engine[1], engine[0]) << key;
+            const auto it = golden.find(key);
+            if (it == golden.end()) {
+                ADD_FAILURE() << "unpinned {\"" << key << "\", {0x"
+                              << std::hex << direct << "ULL, 0x"
+                              << engine[0] << "ULL}},";
+                continue;
+            }
+            EXPECT_EQ(direct, it->second.first)
+                << key << ": direct 0x" << std::hex << direct;
+            EXPECT_EQ(engine[0], it->second.second)
+                << key << ": engine 0x" << std::hex << engine[0];
+        }
+}
+
 } // namespace
 } // namespace qra

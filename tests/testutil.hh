@@ -7,6 +7,7 @@
 #define QRA_TESTS_TESTUTIL_HH
 
 #include <cmath>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -89,7 +90,7 @@ makeSingleQubitState(double theta, double phi, std::size_t num_qubits = 1)
 {
     StateVector sv(num_qubits);
     Operation op{.kind = OpKind::U, .qubits = {0},
-                 .params = {theta, phi, 0.0}};
+                 .params = {theta, phi, 0.0}, .clbit = std::nullopt};
     sv.applyUnitary(op);
     return sv;
 }
