@@ -13,7 +13,7 @@
  *    tier/scalar per class, against one measured copy-bandwidth
  *    ceiling on the same footprint;
  *  - reduction_roofline / reduction_parity: the measurement-pipeline
- *    reductions (computeProbabilities, normSquaredOnMask, sumWeights,
+ *    kernels (the computeProbabilities fill, normSquaredOnMask,
  *    marginal scatter) per tier with reduce_speedup = tier/scalar,
  *    plus a cross-tier bit-identity check on sampled counts that
  *    gates the exit code (determinism is a hard verdict; throughput
@@ -322,8 +322,9 @@ reductionRooflineSection(std::size_t num_qubits, double ceiling,
     const std::vector<ReduceCase> cases = {
         {"compute_probabilities",
          [&]() {
-             return kernels::computeProbabilities(amps.data(), n,
-                                                  probs.data());
+             kernels::computeProbabilities(amps.data(), n,
+                                           probs.data());
+             return probs[n - 1];
          }},
         {"norm_sq_mask",
          [&]() {
@@ -331,8 +332,6 @@ reductionRooflineSection(std::size_t num_qubits, double ceiling,
                  amps.data(), n, std::uint64_t{1} << mid,
                  std::uint64_t{1} << mid);
          }},
-        {"sum_weights",
-         [&]() { return kernels::sumWeights(probs.data(), n); }},
         {"marginal_scatter",
          [&]() {
              return kernels::marginalProbabilities(amps.data(), n,

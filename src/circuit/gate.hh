@@ -58,10 +58,10 @@ struct Operation
     std::vector<Qubit> qubits;
 
     /** Angle parameters for RX/RY/RZ/P/U. */
-    std::vector<double> params;
+    std::vector<double> params{};
 
     /** Destination classical bit (Measure only). */
-    std::optional<Clbit> clbit;
+    std::optional<Clbit> clbit{};
 
     /** Post-selected outcome, 0 or 1 (PostSelect only). */
     int postselectValue = 0;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/error.hh"
 
@@ -102,22 +104,27 @@ sampleDiscrete(const std::vector<double> &probs, Rng &rng)
     return probs.size() - 1;
 }
 
-CumulativeSampler::CumulativeSampler(const std::vector<double> &weights)
+CumulativeSampler::CumulativeSampler(std::vector<double> weights)
+    : sums_(std::move(weights))
 {
-    QRA_ASSERT(weights.size() < std::numeric_limits<std::uint32_t>::max(),
+    QRA_ASSERT(sums_.size() < std::numeric_limits<std::uint32_t>::max(),
                "too many sampling weights for the guide's indices");
-    sums_.reserve(weights.size());
     double acc = 0.0;
-    for (const double w : weights) {
-        QRA_ASSERT(w >= 0.0, "sampling weights must be non-negative");
+    for (double &w : sums_) {
+        if (!(w >= 0.0))
+            throw ValueError("sampling weights must be non-negative");
         acc += w;
-        sums_.push_back(acc);
+        w = acc;
     }
     if (sums_.empty())
         return;
+    if (!std::isfinite(acc))
+        throw ValueError("sampling weights do not sum to a finite value");
+    if (acc == 0.0)
+        throw ValueError("sampling weights sum to zero");
 
     const std::size_t buckets =
-        std::max<std::size_t>(256, std::bit_ceil(2 * sums_.size()));
+        std::max<std::size_t>(256, std::bit_ceil(sums_.size()));
     scale_ = static_cast<double>(buckets);
     guide_.resize(buckets);
     // One merge of the bucket edges b * 2^-m into the sums; each edge

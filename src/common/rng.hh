@@ -83,17 +83,20 @@ std::size_t sampleDiscrete(const std::vector<double> &probs, Rng &rng);
 /**
  * Draws an index from a fixed weight vector in expected O(1): the same
  * index sampleDiscrete's scan returns for every draw, drift fallback to
- * the last index included.
+ * the last index included. It is the library's one repeated-draw
+ * sampler: the density cache and sampled state-vector execution both
+ * draw through it.
  *
  * It holds the running sums of the weights, accumulated in
  * sampleDiscrete's order, and a guide of 2^m buckets, 2^m = max(256,
- * the next power of two >= 2 * size()). guide()[b] is the first index
+ * the next power of two >= size()). guide()[b] is the first index
  * whose sum exceeds b * 2^-m, clamped to the last index. A draw takes
  * u = rng.uniform(), starts at guide()[u * 2^m] and scans forward while
  * the sum is <= u. Both products are exact for a power-of-two bucket
  * count, so the start never passes the first sum above u, and the scan
  * stops on it (or on the last index, when drift leaves every sum <= u).
- * With at least two buckets per index a draw scans about one step.
+ * With at least one bucket per index a draw scans about two steps; a
+ * 2^16-key state-vector entry is 768 KiB (sums and guide).
  */
 class CumulativeSampler
 {
@@ -102,11 +105,16 @@ class CumulativeSampler
     CumulativeSampler() = default;
 
     /**
-     * @throws Error when a weight is negative or NaN: the sums would
-     *         not be monotone, and a draw would leave sampleDiscrete's
-     *         stream.
+     * Takes the weights by value and accumulates them in place, so a
+     * moved-in vector becomes the sums without a second buffer.
+     * @throws ValueError when a weight is negative or NaN (the sums
+     *         would not be monotone, and a draw would leave
+     *         sampleDiscrete's stream), or when non-empty weights sum
+     *         to 0 (all-zero or fully underflowed) or to a non-finite
+     *         value (an infinite weight or an overflowed sum): no draw
+     *         over such sums means anything.
      */
-    explicit CumulativeSampler(const std::vector<double> &weights);
+    explicit CumulativeSampler(std::vector<double> weights);
 
     std::size_t size() const { return sums_.size(); }
 

@@ -220,7 +220,7 @@ class JobQueue
      * The cross-job sampling/artifact cache this queue installs
      * around every shard of every job it submits, whatever its
      * stopping rule: lowered plans, noisy trajectory and density
-     * plans, sampled-execution alias tables and density register
+     * plans, sampled-execution samplers and density register
      * distributions, keyed by (circuit hash, noise fingerprint,
      * fusion level). Hit/miss counters live on its stats().
      */

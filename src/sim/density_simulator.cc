@@ -207,7 +207,7 @@ DensityMatrixSimulator::distribution(const Execution &exec) const
         out.keys.push_back(reg);
         probs.push_back(p);
     }
-    out.sampler = CumulativeSampler(probs);
+    out.sampler = CumulativeSampler(std::move(probs));
     out.distribution = std::move(dist);
     return out;
 }

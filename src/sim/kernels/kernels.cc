@@ -460,51 +460,23 @@ collapseQubit(Complex *amps, std::uint64_t n, Qubit q, int outcome,
     });
 }
 
-double
+void
 computeProbabilities(const Complex *amps, std::uint64_t n, double *probs)
 {
     const ReducePick pick =
         pickReduce([=](const simd::ReduceTable *table) {
-            return table->probLanes(amps, probs, 0, 0, nullptr);
+            return table->probFill(amps, probs, 0, 0);
         });
-    return deterministicSum(
-        n, [=](std::uint64_t begin, std::uint64_t end) {
-            double lanes[8] = {0.0};
-            if (pick.table == nullptr ||
-                !pick.table->probLanes(amps, probs, begin, end,
-                                       lanes)) {
-                for (std::uint64_t i = begin; i < end; ++i) {
-                    const double re = amps[i].real();
-                    const double im = amps[i].imag();
-                    // Accumulate the stored pair sum (plain
-                    // lanes[j & 7] rule) so the fused total is
-                    // exactly sumWeights(probs, n).
-                    const double p = re * re + im * im;
-                    probs[i] = p;
-                    lanes[i & 7] += p;
-                }
-            }
-            return foldLanes(lanes);
-        });
-}
-
-double
-sumWeights(const double *w, std::uint64_t n)
-{
-    const ReducePick pick =
-        pickReduce([=](const simd::ReduceTable *table) {
-            return table->sumLanes(w, 0, 0, nullptr);
-        });
-    return deterministicSum(
-        n, [=](std::uint64_t begin, std::uint64_t end) {
-            double lanes[8] = {0.0};
-            if (pick.table == nullptr ||
-                !pick.table->sumLanes(w, begin, end, lanes)) {
-                for (std::uint64_t j = begin; j < end; ++j)
-                    lanes[j & 7] += w[j];
-            }
-            return foldLanes(lanes);
-        });
+    parallelFor(n, [=](std::uint64_t begin, std::uint64_t end) {
+        if (pick.table != nullptr &&
+            pick.table->probFill(amps, probs, begin, end))
+            return;
+        for (std::uint64_t i = begin; i < end; ++i) {
+            const double re = amps[i].real();
+            const double im = amps[i].imag();
+            probs[i] = re * re + im * im;
+        }
+    });
 }
 
 namespace {

@@ -146,13 +146,12 @@ void applyMatrix(std::vector<Complex> &amps, const Matrix &u,
 //
 // Every reduction walks fixed kReduceBlock blocks and accumulates
 // each block into a fixed 8-double lane array (element h adds re^2
-// to lane 2*(h&3) and im^2 to lane 2*(h&3)+1; plain double sums use
-// lane j&7), folding the lanes left to right per block and the block
-// partials in block order. The SIMD tiers (simd/dispatch.hh) fill
-// the same lane slots with vector accumulators, so every reduction
-// is bit-identical across tiers, thread counts, and lane counts —
-// the scalar loops below are the memcmp oracle, exactly like the
-// gate kernels.
+// to lane 2*(h&3) and im^2 to lane 2*(h&3)+1), folding the lanes
+// left to right per block and the block partials in block order.
+// The SIMD tiers (simd/dispatch.hh) fill the same lane slots with
+// vector accumulators, so every reduction is bit-identical across
+// tiers, thread counts, and lane counts — the scalar loops below are
+// the memcmp oracle, exactly like the gate kernels.
 
 /**
  * Sum of |amps[i]|^2 over indices with (i & mask) == match, reduced
@@ -171,24 +170,11 @@ void collapseQubit(Complex *amps, std::uint64_t n, Qubit q, int outcome,
                    double scale);
 
 /**
- * probs[i] = |amps[i]|^2 (parallel elementwise), fused with the
- * deterministic lane-folded sum of all entries, which is returned.
- * The total is the exact value a subsequent sumWeights(probs, n)
- * would compute, so sampled execution renormalises (AliasTable's
- * n/total scale) without a second pass. Callers that renormalise by
- * the total MUST guard it: a zero or non-finite total (all-denormal
- * underflow, inf/NaN amplitudes) makes the division meaningless —
- * AliasTable throws ValueError instead of silently dividing.
+ * probs[i] = |amps[i]|^2 (parallel elementwise; each entry is the
+ * scalar re*re + im*im on every tier and lane count).
  */
-double computeProbabilities(const Complex *amps, std::uint64_t n,
-                            double *probs);
-
-/**
- * Deterministic lane-folded sum of w[0..n): the reduction the alias
- * table's prefix pass uses. Bit-identical at any lane count and on
- * every SIMD tier.
- */
-double sumWeights(const double *w, std::uint64_t n);
+void computeProbabilities(const Complex *amps, std::uint64_t n,
+                          double *probs);
 
 /**
  * Marginal distribution over @p qubits: entry b is the probability

@@ -9,7 +9,8 @@
  *  - lowered ideal plans;
  *  - noisy trajectory plans;
  *  - density superoperator plans;
- *  - sampled-execution distributions (alias table + clbit wiring);
+ *  - sampled-execution distributions (a CumulativeSampler over the
+ *    measured-qubit marginal, plus its clbit wiring);
  *  - density register distributions (the evolved, readout-folded
  *    distribution and its guided CumulativeSampler).
  * A PlanCache keyed on those lets every shard of a job, and every
@@ -50,7 +51,6 @@
 #include "circuit/circuit.hh"
 #include "common/rng.hh"
 #include "noise/noise_model.hh"
-#include "sim/kernels/alias_table.hh"
 #include "sim/kernels/density_plan.hh"
 #include "sim/kernels/noise_plan.hh"
 #include "sim/kernels/plan.hh"
@@ -59,13 +59,14 @@ namespace qra {
 namespace kernels {
 
 /**
- * Everything sampled execution needs after the one-time evolution:
- * the outcome alias table over the measured-qubit marginal, the
- * marginal-bit -> clbit wiring, and the post-selection retention.
+ * Everything sampled execution needs after the one-time evolution: a
+ * CumulativeSampler over the measured-qubit marginal (empty when
+ * nothing is measured), the marginal-bit -> clbit wiring, and the
+ * post-selection retention. Each shot is one guided O(1) draw.
  */
 struct SampledDistribution
 {
-    AliasTable table{std::vector<double>{1.0}};
+    CumulativeSampler sampler;
     /** (marginal bit index, clbit) per measurement, program order. */
     std::vector<std::pair<std::size_t, Clbit>> bitWiring;
     double retainedFraction = 1.0;

@@ -38,16 +38,15 @@
  * -ffp-contract=off to keep their scalar peel/tail loops on the same
  * arithmetic.
  *
- * Reduction lane contract: every reduction accumulates into a fixed
- * 8-double lane array shared by all tiers. For a compact index h the
- * element's squared real part lands in lanes[2*(h&3)] and its
- * squared imaginary part in lanes[2*(h&3)+1] (plain double sums use
- * lanes[j&7]); the caller folds lanes[0]+lanes[1]+...+lanes[7] left
- * to right. Because the dispatcher only ever passes 4-aligned block
- * starts (deterministicSum blocks), a 4-complex vector accumulator
- * maps exactly onto the lane slots, and the fold — hence the final
- * double — is bit-identical across tiers, thread counts and lane
- * counts.
+ * Reduction lane contract: the norm reduction accumulates into a
+ * fixed 8-double lane array shared by all tiers. For a compact index
+ * h the element's squared real part lands in lanes[2*(h&3)] and its
+ * squared imaginary part in lanes[2*(h&3)+1]; the caller folds
+ * lanes[0]+lanes[1]+...+lanes[7] left to right. Because the
+ * dispatcher only ever passes 4-aligned block starts (deterministicSum
+ * blocks), a 4-complex vector accumulator maps exactly onto the lane
+ * slots, and the fold — hence the final double — is bit-identical
+ * across tiers, thread counts and lane counts.
  */
 
 #ifndef QRA_SIM_KERNELS_SIMD_DISPATCH_HH
@@ -151,13 +150,14 @@ struct KernelTable
 };
 
 /**
- * One ISA tier's reduction entry points (see the lane contract in the
- * file comment). Each fills the caller's lanes[8] partials for one
- * contiguous sub-range whose @p begin is 4-aligned (8-aligned for
- * sumLanes); the caller folds the lanes and owns block order. A call
- * with begin == end is a pure geometry probe: it must return the
- * same support verdict without touching @p lanes (which may be
- * null).
+ * One ISA tier's measurement-side entry points: the masked norm
+ * reduction (see the lane contract in the file comment) and the
+ * elementwise probability fill. normSqLanes fills the caller's
+ * lanes[8] partials for one contiguous sub-range whose @p begin is
+ * 4-aligned; the caller folds the lanes and owns block order. A call
+ * with begin == end is a pure geometry probe: it must return the same
+ * support verdict without touching @p lanes (which may be null) or
+ * @p probs.
  */
 struct ReduceTable
 {
@@ -173,20 +173,12 @@ struct ReduceTable
                         std::size_t k, std::uint64_t match,
                         double *lanes);
     /**
-     * Fused probability fill: probs[i] = |amps[i]|^2 over [begin,
-     * end), with the lane partials accumulated from the *stored*
-     * pair sums under the plain lanes[j & 7] rule (@p begin is
-     * 8-aligned). The fused total is therefore bit-identical to a
-     * separate sumLanes pass over probs — AliasTable's guards see
-     * exactly the sum they would recompute.
+     * Probability fill: probs[i] = |amps[i]|^2 over [begin, end), each
+     * pair sum rounding once, exactly like scalar re*re + im*im. Any
+     * @p begin (parallelFor chunks carry no alignment).
      */
-    bool (*probLanes)(const Complex *amps, double *probs,
-                      std::uint64_t begin, std::uint64_t end,
-                      double *lanes);
-    /** Plain double sum: lanes[j & 7] += w[j] over [begin, end)
-     * (alias-table prefix pass; begin is 8-aligned). */
-    bool (*sumLanes)(const double *w, std::uint64_t begin,
-                     std::uint64_t end, double *lanes);
+    bool (*probFill)(const Complex *amps, double *probs,
+                     std::uint64_t begin, std::uint64_t end);
 };
 
 #ifdef QRA_SIMD_PORTABLE

@@ -440,67 +440,27 @@ normSqLanesAvx2(const Complex *amps, std::uint64_t begin,
 }
 
 bool
-probLanesAvx2(const Complex *amps, double *probs, std::uint64_t begin,
-              std::uint64_t end, double *lanes)
+probFillAvx2(const Complex *amps, double *probs, std::uint64_t begin,
+             std::uint64_t end)
 {
-    if (begin == end)
-        return true;
-    __m256d acc_lo = _mm256_loadu_pd(lanes);
-    __m256d acc_hi = _mm256_loadu_pd(lanes + 4);
-    std::uint64_t i = begin; // 8-aligned
-    for (; i + 8 <= end; i += 8) {
+    std::uint64_t i = begin;
+    for (; i + 4 <= end; i += 4) {
         // hadd(a, b) = [a0+a1, b0+b1, a2+a3, b2+b3]; reorder to
         // [p0, p1, p2, p3] with a 0,2,1,3 permute. Each pair sum
-        // rounds once, exactly like scalar re*re + im*im; the lane
-        // accumulators then see the *stored* pair sums (plain
-        // lanes[j & 7] rule), so the fused total is the same fold
-        // sumLanes would produce over probs.
+        // rounds once, exactly like scalar re*re + im*im.
         const __m256d sq0 =
             _mm256_mul_pd(load2(amps + i), load2(amps + i));
         const __m256d sq1 =
             _mm256_mul_pd(load2(amps + i + 2), load2(amps + i + 2));
-        const __m256d p0 = _mm256_permute4x64_pd(
-            _mm256_hadd_pd(sq0, sq1), 0b11011000);
-        const __m256d sq2 =
-            _mm256_mul_pd(load2(amps + i + 4), load2(amps + i + 4));
-        const __m256d sq3 =
-            _mm256_mul_pd(load2(amps + i + 6), load2(amps + i + 6));
-        const __m256d p1 = _mm256_permute4x64_pd(
-            _mm256_hadd_pd(sq2, sq3), 0b11011000);
-        _mm256_storeu_pd(probs + i, p0);
-        _mm256_storeu_pd(probs + i + 4, p1);
-        acc_lo = _mm256_add_pd(acc_lo, p0);
-        acc_hi = _mm256_add_pd(acc_hi, p1);
+        _mm256_storeu_pd(probs + i,
+                         _mm256_permute4x64_pd(_mm256_hadd_pd(sq0, sq1),
+                                               0b11011000));
     }
-    _mm256_storeu_pd(lanes, acc_lo);
-    _mm256_storeu_pd(lanes + 4, acc_hi);
     for (; i < end; ++i) {
         const double re = amps[i].real();
         const double im = amps[i].imag();
-        const double p = re * re + im * im;
-        probs[i] = p;
-        lanes[i & 7] += p;
+        probs[i] = re * re + im * im;
     }
-    return true;
-}
-
-bool
-sumLanesAvx2(const double *w, std::uint64_t begin, std::uint64_t end,
-             double *lanes)
-{
-    if (begin == end)
-        return true;
-    __m256d acc_lo = _mm256_loadu_pd(lanes);
-    __m256d acc_hi = _mm256_loadu_pd(lanes + 4);
-    std::uint64_t j = begin; // 8-aligned
-    for (; j + 8 <= end; j += 8) {
-        acc_lo = _mm256_add_pd(acc_lo, _mm256_loadu_pd(w + j));
-        acc_hi = _mm256_add_pd(acc_hi, _mm256_loadu_pd(w + j + 4));
-    }
-    _mm256_storeu_pd(lanes, acc_lo);
-    _mm256_storeu_pd(lanes + 4, acc_hi);
-    for (; j < end; ++j)
-        lanes[j & 7] += w[j];
     return true;
 }
 
@@ -513,8 +473,7 @@ const KernelTable kAvx2Table = {
 
 const ReduceTable kAvx2Reduce = {
     normSqLanesAvx2,
-    probLanesAvx2,
-    sumLanesAvx2,
+    probFillAvx2,
 };
 
 } // namespace simd

@@ -339,48 +339,24 @@ pairSums(__m512d sq)
 }
 
 bool
-probLanesAvx512(const Complex *amps, double *probs,
-                std::uint64_t begin, std::uint64_t end, double *lanes)
+probFillAvx512(const Complex *amps, double *probs, std::uint64_t begin,
+               std::uint64_t end)
 {
-    if (begin == end)
-        return true;
-    __m512d acc = _mm512_loadu_pd(lanes);
-    std::uint64_t i = begin; // 8-aligned
+    std::uint64_t i = begin;
     for (; i + 8 <= end; i += 8) {
-        // The lane accumulator sees the *stored* pair sums (plain
-        // lanes[j & 7] rule): one zmm of eight probs per step, the
-        // same shape sumLanes folds, so the fused total is exactly
-        // what sumLanes would produce over probs.
         const __m512d v0 = load4(amps + i);
         const __m512d v1 = load4(amps + i + 4);
         const __m256d p0 = pairSums(_mm512_mul_pd(v0, v0));
         const __m256d p1 = pairSums(_mm512_mul_pd(v1, v1));
-        const __m512d p = _mm512_insertf64x4(
-            _mm512_castpd256_pd512(p0), p1, 1);
-        _mm512_storeu_pd(probs + i, p);
-        acc = _mm512_add_pd(acc, p);
+        _mm512_storeu_pd(probs + i, _mm512_insertf64x4(
+                                        _mm512_castpd256_pd512(p0), p1, 1));
     }
-    _mm512_storeu_pd(lanes, acc);
     for (; i < end; ++i) {
         const double re = amps[i].real();
         const double im = amps[i].imag();
-        const double p = re * re + im * im;
-        probs[i] = p;
-        lanes[i & 7] += p;
+        probs[i] = re * re + im * im;
     }
     return true;
-}
-
-/**
- * Declines every call, so sumWeights falls through to the AVX2 slot:
- * one zmm accumulator measured 0.80x of AVX2's two ymm accumulators
- * (median of 11 perf_simulator runs at 16 qubits on a 4-core AVX-512
- * Xeon).
- */
-bool
-sumLanesAvx512(const double *, std::uint64_t, std::uint64_t, double *)
-{
-    return false;
 }
 
 } // namespace
@@ -392,8 +368,7 @@ const KernelTable kAvx512Table = {
 
 const ReduceTable kAvx512Reduce = {
     normSqLanesAvx512,
-    probLanesAvx512,
-    sumLanesAvx512,
+    probFillAvx512,
 };
 
 } // namespace simd

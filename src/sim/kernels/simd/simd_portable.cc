@@ -639,30 +639,10 @@ normSqLanesPortable(const Complex *amps, std::uint64_t begin,
  * qubits on a 4-core AVX-512 Xeon).
  */
 bool
-probLanesPortable(const Complex *, double *, std::uint64_t,
-                  std::uint64_t, double *)
+probFillPortable(const Complex *, double *, std::uint64_t,
+                 std::uint64_t)
 {
     return false;
-}
-
-bool
-sumLanesPortable(const double *w, std::uint64_t begin,
-                 std::uint64_t end, double *lanes)
-{
-    if (begin == end)
-        return true;
-    V acc_lo = vloadd(lanes);
-    V acc_hi = vloadd(lanes + 4);
-    std::uint64_t j = begin; // 8-aligned
-    for (; j + 8 <= end; j += 8) {
-        acc_lo = vadd(acc_lo, vloadd(w + j));
-        acc_hi = vadd(acc_hi, vloadd(w + j + 4));
-    }
-    vstored(lanes, acc_lo);
-    vstored(lanes + 4, acc_hi);
-    for (; j < end; ++j)
-        lanes[j & 7] += w[j];
-    return true;
 }
 
 } // namespace
@@ -674,8 +654,7 @@ const KernelTable kPortableTable = {
 
 const ReduceTable kPortableReduce = {
     normSqLanesPortable,
-    probLanesPortable,
-    sumLanesPortable,
+    probFillPortable,
 };
 
 } // namespace simd

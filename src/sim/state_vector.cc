@@ -134,13 +134,11 @@ StateVector::probabilityOfOne(Qubit q) const
 }
 
 std::vector<double>
-StateVector::probabilities(double *total) const
+StateVector::probabilities() const
 {
     std::vector<double> probs(amps_.size());
-    const double sum = kernels::computeProbabilities(
-        amps_.data(), amps_.size(), probs.data());
-    if (total != nullptr)
-        *total = sum;
+    kernels::computeProbabilities(amps_.data(), amps_.size(),
+                                  probs.data());
     return probs;
 }
 
@@ -157,8 +155,8 @@ BasisIndex
 StateVector::sample(Rng &rng) const
 {
     // One-off draw: a linear cumulative scan. Repeated sampling
-    // should build a kernels::AliasTable from probabilities() instead
-    // (O(1) per draw); runSampled does.
+    // should build a CumulativeSampler from probabilities() instead
+    // (expected O(1) per draw); runSampled does.
     const double u = rng.uniform();
     double acc = 0.0;
     for (std::uint64_t i = 0; i < amps_.size(); ++i) {

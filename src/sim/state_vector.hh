@@ -90,12 +90,11 @@ class StateVector
     double probabilityOfOne(Qubit q) const;
 
     /**
-     * Probability of every basis state (|a_i|^2). When @p total is
-     * non-null it receives the deterministic block-folded sum of the
-     * vector in the same pass (the fused reduction sampled execution
-     * hands to AliasTable, saving the prefix re-scan).
+     * Probability of every basis state (|a_i|^2), filled in parallel;
+     * sampled execution moves it into a CumulativeSampler, whose last
+     * running sum is the total.
      */
-    std::vector<double> probabilities(double *total = nullptr) const;
+    std::vector<double> probabilities() const;
 
     /**
      * Marginal distribution over @p qubits: entry b is the probability

@@ -6,7 +6,6 @@
 #include "common/error.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "sim/kernels/alias_table.hh"
 #include "sim/kernels/plan.hh"
 #include "sim/kernels/plan_cache.hh"
 #include "sim/trajectory_simulator.hh"
@@ -15,24 +14,13 @@ namespace qra {
 
 namespace {
 
-/** Registered-once handles for the sampling-path metrics. */
-struct SimMetrics
+/** Shots drawn by sampled execution (registered once). */
+obs::CounterHandle
+sampledShotsCounter()
 {
-    obs::CounterHandle sampledShots;
-    obs::GaugeHandle sampledShotsPerSec;
-};
-
-const SimMetrics &
-simMetrics()
-{
-    static const SimMetrics metrics = []() {
-        obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-        SimMetrics m;
-        m.sampledShots = reg.counter("sim.sampled.shots");
-        m.sampledShotsPerSec = reg.gauge("sim.sampled.shots_per_sec");
-        return m;
-    }();
-    return metrics;
+    static const obs::CounterHandle handle =
+        obs::MetricsRegistry::global().counter("sim.sampled.shots");
+    return handle;
 }
 
 /** Compile @p circuit, through the active PlanCache when one is. */
@@ -78,8 +66,9 @@ evolveIdeal(const kernels::ExecutablePlan &plan, StateVector &state,
 
 /**
  * One-time work of sampled execution: evolve the state, derive the
- * measured-qubit marginal and its clbit wiring, and build the alias
- * table. Cached across shards and jobs via the PlanCache.
+ * measured-qubit marginal and its clbit wiring, and build the
+ * CumulativeSampler over it. Cached across shards and jobs via the
+ * PlanCache.
  */
 std::shared_ptr<const kernels::SampledDistribution>
 buildSampledDistribution(const Circuit &circuit)
@@ -117,18 +106,12 @@ buildSampledDistribution(const Circuit &circuit)
     for (std::size_t j = 0; identity_marginal && j < measured.size();
          ++j)
         identity_marginal = measured[j] == j;
-    if (identity_marginal) {
-        // The fused kernel returns the block-folded total alongside
-        // the probabilities, so the alias build skips its prefix
-        // re-scan; the AliasTable guards the total (zero/non-finite
-        // throws ValueError instead of renormalising into garbage).
-        double total = 0.0;
-        std::vector<double> probs = state.probabilities(&total);
-        dist->table = kernels::AliasTable(probs, total);
-    } else {
-        dist->table = kernels::AliasTable(
-            state.marginalProbabilities(measured));
-    }
+    // The sampler accumulates the moved-in probabilities in place and
+    // guards their total (zero or non-finite throws ValueError rather
+    // than drawing garbage).
+    dist->sampler = CumulativeSampler(
+        identity_marginal ? state.probabilities()
+                          : state.marginalProbabilities(measured));
     return dist;
 }
 
@@ -161,10 +144,12 @@ StatevectorSimulator::runSampled(const Circuit &circuit,
                                  std::size_t shots)
 {
     // All measurements are terminal, so the whole evolution — plan,
-    // final state, marginal, alias table — is shot-independent. With
-    // an active PlanCache (the runtime JobQueue installs one) it is
-    // built exactly once per (circuit, fusion) across all shards and
-    // repeated jobs; shots then cost one O(1) draw each.
+    // final state, marginal, sampler — is shot-independent. With an
+    // active PlanCache (the runtime JobQueue installs one) it is built
+    // exactly once per (circuit, fusion) across all shards and
+    // repeated jobs; shots then cost one guided O(1) draw each.
+    obs::Span span("sim", "sampled_run", {{"shots", shots}});
+    obs::count(sampledShotsCounter(), shots);
     std::shared_ptr<const kernels::SampledDistribution> dist;
     if (kernels::PlanCache *cache = kernels::currentPlanCache())
         dist = cache->sampledDistribution(
@@ -181,13 +166,8 @@ StatevectorSimulator::runSampled(const Circuit &circuit,
         return result;
     }
 
-    // Telemetry clocks sit outside the sampling loop: per-run, not
-    // per-shot, so the enabled-path overhead stays negligible.
-    const bool telemetry = obs::anyEnabled();
-    const auto start = telemetry ? obs::Tracer::Clock::now()
-                                 : obs::Tracer::Clock::time_point{};
     for (std::size_t s = 0; s < shots; ++s) {
-        const std::uint64_t key = dist->table.sample(rng_);
+        const std::uint64_t key = dist->sampler(rng_);
         std::uint64_t reg = 0;
         for (const auto &[j, c] : dist->bitWiring) {
             if ((key >> j) & 1)
@@ -196,18 +176,6 @@ StatevectorSimulator::runSampled(const Circuit &circuit,
                 reg &= ~(std::uint64_t{1} << c);
         }
         result.record(reg);
-    }
-    if (telemetry) {
-        const auto end = obs::Tracer::Clock::now();
-        obs::complete("sim", "sampled_run", start, end,
-                      {{"shots", shots}});
-        const SimMetrics &m = simMetrics();
-        obs::count(m.sampledShots, shots);
-        const double seconds =
-            std::chrono::duration<double>(end - start).count();
-        if (seconds > 0.0)
-            obs::setGauge(m.sampledShotsPerSec,
-                          static_cast<double>(shots) / seconds);
     }
     return result;
 }

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/error.hh"
 #include "common/rng.hh"
 
 namespace qra {
@@ -198,9 +200,9 @@ TEST(RngTest, CumulativeSamplerMatchesScanOnGuideEdges)
     // Runs of 40 zero weights before, between and after the others:
     // runs of equal sums, the inner ones on bucket edges.
     expectSamplerMatchesScan(zeroRunWeights(40), 21, draws);
-    // 1000 ragged keys: a 2048-bucket guide.
+    // 1000 ragged keys: a 1024-bucket guide, past the 256 minimum.
     const std::vector<double> ragged = raggedWeights(1000);
-    ASSERT_EQ(CumulativeSampler(ragged).guide().size(), 2048u);
+    ASSERT_EQ(CumulativeSampler(ragged).guide().size(), 1024u);
     expectSamplerMatchesScan(ragged, 22, draws);
     // A sum of 0.9: the drift tail covers whole buckets, whose start is
     // the clamped last index.
@@ -241,17 +243,46 @@ TEST(RngTest, CumulativeSamplerRejectsEmptyAndNegative)
     EXPECT_ANY_THROW(empty.counts(1, rng));
     EXPECT_TRUE(empty.counts(0, rng).empty());
     // A negative or NaN weight breaks the sums' monotonicity.
-    EXPECT_ANY_THROW(CumulativeSampler({0.5, -0.1, 0.6}));
-    EXPECT_ANY_THROW(CumulativeSampler({0.5, std::nan(""), 0.5}));
+    EXPECT_THROW(CumulativeSampler({0.5, -0.1, 0.6}), ValueError);
+    EXPECT_THROW(CumulativeSampler({0.5, std::nan(""), 0.5}), ValueError);
+}
+
+TEST(RngTest, CumulativeSamplerRejectsZeroAndNonFiniteTotals)
+{
+    // No draw over sums that end at 0 or at inf means anything.
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(CumulativeSampler({0.0}), ValueError);
+    EXPECT_THROW(CumulativeSampler({0.0, 0.0, 0.0}), ValueError);
+    EXPECT_THROW(CumulativeSampler({0.5, inf, 0.5}), ValueError);
+    EXPECT_THROW(CumulativeSampler({inf}), ValueError);
+    EXPECT_THROW(CumulativeSampler({1.0, std::nan("")}), ValueError);
+    // Finite weights whose sum overflows.
+    const double big = std::numeric_limits<double>::max();
+    EXPECT_THROW(CumulativeSampler({big, big}), ValueError);
+    // Unnormalised but finite and positive totals are fine.
+    EXPECT_NO_THROW(CumulativeSampler({2.0, 6.0}));
+    EXPECT_NO_THROW(CumulativeSampler({0.0, 1e-300}));
+}
+
+TEST(RngTest, CumulativeSamplerPointMassAlwaysDrawsIt)
+{
+    const CumulativeSampler point({0.0, 3.0, 0.0});
+    Xoshiro256 rng(9);
+    for (int i = 0; i < 1000; ++i)
+        EXPECT_EQ(point(rng), 1u);
+    EXPECT_EQ(point.counts(1000, rng),
+              (std::vector<std::size_t>{0, 1000, 0}));
 }
 
 TEST(RngTest, CumulativeSamplerGuideSizeIsFixed)
 {
-    // max(256, the next power of two >= 2 * keys).
+    // max(256, the next power of two >= keys): one bucket per key,
+    // so a 2^16-key state-vector entry's guide is 256 KiB.
     for (const auto &[keys, buckets] :
          std::vector<std::pair<std::size_t, std::size_t>>{
-             {1, 256}, {2, 256}, {100, 256}, {128, 256}, {129, 512},
-             {512, 1024}, {1000, 2048}, {1024, 2048}, {1025, 4096}})
+             {1, 256}, {2, 256}, {100, 256}, {128, 256}, {129, 256},
+             {256, 256}, {257, 512}, {512, 512}, {1000, 1024},
+             {1024, 1024}, {1025, 2048}, {65536, 65536}})
         EXPECT_EQ(CumulativeSampler(std::vector<double>(keys, 1.0 / keys))
                       .guide()
                       .size(),

@@ -103,10 +103,11 @@ TEST_P(FuzzSweep, TranspilerPreservesDistributions)
             EXPECT_TRUE(device.couplingMap().connected(op.qubits[0],
                                                        op.qubits[1]))
                 << op.str();
-            if (op.kind == OpKind::CX)
+            if (op.kind == OpKind::CX) {
                 EXPECT_TRUE(device.couplingMap().hasEdge(
                     op.qubits[0], op.qubits[1]))
                     << op.str();
+            }
         }
     }
 

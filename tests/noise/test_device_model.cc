@@ -76,8 +76,9 @@ TEST(DeviceModelTest, IdealDeviceHasNoNoise)
     // All-to-all coupling.
     for (Qubit a = 0; a < 4; ++a)
         for (Qubit b = 0; b < 4; ++b)
-            if (a != b)
+            if (a != b) {
                 EXPECT_TRUE(dev.couplingMap().hasEdge(a, b));
+            }
 }
 
 TEST(DeviceModelTest, ScaledNoiseDevice)

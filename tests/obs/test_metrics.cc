@@ -35,6 +35,13 @@ operator new(std::size_t size)
     throw std::bad_alloc();
 }
 
+// GCC 12 inlines the replaced operator new and delete into their
+// callers and then reports this std::free as freeing memory from
+// operator new (-Wmismatched-new-delete). It is a false positive: both
+// replacements above and below use the malloc family, so each pair
+// matches. The pragma covers only these two definitions.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void
 operator delete(void *p) noexcept
 {
@@ -46,6 +53,7 @@ operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
 }
+#pragma GCC diagnostic pop
 
 namespace {
 

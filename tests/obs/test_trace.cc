@@ -95,8 +95,9 @@ TEST(Tracer, CollectSortsGloballyAndPerThreadMonotonic)
         EXPECT_GE(ev.tsNs, last);
         last = ev.tsNs;
         const auto it = last_per_thread.find(ev.tid);
-        if (it != last_per_thread.end())
+        if (it != last_per_thread.end()) {
             EXPECT_GE(ev.tsNs, it->second);
+        }
         last_per_thread[ev.tid] = ev.tsNs;
     }
     EXPECT_EQ(last_per_thread.size(), 4u);

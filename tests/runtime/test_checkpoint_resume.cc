@@ -251,7 +251,7 @@ TEST(CheckpointResume, JobQueueRoutesCheckpointSpecs)
     std::exception_ptr error;
     queue.submit(
         spec,
-        [&](const Result &, const StoppingStatus &status) {
+        [&](const Result &, const StoppingStatus &) {
             if (++waves == 1)
                 token.cancel();
         },

@@ -248,6 +248,12 @@ engineDigest(const Result &r)
 // Pinned before fixed-budget jobs moved onto the wave lifecycle: every
 // entry point, thread count, shard size and retried fault must keep
 // delivering these counts and bookkeeping bit for bit. Never re-pin.
+// One deliberate move so far: the two statevector rows were re-pinned
+// when sampled state-vector execution left its Walker alias table for
+// CumulativeSampler, the library's one repeated-draw sampler. Its
+// draws are sampleDiscrete's (SampledOracle tests in
+// test_statevector_simulator.cc), and on this Bell check they now
+// match the stabilizer rows shot for shot.
 TEST(EngineGoldenCounts, EveryEntryPointBackendAndShardPlan)
 {
     const DeviceModel device = DeviceModel::ibmqx4();
@@ -269,8 +275,8 @@ TEST(EngineGoldenCounts, EveryEntryPointBackendAndShardPlan)
         std::size_t shardShots;
         std::uint64_t digest;
     } golden[] = {
-        {"statevector", nullptr, 128, 0xbaaa75378e836fffULL},
-        {"statevector", nullptr, 1024, 0x3e6669989963d94fULL},
+        {"statevector", nullptr, 128, 0xe30be590af7b046dULL},
+        {"statevector", nullptr, 1024, 0x1b6481a0294980f1ULL},
         {"stabilizer", nullptr, 128, 0xe30be590af7b046dULL},
         {"stabilizer", nullptr, 1024, 0x1b6481a0294980f1ULL},
         {"trajectory", &device.noiseModel(), 128, 0xe8926b28185913b5ULL},

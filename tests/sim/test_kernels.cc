@@ -3,7 +3,7 @@
  * Kernel-subsystem tests: every specialized gate kernel (and the
  * fusion pass) must match the generic dense-matrix path on random
  * states, at one lane and at several; intra-shot parallelism must be
- * bit-deterministic; the alias table must reproduce its distribution.
+ * bit-deterministic.
  */
 
 #include <cmath>
@@ -14,7 +14,6 @@
 #include "common/rng.hh"
 #include "runtime/execution_engine.hh"
 #include "runtime/thread_pool.hh"
-#include "sim/kernels/alias_table.hh"
 #include "sim/kernels/kernels.hh"
 #include "sim/kernels/parallel.hh"
 #include "sim/kernels/plan.hh"
@@ -51,7 +50,7 @@ randomOperation(std::size_t num_qubits, Rng &rng)
         const std::size_t arity = opNumQubits(kind);
         if (arity > num_qubits)
             continue;
-        Operation op{.kind = kind};
+        Operation op{.kind = kind, .qubits = {}};
         // Distinct random operands.
         while (op.qubits.size() < arity) {
             const Qubit q = static_cast<Qubit>(rng.below(num_qubits));
@@ -426,51 +425,6 @@ TEST(KernelsTest, PerShotCountsBitIdenticalAcrossLaneCounts)
     const Result a = one_lane.run(c, 128, "statevector", 99);
     const Result b = four_lanes.run(c, 128, "statevector", 99);
     EXPECT_EQ(a.rawCounts(), b.rawCounts());
-}
-
-TEST(KernelsTest, AliasTableReproducesDistribution)
-{
-    const std::vector<double> weights = {0.5, 0.25, 0.125, 0.125};
-    const kernels::AliasTable table(weights);
-    Rng rng(5);
-    std::vector<std::size_t> counts(weights.size(), 0);
-    const std::size_t draws = 200000;
-    for (std::size_t i = 0; i < draws; ++i)
-        ++counts[table.sample(rng)];
-    for (std::size_t i = 0; i < weights.size(); ++i)
-        EXPECT_NEAR(static_cast<double>(counts[i]) / draws,
-                    weights[i], 0.01)
-            << "outcome " << i;
-}
-
-TEST(KernelsTest, AliasTableHandlesEdgeCases)
-{
-    // Deterministic single outcome.
-    const kernels::AliasTable point({0.0, 3.0, 0.0});
-    Rng rng(9);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(point.sample(rng), 1u);
-
-    // Unnormalised weights are fine; invalid ones throw.
-    EXPECT_NO_THROW((kernels::AliasTable({2.0, 6.0})));
-    EXPECT_THROW((kernels::AliasTable({})), ValueError);
-    EXPECT_THROW((kernels::AliasTable({0.0, 0.0})), ValueError);
-    EXPECT_THROW((kernels::AliasTable({1.0, -0.5})), ValueError);
-}
-
-TEST(KernelsTest, AliasTableMatchesStateVectorProbabilities)
-{
-    const StateVector sv = randomState(6, 77);
-    const kernels::AliasTable table(sv.probabilities());
-    Rng rng(13);
-    std::vector<std::size_t> counts(sv.dim(), 0);
-    const std::size_t draws = 300000;
-    for (std::size_t i = 0; i < draws; ++i)
-        ++counts[table.sample(rng)];
-    const std::vector<double> probs = sv.probabilities();
-    for (std::size_t i = 0; i < sv.dim(); ++i)
-        EXPECT_NEAR(static_cast<double>(counts[i]) / draws, probs[i],
-                    0.01);
 }
 
 TEST(KernelsTest, BoundsCheckedFastPaths)

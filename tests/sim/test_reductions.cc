@@ -1,10 +1,10 @@
 /**
  * @file
  * Bit-exactness parity suite for the vectorized measurement pipeline:
- * the reduction kernels (normSquaredOnMask, computeProbabilities,
- * sumWeights, marginalProbabilities), the fused-total AliasTable
- * handoff and its renormalisation guards, the CacheBlockScope budget
- * override, and the end-to-end sampled-counts invariant.
+ * the reduction kernels (normSquaredOnMask, marginalProbabilities),
+ * the computeProbabilities fill, the sampler guards sampled execution
+ * relies on, the CacheBlockScope budget override, and the end-to-end
+ * sampled-counts invariant.
  *
  * The contract (kernels.hh "parallel measurement/sampling
  * reductions"): every reduction accumulates fixed kReduceBlock blocks
@@ -28,6 +28,7 @@
 
 #include "circuit/circuit.hh"
 #include "common/error.hh"
+#include "common/rng.hh"
 #include "math/gates.hh"
 #include "math/types.hh"
 #include "noise/channels.hh"
@@ -35,7 +36,6 @@
 #include "obs/metrics.hh"
 #include "runtime/execution_engine.hh"
 #include "runtime/thread_pool.hh"
-#include "sim/kernels/alias_table.hh"
 #include "sim/kernels/kernels.hh"
 #include "sim/kernels/noise_plan.hh"
 #include "sim/kernels/parallel.hh"
@@ -64,18 +64,6 @@ randomState(std::size_t num_qubits, std::uint64_t seed)
     for (Complex &a : amps)
         a = Complex{dist(rng), dist(rng)};
     return amps;
-}
-
-/** Random plain weights, odd sizes included. */
-std::vector<double>
-randomWeights(std::size_t n, std::uint64_t seed)
-{
-    std::mt19937_64 rng(seed);
-    std::uniform_real_distribution<double> dist(0.0, 1.0);
-    std::vector<double> w(n);
-    for (double &x : w)
-        x = dist(rng);
-    return w;
 }
 
 /** Bitwise double equality: distinguishes -0.0/0.0, catches NaN. */
@@ -187,11 +175,9 @@ TEST(ReductionParity, ComputeProbabilitiesAcrossTiersAndLanes)
     const std::uint64_t n = amps.size();
 
     std::vector<double> oracle_probs(n);
-    double oracle_total;
     {
         TierScope scope(static_cast<int>(Tier::Scalar));
-        oracle_total =
-            computeProbabilities(amps.data(), n, oracle_probs.data());
+        computeProbabilities(amps.data(), n, oracle_probs.data());
     }
     // The scalar elementwise values are std::norm exactly.
     for (std::size_t i = 0; i < n; ++i)
@@ -202,18 +188,12 @@ TEST(ReductionParity, ComputeProbabilitiesAcrossTiersAndLanes)
         TierScope scope(static_cast<int>(tier));
         for (int lanes = 1; lanes <= 4; lanes += 3) {
             std::vector<double> probs(n, -1.0);
-            double total;
             if (lanes > 1) {
                 ParallelScope scope_lanes(&pool, 4);
-                total = computeProbabilities(amps.data(), n,
-                                             probs.data());
+                computeProbabilities(amps.data(), n, probs.data());
             } else {
-                total = computeProbabilities(amps.data(), n,
-                                             probs.data());
+                computeProbabilities(amps.data(), n, probs.data());
             }
-            EXPECT_TRUE(bitEqual(oracle_total, total))
-                << "tier " << simd::tierName(tier) << " lanes "
-                << lanes;
             EXPECT_TRUE(bitEqual(oracle_probs, probs))
                 << "tier " << simd::tierName(tier) << " lanes "
                 << lanes;
@@ -221,36 +201,28 @@ TEST(ReductionParity, ComputeProbabilitiesAcrossTiersAndLanes)
     }
 }
 
-TEST(ReductionParity, FusedTotalMatchesSumWeightsExactly)
+TEST(ReductionParity, ComputeProbabilitiesOddSizesAndOffsets)
 {
-    // The documented contract: the fused total is the exact value a
-    // subsequent sumWeights over the written probabilities returns,
-    // on every tier — AliasTable's two-arg constructor relies on it.
-    const std::vector<Complex> amps = randomState(14, 303);
-    for (Tier tier : simd::availableTiers()) {
-        TierScope scope(static_cast<int>(tier));
-        std::vector<double> probs(amps.size());
-        const double total = computeProbabilities(
-            amps.data(), amps.size(), probs.data());
-        EXPECT_TRUE(bitEqual(
-            total, sumWeights(probs.data(), probs.size())))
-            << "tier " << simd::tierName(tier);
-    }
-}
-
-// ---- sumWeights --------------------------------------------------------
-
-TEST(ReductionParity, SumWeightsOddSizesAcrossTiersAndLanes)
-{
-    // Odd / prime / block-straddling lengths: every tail shape.
-    for (std::size_t n :
-         {std::size_t{1}, std::size_t{3}, std::size_t{7},
-          std::size_t{1000}, std::size_t{(1 << 16) - 1},
-          std::size_t{(1 << 16) + 13}}) {
-        const std::vector<double> w = randomWeights(n, n);
-        expectReductionParity(
-            [&]() { return sumWeights(w.data(), n); }, "sumWeights");
-    }
+    // Lengths and starts off every vector width: the fill's tails.
+    const std::vector<Complex> amps = randomState(10, 505);
+    for (const std::size_t offset : {0u, 1u, 3u})
+        for (const std::size_t n : {1u, 3u, 7u, 9u, 1000u}) {
+            std::vector<double> oracle(n);
+            {
+                TierScope scope(static_cast<int>(Tier::Scalar));
+                computeProbabilities(amps.data() + offset, n,
+                                     oracle.data());
+            }
+            for (Tier tier : simd::availableTiers()) {
+                TierScope scope(static_cast<int>(tier));
+                std::vector<double> probs(n, -1.0);
+                computeProbabilities(amps.data() + offset, n,
+                                     probs.data());
+                EXPECT_TRUE(bitEqual(oracle, probs))
+                    << "tier " << simd::tierName(tier) << " offset "
+                    << offset << " n " << n;
+            }
+        }
 }
 
 // ---- marginalProbabilities ---------------------------------------------
@@ -402,58 +374,37 @@ TEST(ReducedDensityWeights, ReducedQubitDensityIsTheKernelSums)
     }
 }
 
-// ---- AliasTable guards ---------------------------------------------------
+// ---- sampler guards ------------------------------------------------------
+//
+// Sampled execution moves the probabilities into a CumulativeSampler,
+// whose last running sum is the total; the sampler refuses a total no
+// draw can use instead of sampling garbage (common/test_rng.cc checks
+// it on plain weights). These run the sampled build's own steps,
+// computeProbabilities (what StateVector::probabilities fills) moved
+// into the sampler, on raw amplitudes no normalised StateVector could
+// hold.
 
-TEST(AliasTableGuards, ZeroTotalThrowsInsteadOfDividing)
-{
-    EXPECT_THROW(AliasTable({0.0, 0.0, 0.0}), ValueError);
-    EXPECT_THROW(AliasTable({0.25, 0.75}, 0.0), ValueError);
-}
-
-TEST(AliasTableGuards, NonFiniteTotalThrowsInsteadOfDividing)
-{
-    const double inf = std::numeric_limits<double>::infinity();
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    EXPECT_THROW(AliasTable({1.0, inf}), ValueError);
-    EXPECT_THROW(AliasTable({1.0, nan}), ValueError);
-    EXPECT_THROW(AliasTable({0.5, 0.5}, inf), ValueError);
-    EXPECT_THROW(AliasTable({0.5, 0.5}, nan), ValueError);
-}
-
-TEST(AliasTableGuards, DenormalUnderflowStateThrowsNotGarbage)
+TEST(SamplerGuards, DenormalUnderflowStateThrowsNotGarbage)
 {
     // |amp|^2 of a ~1e-300 amplitude underflows past the subnormal
-    // range to exactly 0.0, so the fused total of a denormal-heavy
-    // state is 0 — the renormalising constructor must refuse it.
-    std::vector<Complex> amps(1 << 6, Complex{1e-300, 0.0});
+    // range to exactly 0.0, so every probability of a denormal-heavy
+    // state is 0 — the sampled build must refuse it.
+    const std::vector<Complex> amps(1 << 6, Complex{1e-300, 0.0});
     std::vector<double> probs(amps.size());
-    const double total =
-        computeProbabilities(amps.data(), amps.size(), probs.data());
-    EXPECT_EQ(total, 0.0);
-    EXPECT_THROW(AliasTable(probs, total), ValueError);
+    computeProbabilities(amps.data(), amps.size(), probs.data());
+    EXPECT_TRUE(std::all_of(probs.begin(), probs.end(),
+                            [](double p) { return p == 0.0; }));
+    EXPECT_THROW(CumulativeSampler(std::move(probs)), ValueError);
 }
 
-TEST(AliasTableGuards, InfiniteAmplitudeSurfacesThroughFusedTotal)
+TEST(SamplerGuards, InfiniteAmplitudeThrowsThroughTheSampledBuild)
 {
     std::vector<Complex> amps = randomState(6, 55);
     amps[17] = Complex{std::numeric_limits<double>::infinity(), 0.0};
     std::vector<double> probs(amps.size());
-    const double total =
-        computeProbabilities(amps.data(), amps.size(), probs.data());
-    EXPECT_FALSE(std::isfinite(total));
-    EXPECT_THROW(AliasTable(probs, total), ValueError);
-}
-
-TEST(AliasTableGuards, FusedTotalConstructorSamplesLikeOnePass)
-{
-    // Same weights, delegating vs fused-total construction: identical
-    // tables, hence identical draws under the same RNG stream.
-    const std::vector<double> w = randomWeights(97, 31);
-    const AliasTable one_arg(w);
-    const AliasTable two_arg(w, sumWeights(w.data(), w.size()));
-    Rng rng_a(123), rng_b(123);
-    for (int i = 0; i < 500; ++i)
-        EXPECT_EQ(one_arg.sample(rng_a), two_arg.sample(rng_b));
+    computeProbabilities(amps.data(), amps.size(), probs.data());
+    EXPECT_FALSE(std::isfinite(probs[17]));
+    EXPECT_THROW(CumulativeSampler(std::move(probs)), ValueError);
 }
 
 // ---- CacheBlockScope -----------------------------------------------------
@@ -525,14 +476,8 @@ TEST(ReduceCounters, RecordSelectedTier)
               }),
               0u);
 
-    // Slots that lost to the tier below decline every call, so the
+    // A slot that lost to the tier below declines every call, so the
     // ladder falls through and the lower tier's counter records it.
-    if (available(Tier::Avx512)) {
-        const std::vector<double> w(64, 0.5);
-        EXPECT_GT(increments(Tier::Avx512, "avx2",
-                             [&] { sumWeights(w.data(), w.size()); }),
-                  0u);
-    }
     if (available(Tier::Portable)) {
         std::vector<double> probs(amps.size());
         EXPECT_GT(increments(Tier::Portable, "scalar", [&] {
@@ -565,7 +510,7 @@ measureAllCircuit()
     return circuit;
 }
 
-/** Scrambled-subset measurement: the true-marginal alias path. */
+/** Scrambled-subset measurement: the true-marginal sampled path. */
 Circuit
 subsetMeasureCircuit()
 {

@@ -1,13 +1,24 @@
 /** @file Tests for the ideal shot-based simulator. */
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <map>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "assertions/directives.hh"
+#include "circuit/qasm.hh"
 #include "common/error.hh"
 #include "common/hash.hh"
+#include "compile/pipelines.hh"
+#include "noise/device_model.hh"
+#include "sim/density_simulator.hh"
 #include "sim/statevector_simulator.hh"
+#include "stats/chi_square.hh"
+#include "paper_circuits.hh"
 #include "testutil.hh"
 
 namespace qra {
@@ -219,6 +230,227 @@ midCircuitWorkload(std::size_t n, std::size_t gates, std::uint64_t seed,
     random_layer(gates - gates / 2);
     c.measureAll();
     return c;
+}
+
+// ---- sampled execution against its oracle ------------------------------
+
+/** Each terminal Measure's (qubit, clbit), in program order. */
+std::vector<std::pair<Qubit, Clbit>>
+measurements(const Circuit &c)
+{
+    std::vector<std::pair<Qubit, Clbit>> out;
+    for (const Operation &op : c.ops())
+        if (op.kind == OpKind::Measure)
+            out.emplace_back(op.qubits[0], *op.clbit);
+    return out;
+}
+
+/**
+ * @p shots counts drawn by the oracle: sampleDiscrete over the final
+ * state's probabilities() (every qubit measured, in wire order) or its
+ * marginalProbabilities over the distinct measured qubits, one draw
+ * per shot from @p rng, each key read through the clbit wiring (a
+ * later measurement of a clbit overwrites an earlier one).
+ */
+Result
+oracleSampled(const Circuit &c, Rng &rng, std::size_t shots)
+{
+    const StateVector psi = StatevectorSimulator(0).finalState(c);
+    std::vector<Qubit> measured;
+    std::vector<std::pair<std::size_t, Clbit>> wiring;
+    for (const auto &[q, clbit] : measurements(c)) {
+        const auto it = std::find(measured.begin(), measured.end(), q);
+        wiring.emplace_back(it - measured.begin(), clbit);
+        if (it == measured.end())
+            measured.push_back(q);
+    }
+    bool identity = measured.size() == c.numQubits();
+    for (std::size_t j = 0; identity && j < measured.size(); ++j)
+        identity = measured[j] == j;
+    const std::vector<double> probs =
+        identity ? psi.probabilities()
+                 : psi.marginalProbabilities(measured);
+
+    Result r(c.numClbits());
+    for (std::size_t s = 0; s < shots; ++s) {
+        const std::uint64_t key = sampleDiscrete(probs, rng);
+        std::uint64_t reg = 0;
+        for (const auto &[j, clbit] : wiring) {
+            const std::uint64_t bit = std::uint64_t{1} << clbit;
+            reg = ((key >> j) & 1) ? (reg | bit) : (reg & ~bit);
+        }
+        r.record(reg);
+    }
+    return r;
+}
+
+/** Terminal-only circuits covering each shape of sampled execution. */
+std::vector<std::pair<const char *, Circuit>>
+terminalCircuits()
+{
+    std::vector<std::pair<const char *, Circuit>> out;
+    Circuit all(5, 5);
+    all.h(0).cx(0, 1).cx(1, 2).ry(0.4, 3).cx(2, 4).rz(0.9, 4).t(3).h(3);
+    all.measureAll();
+    out.emplace_back("identity", all);
+
+    Circuit subset(6, 3);
+    subset.h(0).cx(0, 3).ry(0.8, 5).cx(3, 5).h(2).ry(1.3, 4);
+    subset.measure(4, 0).measure(1, 1).measure(5, 2);
+    out.emplace_back("scrambled subset", subset);
+
+    // Every qubit, out of wire order, and a clbit written twice (a
+    // second read of a qubit would make the first mid-circuit).
+    Circuit permuted(4, 4);
+    permuted.h(0).ry(0.7, 1).cx(0, 2).ry(2.1, 3).cx(1, 3);
+    permuted.measure(3, 0).measure(0, 1).measure(2, 3).measure(1, 1);
+    out.emplace_back("permuted, clbit rewritten", permuted);
+
+    Circuit post(4, 3);
+    post.h(0).cx(0, 1).ry(1.1, 2).cx(2, 3).h(3).postSelect(3, 1);
+    post.measure(2, 0).measure(0, 1).measure(1, 2);
+    out.emplace_back("post-selected subset", post);
+
+    Circuit post_all(3, 3);
+    post_all.h(0).ry(0.9, 1).cx(0, 2).cx(1, 2).postSelect(2, 0);
+    post_all.measureAll();
+    out.emplace_back("post-selected identity", post_all);
+    return out;
+}
+
+TEST(SampledOracle, CountsAreSampleDiscreteDrawForDraw)
+{
+    for (const auto &[name, c] : terminalCircuits())
+        for (const std::uint64_t seed : {3u, 71u, 2024u}) {
+            StatevectorSimulator sim(seed);
+            Rng rng(seed);
+            EXPECT_EQ(sim.run(c, 4096).rawCounts(),
+                      oracleSampled(c, rng, 4096).rawCounts())
+                << name << " seed " << seed;
+            // One uniform per shot and nothing else: a second run
+            // continues exactly where the oracle's stream is.
+            EXPECT_EQ(sim.run(c, 64).rawCounts(),
+                      oracleSampled(c, rng, 64).rawCounts())
+                << name << " seed " << seed << " second run";
+        }
+}
+
+/**
+ * The exact register distribution of a terminal-only circuit: the
+ * final state's basis probabilities read through the clbit wiring.
+ */
+stats::Distribution
+exactRegister(const Circuit &c)
+{
+    const std::vector<double> probs =
+        StatevectorSimulator(0).finalState(c).probabilities();
+    const auto wiring = measurements(c);
+    stats::Distribution dist;
+    for (std::uint64_t basis = 0; basis < probs.size(); ++basis) {
+        if (probs[basis] == 0.0)
+            continue;
+        std::uint64_t reg = 0;
+        for (const auto &[q, clbit] : wiring) {
+            const std::uint64_t bit = std::uint64_t{1} << clbit;
+            reg = ((basis >> q) & 1) ? (reg | bit) : (reg & ~bit);
+        }
+        dist[reg] += probs[basis];
+    }
+    return dist;
+}
+
+/** Counts or probabilities keyed by the register bits in @p mask. */
+template <typename Map>
+Map
+project(const Map &by_register, std::uint64_t mask)
+{
+    Map out;
+    for (const auto &[reg, value] : by_register)
+        out[reg & mask] += value;
+    return out;
+}
+
+/**
+ * An sv_sweep-shaped job: 13 payload qubits with a GHZ(3) block, a
+ * |+> and a |1> qubit, each checked, then 16 layers of ry/rz on every
+ * qubit and a CX ladder, measured; prepared with its three checks, it
+ * is 16 qubits.
+ */
+Circuit
+sweepAnsatz(std::uint64_t seed)
+{
+    const std::size_t n = 13;
+    std::string text = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[13];"
+                       "\ncreg c[13];\n"
+                       "h q[0];\ncx q[0],q[1];\ncx q[1],q[2];\n"
+                       "// qra:assert-entangled q[0], q[1], q[2]\n"
+                       "h q[3];\n// qra:assert-superposition q[3]\n"
+                       "x q[4];\n// qra:assert-classical q[4] == 1\n";
+    Rng rng(seed);
+    const auto q = [](std::size_t k) {
+        return "q[" + std::to_string(k) + "]";
+    };
+    for (int layer = 0; layer < 16; ++layer) {
+        for (std::size_t k = 0; k < n; ++k) {
+            text += "ry(" + std::to_string(rng.uniform() * 2 * M_PI) +
+                    ") " + q(k) + ";\n";
+            text += "rz(" + std::to_string(rng.uniform() * 2 * M_PI) +
+                    ") " + q(k) + ";\n";
+        }
+        for (std::size_t k = 0; k + 1 < n; ++k)
+            text += "cx " + q(k) + "," + q(k + 1) + ";\n";
+    }
+    for (std::size_t k = 0; k < n; ++k)
+        text += "measure " + q(k) + " -> c[" + std::to_string(k) + "];\n";
+    const AnnotatedProgram program = parseAnnotatedQasm(text);
+    compile::PrepareSpec prep;
+    prep.assertions = program.specs;
+    return compile::prepare(program.payload, prep).circuit;
+}
+
+// Sampled counts fit the exact distribution (1e-6 false-alarm rate per
+// test): the whole register, where pooling keeps every impossible
+// outcome as a rejection, and 4-clbit windows, where 1024 shots give
+// each of the 16 outcomes enough expected draws to test.
+TEST(SampledOracle, SweepAnsatzCountsFitTheExactDistribution)
+{
+    for (const std::uint64_t seed : {1u, 2u}) {
+        const Circuit c = sweepAnsatz(seed);
+        ASSERT_EQ(c.numQubits(), 16u);
+        const stats::Distribution exact = exactRegister(c);
+        const Result r = StatevectorSimulator(seed).run(c, 1024);
+        EXPECT_GE(stats::pooledChiSquareTest(r.rawCounts(), exact).pValue,
+                  1e-6)
+            << "seed " << seed;
+        for (std::size_t low = 0; low + 4 <= c.numClbits(); low += 4) {
+            const std::uint64_t mask = std::uint64_t{0xf} << low;
+            EXPECT_GE(stats::pooledChiSquareTest(
+                          project(r.rawCounts(), mask),
+                          project(exact, mask))
+                          .pValue,
+                      1e-6)
+                << "seed " << seed << " clbits " << low << "..";
+        }
+    }
+}
+
+TEST(SampledOracle, PaperCircuitCountsFitTheDensityReference)
+{
+    // The paper_ibmqx4 kinds as prepared for ibmqx4, noiseless: the
+    // sampled statevector against the density backend's exact
+    // distribution.
+    const DeviceModel device = DeviceModel::ibmqx4();
+    for (const auto &[name, c] : test::paperPreparedShapes(device, false)) {
+        const auto exact = DensityMatrixSimulator().exactDistribution(c);
+        const stats::Distribution reference(exact.begin(), exact.end());
+        for (const std::uint64_t seed : {1u, 2u}) {
+            const Result r = StatevectorSimulator(seed).run(c, 8192);
+            EXPECT_GE(stats::pooledChiSquareTest(r.rawCounts(), reference)
+                          .pValue,
+                      1e-6)
+                << name << " seed " << seed;
+        }
+    }
 }
 
 // Pinned before the shot loop evolved the shot-independent prefix once:

@@ -41,9 +41,10 @@ TEST(RouterTest, InsertsSwapsForDistantPair)
     EXPECT_EQ(routed.insertedSwaps, 2u);
     // Every 2q gate in the output must be coupled.
     for (const Operation &op : routed.circuit.ops()) {
-        if (op.qubits.size() == 2)
+        if (op.qubits.size() == 2) {
             EXPECT_TRUE(map.connected(op.qubits[0], op.qubits[1]))
                 << op.str();
+        }
     }
 }
 
