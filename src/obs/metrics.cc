@@ -1,7 +1,6 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
-#include <bit>
 #include <sstream>
 
 #include "common/error.hh"
@@ -91,20 +90,6 @@ MetricsRegistry::counter(std::string_view name)
     return {static_cast<std::uint32_t>(counterNames_.size() - 1)};
 }
 
-GaugeHandle
-MetricsRegistry::gauge(std::string_view name)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t i = 0; i < gaugeNames_.size(); ++i)
-        if (gaugeNames_[i] == name)
-            return {static_cast<std::uint32_t>(i)};
-    if (gaugeNames_.size() >= kMaxGauges)
-        throw ValueError("MetricsRegistry: gauge capacity (" +
-                         std::to_string(kMaxGauges) + ") exhausted");
-    gaugeNames_.emplace_back(name);
-    return {static_cast<std::uint32_t>(gaugeNames_.size() - 1)};
-}
-
 HistogramHandle
 MetricsRegistry::histogram(std::string_view name,
                            std::vector<std::uint64_t> bounds)
@@ -161,15 +146,6 @@ MetricsRegistry::add(CounterHandle handle, std::uint64_t n)
         return;
     localShard().counters[handle.id].fetch_add(
         n, std::memory_order_relaxed);
-}
-
-void
-MetricsRegistry::set(GaugeHandle handle, double value)
-{
-    if (handle.id == kInvalidMetric)
-        return;
-    gaugeBits_[handle.id].store(std::bit_cast<std::uint64_t>(value),
-                                std::memory_order_relaxed);
 }
 
 void
@@ -234,9 +210,6 @@ MetricsRegistry::snapshot() const
                 std::memory_order_relaxed);
         snap.counters[counterNames_[i]] = total;
     }
-    for (std::size_t i = 0; i < gaugeNames_.size(); ++i)
-        snap.gauges[gaugeNames_[i]] = std::bit_cast<double>(
-            gaugeBits_[i].load(std::memory_order_relaxed));
     for (std::size_t h = 0; h < histogramCount_; ++h) {
         const HistogramDef &def = histograms_[h];
         HistogramSnapshot hist;
@@ -282,8 +255,6 @@ MetricsRegistry::reset()
         for (auto &s : shard->slots)
             s.store(0, std::memory_order_relaxed);
     }
-    for (auto &g : gaugeBits_)
-        g.store(0, std::memory_order_relaxed);
 }
 
 namespace {
@@ -307,16 +278,6 @@ MetricsSnapshot::toJson() const
     os << "{\"counters\":{";
     bool first = true;
     for (const auto &[name, value] : counters) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\"";
-        appendJsonEscaped(os, name);
-        os << "\":" << value;
-    }
-    os << "},\"gauges\":{";
-    first = true;
-    for (const auto &[name, value] : gauges) {
         if (!first)
             os << ",";
         first = false;
@@ -352,9 +313,6 @@ MetricsSnapshot::str() const
     std::ostringstream os;
     os << "counters:\n";
     for (const auto &[name, value] : counters)
-        os << "  " << name << " = " << value << "\n";
-    os << "gauges:\n";
-    for (const auto &[name, value] : gauges)
         os << "  " << name << " = " << value << "\n";
     os << "histograms:\n";
     for (const auto &[name, hist] : histograms) {

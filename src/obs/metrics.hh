@@ -1,7 +1,7 @@
 /**
  * @file
- * MetricsRegistry: named counters, gauges, and histograms with
- * lock-free thread-local shards and a deterministic snapshot.
+ * MetricsRegistry: named counters and histograms with lock-free
+ * thread-local shards and a deterministic snapshot.
  *
  * The registry is the runtime's one metrics sink. Components register
  * a metric once (find-or-register by name, returning a small handle)
@@ -11,9 +11,7 @@
  * shards. Counters and histogram buckets are integer sums, so the
  * merged totals are identical no matter how work was distributed
  * across threads: metrics are deterministic under any thread count,
- * exactly like the engine's counts. Gauges are instantaneous
- * last-write-wins values (a shots/sec reading, a queue depth) and
- * make no determinism claim.
+ * exactly like the engine's counts.
  *
  * Cost model: every update helper first reads one relaxed atomic
  * (`metricsEnabled()`); when telemetry is off that branch is the
@@ -81,12 +79,6 @@ struct CounterHandle
     std::uint32_t id = kInvalidMetric;
 };
 
-/** Handle to a registered gauge. */
-struct GaugeHandle
-{
-    std::uint32_t id = kInvalidMetric;
-};
-
 /** Handle to a registered histogram. */
 struct HistogramHandle
 {
@@ -119,7 +111,6 @@ struct HistogramSnapshot
 struct MetricsSnapshot
 {
     std::map<std::string, std::uint64_t> counters;
-    std::map<std::string, double> gauges;
     std::map<std::string, HistogramSnapshot> histograms;
 
     /** Single JSON object (the --metrics=FILE schema). */
@@ -134,7 +125,6 @@ class MetricsRegistry
 {
   public:
     static constexpr std::size_t kMaxCounters = 128;
-    static constexpr std::size_t kMaxGauges = 32;
     static constexpr std::size_t kMaxHistograms = 32;
     /** Total bucket/aggregate slots shared by all histograms. */
     static constexpr std::size_t kMaxHistogramSlots = 1024;
@@ -155,9 +145,6 @@ class MetricsRegistry
      */
     CounterHandle counter(std::string_view name);
 
-    /** Find or register a gauge. */
-    GaugeHandle gauge(std::string_view name);
-
     /**
      * Find or register a histogram with inclusive upper @p bounds
      * (ascending; values above the last bound land in an overflow
@@ -170,9 +157,6 @@ class MetricsRegistry
 
     /** Add @p n to a counter (thread-local shard, lock-free). */
     void add(CounterHandle handle, std::uint64_t n = 1);
-
-    /** Set a gauge to @p value (last write wins). */
-    void set(GaugeHandle handle, double value);
 
     /** Record @p value into a histogram's thread-local shard. */
     void observe(HistogramHandle handle, std::uint64_t value);
@@ -218,7 +202,6 @@ class MetricsRegistry
 
     mutable std::mutex mutex_;
     std::vector<std::string> counterNames_;
-    std::vector<std::string> gaugeNames_;
     /**
      * Fixed-capacity so a racing observe() can read a published
      * definition without the lock: entries are written once, under
@@ -227,7 +210,6 @@ class MetricsRegistry
     std::array<HistogramDef, kMaxHistograms> histograms_;
     std::size_t histogramCount_ = 0;
     std::size_t slotsUsed_ = 0;
-    std::array<std::atomic<std::uint64_t>, kMaxGauges> gaugeBits_{};
     std::vector<std::unique_ptr<Shard>> shards_;
     std::unordered_map<std::thread::id, Shard *> shardByThread_;
     /** Unique per registry instance; keys the TLS shard cache. */
@@ -240,14 +222,6 @@ count(CounterHandle handle, std::uint64_t n = 1)
 {
     if (metricsEnabled())
         MetricsRegistry::global().add(handle, n);
-}
-
-/** Set a gauge of the global registry iff metrics are on. */
-inline void
-setGauge(GaugeHandle handle, double value)
-{
-    if (metricsEnabled())
-        MetricsRegistry::global().set(handle, value);
 }
 
 /** Observe into a histogram of the global registry iff metrics on. */

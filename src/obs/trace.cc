@@ -167,17 +167,6 @@ Tracer::recordComplete(const char *cat, std::string_view name,
 }
 
 void
-Tracer::recordInstant(const char *cat, std::string_view name,
-                      TraceArgs args)
-{
-    TraceEvent ev;
-    fillEvent(ev, cat, name, args);
-    ev.ph = 'i';
-    ev.tsNs = nowNs();
-    record(ev);
-}
-
-void
 Tracer::recordAsyncBegin(const char *cat, std::string_view name,
                          std::uint64_t id, TraceArgs args)
 {
@@ -260,8 +249,6 @@ Tracer::writeChromeJson(std::ostream &os) const
                << ev.durNs % 10;
         if (ev.ph == 'b' || ev.ph == 'e')
             os << ",\"id\":" << ev.id;
-        if (ev.ph == 'i')
-            os << ",\"s\":\"t\"";
         os << ",";
         appendArgsJson(os, ev);
         os << "}" << (i + 1 < events.size() ? "," : "") << "\n";

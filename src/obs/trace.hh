@@ -48,7 +48,7 @@
 namespace qra {
 namespace obs {
 
-/** One span/instant argument: a short key and a numeric value. */
+/** One span argument: a short key and a numeric value. */
 using TraceArg = std::pair<const char *, std::uint64_t>;
 using TraceArgs = std::initializer_list<TraceArg>;
 
@@ -61,7 +61,7 @@ struct TraceEvent
 
     char name[kNameLen] = {};
     char cat[kCatLen] = {};
-    /** Chrome phase: X complete, i instant, b/e async begin/end. */
+    /** Chrome phase: X complete, b/e async begin/end. */
     char ph = 'X';
     std::uint32_t tid = 0;
     /** Nanoseconds since the tracer epoch. */
@@ -133,10 +133,6 @@ class Tracer
     void recordComplete(const char *cat, std::string_view name,
                         Clock::time_point begin, Clock::time_point end,
                         TraceArgs args = {});
-
-    /** Record an instant ('i') event at now. */
-    void recordInstant(const char *cat, std::string_view name,
-                       TraceArgs args = {});
 
     /** Record an async begin ('b') event at now. */
     void recordAsyncBegin(const char *cat, std::string_view name,
@@ -241,13 +237,6 @@ class TimedSpan
 };
 
 /** Guarded free helpers over the global tracer. */
-inline void
-instant(const char *cat, std::string_view name, TraceArgs args = {})
-{
-    if (tracingEnabled())
-        Tracer::global().recordInstant(cat, name, args);
-}
-
 inline void
 asyncBegin(const char *cat, std::string_view name, std::uint64_t id,
            TraceArgs args = {})

@@ -11,6 +11,7 @@
 #include "obs/trace.hh"
 #include "sim/kernels/parallel.hh"
 #include "sim/kernels/simd/dispatch.hh"
+#include "sim/kernels/traversal.hh"
 
 namespace qra {
 namespace runtime {

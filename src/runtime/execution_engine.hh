@@ -176,8 +176,9 @@ struct EngineOptions
     int fusionLevel = kernels::kFusionDefault;
 
     /**
-     * SIMD dispatch tier installed around backend runs: -1 = auto
-     * (cpuid-detected, QRA_SIMD-overridable), otherwise a
+     * SIMD dispatch tier installed per shard (kernels::simd::TierScope,
+     * the only override of the tier): -1 = auto (the QRA_SIMD
+     * environment variable, else cpuid), otherwise a
      * kernels::simd::Tier value (0 scalar, 1 portable, 2 avx2,
      * 3 avx512), clamped to what the CPU and build support. Unlike
      * fusionLevel, the tier never changes results — every tier is
@@ -187,13 +188,13 @@ struct EngineOptions
     int simdTier = -1;
 
     /**
-     * Cache-tile budget (bytes) for blocked pair traversal, installed
-     * per shard (kernels::CacheBlockScope): 0 = the process default
-     * (1 MiB or QRA_CACHE_BLOCK). Values round down to a power of two
-     * with a 4 KiB floor. Like simdTier this is a pure locality knob —
-     * Linear and Blocked traversal are bit-identical — so per-plan
-     * tuning (e.g. a smaller budget on a cache-starved host) never
-     * changes counts.
+     * Cache-tile budget (bytes) for the tiled pair-kernel walk,
+     * installed per shard (kernels::CacheBlockScope, the only
+     * override of the budget): 0 = the 1 MiB default. Values round
+     * down to a power of two with a 4 KiB floor. Like simdTier this
+     * is a pure locality knob — the tiled and linear walks are
+     * bit-identical — so a different budget (e.g. a smaller one on a
+     * cache-starved host) never changes counts.
      */
     std::size_t cacheBlockBytes = 0;
 };

@@ -103,22 +103,20 @@ pickReduce(Probe &&probe)
 
 void
 applyGeneral1q(Complex *amps, std::uint64_t n, Qubit q, Complex m00,
-               Complex m01, Complex m10, Complex m11,
-               Traversal traversal)
+               Complex m01, Complex m10, Complex m11)
 {
     const std::uint64_t bit = std::uint64_t{1} << q;
-    const Traversal resolved = resolveTraversal(traversal, n, bit, 2);
     const simd::Ladder ladder = simd::activeLadder();
     for (int t = 0; t < ladder.count; ++t)
-        if (ladder.tables[t]->general1q(amps, n, q, m00, m01, m10, m11,
-                                        resolved)) {
+        if (ladder.tables[t]->general1q(amps, n, q, m00, m01, m10,
+                                        m11)) {
             recordDispatch(ladder.tiers[t]);
             return;
         }
     recordDispatch(simd::Tier::Scalar);
     const std::uint64_t low = bit - 1;
     forEachCompact(
-        n >> 1, 2, resolved,
+        n >> 1, 2, bit,
         [=](std::uint64_t begin, std::uint64_t end) {
             for (std::uint64_t h = begin; h < end; ++h) {
                 const std::uint64_t i0 = ((h & ~low) << 1) | (h & low);
@@ -151,21 +149,19 @@ applyDiagonal1q(Complex *amps, std::uint64_t n, Qubit q, Complex d0,
 
 void
 applyAntiDiagonal1q(Complex *amps, std::uint64_t n, Qubit q, Complex a01,
-                    Complex a10, Traversal traversal)
+                    Complex a10)
 {
     const std::uint64_t bit = std::uint64_t{1} << q;
-    const Traversal resolved = resolveTraversal(traversal, n, bit, 2);
     const simd::Ladder ladder = simd::activeLadder();
     for (int t = 0; t < ladder.count; ++t)
-        if (ladder.tables[t]->antidiagonal1q(amps, n, q, a01, a10,
-                                             resolved)) {
+        if (ladder.tables[t]->antidiagonal1q(amps, n, q, a01, a10)) {
             recordDispatch(ladder.tiers[t]);
             return;
         }
     recordDispatch(simd::Tier::Scalar);
     const std::uint64_t low = bit - 1;
     forEachCompact(
-        n >> 1, 2, resolved,
+        n >> 1, 2, bit,
         [=](std::uint64_t begin, std::uint64_t end) {
             for (std::uint64_t h = begin; h < end; ++h) {
                 const std::uint64_t i0 = ((h & ~low) << 1) | (h & low);
@@ -262,24 +258,21 @@ applyPhaseOnMask(Complex *amps, std::uint64_t n, std::uint64_t mask,
 void
 applyControlled1q(Complex *amps, std::uint64_t n, Qubit control,
                   Qubit target, Complex m00, Complex m01, Complex m10,
-                  Complex m11, Traversal traversal)
+                  Complex m11)
 {
     const std::uint64_t cbit = std::uint64_t{1} << control;
     const std::uint64_t tbit = std::uint64_t{1} << target;
-    const Traversal resolved =
-        resolveTraversal(traversal, n, cbit > tbit ? cbit : tbit, 2);
     const simd::Ladder ladder = simd::activeLadder();
     for (int t = 0; t < ladder.count; ++t)
         if (ladder.tables[t]->controlled1q(amps, n, control, target,
-                                           m00, m01, m10, m11,
-                                           resolved)) {
+                                           m00, m01, m10, m11)) {
             recordDispatch(ladder.tiers[t]);
             return;
         }
     recordDispatch(simd::Tier::Scalar);
     const auto bits = sortedBits<2>({cbit, tbit});
     forEachCompact(
-        n >> 2, 2, resolved,
+        n >> 2, 2, cbit > tbit ? cbit : tbit,
         [=](std::uint64_t begin, std::uint64_t end) {
             for (std::uint64_t h = begin; h < end; ++h) {
                 const std::uint64_t i0 =
@@ -295,29 +288,26 @@ applyControlled1q(Complex *amps, std::uint64_t n, Qubit control,
 
 void
 applyGeneral2q(Complex *amps, std::uint64_t n, Qubit q0, Qubit q1,
-               const Matrix &u, Traversal traversal)
+               const Matrix &u)
 {
     QRA_ASSERT(u.rows() == 4 && u.cols() == 4,
                "two-qubit kernel requires a 4x4 matrix");
     const std::uint64_t b0 = std::uint64_t{1} << q0;
     const std::uint64_t b1 = std::uint64_t{1} << q1;
-    const Traversal resolved =
-        resolveTraversal(traversal, n, b0 > b1 ? b0 : b1, 4);
     std::array<Complex, 16> m;
     for (std::size_t r = 0; r < 4; ++r)
         for (std::size_t c = 0; c < 4; ++c)
             m[4 * r + c] = u(r, c);
     const simd::Ladder ladder = simd::activeLadder();
     for (int t = 0; t < ladder.count; ++t)
-        if (ladder.tables[t]->general2q(amps, n, q0, q1, m.data(),
-                                        resolved)) {
+        if (ladder.tables[t]->general2q(amps, n, q0, q1, m.data())) {
             recordDispatch(ladder.tiers[t]);
             return;
         }
     recordDispatch(simd::Tier::Scalar);
     const auto bits = sortedBits<2>({b0, b1});
     forEachCompact(
-        n >> 2, 4, resolved,
+        n >> 2, 4, b0 > b1 ? b0 : b1,
         [=](std::uint64_t begin, std::uint64_t end) {
             for (std::uint64_t h = begin; h < end; ++h) {
                 const std::uint64_t base =

@@ -25,7 +25,6 @@
 #include "common/error.hh"
 #include "math/matrix.hh"
 #include "math/types.hh"
-#include "sim/kernels/traversal.hh"
 
 namespace qra {
 namespace kernels {
@@ -65,16 +64,14 @@ expandIndex(std::uint64_t h, const std::uint64_t *sorted_bits,
 /**
  * General one-qubit unitary [[m00 m01] [m10 m11]] on qubit q.
  *
- * Pair kernels take a Traversal (see traversal.hh): Auto resolves
- * from the target's stride at call time, Linear/Blocked are pinned
- * choices (ExecutablePlan lowering pins them per entry). All three
- * are bit-identical; so are the SIMD dispatch tiers (simd/dispatch.hh)
- * these kernels route through before falling back to the scalar
- * oracle loops below.
+ * Pair kernels walk the state linearly or in cache-budget tiles, as
+ * forEachCompact decides per call from the widest operand's stride
+ * (see traversal.hh). Both walks are bit-identical; so are the SIMD
+ * dispatch tiers (simd/dispatch.hh) these kernels route through
+ * before falling back to the scalar oracle loops below.
  */
 void applyGeneral1q(Complex *amps, std::uint64_t n, Qubit q, Complex m00,
-                    Complex m01, Complex m10, Complex m11,
-                    Traversal traversal = Traversal::Auto);
+                    Complex m01, Complex m10, Complex m11);
 
 /** Diagonal one-qubit gate diag(d0, d1) on qubit q (Z, S, T, RZ, P). */
 void applyDiagonal1q(Complex *amps, std::uint64_t n, Qubit q, Complex d0,
@@ -85,8 +82,7 @@ void applyDiagonal1q(Complex *amps, std::uint64_t n, Qubit q, Complex d0,
  * (X, Y, phased bit flips).
  */
 void applyAntiDiagonal1q(Complex *amps, std::uint64_t n, Qubit q,
-                         Complex a01, Complex a10,
-                         Traversal traversal = Traversal::Auto);
+                         Complex a01, Complex a10);
 
 /** Pauli-X on qubit q (pure amplitude permutation, no arithmetic). */
 void applyX(Complex *amps, std::uint64_t n, Qubit q);
@@ -115,16 +111,14 @@ void applyPhaseOnMask(Complex *amps, std::uint64_t n, std::uint64_t mask,
  */
 void applyControlled1q(Complex *amps, std::uint64_t n, Qubit control,
                        Qubit target, Complex m00, Complex m01,
-                       Complex m10, Complex m11,
-                       Traversal traversal = Traversal::Auto);
+                       Complex m10, Complex m11);
 
 /**
  * General two-qubit unitary; @p u is 4x4 with matrix bit 0 = q0,
  * bit 1 = q1.
  */
 void applyGeneral2q(Complex *amps, std::uint64_t n, Qubit q0, Qubit q1,
-                    const Matrix &u,
-                    Traversal traversal = Traversal::Auto);
+                    const Matrix &u);
 
 /**
  * Generic k-qubit dense unitary; matrix bit j corresponds to

@@ -322,10 +322,6 @@ TrajectoryPlan::compile(const Circuit &circuit, const NoiseModel *noise,
     }
     buffer.flushAll(plan.entries_, plan.stats_);
     fuseSegmentTail(plan.entries_, fence_start, fusion, plan.stats_);
-    pinTraversal(plan.entries_, plan.numQubits_);
-    for (KrausSite &site : plan.sites_)
-        for (std::vector<PlanEntry> &branch : site.branches)
-            pinTraversal(branch, plan.numQubits_);
     plan.stats_.entries = plan.entries_.size();
     return plan;
 }

@@ -390,13 +390,12 @@ applyEntry(Complex *amps, std::size_t num_qubits, const PlanEntry &entry)
       case KernelKind::AntiDiagonal1q:
         checkQubit(entry.q0);
         applyAntiDiagonal1q(amps, n, entry.q0, entry.m[1],
-                            entry.m[2], entry.traversal);
+                            entry.m[2]);
         return;
       case KernelKind::General1q:
         checkQubit(entry.q0);
         applyGeneral1q(amps, n, entry.q0, entry.m[0],
-                       entry.m[1], entry.m[2], entry.m[3],
-                       entry.traversal);
+                       entry.m[1], entry.m[2], entry.m[3]);
         return;
       case KernelKind::PauliX:
         checkQubit(entry.q0);
@@ -412,7 +411,7 @@ applyEntry(Complex *amps, std::size_t num_qubits, const PlanEntry &entry)
         checkQubit(entry.q1);
         applyControlled1q(amps, n, entry.q0, entry.q1,
                           entry.m[0], entry.m[1], entry.m[2],
-                          entry.m[3], entry.traversal);
+                          entry.m[3]);
         return;
       case KernelKind::PhaseOnMask:
         if (entry.mask >> num_qubits)
@@ -434,8 +433,7 @@ applyEntry(Complex *amps, std::size_t num_qubits, const PlanEntry &entry)
       case KernelKind::General2q:
         checkQubit(entry.q0);
         checkQubit(entry.q1);
-        applyGeneral2q(amps, n, entry.q0, entry.q1,
-                       entry.dense, entry.traversal);
+        applyGeneral2q(amps, n, entry.q0, entry.q1, entry.dense);
         return;
       case KernelKind::GenericK:
         for (Qubit q : entry.qubits)
@@ -839,35 +837,6 @@ fuseSegmentTail(std::vector<PlanEntry> &entries,
     fence_start = entries.size();
 }
 
-void
-pinTraversal(std::vector<PlanEntry> &entries, std::size_t num_qubits)
-{
-    const std::uint64_t n = std::uint64_t{1} << num_qubits;
-    for (PlanEntry &entry : entries) {
-        std::uint64_t max_bit = 0;
-        std::size_t resident = 2;
-        switch (entry.kind) {
-          case KernelKind::General1q:
-          case KernelKind::AntiDiagonal1q:
-            max_bit = std::uint64_t{1} << entry.q0;
-            break;
-          case KernelKind::Controlled1q:
-            max_bit = std::uint64_t{1}
-                      << std::max(entry.q0, entry.q1);
-            break;
-          case KernelKind::General2q:
-            max_bit = std::uint64_t{1}
-                      << std::max(entry.q0, entry.q1);
-            resident = 4;
-            break;
-          default:
-            continue;
-        }
-        entry.traversal =
-            resolveTraversal(Traversal::Auto, n, max_bit, resident);
-    }
-}
-
 ExecutablePlan
 ExecutablePlan::compile(const Circuit &circuit, int fusion)
 {
@@ -907,7 +876,6 @@ ExecutablePlan::compile(const Circuit &circuit, int fusion)
     buffer.flushAll(plan.entries_, plan.stats_);
     fuseSegmentTail(plan.entries_, fence_start, fusion, plan.stats_);
 
-    pinTraversal(plan.entries_, plan.numQubits_);
     plan.stats_.entries = plan.entries_.size();
     return plan;
 }

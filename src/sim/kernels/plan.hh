@@ -8,7 +8,9 @@
  *    2x2 matrix, then classify into the cheapest kernel (identity
  *    fusions vanish entirely, diagonal fusions skip the pair loop);
  *  - each entry carries its kernel class, so per-gate dispatch in the
- *    shot loop is a switch on an enum, not matrix construction.
+ *    shot loop is a switch on an enum, not matrix construction. How
+ *    a pair kernel walks the state is not part of the entry: the
+ *    kernel decides it per call (traversal.hh).
  *
  * Non-unitary instructions (Measure / Reset / PostSelect) lower to
  * marker entries that the simulators interpret; Barrier acts as a
@@ -33,7 +35,6 @@
 #include "circuit/circuit.hh"
 #include "math/matrix.hh"
 #include "math/types.hh"
-#include "sim/kernels/traversal.hh"
 
 namespace qra {
 namespace kernels {
@@ -79,16 +80,6 @@ struct PlanEntry
      * Measure, index into TrajectoryPlan::readout() (-1 = perfect).
      */
     std::int32_t site = -1;
-
-    /**
-     * Traversal the pair kernels (General1q / AntiDiagonal1q /
-     * Controlled1q / General2q) should walk the state with.
-     * pinTraversal fixes Linear or Blocked per entry from the operand
-     * strides, hoisting the decision out of the shot loop; ad-hoc
-     * entries stay Auto and resolve at call time. The choice never
-     * changes results (see traversal.hh).
-     */
-    Traversal traversal = Traversal::Auto;
 
     /** True for entries the unitary kernels execute directly. */
     bool
@@ -228,14 +219,6 @@ std::vector<PlanEntry> fuse2qWindows(std::vector<PlanEntry> entries,
 void fuseSegmentTail(std::vector<PlanEntry> &entries,
                      std::size_t &fence_start, int fusion,
                      PlanStats &stats);
-
-/**
- * Finalize pass of both plan compilers: pin Linear/Blocked traversal
- * on every pair-kernel entry of a @p num_qubits state, with the
- * cache-block budget at call time. Either choice is bit-identical, so
- * cached plans may keep theirs (see traversal.hh).
- */
-void pinTraversal(std::vector<PlanEntry> &entries, std::size_t num_qubits);
 
 /** A circuit lowered to kernel dispatch entries. */
 class ExecutablePlan

@@ -1,6 +1,5 @@
 #include "sim/kernels/simd/dispatch.hh"
 
-#include <atomic>
 #include <cstdlib>
 #include <string>
 
@@ -65,7 +64,6 @@ computeDefaultTier()
     return static_cast<Tier>(clampToDetected(env));
 }
 
-std::atomic<int> gProcessTier{-1};
 thread_local int tThreadTier = -1;
 
 } // namespace
@@ -137,18 +135,8 @@ currentTier()
 {
     if (tThreadTier >= 0)
         return static_cast<Tier>(clampToDetected(tThreadTier));
-    const int process = gProcessTier.load(std::memory_order_relaxed);
-    if (process >= 0)
-        return static_cast<Tier>(clampToDetected(process));
     static const Tier fallback = computeDefaultTier();
     return fallback;
-}
-
-void
-setProcessTier(int tier)
-{
-    gProcessTier.store(tier < 0 ? -1 : tier,
-                       std::memory_order_relaxed);
 }
 
 TierScope::TierScope(int tier) : saved_(tThreadTier)

@@ -17,12 +17,11 @@
  *
  * Tier selection (highest wins, all clamped to what the CPU supports
  * and what was compiled in):
- *   1. a thread-local TierScope (EngineOptions::simdTier, installed
- *      by the engine's shard runner),
- *   2. the process-wide setProcessTier() (qra_run --simd=...),
- *   3. the QRA_SIMD environment variable
- *      (scalar | portable | avx2 | avx512),
- *   4. the cpuid-probed default.
+ *   1. a thread-local TierScope (EngineOptions::simdTier, which
+ *      qra_run --simd sets, installed by the engine's shard runner),
+ *   2. the QRA_SIMD environment variable
+ *      (scalar | portable | avx2 | avx512), read once,
+ *   3. the cpuid-probed default.
  *
  * The portable tier is ISA-agnostic (std::experimental::simd when
  * the toolchain ships it, a hand-unrolled generic otherwise), so it
@@ -57,7 +56,6 @@
 #include <vector>
 
 #include "math/types.hh"
-#include "sim/kernels/traversal.hh"
 
 namespace qra {
 namespace kernels {
@@ -88,18 +86,11 @@ Tier detectedTier();
 
 /**
  * The tier dispatch starts from on this thread right now: TierScope
- * override, else process override, else QRA_SIMD env, else
- * detectedTier(). Always clamped to detectedTier() — forcing a wider
- * tier than the CPU has cannot select unusable code.
+ * override, else QRA_SIMD env, else detectedTier(). Always clamped
+ * to detectedTier() — forcing a wider tier than the CPU has cannot
+ * select unusable code.
  */
 Tier currentTier();
-
-/**
- * Process-wide tier override (-1 restores automatic selection).
- * Values above detectedTier() clamp; takes effect on subsequent
- * kernel calls.
- */
-void setProcessTier(int tier);
 
 /**
  * RAII thread-local tier override, mirroring FusionScope: the engine
@@ -126,27 +117,26 @@ std::vector<Tier> availableTiers();
 /**
  * One ISA tier's gate-kernel entry points. Each returns true if it
  * handled the call, false — before any memory access — when the
- * geometry is out of its supported shape. @p traversal is already
- * resolved (never Auto). The 2q matrix is row-major Complex[16] with
- * matrix bit 0 = q0.
+ * geometry is out of its supported shape. Pair entries walk the
+ * state through forEachCompact (traversal.hh). The 2q matrix is
+ * row-major Complex[16] with matrix bit 0 = q0.
  */
 struct KernelTable
 {
     bool (*general1q)(Complex *amps, std::uint64_t n, Qubit q,
                       Complex m00, Complex m01, Complex m10,
-                      Complex m11, Traversal traversal);
+                      Complex m11);
     bool (*diagonal1q)(Complex *amps, std::uint64_t n, Qubit q,
                        Complex d0, Complex d1);
     bool (*antidiagonal1q)(Complex *amps, std::uint64_t n, Qubit q,
-                           Complex a01, Complex a10,
-                           Traversal traversal);
+                           Complex a01, Complex a10);
     bool (*phaseOnMask)(Complex *amps, std::uint64_t n,
                         std::uint64_t mask, Complex phase);
     bool (*controlled1q)(Complex *amps, std::uint64_t n, Qubit control,
                          Qubit target, Complex m00, Complex m01,
-                         Complex m10, Complex m11, Traversal traversal);
+                         Complex m10, Complex m11);
     bool (*general2q)(Complex *amps, std::uint64_t n, Qubit q0,
-                      Qubit q1, const Complex *m, Traversal traversal);
+                      Qubit q1, const Complex *m);
 };
 
 /**

@@ -34,25 +34,22 @@ namespace {
 
 bool
 general1qAvx2(Complex *amps, std::uint64_t n, Qubit q, Complex m00,
-              Complex m01, Complex m10, Complex m11,
-              Traversal traversal)
+              Complex m01, Complex m10, Complex m11)
 {
     const std::uint64_t bit = std::uint64_t{1} << q;
     if (q == 0) {
         // One vector = one (a0, a1) pair at amps[2h].
         const __m256d r0r = laneRe(m00, m10), r0i = laneIm(m00, m10);
         const __m256d r1r = laneRe(m01, m11), r1i = laneIm(m01, m11);
-        forEachCompact(
-            n >> 1, 2, traversal,
-            [=](std::uint64_t begin, std::uint64_t end) {
-                for (std::uint64_t h = begin; h < end; ++h) {
-                    const __m256d v = load2(amps + 2 * h);
-                    const __m256d out = _mm256_add_pd(
-                        cmulC(bcastLo(v), r0r, r0i),
-                        cmulC(bcastHi(v), r1r, r1i));
-                    store2(amps + 2 * h, out);
-                }
-            });
+        parallelFor(n >> 1, [=](std::uint64_t begin, std::uint64_t end) {
+            for (std::uint64_t h = begin; h < end; ++h) {
+                const __m256d v = load2(amps + 2 * h);
+                const __m256d out = _mm256_add_pd(
+                    cmulC(bcastLo(v), r0r, r0i),
+                    cmulC(bcastHi(v), r1r, r1i));
+                store2(amps + 2 * h, out);
+            }
+        });
         return true;
     }
     const std::uint64_t low = bit - 1;
@@ -61,7 +58,7 @@ general1qAvx2(Complex *amps, std::uint64_t n, Qubit q, Complex m00,
     const __m256d v10r = bcastRe(m10), v10i = bcastIm(m10);
     const __m256d v11r = bcastRe(m11), v11i = bcastIm(m11);
     forEachCompact(
-        n >> 1, 2, traversal,
+        n >> 1, 2, bit,
         [=](std::uint64_t begin, std::uint64_t end) {
             const auto scalarOne = [=](std::uint64_t h) {
                 const std::uint64_t i0 = ((h & ~low) << 1) | (h & low);
@@ -131,27 +128,24 @@ diagonal1qAvx2(Complex *amps, std::uint64_t n, Qubit q, Complex d0,
 
 bool
 antidiagonal1qAvx2(Complex *amps, std::uint64_t n, Qubit q, Complex a01,
-                   Complex a10, Traversal traversal)
+                   Complex a10)
 {
     const std::uint64_t bit = std::uint64_t{1} << q;
     if (q == 0) {
         const __m256d mr = laneRe(a01, a10), mi = laneIm(a01, a10);
-        forEachCompact(
-            n >> 1, 2, traversal,
-            [=](std::uint64_t begin, std::uint64_t end) {
-                for (std::uint64_t h = begin; h < end; ++h) {
-                    const __m256d v = load2(amps + 2 * h);
-                    store2(amps + 2 * h,
-                           cmulC(swapLanes(v), mr, mi));
-                }
-            });
+        parallelFor(n >> 1, [=](std::uint64_t begin, std::uint64_t end) {
+            for (std::uint64_t h = begin; h < end; ++h) {
+                const __m256d v = load2(amps + 2 * h);
+                store2(amps + 2 * h, cmulC(swapLanes(v), mr, mi));
+            }
+        });
         return true;
     }
     const std::uint64_t low = bit - 1;
     const __m256d m01r = bcastRe(a01), m01i = bcastIm(a01);
     const __m256d m10r = bcastRe(a10), m10i = bcastIm(a10);
     forEachCompact(
-        n >> 1, 2, traversal,
+        n >> 1, 2, bit,
         [=](std::uint64_t begin, std::uint64_t end) {
             const auto scalarOne = [=](std::uint64_t h) {
                 const std::uint64_t i0 = ((h & ~low) << 1) | (h & low);
@@ -220,7 +214,7 @@ phaseOnMaskAvx2(Complex *amps, std::uint64_t n, std::uint64_t mask,
 bool
 controlled1qAvx2(Complex *amps, std::uint64_t n, Qubit control,
                  Qubit target, Complex m00, Complex m01, Complex m10,
-                 Complex m11, Traversal traversal)
+                 Complex m11)
 {
     const std::uint64_t cbit = std::uint64_t{1} << control;
     const std::uint64_t tbit = std::uint64_t{1} << target;
@@ -232,7 +226,7 @@ controlled1qAvx2(Complex *amps, std::uint64_t n, Qubit control,
         const __m256d r0r = laneRe(m00, m10), r0i = laneIm(m00, m10);
         const __m256d r1r = laneRe(m01, m11), r1i = laneIm(m01, m11);
         forEachCompact(
-            n >> 2, 2, traversal,
+            n >> 2, 2, bits[1],
             [=](std::uint64_t begin, std::uint64_t end) {
                 for (std::uint64_t h = begin; h < end; ++h) {
                     Complex *p =
@@ -252,7 +246,7 @@ controlled1qAvx2(Complex *amps, std::uint64_t n, Qubit control,
     const __m256d v10r = bcastRe(m10), v10i = bcastIm(m10);
     const __m256d v11r = bcastRe(m11), v11i = bcastIm(m11);
     forEachCompact(
-        n >> 2, 2, traversal,
+        n >> 2, 2, bits[1],
         [=](std::uint64_t begin, std::uint64_t end) {
             const auto scalarOne = [=](std::uint64_t h) {
                 const std::uint64_t i0 =
@@ -286,7 +280,7 @@ controlled1qAvx2(Complex *amps, std::uint64_t n, Qubit control,
 
 bool
 general2qAvx2(Complex *amps, std::uint64_t n, Qubit q0, Qubit q1,
-              const Complex *m, Traversal traversal)
+              const Complex *m)
 {
     const std::uint64_t b0 = std::uint64_t{1} << q0;
     const std::uint64_t b1 = std::uint64_t{1} << q1;
@@ -300,7 +294,7 @@ general2qAvx2(Complex *amps, std::uint64_t n, Qubit q0, Qubit q1,
             ci[e] = bcastIm(m[e]);
         }
         forEachCompact(
-            n >> 2, 4, traversal,
+            n >> 2, 4, bits[1],
             [=](std::uint64_t begin, std::uint64_t end) {
                 const auto scalarOne = [=](std::uint64_t h) {
                     const std::uint64_t base =
@@ -366,7 +360,7 @@ general2qAvx2(Complex *amps, std::uint64_t n, Qubit q0, Qubit q1,
         hiI[c] = laneIm(m[l[2] * 4 + c], m[l[3] * 4 + c]);
     }
     forEachCompact(
-        n >> 2, 4, traversal,
+        n >> 2, 4, bits[1],
         [=](std::uint64_t begin, std::uint64_t end) {
             for (std::uint64_t h = begin; h < end; ++h) {
                 const std::uint64_t base = expandIndex(h, bits, 2);

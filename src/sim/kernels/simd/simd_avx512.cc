@@ -26,8 +26,7 @@ constexpr std::uint64_t kW = 4; // complexes per __m512d
 
 bool
 general1qAvx512(Complex *amps, std::uint64_t n, Qubit q, Complex m00,
-                Complex m01, Complex m10, Complex m11,
-                Traversal traversal)
+                Complex m01, Complex m10, Complex m11)
 {
     if (q < 2)
         return false;
@@ -38,7 +37,7 @@ general1qAvx512(Complex *amps, std::uint64_t n, Qubit q, Complex m00,
     const __m512d v10r = bcastRe4(m10), v10i = bcastIm4(m10);
     const __m512d v11r = bcastRe4(m11), v11i = bcastIm4(m11);
     forEachCompact(
-        n >> 1, 2, traversal,
+        n >> 1, 2, bit,
         [=](std::uint64_t begin, std::uint64_t end) {
             const auto scalarOne = [=](std::uint64_t h) {
                 const std::uint64_t i0 = ((h & ~low) << 1) | (h & low);
@@ -118,7 +117,7 @@ diagonal1qAvx512(Complex *amps, std::uint64_t n, Qubit q, Complex d0,
 
 bool
 antidiagonal1qAvx512(Complex *amps, std::uint64_t n, Qubit q,
-                     Complex a01, Complex a10, Traversal traversal)
+                     Complex a01, Complex a10)
 {
     if (q < 2)
         return false;
@@ -127,7 +126,7 @@ antidiagonal1qAvx512(Complex *amps, std::uint64_t n, Qubit q,
     const __m512d m01r = bcastRe4(a01), m01i = bcastIm4(a01);
     const __m512d m10r = bcastRe4(a10), m10i = bcastIm4(a10);
     forEachCompact(
-        n >> 1, 2, traversal,
+        n >> 1, 2, bit,
         [=](std::uint64_t begin, std::uint64_t end) {
             const auto scalarOne = [=](std::uint64_t h) {
                 const std::uint64_t i0 = ((h & ~low) << 1) | (h & low);
@@ -181,7 +180,7 @@ phaseOnMaskAvx512(Complex *amps, std::uint64_t n, std::uint64_t mask,
 bool
 controlled1qAvx512(Complex *amps, std::uint64_t n, Qubit control,
                    Qubit target, Complex m00, Complex m01, Complex m10,
-                   Complex m11, Traversal traversal)
+                   Complex m11)
 {
     if (control < 2 || target < 2)
         return false;
@@ -194,7 +193,7 @@ controlled1qAvx512(Complex *amps, std::uint64_t n, Qubit control,
     const __m512d v10r = bcastRe4(m10), v10i = bcastIm4(m10);
     const __m512d v11r = bcastRe4(m11), v11i = bcastIm4(m11);
     forEachCompact(
-        n >> 2, 2, traversal,
+        n >> 2, 2, bits[1],
         [=](std::uint64_t begin, std::uint64_t end) {
             const auto scalarOne = [=](std::uint64_t h) {
                 const std::uint64_t i0 =
@@ -228,7 +227,7 @@ controlled1qAvx512(Complex *amps, std::uint64_t n, Qubit control,
 
 bool
 general2qAvx512(Complex *amps, std::uint64_t n, Qubit q0, Qubit q1,
-                const Complex *m, Traversal traversal)
+                const Complex *m)
 {
     if (q0 < 2 || q1 < 2)
         return false;
@@ -241,7 +240,7 @@ general2qAvx512(Complex *amps, std::uint64_t n, Qubit q0, Qubit q1,
         ci[e] = bcastIm4(m[e]);
     }
     forEachCompact(
-        n >> 2, 4, traversal,
+        n >> 2, 4, bits[1],
         [=](std::uint64_t begin, std::uint64_t end) {
             const auto scalarOne = [=](std::uint64_t h) {
                 const std::uint64_t base = expandIndex(h, bits, 2);

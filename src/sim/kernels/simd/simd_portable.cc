@@ -252,23 +252,20 @@ vcmulC(V v, V mr, V mi)
 
 bool
 general1qPortable(Complex *amps, std::uint64_t n, Qubit q, Complex m00,
-                  Complex m01, Complex m10, Complex m11,
-                  Traversal traversal)
+                  Complex m01, Complex m10, Complex m11)
 {
     const std::uint64_t bit = std::uint64_t{1} << q;
     if (q == 0) {
         const V r0r = vlaneRe(m00, m10), r0i = vlaneIm(m00, m10);
         const V r1r = vlaneRe(m01, m11), r1i = vlaneIm(m01, m11);
-        forEachCompact(
-            n >> 1, 2, traversal,
-            [=](std::uint64_t begin, std::uint64_t end) {
-                for (std::uint64_t h = begin; h < end; ++h) {
-                    const V v = vload(amps + 2 * h);
-                    vstore(amps + 2 * h,
-                           vadd(vcmulC(vbcastLo(v), r0r, r0i),
-                                vcmulC(vbcastHi(v), r1r, r1i)));
-                }
-            });
+        parallelFor(n >> 1, [=](std::uint64_t begin, std::uint64_t end) {
+            for (std::uint64_t h = begin; h < end; ++h) {
+                const V v = vload(amps + 2 * h);
+                vstore(amps + 2 * h,
+                       vadd(vcmulC(vbcastLo(v), r0r, r0i),
+                            vcmulC(vbcastHi(v), r1r, r1i)));
+            }
+        });
         return true;
     }
     const std::uint64_t low = bit - 1;
@@ -277,7 +274,7 @@ general1qPortable(Complex *amps, std::uint64_t n, Qubit q, Complex m00,
     const V v10r = vbcastRe(m10), v10i = vbcastIm(m10);
     const V v11r = vbcastRe(m11), v11i = vbcastIm(m11);
     forEachCompact(
-        n >> 1, 2, traversal,
+        n >> 1, 2, bit,
         [=](std::uint64_t begin, std::uint64_t end) {
             const auto scalarOne = [=](std::uint64_t h) {
                 const std::uint64_t i0 = ((h & ~low) << 1) | (h & low);
@@ -343,27 +340,24 @@ diagonal1qPortable(Complex *amps, std::uint64_t n, Qubit q, Complex d0,
 
 bool
 antidiagonal1qPortable(Complex *amps, std::uint64_t n, Qubit q,
-                       Complex a01, Complex a10, Traversal traversal)
+                       Complex a01, Complex a10)
 {
     const std::uint64_t bit = std::uint64_t{1} << q;
     if (q == 0) {
         const V mr = vlaneRe(a01, a10), mi = vlaneIm(a01, a10);
-        forEachCompact(
-            n >> 1, 2, traversal,
-            [=](std::uint64_t begin, std::uint64_t end) {
-                for (std::uint64_t h = begin; h < end; ++h) {
-                    const V v = vload(amps + 2 * h);
-                    vstore(amps + 2 * h,
-                           vcmulC(vswapLanes(v), mr, mi));
-                }
-            });
+        parallelFor(n >> 1, [=](std::uint64_t begin, std::uint64_t end) {
+            for (std::uint64_t h = begin; h < end; ++h) {
+                const V v = vload(amps + 2 * h);
+                vstore(amps + 2 * h, vcmulC(vswapLanes(v), mr, mi));
+            }
+        });
         return true;
     }
     const std::uint64_t low = bit - 1;
     const V m01r = vbcastRe(a01), m01i = vbcastIm(a01);
     const V m10r = vbcastRe(a10), m10i = vbcastIm(a10);
     forEachCompact(
-        n >> 1, 2, traversal,
+        n >> 1, 2, bit,
         [=](std::uint64_t begin, std::uint64_t end) {
             const auto scalarOne = [=](std::uint64_t h) {
                 const std::uint64_t i0 = ((h & ~low) << 1) | (h & low);
@@ -433,7 +427,7 @@ phaseOnMaskPortable(Complex *amps, std::uint64_t n, std::uint64_t mask,
 bool
 controlled1qPortable(Complex *amps, std::uint64_t n, Qubit control,
                      Qubit target, Complex m00, Complex m01,
-                     Complex m10, Complex m11, Traversal traversal)
+                     Complex m10, Complex m11)
 {
     const std::uint64_t cbit = std::uint64_t{1} << control;
     const std::uint64_t tbit = std::uint64_t{1} << target;
@@ -443,7 +437,7 @@ controlled1qPortable(Complex *amps, std::uint64_t n, Qubit control,
         const V r0r = vlaneRe(m00, m10), r0i = vlaneIm(m00, m10);
         const V r1r = vlaneRe(m01, m11), r1i = vlaneIm(m01, m11);
         forEachCompact(
-            n >> 2, 2, traversal,
+            n >> 2, 2, bits[1],
             [=](std::uint64_t begin, std::uint64_t end) {
                 for (std::uint64_t h = begin; h < end; ++h) {
                     Complex *p =
@@ -462,7 +456,7 @@ controlled1qPortable(Complex *amps, std::uint64_t n, Qubit control,
     const V v10r = vbcastRe(m10), v10i = vbcastIm(m10);
     const V v11r = vbcastRe(m11), v11i = vbcastIm(m11);
     forEachCompact(
-        n >> 2, 2, traversal,
+        n >> 2, 2, bits[1],
         [=](std::uint64_t begin, std::uint64_t end) {
             const auto scalarOne = [=](std::uint64_t h) {
                 const std::uint64_t i0 =
@@ -495,7 +489,7 @@ controlled1qPortable(Complex *amps, std::uint64_t n, Qubit control,
 
 bool
 general2qPortable(Complex *amps, std::uint64_t n, Qubit q0, Qubit q1,
-                  const Complex *m, Traversal traversal)
+                  const Complex *m)
 {
     const std::uint64_t b0 = std::uint64_t{1} << q0;
     const std::uint64_t b1 = std::uint64_t{1} << q1;
@@ -507,7 +501,7 @@ general2qPortable(Complex *amps, std::uint64_t n, Qubit q0, Qubit q1,
             ci[e] = vbcastIm(m[e]);
         }
         forEachCompact(
-            n >> 2, 4, traversal,
+            n >> 2, 4, bits[1],
             [=](std::uint64_t begin, std::uint64_t end) {
                 const auto scalarOne = [=](std::uint64_t h) {
                     const std::uint64_t base =
@@ -567,7 +561,7 @@ general2qPortable(Complex *amps, std::uint64_t n, Qubit q0, Qubit q1,
         hiI[c] = vlaneIm(m[l[2] * 4 + c], m[l[3] * 4 + c]);
     }
     forEachCompact(
-        n >> 2, 4, traversal,
+        n >> 2, 4, bits[1],
         [=](std::uint64_t begin, std::uint64_t end) {
             for (std::uint64_t h = begin; h < end; ++h) {
                 const std::uint64_t base = expandIndex(h, bits, 2);

@@ -1,10 +1,6 @@
 #include "sim/kernels/traversal.hh"
 
-#include <atomic>
-#include <cstdlib>
-#include <string>
-
-#include "common/logging.hh"
+#include "math/types.hh"
 #include "obs/metrics.hh"
 
 namespace qra {
@@ -24,81 +20,15 @@ floorPow2(std::size_t value)
     return p;
 }
 
-std::size_t
-envBlockBytes()
-{
-    const char *env = std::getenv("QRA_CACHE_BLOCK");
-    if (env == nullptr || *env == '\0')
-        return kDefaultBlockBytes;
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(env, &end, 10);
-    if (end == env || *end != '\0' || parsed < kMinBlockBytes)
-        return kDefaultBlockBytes;
-    return floorPow2(static_cast<std::size_t>(parsed));
-}
-
-/** 0 = "use the default/env value" (so env changes in tests apply). */
-std::atomic<std::size_t> gBlockBytes{0};
-
 /** Per-thread override (EngineOptions::cacheBlockBytes per shard). */
 thread_local std::size_t tBlockBytes = 0;
 
-/**
- * The auto heuristic chose Blocked: count it and (at debug level)
- * say why, so a surprising traversal switch on a new host is
- * attributable to its stride/budget numbers.
- */
-void
-recordBlockedTrigger(std::uint64_t stride_bytes, std::size_t budget)
-{
-    if (obs::metricsEnabled()) {
-        static const obs::CounterHandle handle =
-            obs::MetricsRegistry::global().counter(
-                "sim.kernels.traversal.blocked");
-        obs::count(handle);
-    }
-    if (Logger::level() <= LogLevel::Debug)
-        logDebug("blocked traversal: stride exceeds cache budget",
-                 {{"stride_bytes", std::to_string(stride_bytes)},
-                  {"budget_bytes", std::to_string(budget)}});
-}
-
 } // namespace
-
-const char *
-traversalName(Traversal traversal)
-{
-    switch (traversal) {
-    case Traversal::Auto:
-        return "auto";
-    case Traversal::Linear:
-        return "linear";
-    case Traversal::Blocked:
-        return "blocked";
-    }
-    return "?";
-}
 
 std::size_t
 cacheBlockBytes()
 {
-    if (tBlockBytes != 0)
-        return tBlockBytes;
-    const std::size_t configured =
-        gBlockBytes.load(std::memory_order_relaxed);
-    return configured != 0 ? configured : envBlockBytes();
-}
-
-void
-setCacheBlockBytes(std::size_t bytes)
-{
-    if (bytes == 0) {
-        gBlockBytes.store(0, std::memory_order_relaxed);
-        return;
-    }
-    if (bytes < kMinBlockBytes)
-        bytes = kMinBlockBytes;
-    gBlockBytes.store(floorPow2(bytes), std::memory_order_relaxed);
+    return tBlockBytes != 0 ? tBlockBytes : kDefaultBlockBytes;
 }
 
 CacheBlockScope::CacheBlockScope(std::size_t bytes)
@@ -114,32 +44,37 @@ CacheBlockScope::~CacheBlockScope()
     tBlockBytes = saved_;
 }
 
-Traversal
-resolveTraversal(Traversal requested, std::uint64_t n,
-                 std::uint64_t max_bit, std::size_t resident_per_index)
+std::uint64_t
+blockedTile(std::uint64_t count, std::size_t resident_per_index,
+            std::uint64_t max_bit)
 {
-    if (requested != Traversal::Auto)
-        return requested;
-    if (max_bit == 0 || n == 0)
-        return Traversal::Linear;
     const std::size_t block = cacheBlockBytes();
     // Stride between the two (or four) resident halves of one pair
     // group: when it exceeds the cache budget, a contiguous compact
-    // split streams through far-apart windows and tiling pays off.
-    const std::uint64_t stride_bytes = max_bit * sizeof(Complex);
-    if (stride_bytes <= block)
-        return Traversal::Linear;
-    const std::uint64_t count = n / 2;
+    // split streams through far-apart windows, so the walk tiles.
+    if (max_bit * sizeof(Complex) <= block)
+        return 0;
     const std::uint64_t tile =
         std::max<std::uint64_t>(std::uint64_t{1} << 10,
                                 block / (resident_per_index *
                                          sizeof(Complex)));
-    if (count > tile) {
-        recordBlockedTrigger(stride_bytes, block);
-        return Traversal::Blocked;
-    }
-    return Traversal::Linear;
+    return count > tile ? tile : 0;
 }
+
+namespace detail {
+
+void
+countBlockedWalk()
+{
+    if (!obs::metricsEnabled())
+        return;
+    static const obs::CounterHandle handle =
+        obs::MetricsRegistry::global().counter(
+            "sim.kernels.traversal.blocked");
+    obs::count(handle);
+}
+
+} // namespace detail
 
 } // namespace kernels
 } // namespace qra

@@ -1,27 +1,24 @@
 /**
  * @file
- * Traversal policy for pair-structured amplitude loops.
+ * The one traversal decision for pair-structured amplitude loops.
  *
- * Every 1q/2q kernel walks a *compact* index space whose entries
+ * Every 1q/2q pair kernel walks a *compact* index space whose entries
  * expand to 2 (pair kernels) or 4 (two-qubit kernels) amplitudes.
  * When the expansion stride is small the walk is effectively
- * sequential and the linear split used since PR 2 is ideal. When the
- * stride exceeds cache reach (a high target qubit on a large state),
- * one compact chunk touches windows far apart in memory; the Blocked
- * variant processes the compact space in fixed power-of-two tiles
+ * sequential and parallelFor's linear split is ideal. When the stride
+ * exceeds the cache budget (a high target qubit on a large state),
+ * one compact chunk touches windows far apart in memory, so
+ * forEachCompact walks the compact space in fixed power-of-two tiles
  * sized so that *all* of a tile's amplitude windows fit inside the
- * configured cache budget at once, and hands whole tiles to the lane
- * scheduler. Iteration order within a tile is unchanged and writes
- * are disjoint, so Linear and Blocked are bit-identical — the choice
- * is purely a locality/scheduling decision, which is why
- * ExecutablePlan lowering may pin it per entry ahead of the shot
- * loop.
+ * budget at once, and hands whole tiles to the lane scheduler.
+ * Iteration order within a tile is unchanged and writes are disjoint,
+ * so both walks are bit-identical: the choice is purely a
+ * locality/scheduling decision, made per call by blockedTile().
  *
- * Configuration: the tile footprint defaults to 1 MiB (about half a
- * typical L2), is overridable at startup via the QRA_CACHE_BLOCK
- * environment variable (bytes, rounded down to a power of two) and at
- * runtime via setCacheBlockBytes() (tests force tiny budgets so the
- * blocked path triggers on small states).
+ * The tile budget has one override and one default: a thread-local
+ * CacheBlockScope (the engine installs one per shard from
+ * EngineOptions::cacheBlockBytes), else 1 MiB (about half a typical
+ * L2).
  */
 
 #ifndef QRA_SIM_KERNELS_TRAVERSAL_HH
@@ -31,38 +28,16 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "math/types.hh"
 #include "sim/kernels/parallel.hh"
 
 namespace qra {
 namespace kernels {
 
-/** How a pair-structured kernel walks its compact index space. */
-enum class Traversal : std::uint8_t
-{
-    Auto = 0,  // decide from the stride at call time
-    Linear,    // contiguous compact-range split (PR 2 behaviour)
-    Blocked,   // cache-budget-sized tiles of the compact space
-};
-
-/** Printable name ("auto" / "linear" / "blocked"). */
-const char *traversalName(Traversal traversal);
-
 /**
- * Tile footprint budget in bytes (power of two). Selection, highest
- * wins: a thread-local CacheBlockScope (EngineOptions::cacheBlockBytes
- * installed per shard), then setCacheBlockBytes(), then the
- * QRA_CACHE_BLOCK environment variable, then the 1 MiB default.
+ * Tile footprint budget in bytes (power of two): the innermost
+ * CacheBlockScope on this thread, else the 1 MiB default.
  */
 std::size_t cacheBlockBytes();
-
-/**
- * Override the tile footprint (rounded down to a power of two,
- * minimum 4 KiB); 0 restores the default/environment value. Not
- * thread-safe against concurrently running kernels — call between
- * runs (tests, startup).
- */
-void setCacheBlockBytes(std::size_t bytes);
 
 /**
  * RAII thread-local tile-footprint override, mirroring TierScope:
@@ -86,37 +61,41 @@ class CacheBlockScope
 };
 
 /**
- * Resolve an Auto traversal for a kernel whose widest operand bit is
- * @p max_bit (single-bit mask) on an @p n-amplitude state: Blocked
- * when the pair stride alone exceeds the cache budget and the
- * compact space spans more than one tile, Linear otherwise.
- * Explicit Linear/Blocked requests pass through untouched.
+ * The traversal decision for a walk of @p count compact indices,
+ * each expanding to @p resident_per_index amplitudes, whose widest
+ * operand bit is @p max_bit (a single-bit mask): the tile size in
+ * compact indices when the pair stride alone exceeds
+ * cacheBlockBytes() and the range spans more than one tile, else 0
+ * (the linear walk).
  */
-Traversal resolveTraversal(Traversal requested, std::uint64_t n,
-                           std::uint64_t max_bit,
-                           std::size_t resident_per_index);
+std::uint64_t blockedTile(std::uint64_t count,
+                          std::size_t resident_per_index,
+                          std::uint64_t max_bit);
+
+namespace detail {
+/** Count one tiled walk in sim.kernels.traversal.blocked. */
+void countBlockedWalk();
+} // namespace detail
 
 /**
- * Run @p body(begin, end) over the compact range [0, count), where
- * each compact index expands to @p resident_per_index amplitudes.
- * Linear defers to parallelFor's grain split; Blocked walks
- * power-of-two tiles sized so a tile's amplitudes fit the cache
- * budget, each tile a scheduling unit. @p resolved must not be Auto
- * (see resolveTraversal). Bodies must touch disjoint elements per
- * compact index; both variants are then bit-identical.
+ * Run @p body(begin, end) over the compact range [0, count), walking
+ * it linearly (parallelFor's grain split) or in cache-budget tiles,
+ * each tile a scheduling unit, as blockedTile() decides. Bodies must
+ * touch disjoint elements per compact index; both walks are then
+ * bit-identical.
  */
 template <typename Body>
 void
 forEachCompact(std::uint64_t count, std::size_t resident_per_index,
-               Traversal resolved, Body &&body)
+               std::uint64_t max_bit, Body &&body)
 {
-    if (resolved != Traversal::Blocked) {
+    const std::uint64_t tile =
+        blockedTile(count, resident_per_index, max_bit);
+    if (tile == 0) {
         parallelFor(count, std::forward<Body>(body));
         return;
     }
-    const std::uint64_t tile = std::max<std::uint64_t>(
-        std::uint64_t{1} << 10,
-        cacheBlockBytes() / (resident_per_index * sizeof(Complex)));
+    detail::countBlockedWalk();
     const std::uint64_t tiles = (count + tile - 1) / tile;
     parallelFor(tiles, /*grain=*/1,
                 [&](std::uint64_t t0, std::uint64_t t1) {

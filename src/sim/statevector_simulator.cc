@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "circuit/schedule.hh"
 #include "common/error.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -115,6 +114,37 @@ buildSampledDistribution(const Circuit &circuit)
     return dist;
 }
 
+/**
+ * True when @p circuit can sample its final distribution: nothing
+ * resets, and after each measurement its qubit is only measured again.
+ * A noiseless re-read returns the same bit, and the sampled wiring
+ * maps one marginal bit to every clbit that reads it. (Under noise
+ * the qubit relaxes between two reads, so midCircuitMeasurements
+ * counts the first read as mid-circuit; this rule is noiseless only.)
+ */
+bool
+samplesFinalState(const Circuit &circuit)
+{
+    std::vector<bool> used_after(circuit.numQubits(), false);
+    for (auto op = circuit.ops().rbegin(); op != circuit.ops().rend();
+         ++op) {
+        switch (op->kind) {
+          case OpKind::Barrier:
+            break;
+          case OpKind::Reset:
+            return false;
+          case OpKind::Measure:
+            if (used_after[op->qubits[0]])
+                return false;
+            break;
+          default:
+            for (const Qubit q : op->qubits)
+                used_after[q] = true;
+        }
+    }
+    return true;
+}
+
 } // namespace
 
 StatevectorSimulator::StatevectorSimulator(std::uint64_t seed)
@@ -125,16 +155,7 @@ StatevectorSimulator::StatevectorSimulator(std::uint64_t seed)
 Result
 StatevectorSimulator::run(const Circuit &circuit, std::size_t shots)
 {
-    // Sample the final distribution when nothing resets and every
-    // measurement is terminal; otherwise run noiseless trajectories.
-    const std::vector<bool> mid = midCircuitMeasurements(circuit);
-    const bool terminal =
-        std::find(mid.begin(), mid.end(), true) == mid.end() &&
-        std::none_of(circuit.ops().begin(), circuit.ops().end(),
-                     [](const Operation &op) {
-                         return op.kind == OpKind::Reset;
-                     });
-    if (terminal)
+    if (samplesFinalState(circuit))
         return runSampled(circuit, shots);
     return TrajectorySimulator(rng_()).run(circuit, shots);
 }

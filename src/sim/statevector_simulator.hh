@@ -3,9 +3,10 @@
  * Ideal (noiseless) shot-based simulator on the StateVector backend.
  *
  * Two execution strategies, sampled, else a noiseless trajectory:
- *  - If every measurement is terminal (no op touches a measured
- *    qubit afterwards) and there is no Reset, the circuit is evolved
- *    once and outcomes are sampled from the final distribution.
+ *  - If every measurement is terminal (no op but another measurement
+ *    touches a measured qubit afterwards: a noiseless re-read repeats
+ *    the bit) and there is no Reset, the circuit is evolved once and
+ *    outcomes are sampled from the final distribution.
  *  - Otherwise (mid-circuit measurement, reset, ancilla reuse) the
  *    run is a noiseless TrajectorySimulator run, seeded by one draw
  *    from this simulator's generator.

@@ -92,7 +92,6 @@ TEST(MetricsRegistry, RegistrationIsIdempotentByName)
     MetricsRegistry reg;
     EXPECT_EQ(reg.counter("a").id, reg.counter("a").id);
     EXPECT_NE(reg.counter("a").id, reg.counter("b").id);
-    EXPECT_EQ(reg.gauge("g").id, reg.gauge("g").id);
     EXPECT_EQ(reg.histogram("h").id, reg.histogram("h").id);
 }
 
@@ -160,15 +159,6 @@ TEST(MetricsRegistry, DefaultLatencyBoundsArePowersOfFour)
     EXPECT_EQ(hist.buckets.size(), hist.bounds.size() + 1);
 }
 
-TEST(MetricsRegistry, GaugesAreLastWriteWins)
-{
-    MetricsRegistry reg;
-    const auto g = reg.gauge("depth");
-    reg.set(g, 1.5);
-    reg.set(g, 2.5);
-    EXPECT_DOUBLE_EQ(reg.snapshot().gauges.at("depth"), 2.5);
-}
-
 TEST(MetricsRegistry, CounterCapacityIsEnforced)
 {
     MetricsRegistry reg;
@@ -203,11 +193,9 @@ TEST(MetricsRegistry, SnapshotJsonHasAllSections)
 {
     MetricsRegistry reg;
     reg.add(reg.counter("c"), 1);
-    reg.set(reg.gauge("g"), 0.5);
     reg.observe(reg.histogram("h", {10}), 3);
     const std::string json = reg.snapshot().toJson();
     EXPECT_NE(json.find("\"counters\""), std::string::npos);
-    EXPECT_NE(json.find("\"gauges\""), std::string::npos);
     EXPECT_NE(json.find("\"histograms\""), std::string::npos);
     EXPECT_NE(json.find("\"bounds\""), std::string::npos);
 }
@@ -216,7 +204,6 @@ TEST(MetricsRegistry, DisabledPathIsInvisibleAndAllocationFree)
 {
     auto &reg = MetricsRegistry::global();
     const auto c = reg.counter("test.disabled.counter");
-    const auto g = reg.gauge("test.disabled.gauge");
     const auto h = reg.histogram("test.disabled.hist");
 
     // Warm the thread-local shard so the loop below measures the
@@ -231,10 +218,8 @@ TEST(MetricsRegistry, DisabledPathIsInvisibleAndAllocationFree)
         g_allocations.load(std::memory_order_relaxed);
     for (int i = 0; i < 1000; ++i) {
         obs::count(c, 2);
-        obs::setGauge(g, 1.0);
         obs::observe(h, 12345);
         obs::Span span("test", "disabled_span", {{"i", 1}});
-        obs::instant("test", "disabled_instant");
     }
     const std::size_t allocs1 =
         g_allocations.load(std::memory_order_relaxed);

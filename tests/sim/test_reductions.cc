@@ -434,17 +434,6 @@ TEST(CacheBlock, ScopeOverridesAndRestores)
     EXPECT_EQ(cacheBlockBytes(), ambient);
 }
 
-TEST(CacheBlock, ScopeWinsOverProcessSetting)
-{
-    setCacheBlockBytes(1 << 16);
-    {
-        CacheBlockScope scope(4096);
-        EXPECT_EQ(cacheBlockBytes(), 4096u);
-    }
-    EXPECT_EQ(cacheBlockBytes(), std::size_t{1} << 16);
-    setCacheBlockBytes(0);
-}
-
 // ---- obs counters --------------------------------------------------------
 
 TEST(ReduceCounters, RecordSelectedTier)

@@ -4,7 +4,7 @@
  * cache-blocked traversal.
  *
  * The contract under test (simd/dispatch.hh): every vectorized tier
- * and every traversal produces amplitudes *bit-identical* to the
+ * and both traversal walks produce amplitudes *bit-identical* to the
  * scalar oracle loops in kernels.cc — not merely close. Each case
  * therefore compares raw bytes (memcmp), never EXPECT_NEAR: a single
  * FMA contraction, addend reordering, or −0.0 sign flip fails loudly.
@@ -328,9 +328,11 @@ TEST(SimdParity, MultiThreadedLanesMatchSerialScalar)
 
 TEST(TraversalParity, BlockedMatchesLinearAtEveryTier)
 {
-    // A tiny 4 KiB budget makes qubit 12's 64 KiB pair stride blocked
-    // even on a 13-qubit state, so the tiled walk runs in-test.
-    setCacheBlockBytes(4096);
+    // A 4 KiB budget makes qubit 12's 64 KiB pair stride take the
+    // tiled walk on a 13-qubit state; under the default 1 MiB budget
+    // the same calls walk linearly. The blocked-walk counter shows
+    // which walk each run took, so the memcmp never compares a linear
+    // walk with itself.
     const std::size_t nq = 13;
     const Qubit hi = 12;
     std::mt19937_64 rng(18);
@@ -340,57 +342,79 @@ TEST(TraversalParity, BlockedMatchesLinearAtEveryTier)
     for (std::size_t r = 0; r < 4; ++r)
         for (std::size_t col = 0; col < 4; ++col)
             u(r, col) = randomComplex(rng);
+    const auto applyPairKernels = [&](std::vector<Complex> &amps) {
+        applyGeneral1q(amps.data(), amps.size(), hi, m00, m01, m10,
+                       m11);
+        applyAntiDiagonal1q(amps.data(), amps.size(), hi, m01, m10);
+        applyControlled1q(amps.data(), amps.size(), hi, 3, m00, m01,
+                          m10, m11);
+        applyGeneral2q(amps.data(), amps.size(), 2, hi, u);
+    };
+    auto &registry = obs::MetricsRegistry::global();
+    const auto blockedWalks = [&] {
+        return registry.snapshot()
+            .counters["sim.kernels.traversal.blocked"];
+    };
 
     const std::vector<Complex> input = randomState(nq, 77);
+    runtime::ThreadPool pool(4);
+    obs::setMetricsEnabled(true);
     for (Tier tier : simd::availableTiers()) {
         TierScope scope(static_cast<int>(tier));
-        std::vector<Complex> linear = input;
+        ParallelScope lanes(&pool, 4);
         std::vector<Complex> blocked = input;
+        std::vector<Complex> linear = input;
 
-        applyGeneral1q(linear.data(), linear.size(), hi, m00, m01, m10,
-                       m11, Traversal::Linear);
-        applyGeneral1q(blocked.data(), blocked.size(), hi, m00, m01,
-                       m10, m11, Traversal::Blocked);
-        applyAntiDiagonal1q(linear.data(), linear.size(), hi, m01, m10,
-                            Traversal::Linear);
-        applyAntiDiagonal1q(blocked.data(), blocked.size(), hi, m01,
-                            m10, Traversal::Blocked);
-        applyControlled1q(linear.data(), linear.size(), hi, 3, m00, m01,
-                          m10, m11, Traversal::Linear);
-        applyControlled1q(blocked.data(), blocked.size(), hi, 3, m00,
-                          m01, m10, m11, Traversal::Blocked);
-        applyGeneral2q(linear.data(), linear.size(), 2, hi, u,
-                       Traversal::Linear);
-        applyGeneral2q(blocked.data(), blocked.size(), 2, hi, u,
-                       Traversal::Blocked);
+        const auto before = blockedWalks();
+        {
+            CacheBlockScope budget(4096);
+            applyPairKernels(blocked);
+        }
+        const auto after_blocked = blockedWalks();
+        applyPairKernels(linear);
 
+        EXPECT_EQ(after_blocked - before, 4u)
+            << "tier " << simd::tierName(tier)
+            << ": every pair kernel walks in tiles";
+        EXPECT_EQ(blockedWalks(), after_blocked)
+            << "tier " << simd::tierName(tier)
+            << ": the default budget walks linearly";
         EXPECT_TRUE(bitIdentical(linear, blocked))
             << "tier " << simd::tierName(tier);
     }
-    setCacheBlockBytes(0); // restore default/env
+    obs::setMetricsEnabled(false);
 }
 
 TEST(TraversalParity, ResolvePicksBlockedOnlyAboveBudget)
 {
-    setCacheBlockBytes(4096);
-    // Stride 1<<12 * 16 B = 64 KiB > 4 KiB and 4096 compact indices
-    // span multiple tiles: blocked.
-    EXPECT_EQ(resolveTraversal(Traversal::Auto, std::uint64_t{1} << 13,
-                               std::uint64_t{1} << 12, 2),
-              Traversal::Blocked);
-    // Low qubit: 16 B stride sits inside any budget: linear.
-    EXPECT_EQ(resolveTraversal(Traversal::Auto, std::uint64_t{1} << 13,
-                               1, 2),
-              Traversal::Linear);
-    // Explicit requests pass through.
-    EXPECT_EQ(resolveTraversal(Traversal::Linear,
-                               std::uint64_t{1} << 13,
-                               std::uint64_t{1} << 12, 2),
-              Traversal::Linear);
-    EXPECT_EQ(resolveTraversal(Traversal::Blocked,
-                               std::uint64_t{1} << 13, 1, 2),
-              Traversal::Blocked);
-    setCacheBlockBytes(0);
+    {
+        CacheBlockScope budget(4096);
+        // Stride 1<<12 * 16 B = 64 KiB > 4 KiB, and 4096 compact
+        // indices span four tiles of the 1024-index floor: tiled.
+        EXPECT_EQ(blockedTile(4096, 2, std::uint64_t{1} << 12), 1024u);
+        // Low qubit: 16 B stride sits inside any budget: linear.
+        EXPECT_EQ(blockedTile(4096, 2, 1), 0u);
+        // A range of one tile walks linearly whatever its stride.
+        EXPECT_EQ(blockedTile(1024, 2, std::uint64_t{1} << 12), 0u);
+    }
+    {
+        // A tile's amplitudes fill the budget: 64 KiB holds 2048 pairs
+        // or 1024 quads.
+        CacheBlockScope budget(std::size_t{1} << 16);
+        const std::uint64_t stride = std::uint64_t{1} << 13;
+        EXPECT_EQ(blockedTile(std::uint64_t{1} << 14, 2, stride), 2048u);
+        EXPECT_EQ(blockedTile(std::uint64_t{1} << 14, 4, stride), 1024u);
+        // The stride must exceed the budget, not merely reach it.
+        EXPECT_EQ(blockedTile(std::uint64_t{1} << 14, 2, stride / 2), 0u);
+    }
+    // The default 1 MiB budget: qubit 16's 1 MiB stride stays linear,
+    // qubit 17's 2 MiB stride tiles.
+    EXPECT_EQ(blockedTile(std::uint64_t{1} << 17, 2,
+                          std::uint64_t{1} << 16),
+              0u);
+    EXPECT_EQ(blockedTile(std::uint64_t{1} << 17, 2,
+                          std::uint64_t{1} << 17),
+              std::uint64_t{1} << 15);
 }
 
 // ---- dispatch plumbing ------------------------------------------------
@@ -414,17 +438,25 @@ TEST(SimdDispatch, ForcedTierClampsToDetected)
     EXPECT_LE(simd::currentTier(), simd::detectedTier());
 }
 
-TEST(SimdDispatch, ProcessTierOverridesAndRestores)
+TEST(SimdDispatch, NestedTierScopesInheritAndRestore)
 {
-    simd::setProcessTier(static_cast<int>(Tier::Scalar));
-    EXPECT_EQ(simd::currentTier(), Tier::Scalar);
+    const Tier ambient = simd::currentTier();
     {
-        // Thread-local scope wins over the process setting.
-        TierScope scope(static_cast<int>(simd::detectedTier()));
-        EXPECT_EQ(simd::currentTier(), simd::detectedTier());
+        TierScope outer(static_cast<int>(Tier::Scalar));
+        EXPECT_EQ(simd::currentTier(), Tier::Scalar);
+        {
+            // -1 inherits the surrounding tier.
+            TierScope inherit(-1);
+            EXPECT_EQ(simd::currentTier(), Tier::Scalar);
+        }
+        {
+            TierScope inner(static_cast<int>(simd::detectedTier()));
+            EXPECT_EQ(simd::currentTier(), simd::detectedTier());
+        }
+        // The outer tier returns when the inner scope exits.
+        EXPECT_EQ(simd::currentTier(), Tier::Scalar);
     }
-    simd::setProcessTier(-1);
-    EXPECT_LE(simd::currentTier(), simd::detectedTier());
+    EXPECT_EQ(simd::currentTier(), ambient);
 }
 
 TEST(SimdDispatch, ParseTierRoundTrips)

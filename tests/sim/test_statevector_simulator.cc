@@ -79,11 +79,16 @@ TEST(StatevectorSimulatorTest, MidCircuitMeasurementForcesPerShot)
         EXPECT_NE(b0, b1) << "outcome " << key << " x" << n;
     }
     EXPECT_NEAR(r.probability(std::uint64_t{0b10}), 0.5, 0.05);
+}
 
-    // A qubit measured twice is mid-circuit too; the second read
-    // repeats the collapsed first one.
+TEST(StatevectorSimulatorTest, RepeatedTerminalReadRepeatsTheBit)
+{
+    // A qubit measured twice with nothing between: the noiseless
+    // second read repeats the first, so the run samples the final
+    // state once (SampledOracle checks the stream draw for draw).
     Circuit twice(1, 2);
     twice.h(0).measure(0, 0).measure(0, 1);
+    StatevectorSimulator sim(7);
     const Result rt = sim.run(twice, 2000);
     for (const auto &[key, n] : rt.rawCounts())
         EXPECT_EQ(key & 1, (key >> 1) & 1) << "outcome " << key << " x" << n;
@@ -284,11 +289,30 @@ oracleSampled(const Circuit &c, Rng &rng, std::size_t shots)
     return r;
 }
 
+/**
+ * Circuits that read a measured qubit again and touch it with nothing
+ * else: each read is terminal, and the reads agree.
+ */
+std::vector<std::pair<const char *, Circuit>>
+rereadCircuits()
+{
+    std::vector<std::pair<const char *, Circuit>> out;
+    Circuit twice(1, 2);
+    twice.h(0).measure(0, 0).measure(0, 1);
+    out.emplace_back("one qubit read twice", twice);
+
+    Circuit reread(4, 3);
+    reread.h(0).cx(0, 3).ry(1.2, 1).cx(1, 3).ry(0.5, 2).cx(3, 2);
+    reread.measure(3, 0).measure(3, 2).measure(1, 1);
+    out.emplace_back("q[3] read into c[0] and c[2]", reread);
+    return out;
+}
+
 /** Terminal-only circuits covering each shape of sampled execution. */
 std::vector<std::pair<const char *, Circuit>>
 terminalCircuits()
 {
-    std::vector<std::pair<const char *, Circuit>> out;
+    std::vector<std::pair<const char *, Circuit>> out = rereadCircuits();
     Circuit all(5, 5);
     all.h(0).cx(0, 1).cx(1, 2).ry(0.4, 3).cx(2, 4).rz(0.9, 4).t(3).h(3);
     all.measureAll();
@@ -299,8 +323,7 @@ terminalCircuits()
     subset.measure(4, 0).measure(1, 1).measure(5, 2);
     out.emplace_back("scrambled subset", subset);
 
-    // Every qubit, out of wire order, and a clbit written twice (a
-    // second read of a qubit would make the first mid-circuit).
+    // Every qubit, out of wire order, and a clbit written twice.
     Circuit permuted(4, 4);
     permuted.h(0).ry(0.7, 1).cx(0, 2).ry(2.1, 3).cx(1, 3);
     permuted.measure(3, 0).measure(0, 1).measure(2, 3).measure(1, 1);
@@ -436,11 +459,17 @@ TEST(SampledOracle, SweepAnsatzCountsFitTheExactDistribution)
 
 TEST(SampledOracle, PaperCircuitCountsFitTheDensityReference)
 {
-    // The paper_ibmqx4 kinds as prepared for ibmqx4, noiseless: the
+    // The paper_ibmqx4 kinds as prepared for ibmqx4, noiseless, and
+    // the re-read circuits (density records their first read as a
+    // mid-circuit measurement, the statevector samples once): the
     // sampled statevector against the density backend's exact
     // distribution.
     const DeviceModel device = DeviceModel::ibmqx4();
-    for (const auto &[name, c] : test::paperPreparedShapes(device, false)) {
+    std::vector<std::pair<std::string, Circuit>> cases =
+        test::paperPreparedShapes(device, false);
+    for (const auto &[name, c] : rereadCircuits())
+        cases.emplace_back(name, c);
+    for (const auto &[name, c] : cases) {
         const auto exact = DensityMatrixSimulator().exactDistribution(c);
         const stats::Distribution reference(exact.begin(), exact.end());
         for (const std::uint64_t seed : {1u, 2u}) {

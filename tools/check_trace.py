@@ -6,13 +6,14 @@ JSON-lines event stream (``--jsonl``) and a metrics snapshot
 (``--metrics``), against the schema qra_run emits:
 
 * the trace parses as JSON and holds a ``traceEvents`` array;
-* every event has name/cat/ph/pid/tid/ts with the right types;
+* every event has name/cat/ph/pid/tid/ts with the right types and
+  a complete ('X') or async ('b'/'e') phase;
 * async begin ('b') and end ('e') events pair up by id;
 * per-thread timestamps are monotonic (non-decreasing);
 * each ``--require SUBSTR`` matches at least one event name
   (``pass:`` style prefixes match by substring);
 * the JSON-lines file parses line-by-line with the same event count;
-* the metrics snapshot has counters/gauges/histograms maps, every
+* the metrics snapshot has counters/histograms maps, every
   histogram is internally consistent (buckets = bounds + 1, count =
   sum of buckets), and every ``--require-counter NAME[>=N]`` holds.
 
@@ -68,7 +69,7 @@ def check_trace(path, require):
                 fail(f"{path}: event {i} bad/missing '{key}': {ev}")
                 return None
         ph = ev["ph"]
-        if ph not in ("X", "i", "b", "e"):
+        if ph not in ("X", "b", "e"):
             fail(f"{path}: event {i} unexpected phase '{ph}'")
             return None
         if ph == "X" and not isinstance(ev.get("dur"), (int, float)):
@@ -145,7 +146,7 @@ def check_metrics(path, require_counters):
     except (OSError, json.JSONDecodeError) as e:
         fail(f"{path}: not parseable JSON: {e}")
         return
-    for section in ("counters", "gauges", "histograms"):
+    for section in ("counters", "histograms"):
         if not isinstance(doc.get(section), dict):
             fail(f"{path}: missing '{section}' object")
             return
@@ -172,7 +173,6 @@ def check_metrics(path, require_counters):
             return
     ok(
         f"{path}: {len(doc['counters'])} counters, "
-        f"{len(doc['gauges'])} gauges, "
         f"{len(doc['histograms'])} histograms, all consistent"
     )
     for req in require_counters:
