@@ -1,8 +1,5 @@
 #include "runtime/backend.hh"
 
-#include <algorithm>
-
-#include "circuit/schedule.hh"
 #include "stabilizer/stabilizer_simulator.hh"
 
 namespace qra {
@@ -21,10 +18,6 @@ Backend::rejectReason(const Circuit &circuit,
         return name() + " does not support noise models";
     if (caps.cliffordOnly && !StabilizerSimulator::supports(circuit))
         return name() + " executes Clifford circuits only";
-    if (!caps.supportsMidCircuitMeasurement &&
-        std::ranges::count(midCircuitMeasurements(circuit), true) > 0)
-        return name() + " requires measurements to be terminal per "
-                        "qubit (no reuse after measure, no reset)";
     return {};
 }
 

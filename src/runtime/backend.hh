@@ -7,7 +7,7 @@
  * each run() call constructs a fresh simulator seeded for that call,
  * so a single Backend instance may be driven from many threads at
  * once. Capability flags let the registry and execution engine route
- * jobs (noise support, mid-circuit measurement, qubit ceilings)
+ * jobs (noise support, exactness, qubit ceilings)
  * without hard-coding per-simulator knowledge.
  */
 
@@ -30,14 +30,6 @@ struct BackendCapabilities
 {
     /** Accepts a NoiseModel (density, trajectory). */
     bool supportsNoise = false;
-
-    /**
-     * Allows operating on a qubit after it was measured (reset,
-     * ancilla reuse). Every built-in backend does; the density
-     * backend keeps one state per mid-circuit record and caps the
-     * record count in its own rejectReason().
-     */
-    bool supportsMidCircuitMeasurement = false;
 
     /** Attaches the exact outcome distribution to its Result. */
     bool exactDistribution = false;

@@ -62,7 +62,6 @@ class StatevectorBackend final : public BuiltinBackend
     StatevectorBackend()
         : BuiltinBackend("statevector",
                          {.supportsNoise = false,
-                          .supportsMidCircuitMeasurement = true,
                           .exactDistribution = false,
                           .cliffordOnly = false,
                           .maxQubits = kStatevectorMaxQubits,
@@ -86,7 +85,6 @@ class DensityBackend final : public BuiltinBackend
     DensityBackend()
         : BuiltinBackend("density",
                          {.supportsNoise = true,
-                          .supportsMidCircuitMeasurement = true,
                           .exactDistribution = true,
                           .cliffordOnly = false,
                           .maxQubits = kDensityMaxQubits,
@@ -124,7 +122,6 @@ class TrajectoryBackend final : public BuiltinBackend
     TrajectoryBackend()
         : BuiltinBackend("trajectory",
                          {.supportsNoise = true,
-                          .supportsMidCircuitMeasurement = true,
                           .exactDistribution = false,
                           .cliffordOnly = false,
                           .maxQubits = kStatevectorMaxQubits,
@@ -149,7 +146,6 @@ class StabilizerBackend final : public BuiltinBackend
     StabilizerBackend()
         : BuiltinBackend("stabilizer",
                          {.supportsNoise = false,
-                          .supportsMidCircuitMeasurement = true,
                           .exactDistribution = false,
                           .cliffordOnly = true,
                           .maxQubits = kStabilizerMaxQubits,

@@ -99,13 +99,6 @@ armJobDeadline(const Job &job)
                 job.deadlineMs)));
 }
 
-/** The fault plan governing a job: its own, else the QRA_FAULTS one. */
-const FaultPlan *
-effectiveFaultPlan(const Job &job)
-{
-    return job.faults ? job.faults.get() : processFaultPlan();
-}
-
 /**
  * A Completion that settles @p promise. The promise is heap-held: the
  * pool-side callback may still be inside set_value's epilogue when
@@ -214,8 +207,7 @@ ExecutionEngine::shardRunner(
             enqueued, shard_index,
             skip_on_cancel = job.checkpoint == nullptr,
             cancel = job.cancel, retry = job.retry,
-            faults_owner = job.faults,
-            faults = effectiveFaultPlan(job),
+            faults = job.faults,
             retries = std::move(retries)]() {
         // Cancellation is shard-granular: a shard the pool dequeues
         // after cancel() contributes zero shots and the merge stays
@@ -235,7 +227,7 @@ ExecutionEngine::shardRunner(
         // a recovered run's counts are bit-identical to a fault-free
         // one. Permanent errors and exhausted budgets propagate.
         auto run_once = [&](std::size_t attempt) {
-            maybeInjectFault(faults, FaultSite::Scope::Shard,
+            maybeInjectFault(faults.get(), FaultSite::Scope::Shard,
                              shard_index, attempt);
             return backend->run(*circuit, shard.shots, shard.seed,
                                 noise);
@@ -382,8 +374,6 @@ struct JobState
     std::size_t lanes = 1;
     std::size_t budget = 0;
     std::size_t numClbits = 0;
-    /** Resolved fault plan (job's own or QRA_FAULTS; may be null). */
-    const FaultPlan *faults = nullptr;
 
     std::size_t nextShard = 0;
     /** First shard of the in-flight wave — the checkpoint cursor is
@@ -447,8 +437,8 @@ finishWave(const std::shared_ptr<JobState> &state,
     // per-wave retry — recovery is the checkpoint/resume path).
     if (!error) {
         try {
-            maybeInjectFault(state->faults, FaultSite::Scope::Wave,
-                             state->wave, 0);
+            maybeInjectFault(state->job.faults.get(),
+                             FaultSite::Scope::Wave, state->wave, 0);
         } catch (...) {
             error = std::current_exception();
         }
@@ -598,7 +588,6 @@ ExecutionEngine::submitAsync(Job job, Completion on_complete,
     state->budget = budget;
     state->numClbits = job.circuit->numClbits();
     state->merged = Result(state->numClbits);
-    state->faults = effectiveFaultPlan(job);
 
     // Resume: adopt a prior run's cursor after validating that it
     // describes THIS job's shard plan — same circuit, seed, budget,

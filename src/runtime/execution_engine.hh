@@ -106,9 +106,8 @@ struct Job
     RetryPolicy retry;
 
     /**
-     * Fault-injection plan for this job; null = the process-wide
-     * QRA_FAULTS plan (itself usually null). Test/bench hook — see
-     * fault.hh.
+     * Fault-injection plan for this job; null = none. Test/bench
+     * hook — see fault.hh.
      */
     std::shared_ptr<const FaultPlan> faults;
 

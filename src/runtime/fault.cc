@@ -1,7 +1,6 @@
 #include "runtime/fault.hh"
 
 #include <chrono>
-#include <cstdlib>
 #include <new>
 #include <sstream>
 #include <thread>
@@ -251,21 +250,6 @@ FaultPlan::parse(const std::string &text)
                 "rate|seed|stall-ms)");
         }
     }
-    return plan;
-}
-
-const FaultPlan *
-processFaultPlan()
-{
-    // Parsed once; a malformed QRA_FAULTS throws out of the first
-    // caller (and every later one, via rethrow from the static init).
-    static const FaultPlan *const plan = []() -> const FaultPlan * {
-        const char *spec = std::getenv("QRA_FAULTS");
-        if (spec == nullptr || *spec == '\0')
-            return nullptr;
-        static const FaultPlan parsed = FaultPlan::parse(spec);
-        return parsed.empty() ? nullptr : &parsed;
-    }();
     return plan;
 }
 

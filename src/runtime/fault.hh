@@ -11,10 +11,9 @@
  * fire decision from the plan seed and the (shard, attempt) pair, so
  * the same plan faults the same shards every run.
  *
- * Plans are threaded through Job/JobSpec (`faults`) or installed
- * process-wide via the QRA_FAULTS environment variable (and
- * `qra_run --inject-fault=SPEC`). Spec grammar — comma-separated
- * elements:
+ * A plan reaches a job one way: through Job/JobSpec (`faults`), which
+ * `qra_run --inject-fault=SPEC` fills from the same grammar. Spec
+ * grammar — comma-separated elements:
  *
  *   shard:I:KIND[:N|:perm]   fault shard index I (N = first N
  *                            attempts, default 1; perm = permanent,
@@ -130,14 +129,6 @@ struct FaultPlan
     /** Parse the spec grammar. @throws ValueError on malformed text. */
     static FaultPlan parse(const std::string &text);
 };
-
-/**
- * The process-wide plan parsed once from QRA_FAULTS, or null when the
- * variable is unset/empty. Jobs without their own plan fall back to
- * it. @throws ValueError (on first call) when the variable is set but
- * malformed.
- */
-const FaultPlan *processFaultPlan();
 
 /**
  * Fire the matching fault of @p plan at (@p scope, @p index,

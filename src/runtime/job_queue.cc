@@ -16,6 +16,7 @@ struct QueueMetrics
     obs::CounterHandle jobs;
     obs::CounterHandle prepareHits;
     obs::CounterHandle prepareMisses;
+    obs::CounterHandle prepareEvictions;
     obs::HistogramHandle submitToCompleteNs;
 };
 
@@ -29,6 +30,8 @@ queueMetrics()
         m.prepareHits = reg.counter("jobqueue.prepare_cache.hits");
         m.prepareMisses =
             reg.counter("jobqueue.prepare_cache.misses");
+        m.prepareEvictions =
+            reg.counter("jobqueue.prepare_cache.evictions");
         m.submitToCompleteNs =
             reg.histogram("jobqueue.submit_to_complete_ns");
         return m;
@@ -90,102 +93,44 @@ JobQueue::prepare(const JobSpec &spec, bool count_stats,
     const compile::PrepareSpec prep = prepareSpec(spec);
     const compile::PassManager pipeline =
         compile::preparePipeline(prep);
-    const std::uint64_t key =
-        prepareKey(spec, pipeline.fingerprint());
-
-    auto count_hit = [&]() {
-        if (count_stats) {
-            std::lock_guard<std::mutex> lock(mutex_);
+    Memo<Prepared>::Lookup found = prepared_.get(
+        prepareKey(spec, pipeline.fingerprint()), [&]() {
+            // Fault hook for the prepare pipeline (see fault.hh); the
+            // attempt index counts builds across the queue's lifetime
+            // so a `prepare:throw` site poisons exactly one build.
+            maybeInjectFault(
+                spec.faults.get(), FaultSite::Scope::Prepare, 0,
+                prepareAttempts_.fetch_add(1, std::memory_order_relaxed));
+            // One timing source of truth: the TimedSpan both feeds the
+            // `prepare` trace span (when tracing) and PrepInfo.seconds.
+            obs::TimedSpan span("queue", "prepare",
+                                {{"ops", spec.circuit.size()}});
+            compile::CompileContext ctx =
+                compile::prepare(spec.circuit, prep, pipeline);
+            const double prepare_seconds = span.stop();
+            if (info != nullptr)
+                info->seconds = prepare_seconds;
+            auto prepared = std::make_shared<Prepared>();
+            prepared->instrumented = ctx.instrumented;
+            prepared->analysis = ctx.analysis;
+            prepared->circuit =
+                std::make_shared<const Circuit>(std::move(ctx.circuit));
+            return prepared;
+        });
+    if (info != nullptr)
+        info->cacheHit = found.hit;
+    if (count_stats) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (found.hit) {
             ++hits_;
             obs::count(queueMetrics().prepareHits);
-        }
-        if (info != nullptr)
-            info->cacheHit = true;
-    };
-
-    // Single-flight: the first submission of a key becomes the
-    // builder; racing submissions wait on its shared future instead
-    // of compiling the same circuit again.
-    std::promise<std::shared_ptr<const Prepared>> promise;
-    std::shared_future<std::shared_ptr<const Prepared>> pending;
-    bool builder = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (const auto it = cache_.find(key); it != cache_.end()) {
-            if (count_stats) {
-                ++hits_;
-                obs::count(queueMetrics().prepareHits);
-            }
-            if (info != nullptr)
-                info->cacheHit = true;
-            return it->second;
-        }
-        if (const auto it = inflight_.find(key);
-            it != inflight_.end()) {
-            pending = it->second;
         } else {
-            builder = true;
-            pending = promise.get_future().share();
-            inflight_[key] = pending;
+            ++misses_;
+            obs::count(queueMetrics().prepareMisses);
         }
+        obs::count(queueMetrics().prepareEvictions, found.evicted);
     }
-
-    if (!builder) {
-        // The wait is bounded by one compile::prepare on the builder
-        // thread (which touches no pool work), so parking here is
-        // safe even from a pool-thread callback. A failed build
-        // rethrows out of get() to every waiter.
-        std::shared_ptr<const Prepared> prepared = pending.get();
-        count_hit();
-        return prepared;
-    }
-
-    try {
-        // Fault hook for the prepare pipeline (see fault.hh); the
-        // attempt index counts builds across the queue's lifetime so
-        // a `prepare:throw` site poisons exactly one build.
-        maybeInjectFault(
-            spec.faults ? spec.faults.get() : processFaultPlan(),
-            FaultSite::Scope::Prepare, 0,
-            prepareAttempts_.fetch_add(1, std::memory_order_relaxed));
-        // One timing source of truth: the TimedSpan both feeds the
-        // `prepare` trace span (when tracing) and PrepInfo.seconds.
-        obs::TimedSpan span("queue", "prepare",
-                            {{"ops", spec.circuit.size()}});
-        compile::CompileContext ctx =
-            compile::prepare(spec.circuit, prep, pipeline);
-        const double prepare_seconds = span.stop();
-        if (info != nullptr)
-            info->seconds = prepare_seconds;
-        auto prepared = std::make_shared<Prepared>();
-        prepared->instrumented = ctx.instrumented;
-        prepared->analysis = ctx.analysis;
-        prepared->circuit =
-            std::make_shared<const Circuit>(std::move(ctx.circuit));
-
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            cache_[key] = prepared;
-            inflight_.erase(key);
-            if (count_stats) {
-                ++misses_;
-                obs::count(queueMetrics().prepareMisses);
-            }
-        }
-        promise.set_value(prepared);
-        return prepared;
-    } catch (...) {
-        // Evict the in-flight entry BEFORE publishing the failure:
-        // the key must never stay poisoned — the next submission of
-        // this spec starts a fresh build rather than inheriting this
-        // one's exception forever.
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            inflight_.erase(key);
-        }
-        promise.set_exception(std::current_exception());
-        throw;
-    }
+    return std::move(found.value);
 }
 
 Job
@@ -387,8 +332,8 @@ JobQueue::samplingCacheMisses() const
 void
 JobQueue::clearCache()
 {
+    prepared_.clear();
     std::lock_guard<std::mutex> lock(mutex_);
-    cache_.clear();
     // In-flight jobs hold their own reference; swapping the artifact
     // cache leaves them untouched and starts future jobs cold.
     artifacts_ = std::make_shared<kernels::PlanCache>();

@@ -11,6 +11,15 @@
  * resubmitting the same circuit (the bench suite's dominant pattern:
  * thousands of shot-jobs over a handful of circuits) skips straight
  * to execution.
+ *
+ * The prepare cache is a Memo (common/memo.hh), the same store behind
+ * each PlanCache artifact kind. Two consequences: two threads that
+ * submit the same never-seen spec at once both compile it, with
+ * identical results, instead of one waiting for the other; and the
+ * cache holds at most Memo::kMaxEntries prepared circuits, so a queue
+ * that has prepared more distinct specs prepares the oldest again when
+ * it is resubmitted (preparation is deterministic, so nothing but the
+ * time changes).
  */
 
 #ifndef QRA_RUNTIME_JOB_QUEUE_HH
@@ -23,10 +32,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "assertions/injector.hh"
+#include "common/memo.hh"
 #include "compile/pipelines.hh"
 #include "runtime/execution_engine.hh"
 #include "sim/kernels/plan_cache.hh"
@@ -116,7 +125,7 @@ struct JobSpec
     double deadlineMs = 0.0;
     /** Re-run policy for transiently failed shards. */
     RetryPolicy retry;
-    /** Fault-injection plan; null = the process-wide QRA_FAULTS one. */
+    /** Fault-injection plan (see fault.hh); null = none. */
     std::shared_ptr<const FaultPlan> faults;
     /** Checkpoint sink (see checkpoint.hh). */
     std::shared_ptr<JobCheckpoint> checkpoint;
@@ -209,7 +218,9 @@ class JobQueue
      * counts toward the hit/miss statistics; instrumented() is
      * introspection and leaves them untouched. Per-queue thin reads;
      * when metrics are enabled the same events also feed the global
-     * registry counters `jobqueue.prepare_cache.hits/misses`.
+     * registry counters `jobqueue.prepare_cache.hits/misses`, and
+     * the entries a submission evicts feed
+     * `jobqueue.prepare_cache.evictions`.
      */
     std::size_t cacheHits() const;
 
@@ -270,13 +281,10 @@ class JobQueue
                                     std::uint64_t pipeline_fingerprint);
 
     /**
-     * Single-flight preparation: the first submission of a key
-     * builds (outside the lock) while concurrent submissions of the
-     * same key wait on its shared future and count as cache hits —
-     * the batch pattern never compiles one circuit twice. A build
-     * that throws evicts its in-flight entry before propagating, so
-     * the key is never poisoned: the next submission simply builds
-     * again.
+     * The memoised preparation of @p spec (see the file comment): a
+     * cache hit returns the stored circuit; a miss compiles it. A
+     * compile that throws leaves no entry, so the next submission of
+     * the spec compiles again.
      *
      * @param count_stats False for introspection-only lookups.
      * @param info Optional sink for cache-hit/timing bookkeeping.
@@ -306,14 +314,7 @@ class JobQueue
 
     ExecutionEngine &engine_;
     mutable std::mutex mutex_;
-    std::unordered_map<std::uint64_t, std::shared_ptr<const Prepared>>
-        cache_;
-    /** Keys being built right now (single-flight); a failed build
-        erases its entry, so the map only ever holds live builds. */
-    std::unordered_map<
-        std::uint64_t,
-        std::shared_future<std::shared_ptr<const Prepared>>>
-        inflight_;
+    Memo<Prepared> prepared_;
     std::shared_ptr<kernels::PlanCache> artifacts_;
     std::size_t hits_ = 0;
     std::size_t misses_ = 0;

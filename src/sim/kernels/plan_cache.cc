@@ -1,7 +1,5 @@
 #include "sim/kernels/plan_cache.hh"
 
-#include <chrono>
-
 #include "common/hash.hh"
 #include "obs/metrics.hh"
 
@@ -71,83 +69,22 @@ PlanCacheScope::~PlanCacheScope()
     tls_cache = saved_;
 }
 
-template <typename T, typename BuildFn>
+template <typename T>
 std::shared_ptr<const T>
-PlanCache::lookup(Store<T> &store, std::uint64_t key, BuildFn &&build)
+PlanCache::tally(typename Memo<T>::Lookup found)
 {
-    auto &map = store.map;
-    std::promise<std::shared_ptr<const T>> promise;
-    bool owner = false;
-    std::uint64_t my_id = 0;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = map.find(key);
-        if (it != map.end()) {
-            // NEVER block on a still-building slot: the caller may be
-            // a pool task that the builder's parallelFor help-loop
-            // nested on top of the builder's own stack — waiting here
-            // would deadlock the frame that must fulfil the promise.
-            // A racing caller builds a private (bit-identical) copy
-            // instead; only the completed artifact counts as a hit.
-            if (it->second.future.wait_for(std::chrono::seconds(0)) ==
-                std::future_status::ready) {
-                ++stats_.hits;
-                obs::count(cacheMetrics().hits);
-                return it->second.future.get();
-            }
-            ++stats_.misses;
-            obs::count(cacheMetrics().misses);
-        } else {
-            ++stats_.misses;
-            obs::count(cacheMetrics().misses);
-            my_id = ++nextId_;
-            map.emplace(key,
-                        typename Store<T>::Entry{
-                            my_id, promise.get_future().share()});
-            store.order.emplace_back(key, my_id);
-            owner = true;
-            // FIFO bound: a long-lived queue sweeping many noise
-            // points must not grow without limit. Running shards keep
-            // evicted artifacts alive via their own shared_ptr.
-            while (map.size() > kMaxEntriesPerKind &&
-                   !store.order.empty()) {
-                const auto [victim, victim_id] = store.order.front();
-                store.order.pop_front();
-                const auto victim_it = map.find(victim);
-                // Id mismatch = stale record (failed build or
-                // re-inserted key); never evict the live successor.
-                if (victim_it == map.end() ||
-                    victim_it->second.id != victim_id)
-                    continue;
-                map.erase(victim_it);
-                ++stats_.evictions;
-                obs::count(cacheMetrics().evictions);
-            }
-        }
+    if (found.hit) {
+        hits_.fetch_add(1, std::memory_order_relaxed);
+        obs::count(cacheMetrics().hits);
+    } else {
+        misses_.fetch_add(1, std::memory_order_relaxed);
+        obs::count(cacheMetrics().misses);
     }
-    // A failure removes the key so later lookups retry instead of
-    // replaying a possibly transient error forever.
-    try {
-        auto artifact = build();
-        if (owner)
-            promise.set_value(artifact);
-        return artifact;
-    } catch (...) {
-        if (owner) {
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                // Erase only this thread's own entry: eviction may
-                // have dropped it and a successor re-inserted the
-                // key; that entry must survive. (The stale order
-                // entry, either way, is skipped by future evictions.)
-                const auto it = map.find(key);
-                if (it != map.end() && it->second.id == my_id)
-                    map.erase(it);
-            }
-            promise.set_exception(std::current_exception());
-        }
-        throw;
+    if (found.evicted != 0) {
+        evictions_.fetch_add(found.evicted, std::memory_order_relaxed);
+        obs::count(cacheMetrics().evictions, found.evicted);
     }
+    return std::move(found.value);
 }
 
 std::shared_ptr<const ExecutablePlan>
@@ -155,10 +92,11 @@ PlanCache::plan(const Circuit &circuit, int fusion)
 {
     if (fusion < 0)
         fusion = currentFusionLevel();
-    return lookup(plans_, planKey(circuit, fusion), [&]() {
-        return std::make_shared<const ExecutablePlan>(
-            ExecutablePlan::compile(circuit, fusion));
-    });
+    return tally<ExecutablePlan>(
+        plans_.get(planKey(circuit, fusion), [&]() {
+            return std::make_shared<const ExecutablePlan>(
+                ExecutablePlan::compile(circuit, fusion));
+        }));
 }
 
 std::shared_ptr<const TrajectoryPlan>
@@ -168,10 +106,10 @@ PlanCache::trajectoryPlan(const Circuit &circuit,
     if (fusion < 0)
         fusion = currentFusionLevel();
     const std::uint64_t key = noisyPlanKey(circuit, noise, fusion);
-    return lookup(trajectoryPlans_, key, [&]() {
+    return tally<TrajectoryPlan>(trajectoryPlans_.get(key, [&]() {
         return std::make_shared<const TrajectoryPlan>(
             TrajectoryPlan::compile(circuit, noise, fusion));
-    });
+    }));
 }
 
 std::shared_ptr<const DensityPlan>
@@ -181,10 +119,10 @@ PlanCache::densityPlan(const Circuit &circuit, const NoiseModel *noise,
     if (fusion < 0)
         fusion = currentFusionLevel();
     const std::uint64_t key = noisyPlanKey(circuit, noise, fusion);
-    return lookup(densityPlans_, key, [&]() {
+    return tally<DensityPlan>(densityPlans_.get(key, [&]() {
         return std::make_shared<const DensityPlan>(
             DensityPlan::compile(circuit, noise, fusion));
-    });
+    }));
 }
 
 std::shared_ptr<const SampledDistribution>
@@ -195,7 +133,8 @@ PlanCache::sampledDistribution(
 {
     if (fusion < 0)
         fusion = currentFusionLevel();
-    return lookup(sampled_, planKey(circuit, fusion), build);
+    return tally<SampledDistribution>(
+        sampled_.get(planKey(circuit, fusion), build));
 }
 
 std::shared_ptr<const DensityDistribution>
@@ -206,15 +145,18 @@ PlanCache::densityDistribution(
 {
     if (fusion < 0)
         fusion = currentFusionLevel();
-    return lookup(densityDistributions_,
-                  noisyPlanKey(circuit, noise, fusion), build);
+    return tally<DensityDistribution>(densityDistributions_.get(
+        noisyPlanKey(circuit, noise, fusion), build));
 }
 
 PlanCache::Stats
 PlanCache::stats() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
+    Stats stats;
+    stats.hits = hits_.load(std::memory_order_relaxed);
+    stats.misses = misses_.load(std::memory_order_relaxed);
+    stats.evictions = evictions_.load(std::memory_order_relaxed);
+    return stats;
 }
 
 } // namespace kernels

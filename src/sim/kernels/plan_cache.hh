@@ -24,31 +24,27 @@
  * DensityMatrixSimulator consult currentPlanCache(). Without an active
  * scope they compile locally, so direct simulator use is unchanged.
  *
- * Concurrency: the first caller of a key publishes the artifact; a
- * caller that races a still-running build constructs a private
- * (bit-identical) copy rather than block — a pool task waiting on
- * the cache could sit, via the thread pool's help-loop, on top of
- * the very builder frame it waits for. Completed artifacts are
- * shared by every later caller. Cached artifacts are bit-identical
- * to locally built ones (plan compilation is deterministic and the
- * amplitude kernels are lane-count independent), so caching never
- * changes counts.
+ * Each artifact kind is one Memo (common/memo.hh): the first caller
+ * of a key publishes the artifact, a caller that races a still-running
+ * build constructs a private copy rather than block, and each kind
+ * keeps at most Memo::kMaxEntries entries, evicted FIFO. Cached
+ * artifacts are bit-identical to locally built ones (plan compilation
+ * is deterministic and the amplitude kernels are lane-count
+ * independent), so caching never changes counts.
  */
 
 #ifndef QRA_SIM_KERNELS_PLAN_CACHE_HH
 #define QRA_SIM_KERNELS_PLAN_CACHE_HH
 
+#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "circuit/circuit.hh"
+#include "common/memo.hh"
 #include "common/rng.hh"
 #include "noise/noise_model.hh"
 #include "sim/kernels/density_plan.hh"
@@ -91,17 +87,6 @@ struct DensityDistribution
 class PlanCache
 {
   public:
-    /**
-     * Entries retained per artifact kind before FIFO eviction kicks
-     * in. Bounds a long-lived queue sweeping many (circuit, noise)
-     * points — e.g. a noise-scale sweep inserts one trajectory plan
-     * per scale — at a few hundred MB worst case instead of growing
-     * without limit. Artifacts held by running shards stay alive
-     * through their shared_ptr; eviction only drops the cache's
-     * reference.
-     */
-    static constexpr std::size_t kMaxEntriesPerKind = 256;
-
     struct Stats
     {
         std::size_t hits = 0;
@@ -132,7 +117,7 @@ class PlanCache
     /**
      * Sampled-execution distribution for (circuit, fusion); the
      * measured-qubit set is a function of the circuit and therefore
-     * of its hash. @p build runs at most once per key.
+     * of its hash. @p build runs on a miss only.
      */
     std::shared_ptr<const SampledDistribution> sampledDistribution(
         const Circuit &circuit, int fusion,
@@ -141,53 +126,33 @@ class PlanCache
 
     /**
      * Density register distribution, keyed like densityPlan(). @p build
-     * runs at most once per key; it may itself look up densityPlan().
+     * runs on a miss only; it may itself look up densityPlan().
      */
     std::shared_ptr<const DensityDistribution> densityDistribution(
         const Circuit &circuit, const NoiseModel *noise, int fusion,
         const std::function<std::shared_ptr<const DensityDistribution>()>
             &build);
 
-    /** Aggregate hit/miss counters over all artifact kinds. */
+    /** Aggregate hit/miss/eviction counters over all artifact kinds. */
     Stats stats() const;
 
   private:
-    template <typename T>
-    struct Store
-    {
-        struct Entry
-        {
-            /** Unique insertion id: the failure path erases its own
-                entry only, never a successor that recycled the key
-                after a FIFO eviction. */
-            std::uint64_t id;
-            std::shared_future<std::shared_ptr<const T>> future;
-        };
-        std::unordered_map<std::uint64_t, Entry> map;
-        /** (key, id) insertion order, for FIFO eviction; a record
-            whose id no longer matches the stored entry is stale
-            (failed build, earlier eviction) and is skipped. */
-        std::deque<std::pair<std::uint64_t, std::uint64_t>> order;
-    };
-
     /**
-     * Look up @p key in @p store, building via @p build on a miss.
-     * Returns the artifact; only the inserting thread runs @p build
-     * for the shared slot (racers build private copies, see file
-     * comment).
+     * Count @p found (hit or miss, plus its evictions) into the
+     * per-instance stats and the `plan_cache.*` mirrors; returns its
+     * value.
      */
-    template <typename T, typename BuildFn>
-    std::shared_ptr<const T> lookup(Store<T> &store, std::uint64_t key,
-                                    BuildFn &&build);
+    template <typename T>
+    std::shared_ptr<const T> tally(typename Memo<T>::Lookup found);
 
-    mutable std::mutex mutex_;
-    Store<ExecutablePlan> plans_;
-    Store<TrajectoryPlan> trajectoryPlans_;
-    Store<DensityPlan> densityPlans_;
-    Store<SampledDistribution> sampled_;
-    Store<DensityDistribution> densityDistributions_;
-    Stats stats_;
-    std::uint64_t nextId_ = 0;
+    Memo<ExecutablePlan> plans_;
+    Memo<TrajectoryPlan> trajectoryPlans_;
+    Memo<DensityPlan> densityPlans_;
+    Memo<SampledDistribution> sampled_;
+    Memo<DensityDistribution> densityDistributions_;
+    std::atomic<std::size_t> hits_{0};
+    std::atomic<std::size_t> misses_{0};
+    std::atomic<std::size_t> evictions_{0};
 };
 
 /** The calling thread's active cache (nullptr = compile locally). */

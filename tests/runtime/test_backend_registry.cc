@@ -73,18 +73,15 @@ TEST(BackendRegistry, CapabilityFlags)
     auto &registry = BackendRegistry::global();
     const auto &sv = registry.create("statevector")->capabilities();
     EXPECT_FALSE(sv.supportsNoise);
-    EXPECT_TRUE(sv.supportsMidCircuitMeasurement);
     EXPECT_TRUE(sv.shardable);
 
     const auto &density = registry.create("density")->capabilities();
     EXPECT_TRUE(density.supportsNoise);
-    EXPECT_TRUE(density.supportsMidCircuitMeasurement);
     EXPECT_TRUE(density.exactDistribution);
     EXPECT_FALSE(density.shardable);
 
     const auto &traj = registry.create("trajectory")->capabilities();
     EXPECT_TRUE(traj.supportsNoise);
-    EXPECT_TRUE(traj.supportsMidCircuitMeasurement);
 
     const auto &stab = registry.create("stabilizer")->capabilities();
     EXPECT_TRUE(stab.cliffordOnly);

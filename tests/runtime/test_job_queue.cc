@@ -112,6 +112,41 @@ TEST(JobQueue, DistinctCircuitsMissSeparately)
     EXPECT_EQ(queue.cacheMisses(), 1u);
 }
 
+TEST(JobQueue, PrepareCacheEvictsTheOldestSpecPastItsBound)
+{
+    // One spec more than the bound evicts the first; resubmitting it
+    // prepares it again and reproduces its counts.
+    ExecutionEngine engine(EngineOptions{.threads = 2});
+    JobQueue queue(engine);
+    auto spec_for = [](std::size_t i) {
+        JobSpec spec = bellSpec();
+        spec.circuit = Circuit(2, 2);
+        spec.circuit.rx(0.001 * static_cast<double>(i + 1), 0)
+            .cx(0, 1)
+            .measureAll();
+        spec.shots = 64;
+        return spec;
+    };
+    const char *evictions = "jobqueue.prepare_cache.evictions";
+    auto &registry = obs::MetricsRegistry::global();
+    const std::uint64_t before = registry.snapshot().counters[evictions];
+
+    obs::setMetricsEnabled(true);
+    const Result first = queue.submit(spec_for(0)).get();
+    for (std::size_t i = 1; i <= Memo<int>::kMaxEntries; ++i)
+        queue.submit(spec_for(i)).get();
+    const std::uint64_t bound_evictions =
+        registry.snapshot().counters[evictions] - before;
+    const Result again = queue.submit(spec_for(0)).get();
+    obs::setMetricsEnabled(false);
+
+    EXPECT_EQ(bound_evictions, 1u);
+    EXPECT_FALSE(again.execStats().prepareCacheHit);
+    EXPECT_EQ(queue.cacheHits(), 0u);
+    EXPECT_EQ(queue.cacheMisses(), Memo<int>::kMaxEntries + 2);
+    EXPECT_EQ(again.rawCounts(), first.rawCounts());
+}
+
 TEST(JobQueue, RunAllPreservesOrderAndSeeds)
 {
     ExecutionEngine engine(EngineOptions{

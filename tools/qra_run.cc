@@ -319,16 +319,15 @@ parseArgs(int argc, char **argv, Options &opts)
 void
 listBackends()
 {
-    std::printf("%-14s %-6s %-12s %-6s %-10s %s\n", "name", "noise",
-                "mid-measure", "exact", "max-qubits", "sharding");
+    std::printf("%-14s %-6s %-6s %-10s %s\n", "name", "noise", "exact",
+                "max-qubits", "sharding");
     for (const std::string &name :
          BackendRegistry::global().names()) {
         const BackendPtr backend =
             BackendRegistry::global().create(name);
         const BackendCapabilities &caps = backend->capabilities();
-        std::printf("%-14s %-6s %-12s %-6s %-10zu %s\n", name.c_str(),
+        std::printf("%-14s %-6s %-6s %-10zu %s\n", name.c_str(),
                     caps.supportsNoise ? "yes" : "no",
-                    caps.supportsMidCircuitMeasurement ? "yes" : "no",
                     caps.exactDistribution ? "yes" : "no",
                     caps.maxQubits,
                     caps.shardable ? "parallel" : "single");
