@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <limits>
 #include <list>
 #include <sstream>
 
@@ -295,6 +296,39 @@ applyPostSelect(Circuit &circuit, std::string_view directive)
     circuit.postSelect(parseRegIndex(qubit, 'q'), v);
 }
 
+/** An operand that names a whole register: OpenQASM 2 broadcast. */
+constexpr Qubit kWholeRegister = std::numeric_limits<Qubit>::max();
+
+/** "q[i]" as i, or the bare register name as kWholeRegister. */
+Qubit
+parseOperand(std::string_view token, char reg)
+{
+    if (token.size() == 1 && token[0] == reg)
+        return kWholeRegister;
+    const Qubit index = parseRegIndex(token, reg);
+    if (index == kWholeRegister) // no register is that wide
+        throw QasmError("register index out of range in '" +
+                        std::string(token) + "'");
+    return index;
+}
+
+/**
+ * Appends @p op once per index of the register, with that index in
+ * every whole-register operand, as OpenQASM 2 broadcasts "h q;" (with
+ * one register, a gate that also names one of its qubits repeats it
+ * and is rejected as a duplicate operand).
+ */
+void
+appendBroadcast(Circuit &circuit, Operation op)
+{
+    const std::vector<Qubit> operands = op.qubits;
+    for (Qubit i = 0; i < circuit.numQubits(); ++i) {
+        for (std::size_t k = 0; k < operands.size(); ++k)
+            op.qubits[k] = operands[k] == kWholeRegister ? i : operands[k];
+        circuit.append(op);
+    }
+}
+
 /** Apply one trimmed, non-empty, non-declaration statement. */
 void
 applyStatement(Circuit &circuit, std::string_view s)
@@ -306,30 +340,47 @@ applyStatement(Circuit &circuit, std::string_view s)
         if (arrow == std::string_view::npos)
             throw QasmError("measure without '->': " + std::string(s));
         const Qubit q =
-            parseRegIndex(trimWhitespace(rest.substr(0, arrow)), 'q');
+            parseOperand(trimWhitespace(rest.substr(0, arrow)), 'q');
         const Clbit c =
-            parseRegIndex(trimWhitespace(rest.substr(arrow + 2)), 'c');
-        circuit.measure(q, c);
+            parseOperand(trimWhitespace(rest.substr(arrow + 2)), 'c');
+        if ((q == kWholeRegister) != (c == kWholeRegister))
+            throw QasmError("measure needs two registers or two bits: " +
+                            std::string(s));
+        if (q != kWholeRegister) {
+            circuit.measure(q, c);
+            return;
+        }
+        // "measure q -> c;" measures q[i] into c[i] for every i.
+        if (circuit.numQubits() != circuit.numClbits())
+            throw QasmError("measure registers differ in size: q[" +
+                            std::to_string(circuit.numQubits()) +
+                            "] -> c[" +
+                            std::to_string(circuit.numClbits()) + "]");
+        for (Qubit i = 0; i < circuit.numQubits(); ++i)
+            circuit.measure(i, i);
         return;
     }
 
     std::vector<Qubit> qubits;
-    auto read_qubits = [&qubits](std::string_view operands) {
+    bool broadcast = false;
+    auto read_qubits = [&qubits, &broadcast](std::string_view operands) {
         qubits.reserve(1 +
                        std::count(operands.begin(), operands.end(), ','));
-        forEachPiece(operands, ',', [&qubits](std::string_view tok) {
-            if (!tok.empty())
-                qubits.push_back(parseRegIndex(tok, 'q'));
+        forEachPiece(operands, ',', [&](std::string_view tok) {
+            if (tok.empty())
+                return;
+            qubits.push_back(parseOperand(tok, 'q'));
+            broadcast |= qubits.back() == kWholeRegister;
         });
     };
 
     if (s[0] == 'b' && s.starts_with("barrier")) {
-        const std::string_view rest = trimWhitespace(s.substr(7));
-        if (rest == "q") {
+        // One barrier over its operands; the whole register fences all.
+        read_qubits(trimWhitespace(s.substr(7)));
+        if (broadcast) {
             circuit.barrier();
             return;
         }
-        read_qubits(rest);
         circuit.append(
             {.kind = OpKind::Barrier, .qubits = std::move(qubits)});
         return;
@@ -369,15 +420,21 @@ applyStatement(Circuit &circuit, std::string_view s)
 
     // qelib1 aliases: u3 == u and u1 == p map via the name table;
     // u2(phi, lambda) = u(pi/2, phi, lambda) needs rewriting.
+    OpKind kind = OpKind::U;
     if (name == "u2") {
         if (params.size() != 2)
             throw QasmError("u2 expects 2 parameters");
-        circuit.append({.kind = OpKind::U,
-                        .qubits = std::move(qubits),
-                        .params = {M_PI / 2.0, params[0], params[1]}});
+        params = {M_PI / 2.0, params[0], params[1]};
+    } else {
+        kind = kindFromName(name);
+    }
+    if (broadcast) {
+        appendBroadcast(circuit, {.kind = kind,
+                                  .qubits = std::move(qubits),
+                                  .params = std::move(params)});
         return;
     }
-    circuit.append({.kind = kindFromName(name),
+    circuit.append({.kind = kind,
                     .qubits = std::move(qubits),
                     .params = std::move(params)});
 }

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <utility>
 #include <vector>
 
 namespace qra {
@@ -81,11 +82,26 @@ std::uint64_t splitSeed(std::uint64_t base, std::uint64_t stream);
 std::size_t sampleDiscrete(const std::vector<double> &probs, Rng &rng);
 
 /**
- * Draws an index from a fixed weight vector in expected O(1): the same
- * index sampleDiscrete's scan returns for every draw, drift fallback to
- * the last index included. It is the library's one repeated-draw
- * sampler: the density cache and sampled state-vector execution both
- * draw through it.
+ * Draw from Binomial(@p n, @p p): the number of successes in @p n
+ * independent trials of success probability @p p.
+ *
+ * The library's own sampler, so a seed gives the same draws with every
+ * standard library (whose binomial distributions draw differently).
+ * p > 1/2 draws n - Binomial(n, 1 - p). Below n * p = 10 it inverts
+ * the cdf from 0, about n * p + 1 steps on one uniform; from 10 on it
+ * is Hoermann's BTRD (transformed rejection with decomposition, 1993),
+ * a few uniforms per draw at any n. p == 0 returns exactly 0 and
+ * p == 1 exactly n, drawing nothing.
+ * @throws ValueError when @p p is outside [0, 1] or NaN.
+ */
+std::uint64_t sampleBinomial(std::uint64_t n, double p, Rng &rng);
+
+/**
+ * Draws indices from a fixed weight vector with sampleDiscrete's law:
+ * a draw is index i when u = rng.uniform() lies in [sums[i-1], sums[i])
+ * (sums[-1] = 0), and the last index takes the drift, u >= every sum
+ * before it. It is the library's one repeated-draw sampler: the density
+ * cache and sampled state-vector execution both draw through it.
  *
  * It holds the running sums of the weights, accumulated in
  * sampleDiscrete's order, and a guide of 2^m buckets, 2^m = max(256,
@@ -97,6 +113,17 @@ std::size_t sampleDiscrete(const std::vector<double> &probs, Rng &rng);
  * stops on it (or on the last index, when drift leaves every sum <= u).
  * With at least one bucket per index a draw scans about two steps; a
  * 2^16-key state-vector entry is 768 KiB (sums and guide).
+ *
+ * counts() has two regimes, by shots per key. Below
+ * kSplitShotsPerKey it makes one guided draw per shot, the same stream
+ * as successive operator() calls. From there on it splits: a range of
+ * indices with s shots gives its left half Binomial(s, mass of the left
+ * half / mass of the range) of them and its right half the rest, and
+ * only halves with shots are entered, so s shots over k keys cost at
+ * most k - 1 binomial draws rather than s guided ones. The masses are
+ * the per-shot law's, differences of min(sum, 1) with the last index
+ * ending at 1, so both regimes draw from one distribution; a
+ * zero-weight index never gets a shot in either.
  */
 class CumulativeSampler
 {
@@ -131,14 +158,35 @@ class CumulativeSampler
     std::size_t operator()(Rng &rng) const;
 
     /**
-     * Draw @p shots indices and count them per index: the counts of
-     * @p shots successive operator() draws, in one call.
+     * Shots per key from which counts() splits instead of drawing per
+     * shot: 8192 shots over 4-32 keys split, 256 over 16 and 1024 over
+     * 2^16 do not. Where the split starts to pay inside a job, whose
+     * other work leaves the binomial code and libm cold (README,
+     * "Counting shots").
+     */
+    static constexpr std::size_t kSplitShotsPerKey = 32;
+
+    /** (index, count) pairs: indices ascending, every count > 0. */
+    using Counts = std::vector<std::pair<std::size_t, std::size_t>>;
+
+    /**
+     * Draw @p shots indices and count them per index, listing only the
+     * indices drawn. Below kSplitShotsPerKey * size() shots these are
+     * the counts of @p shots successive operator() draws, and the
+     * stream ends where theirs does; from there on they are split by
+     * binomial draws (see class comment), the same law from a shorter
+     * stream.
      * @throws Error when the sampler is empty and @p shots > 0.
      */
-    std::vector<std::size_t> counts(std::size_t shots, Rng &rng) const;
+    Counts counts(std::size_t shots, Rng &rng) const;
 
   private:
     std::size_t draw(double u) const;
+    /** Where index @p k's share of [0, 1) starts; edge(size()) is 1. */
+    double edge(std::size_t k) const;
+    /** Splits @p shots over [lo, hi) by binomial draws onto @p out. */
+    void split(std::size_t lo, std::size_t hi, std::size_t shots,
+               Rng &rng, Counts &out) const;
 
     std::vector<double> sums_;
     std::vector<std::uint32_t> guide_;

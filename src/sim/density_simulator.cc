@@ -221,10 +221,8 @@ DensityMatrixSimulator::run(const Circuit &circuit, std::size_t shots)
     result.setRetainedFraction(dist->retainedFraction);
 
     // Count per key, then fold into the Result once.
-    const std::vector<std::size_t> counts =
-        dist->sampler.counts(shots, rng_);
-    for (std::size_t i = 0; i < counts.size(); ++i)
-        result.record(dist->keys[i], counts[i]);
+    for (const auto &[i, count] : dist->sampler.counts(shots, rng_))
+        result.record(dist->keys[i], count);
     return result;
 }
 

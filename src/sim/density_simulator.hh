@@ -10,9 +10,9 @@
  * The evolved register distribution depends on nothing else, so with
  * an active PlanCache (the runtime installs one) run() and
  * exactDistribution() evolve once per (circuit, noise, fusion) and a
- * repeated job only samples: one guided O(1) draw per shot from the
- * cached CumulativeSampler, the same index sampleDiscrete's scan would
- * draw.
+ * repeated job only samples: the cached CumulativeSampler counts its
+ * shots per register key, one guided draw per shot (sampleDiscrete's
+ * index) below 32 shots per key and binomial splits from there on.
  * finalState() always evolves; it is the test oracle.
  *
  * A mid-circuit measurement (its qubit is used again, e.g. a reset
@@ -93,7 +93,7 @@ class DensityMatrixSimulator
      * a cache miss trajectory is faster at 256 shots past 4 records on
      * 5 qubits, density at 8192 shots on every allowed shape measured
      * (README, "Backends and the registry"). A cache hit pays no
-     * evolution at all, only one O(1) draw per shot.
+     * evolution at all, only the counting of its shots per key.
      */
     static constexpr std::size_t kMaxRecords = 6;
 

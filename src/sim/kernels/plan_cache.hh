@@ -12,7 +12,7 @@
  *  - sampled-execution distributions (a CumulativeSampler over the
  *    measured-qubit marginal, plus its clbit wiring);
  *  - density register distributions (the evolved, readout-folded
- *    distribution and its guided CumulativeSampler).
+ *    distribution and its CumulativeSampler).
  * A PlanCache keyed on those lets every shard of a job, and every
  * repeated job over the same prepared circuit (the batched-assertion
  * sweep pattern), build each artifact exactly once. A cached density
@@ -58,7 +58,8 @@ namespace kernels {
  * Everything sampled execution needs after the one-time evolution: a
  * CumulativeSampler over the measured-qubit marginal (empty when
  * nothing is measured), the marginal-bit -> clbit wiring, and the
- * post-selection retention. Each shot is one guided O(1) draw.
+ * post-selection retention. A run counts its shots per marginal key
+ * with CumulativeSampler::counts.
  */
 struct SampledDistribution
 {
@@ -72,8 +73,8 @@ struct SampledDistribution
  * Everything a density run samples after its one-time evolution: the
  * register distribution with readout folded in, the post-selection
  * retention, and the distribution's keys with a CumulativeSampler over
- * their probabilities in key order, built once with the entry, so
- * each shot of a cache hit is one guided O(1) draw.
+ * their probabilities in key order, built once with the entry, so a
+ * cache hit only counts its shots per key (CumulativeSampler::counts).
  */
 struct DensityDistribution
 {

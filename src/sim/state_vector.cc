@@ -155,8 +155,8 @@ BasisIndex
 StateVector::sample(Rng &rng) const
 {
     // One-off draw: a linear cumulative scan. Repeated sampling
-    // should build a CumulativeSampler from probabilities() instead
-    // (expected O(1) per draw); runSampled does.
+    // should build a CumulativeSampler from probabilities() and count
+    // its shots in one call instead; runSampled does.
     const double u = rng.uniform();
     double acc = 0.0;
     for (std::uint64_t i = 0; i < amps_.size(); ++i) {

@@ -168,7 +168,10 @@ StatevectorSimulator::runSampled(const Circuit &circuit,
     // final state, marginal, sampler — is shot-independent. With an
     // active PlanCache (the runtime JobQueue installs one) it is built
     // exactly once per (circuit, fusion) across all shards and
-    // repeated jobs; shots then cost one guided O(1) draw each.
+    // repeated jobs. The shots are then counted per marginal key by
+    // CumulativeSampler::counts (one guided draw per shot, or binomial
+    // splits when shots far outnumber keys) and recorded once per key
+    // that got any, through the clbit wiring.
     obs::Span span("sim", "sampled_run", {{"shots", shots}});
     obs::count(sampledShotsCounter(), shots);
     std::shared_ptr<const kernels::SampledDistribution> dist;
@@ -187,8 +190,7 @@ StatevectorSimulator::runSampled(const Circuit &circuit,
         return result;
     }
 
-    for (std::size_t s = 0; s < shots; ++s) {
-        const std::uint64_t key = dist->sampler(rng_);
+    for (const auto &[key, count] : dist->sampler.counts(shots, rng_)) {
         std::uint64_t reg = 0;
         for (const auto &[j, c] : dist->bitWiring) {
             if ((key >> j) & 1)
@@ -196,7 +198,7 @@ StatevectorSimulator::runSampled(const Circuit &circuit,
             else
                 reg &= ~(std::uint64_t{1} << c);
         }
-        result.record(reg);
+        result.record(reg, count);
     }
     return result;
 }

@@ -231,6 +231,79 @@ TEST(QasmTest, OversizedRegisterIndexIsQasmError)
                  QasmError);
 }
 
+TEST(QasmTest, RegisterBroadcastExpandsToEveryIndex)
+{
+    // OpenQASM 2: a bare register operand stands for each of its
+    // indices in turn, and the statement repeats once per index.
+    const Circuit c = fromQasm("OPENQASM 2.0;\nqreg q[3];\ncreg c[3];\n"
+                               "h q;\nrz(pi/4) q;\nbarrier q;\nreset q;\n"
+                               "measure q -> c;\n");
+    ASSERT_EQ(c.size(), 13u) << toQasm(c);
+    const OpKind kinds[] = {OpKind::H, OpKind::RZ, OpKind::Barrier,
+                            OpKind::Reset, OpKind::Measure};
+    std::size_t at = 0;
+    for (const OpKind kind : kinds) {
+        if (kind == OpKind::Barrier) {
+            EXPECT_EQ(c.ops()[at].kind, OpKind::Barrier);
+            EXPECT_EQ(c.ops()[at].qubits, (std::vector<Qubit>{0, 1, 2}));
+            ++at;
+            continue;
+        }
+        for (Qubit i = 0; i < 3; ++i, ++at) {
+            EXPECT_EQ(c.ops()[at].kind, kind) << at;
+            EXPECT_EQ(c.ops()[at].qubits, std::vector<Qubit>{i}) << at;
+            if (kind == OpKind::Measure) {
+                EXPECT_EQ(*c.ops()[at].clbit, i);
+            }
+        }
+    }
+    // A register beside one of its own qubits repeats that qubit.
+    EXPECT_THROW(fromQasm("OPENQASM 2.0;\nqreg q[2];\ncx q[0], q;\n"),
+                 Error);
+}
+
+TEST(QasmTest, RegisterBroadcastMatchesIndexedText)
+{
+    const std::string broadcast =
+        "OPENQASM 2.0;\nqreg q[3];\ncreg c[3];\nh q;\nu2(0.1, 0.2) q;\n"
+        "barrier q;\ncx q[1], q[2];\nreset q;\nmeasure q -> c;\n";
+    const std::string indexed =
+        "OPENQASM 2.0;\nqreg q[3];\ncreg c[3];\n"
+        "h q[0];\nh q[1];\nh q[2];\n"
+        "u2(0.1, 0.2) q[0];\nu2(0.1, 0.2) q[1];\nu2(0.1, 0.2) q[2];\n"
+        "barrier q[0], q[1], q[2];\ncx q[1], q[2];\n"
+        "reset q[0];\nreset q[1];\nreset q[2];\n"
+        "measure q[0] -> c[0];\nmeasure q[1] -> c[1];\n"
+        "measure q[2] -> c[2];\n";
+    EXPECT_EQ(toQasm(fromQasm(broadcast)), toQasm(fromQasm(indexed)));
+    EXPECT_EQ(parseAnnotatedQasm(broadcast).payload.hash(),
+              fromQasm(indexed).hash());
+}
+
+TEST(QasmTest, RegisterBroadcastRejectsMismatchedRegisters)
+{
+    const auto message = [](const std::string &body) {
+        try {
+            fromQasm("OPENQASM 2.0;\n" + body);
+        } catch (const QasmError &e) {
+            return std::string(e.what());
+        }
+        return std::string("no error");
+    };
+    EXPECT_EQ(message("qreg q[3];\ncreg c[2];\nmeasure q -> c;\n"),
+              "measure registers differ in size: q[3] -> c[2]");
+    EXPECT_EQ(message("qreg q[2];\nmeasure q -> c;\n"),
+              "measure registers differ in size: q[2] -> c[0]");
+    EXPECT_EQ(message("qreg q[2];\ncreg c[2];\nmeasure q -> c[0];\n"),
+              "measure needs two registers or two bits: measure q -> c[0]");
+    EXPECT_EQ(message("qreg q[2];\ncreg c[2];\nmeasure q[0] -> c;\n"),
+              "measure needs two registers or two bits: measure q[0] -> c");
+    EXPECT_EQ(message("qreg q[2];\nh r;\n"), "expected q[i], got 'r'");
+    // The largest index is no register's: it must not read as "q".
+    EXPECT_EQ(message("qreg q[1];\nx q[4294967295];\n"),
+              "register index out of range in 'q[4294967295]'");
+}
+
 TEST(QasmTest, UnreadableNumberIsQasmError)
 {
     for (const char *expr : {".", "e5", "1e999", "-1e999"})

@@ -4,13 +4,16 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/error.hh"
 #include "common/rng.hh"
+#include "stats/chi_square.hh"
 
 namespace qra {
 namespace {
@@ -270,8 +273,8 @@ TEST(RngTest, CumulativeSamplerPointMassAlwaysDrawsIt)
     Xoshiro256 rng(9);
     for (int i = 0; i < 1000; ++i)
         EXPECT_EQ(point(rng), 1u);
-    EXPECT_EQ(point.counts(1000, rng),
-              (std::vector<std::size_t>{0, 1000, 0}));
+    EXPECT_EQ(point.counts(1000, rng), (CumulativeSampler::Counts{{1, 1000}}));
+    EXPECT_EQ(point.counts(5, rng), (CumulativeSampler::Counts{{1, 5}}));
 }
 
 TEST(RngTest, CumulativeSamplerGuideSizeIsFixed)
@@ -318,20 +321,251 @@ TEST(RngTest, CumulativeSamplerGuideStartsAtEachEdgesAnswer)
     }
 }
 
+/** Below the split: counts() is @p shots successive guided draws. */
+void
+expectCountsAreSuccessiveDraws(const CumulativeSampler &sampler,
+                               std::size_t shots, std::uint64_t seed)
+{
+    ASSERT_LT(shots, CumulativeSampler::kSplitShotsPerKey * sampler.size());
+    Xoshiro256 batch(seed);
+    Xoshiro256 single(seed);
+    std::map<std::size_t, std::size_t> tally;
+    for (std::size_t s = 0; s < shots; ++s)
+        ++tally[sampler(single)];
+    const CumulativeSampler::Counts want(tally.begin(), tally.end());
+    EXPECT_EQ(sampler.counts(shots, batch), want) << shots;
+    // Both streams end at the same place.
+    EXPECT_EQ(batch(), single()) << shots;
+}
+
 TEST(RngTest, CumulativeSamplerCountsAreSuccessiveDraws)
 {
-    const std::vector<double> probs = raggedWeights(300);
-    const CumulativeSampler sampler(probs);
-    for (const std::size_t shots : {0u, 1u, 10000u}) {
-        Xoshiro256 batch(31);
-        Xoshiro256 single(31);
-        std::vector<std::size_t> want(probs.size());
-        for (std::size_t s = 0; s < shots; ++s)
-            ++want[sampler(single)];
-        EXPECT_EQ(sampler.counts(shots, batch), want) << shots;
-        // Both streams end at the same place.
-        EXPECT_EQ(batch(), single()) << shots;
+    // The per-shot regime, up to one shot below the split.
+    // Fewer shots than keys are tallied by sorting the draws, more by
+    // one counter per key.
+    const CumulativeSampler ragged(raggedWeights(300));
+    const std::size_t split = CumulativeSampler::kSplitShotsPerKey * 300;
+    for (const std::size_t shots :
+         {std::size_t{0}, std::size_t{1}, std::size_t{299},
+          std::size_t{300}, std::size_t{1000}, split - 1})
+        expectCountsAreSuccessiveDraws(ragged, shots, 31);
+    // sv_sweep's shape: 1024 shots over a 16-qubit register's 2^16
+    // keys stay per-shot, so its counts are the guided draws'.
+    expectCountsAreSuccessiveDraws(CumulativeSampler(raggedWeights(65536)),
+                                   1024, 32);
+    // At the split the stream is no longer one uniform per shot.
+    Xoshiro256 batch(33);
+    Xoshiro256 single(33);
+    ragged.counts(split, batch);
+    for (std::size_t s = 0; s < split; ++s)
+        ragged(single);
+    EXPECT_NE(batch(), single());
+}
+
+/**
+ * The per-shot law of @p sampler: index i's share of u in [0, 1),
+ * min(sums[i], 1) - min(sums[i - 1], 1), the last index taking the
+ * drift up to 1.
+ */
+stats::Distribution
+perShotLaw(const CumulativeSampler &sampler)
+{
+    const std::vector<double> &sums = sampler.sums();
+    stats::Distribution law;
+    double below = 0.0;
+    for (std::size_t i = 0; i < sums.size(); ++i) {
+        const double upto =
+            i + 1 == sums.size() ? 1.0 : std::min(sums[i], 1.0);
+        if (upto > below)
+            law[i] = upto - below;
+        below = upto;
     }
+    return law;
+}
+
+// From the split on, counts fit the per-shot law (1e-6 false-alarm
+// rate per fit): zero-weight keys, a total short of 1 (the last key
+// takes the drift) and above it (keys past 1 get nothing).
+TEST(RngTest, CumulativeSamplerSplitCountsFitThePerShotLaw)
+{
+    const std::vector<std::vector<double>> cases = {
+        {0.3, 0.0, 0.2, 0.0, 0.5, 0.0, 0.0},
+        {0.25, 0.25, 0.25, 0.2},
+        {0.5, 0.4, 0.3},
+        {0.7, 0.6, 0.2},
+        {1.0},
+        halvingWeights(12),
+        zeroRunWeights(40),
+        raggedWeights(300),
+    };
+    for (const std::vector<double> &probs : cases) {
+        const CumulativeSampler sampler(probs);
+        const stats::Distribution law = perShotLaw(sampler);
+        for (const std::size_t shots :
+             {CumulativeSampler::kSplitShotsPerKey * probs.size(),
+              std::size_t{8192}, std::size_t{1} << 20}) {
+            if (shots < CumulativeSampler::kSplitShotsPerKey * probs.size())
+                continue;
+            for (const std::uint64_t seed : {40u, 41u, 42u}) {
+                Xoshiro256 rng(seed);
+                stats::Counts observed;
+                std::size_t total = 0;
+                std::size_t last = 0;
+                for (const auto &[i, count] : sampler.counts(shots, rng)) {
+                    // Ascending, positive, and only where the law has
+                    // mass.
+                    EXPECT_TRUE(observed.empty() || i > last);
+                    EXPECT_GT(count, 0u);
+                    EXPECT_TRUE(law.contains(i))
+                        << probs.size() << " keys, key " << i;
+                    observed[i] = count;
+                    total += count;
+                    last = i;
+                }
+                EXPECT_EQ(total, shots);
+                EXPECT_GE(stats::pooledChiSquareTest(observed, law).pValue,
+                          1e-6)
+                    << probs.size() << " keys, " << shots << " shots, seed "
+                    << seed;
+            }
+        }
+    }
+}
+
+// ---- binomial draws -----------------------------------------------------
+
+/** Binomial(n, p)'s pmf over [0, n], zero-probability values left out. */
+stats::Distribution
+binomialPmf(std::uint64_t n, double p)
+{
+    stats::Distribution pmf;
+    if (p == 0.0 || p == 1.0) {
+        pmf[p == 0.0 ? 0 : n] = 1.0;
+        return pmf;
+    }
+    const double dn = static_cast<double>(n);
+    for (std::uint64_t k = 0; k <= n; ++k) {
+        const double dk = static_cast<double>(k);
+        const double log_pmf = std::lgamma(dn + 1.0) - std::lgamma(dk + 1.0) -
+                               std::lgamma(dn - dk + 1.0) +
+                               dk * std::log(p) + (dn - dk) * std::log1p(-p);
+        const double value = std::exp(log_pmf);
+        if (value > 0.0)
+            pmf[k] = value;
+    }
+    return pmf;
+}
+
+/**
+ * @p draws binomial draws from one stream fit the pmf (pooled
+ * chi-square, 1e-6 false-alarm rate), and their mean and variance lie
+ * within 6 standard errors of n p and n p (1 - p).
+ */
+void
+expectBinomialFits(std::uint64_t n, double p, std::size_t draws,
+                   std::uint64_t seed)
+{
+    Xoshiro256 rng(seed);
+    stats::Counts observed;
+    double sum = 0.0;
+    double sum_sq = 0.0;
+    for (std::size_t i = 0; i < draws; ++i) {
+        const std::uint64_t k = sampleBinomial(n, p, rng);
+        ASSERT_LE(k, n) << "n " << n << " p " << p;
+        ++observed[k];
+        sum += static_cast<double>(k);
+        sum_sq += static_cast<double>(k) * static_cast<double>(k);
+    }
+    const std::string where = "n " + std::to_string(n) + " p " +
+                              std::to_string(p) + " seed " +
+                              std::to_string(seed);
+    EXPECT_GE(stats::pooledChiSquareTest(observed, binomialPmf(n, p)).pValue,
+              1e-6)
+        << where;
+    const double dn = static_cast<double>(draws);
+    const double mean = n * p;
+    const double var = n * p * (1.0 - p);
+    const double sample_mean = sum / dn;
+    const double sample_var =
+        (sum_sq - dn * sample_mean * sample_mean) / (dn - 1.0);
+    EXPECT_LE(std::abs(sample_mean - mean), 6.0 * std::sqrt(var / dn) + 1e-12)
+        << where << ": mean " << sample_mean;
+    // Var(s^2) = (mu4 - var^2 (N - 3) / (N - 1)) / N for N draws, with
+    // the binomial's mu4 = var (1 + 3 (n - 2) p q).
+    const double mu4 = var * (1.0 + 3.0 * (static_cast<double>(n) - 2.0) *
+                                        p * (1.0 - p));
+    const double var_of_var =
+        (mu4 - var * var * (dn - 3.0) / (dn - 1.0)) / dn;
+    EXPECT_LE(std::abs(sample_var - var),
+              6.0 * std::sqrt(std::max(var_of_var, 0.0)) + 1e-12)
+        << where << ": variance " << sample_var;
+}
+
+TEST(RngTest, BinomialFitsItsPmfOverTheGrid)
+{
+    // Every pair of a grid of n and p, on both sides of p = 1/2 (drawn
+    // as n - Binomial(n, 1 - p)), and n p on both sides of the switch
+    // from inversion to BTRD at 10.
+    std::uint64_t seed = 100;
+    for (const std::uint64_t n :
+         {0u, 1u, 2u, 9u, 10u, 11u, 255u, 256u, 1024u, 8192u})
+        for (const double p : {0.0, 1e-9, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.7,
+                               0.99, 1.0})
+            expectBinomialFits(n, p, 50000, seed++);
+    for (const double np : {9.99, 10.0, 10.01})
+        for (const std::uint64_t n : {20u, 21u, 1024u, 8192u}) {
+            const double p = np / static_cast<double>(n);
+            expectBinomialFits(n, p, 50000, seed++);
+            expectBinomialFits(n, 1.0 - p, 50000, seed++);
+        }
+}
+
+TEST(RngTest, BinomialBtrdBranchesFitThePmf)
+{
+    // A million draws where BTRD's steps each take a share: the
+    // recursion (|k - m| <= 15) dominates at small spreads, and the
+    // squeeze and log-ratio test at the large ones.
+    std::uint64_t seed = 300;
+    for (const auto &[n, p] : std::vector<std::pair<std::uint64_t, double>>{
+             {8192, 0.5}, {8192, 0.03}, {1024, 0.3}, {256, 0.5},
+             {100, 0.11}, {40, 0.3}})
+        expectBinomialFits(n, p, 1000000, seed++);
+}
+
+TEST(RngTest, BinomialEdgesAreExact)
+{
+    Xoshiro256 rng(7);
+    Xoshiro256 untouched(7);
+    for (const std::uint64_t n : {0u, 1u, 13u, 8192u}) {
+        EXPECT_EQ(sampleBinomial(n, 0.0, rng), 0u);
+        EXPECT_EQ(sampleBinomial(n, 1.0, rng), n);
+    }
+    for (const double p : {1e-300, 0.3, 0.5, 0.9999})
+        EXPECT_EQ(sampleBinomial(0, p, rng), 0u);
+    // None of these drew a uniform.
+    EXPECT_EQ(rng(), untouched());
+    EXPECT_THROW(sampleBinomial(10, -0.1, rng), ValueError);
+    EXPECT_THROW(sampleBinomial(10, 1.5, rng), ValueError);
+    EXPECT_THROW(sampleBinomial(10, std::nan(""), rng), ValueError);
+}
+
+TEST(RngTest, BinomialStreamIsPinned)
+{
+    // The library's own binomial: the same draws with every standard
+    // library and compiler. Pinned when it was written.
+    Xoshiro256 rng(2024);
+    std::vector<std::uint64_t> draws;
+    for (const auto &[n, p] : std::vector<std::pair<std::uint64_t, double>>{
+             {1, 0.5}, {9, 0.3}, {20, 0.4995}, {1024, 0.01}, {1024, 0.99},
+             {8192, 0.5}, {8192, 0.003}, {256, 0.7}, {65536, 0.125}})
+        for (int i = 0; i < 4; ++i)
+            draws.push_back(sampleBinomial(n, p, rng));
+    std::string text;
+    for (const std::uint64_t k : draws)
+        text += std::to_string(k) + " ";
+    EXPECT_EQ(text, "1 0 0 0 4 4 6 3 7 9 11 12 10 14 9 12 "
+                    "1014 1016 1007 1019 4114 4106 4010 4141 "
+                    "24 20 25 32 192 180 184 167 8112 8263 8168 8227 ");
 }
 
 } // namespace

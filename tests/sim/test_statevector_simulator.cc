@@ -341,21 +341,61 @@ terminalCircuits()
     return out;
 }
 
+/** Keys of @p c's sampled marginal: 2^(distinct measured qubits). */
+std::size_t
+marginalKeys(const Circuit &c)
+{
+    std::vector<Qubit> measured;
+    for (const auto &[q, clbit] : measurements(c))
+        if (std::find(measured.begin(), measured.end(), q) == measured.end())
+            measured.push_back(q);
+    return std::size_t{1} << measured.size();
+}
+
+// Below CumulativeSampler's split the counts are the oracle's draws;
+// the largest shot count there pins the boundary.
 TEST(SampledOracle, CountsAreSampleDiscreteDrawForDraw)
 {
-    for (const auto &[name, c] : terminalCircuits())
+    for (const auto &[name, c] : terminalCircuits()) {
+        const std::size_t shots =
+            CumulativeSampler::kSplitShotsPerKey * marginalKeys(c) - 1;
+        const std::size_t again = std::min<std::size_t>(64, shots);
         for (const std::uint64_t seed : {3u, 71u, 2024u}) {
             StatevectorSimulator sim(seed);
             Rng rng(seed);
-            EXPECT_EQ(sim.run(c, 4096).rawCounts(),
-                      oracleSampled(c, rng, 4096).rawCounts())
+            EXPECT_EQ(sim.run(c, shots).rawCounts(),
+                      oracleSampled(c, rng, shots).rawCounts())
                 << name << " seed " << seed;
             // One uniform per shot and nothing else: a second run
             // continues exactly where the oracle's stream is.
-            EXPECT_EQ(sim.run(c, 64).rawCounts(),
-                      oracleSampled(c, rng, 64).rawCounts())
+            EXPECT_EQ(sim.run(c, again).rawCounts(),
+                      oracleSampled(c, rng, again).rawCounts())
                 << name << " seed " << seed << " second run";
         }
+    }
+}
+
+// From the split on, the counts are drawn by binomial splits: they fit
+// the density backend's exact distribution (1e-6 false-alarm rate per
+// fit), post-selected and re-read registers included.
+TEST(SampledOracle, SplitCountsFitTheDensityReference)
+{
+    for (const auto &[name, c] : terminalCircuits()) {
+        const auto exact = DensityMatrixSimulator().exactDistribution(c);
+        const stats::Distribution reference(exact.begin(), exact.end());
+        for (const std::size_t shots :
+             {CumulativeSampler::kSplitShotsPerKey * marginalKeys(c),
+              std::size_t{8192}})
+            for (const std::uint64_t seed : {3u, 71u, 2024u}) {
+                const Result r = StatevectorSimulator(seed).run(c, shots);
+                EXPECT_EQ(r.shots(), shots) << name;
+                EXPECT_GE(
+                    stats::pooledChiSquareTest(r.rawCounts(), reference)
+                        .pValue,
+                    1e-6)
+                    << name << " shots " << shots << " seed " << seed;
+            }
+    }
 }
 
 /**
