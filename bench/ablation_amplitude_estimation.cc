@@ -52,7 +52,6 @@ runUntilConverged(ExecutionEngine &engine,
 {
     Job job(inst.circuit(), kBudget, "statevector", seed);
     job.instrumented = std::make_shared<InstrumentedCircuit>(inst);
-    job.stopping.statistic = StoppingRule::Statistic::AnyError;
     job.stopping.targetHalfWidth = target_half_width;
     job.stopping.minShots = 2 * kShardShots;
     job.stopping.waveShots = 4 * kShardShots;

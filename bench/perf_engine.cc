@@ -173,7 +173,6 @@ main(int argc, char **argv)
     {
         const std::size_t budget = 8192;
         StoppingRule rule;
-        rule.statistic = StoppingRule::Statistic::AnyError;
         rule.targetHalfWidth = 0.02;
         rule.minShots = 512;
         rule.waveShots = 256;

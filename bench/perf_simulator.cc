@@ -13,8 +13,9 @@
  *    tier/scalar per class, against one measured copy-bandwidth
  *    ceiling on the same footprint;
  *  - reduction_roofline / reduction_parity: the measurement-pipeline
- *    kernels (the computeProbabilities fill, normSquaredOnMask,
- *    marginal scatter) per tier with reduce_speedup = tier/scalar,
+ *    kernels (the computeProbabilities fill and normSquaredOnMask
+ *    per tier with reduce_speedup = tier/scalar; the marginal
+ *    scatter, which has no per-tier code, at the scalar tier only),
  *    plus a cross-tier bit-identity check on sampled counts that
  *    gates the exit code (determinism is a hard verdict; throughput
  *    targets stay warn-only);
@@ -317,6 +318,10 @@ reductionRooflineSection(std::size_t num_qubits, double ceiling,
     {
         const char *kernel_class;
         std::function<double()> run;
+        /** False when ReduceTable has no per-tier entry for the
+            class: every tier would time the scalar code, so only the
+            scalar row is measured. */
+        bool tiered = true;
     };
     volatile double sink = 0.0; // keep the reductions observable
     const std::vector<ReduceCase> cases = {
@@ -336,7 +341,8 @@ reductionRooflineSection(std::size_t num_qubits, double ceiling,
          [&]() {
              return kernels::marginalProbabilities(amps.data(), n,
                                                    marginal_qs)[0];
-         }},
+         },
+         /*tiered=*/false},
     };
 
     std::map<std::string, double> avx2_speedups;
@@ -346,6 +352,8 @@ reductionRooflineSection(std::size_t num_qubits, double ceiling,
         double scalar_aps = 0.0;
         double scalar_value = 0.0;
         for (Tier tier : kernels::simd::availableTiers()) {
+            if (!rc.tiered && tier != Tier::Scalar)
+                continue;
             TierScope scope(static_cast<int>(tier));
             const double value = rc.run();
             const double aps = ampsPerSec(n, [&] { sink = rc.run(); });

@@ -16,35 +16,12 @@
 
 using namespace qra;
 
-namespace {
-
-/** BV circuit over n input qubits + 1 oracle ancilla. */
-Circuit
-bernsteinVazirani(std::uint64_t secret, std::size_t n)
-{
-    Circuit c(n + 1, n, "bv");
-    const Qubit oracle = static_cast<Qubit>(n);
-    c.x(oracle).h(oracle);
-    for (Qubit q = 0; q < n; ++q)
-        c.h(q);
-    for (Qubit q = 0; q < n; ++q)
-        if ((secret >> q) & 1)
-            c.cx(q, oracle);
-    for (Qubit q = 0; q < n; ++q)
-        c.h(q);
-    for (Qubit q = 0; q < n; ++q)
-        c.measure(q, q);
-    return c;
-}
-
-} // namespace
-
 int
 main()
 {
     const std::size_t n = 3;
     const std::uint64_t secret = 0b101;
-    const Circuit payload = bernsteinVazirani(secret, n);
+    const Circuit payload = library::bernsteinVazirani(secret, n);
     // Instruction offsets inside the payload:
     //   0,1: oracle prep; 2..4: input H layer; then the oracle.
     const std::size_t after_h = 2 + n;

@@ -19,23 +19,6 @@ using namespace qra;
 
 namespace {
 
-/** 2-qubit Grover searching for |11>, with an optional planted bug. */
-Circuit
-grover(bool buggy)
-{
-    Circuit c(2, 2, buggy ? "grover[BUGGY]" : "grover");
-    // Superposition preamble.
-    c.h(0);
-    if (!buggy)
-        c.h(1); // the bug: this line is "forgotten"
-    // Oracle marking |11>.
-    c.cz(0, 1);
-    // Diffusion operator.
-    c.h(0).h(1).x(0).x(1).cz(0, 1).x(0).x(1).h(0).h(1);
-    c.measureAll();
-    return c;
-}
-
 /** Attach |+> assertions on both qubits after the preamble. */
 InstrumentedCircuit
 instrumented(const Circuit &payload)
@@ -55,14 +38,18 @@ instrumented(const Circuit &payload)
 void
 runAndReport(bool buggy)
 {
-    const Circuit payload = grover(buggy);
+    // 2-qubit Grover searching for |11>; the planted bug forgets the
+    // preamble's second H.
+    const Circuit payload = library::groverSearch2(
+        buggy ? library::GroverBug::MissingPreambleH
+              : library::GroverBug::None);
     const InstrumentedCircuit inst = instrumented(payload);
 
     StatevectorSimulator sim(99);
     const Result r = sim.run(inst.circuit(), 8192);
     const AssertionReport report = analyze(inst, r);
 
-    std::printf("--- %s ---\n", payload.name().c_str());
+    std::printf("--- %s ---\n", buggy ? "grover[BUGGY]" : "grover");
     std::printf("%s", report.str(inst).c_str());
 
     // What would the program print? The most frequent payload.

@@ -16,34 +16,17 @@
 
 using namespace qra;
 
-namespace {
-
-/** Teleport RY(theta)|0> from qubit 0 to qubit 2. */
-Circuit
-teleport(double theta)
-{
-    Circuit c(3, 3, "teleport");
-    c.ry(theta, 0);       // op 0: the message state
-    c.h(1);               // op 1: Bell resource...
-    c.cx(1, 2);           // op 2
-    c.cx(0, 1).h(0);      // ops 3-4: Bell-basis change
-    c.measure(0, 0);      // op 5
-    c.measure(1, 1);      // op 6
-    c.cx(1, 2);           // op 7: corrections (coherent form)
-    c.cz(0, 2);           // op 8
-    c.measure(2, 2);      // op 9
-    return c;
-}
-
-} // namespace
-
 int
 main()
 {
     const double theta = 1.2345;
     const double expected_p1 = std::pow(std::sin(theta / 2.0), 2);
 
-    const Circuit payload = teleport(theta);
+    // Teleport RY(theta)|0> from qubit 0 to qubit 2. Ops: 0 the
+    // message state, 1-2 the Bell resource, 3-4 the Bell-basis
+    // change, 5-6 the measurements, 7-8 the coherent corrections,
+    // 9 the target's readout.
+    const Circuit payload = library::teleportation(theta);
 
     // Assertion 1: before anything runs, the resource qubits are
     // still |0>.

@@ -4,17 +4,6 @@
 
 namespace qra {
 
-const char *
-assertionKindName(AssertionKind kind)
-{
-    switch (kind) {
-      case AssertionKind::Classical: return "classical";
-      case AssertionKind::Entanglement: return "entanglement";
-      case AssertionKind::Superposition: return "superposition";
-    }
-    QRA_PANIC("unhandled AssertionKind");
-}
-
 void
 Assertion::checkOperands(const std::vector<Qubit> &targets,
                          const std::vector<Qubit> &ancillas,

@@ -25,9 +25,6 @@ namespace qra {
 /** The three assertion families identified by Huang & Martonosi. */
 enum class AssertionKind { Classical, Entanglement, Superposition };
 
-/** Printable name of an assertion kind. */
-const char *assertionKindName(AssertionKind kind);
-
 /**
  * A dynamic (runtime) assertion: a generator of ancilla-based check
  * circuits over a set of target qubits.

@@ -160,12 +160,4 @@ parseAnnotatedQasm(const std::string &text)
     return program;
 }
 
-InstrumentedCircuit
-instrumentAnnotatedQasm(const std::string &text,
-                        const InstrumentOptions &options)
-{
-    const AnnotatedProgram program = parseAnnotatedQasm(text);
-    return instrument(program.payload, program.specs, options);
-}
-
 } // namespace qra

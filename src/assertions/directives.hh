@@ -50,10 +50,6 @@ struct AnnotatedProgram
  */
 AnnotatedProgram parseAnnotatedQasm(const std::string &text);
 
-/** Convenience: parse, instrument, and return the result. */
-InstrumentedCircuit instrumentAnnotatedQasm(
-    const std::string &text, const InstrumentOptions &options = {});
-
 } // namespace qra
 
 #endif // QRA_ASSERTIONS_DIRECTIVES_HH

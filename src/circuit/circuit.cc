@@ -344,14 +344,6 @@ Circuit::twoQubitGateCount() const
     return count;
 }
 
-bool
-Circuit::hasMeasurements() const
-{
-    return std::any_of(ops_.begin(), ops_.end(), [](const Operation &op) {
-        return op.kind == OpKind::Measure;
-    });
-}
-
 Circuit
 Circuit::inverse() const
 {
@@ -364,16 +356,6 @@ Circuit::inverse() const
         inv.append(it->inverse());
     }
     return inv;
-}
-
-Circuit
-Circuit::unitaryOnly() const
-{
-    Circuit out(numQubits_, numClbits_, name_);
-    for (const Operation &op : ops_)
-        if (opIsUnitary(op.kind))
-            out.append(op);
-    return out;
 }
 
 Qubit

@@ -122,20 +122,11 @@ class Circuit
     /** Total count of 2+ qubit gates (the NISQ cost driver). */
     std::size_t twoQubitGateCount() const;
 
-    /** True if any instruction is a Measure. */
-    bool hasMeasurements() const;
-
     /**
      * Inverse circuit: unitary instructions reversed and inverted.
      * @throws CircuitError if the circuit contains non-unitary ops.
      */
     Circuit inverse() const;
-
-    /**
-     * A copy with all Measure/Barrier/PostSelect instructions removed
-     * (used when checking unitary equivalence of transpiled circuits).
-     */
-    Circuit unitaryOnly() const;
 
     /**
      * Widen the circuit by appending fresh qubits/clbits at the top

@@ -2,7 +2,7 @@
  * @file
  * Memo: a bounded, never-blocking "build once per key, share the
  * result" map. The runtime's two caches — the JobQueue's prepared
- * circuits and the PlanCache's five artifact kinds — are each one
+ * circuits and the PlanCache's four artifact kinds — are each one
  * Memo.
  *
  * Each key maps to an insertion id and a shared value, null while the

@@ -28,9 +28,7 @@ std::uint64_t
 DecomposePass::fingerprint(std::uint64_t h) const
 {
     return fnv1aMix64(h, (options_.decomposeSwap ? 1u : 0u) |
-                             (options_.decomposeCcx ? 2u : 0u) |
-                             (options_.decomposeControlledPaulis ? 4u
-                                                                 : 0u));
+                             (options_.decomposeCcx ? 2u : 0u));
 }
 
 std::string
@@ -39,7 +37,6 @@ DecomposePass::describe() const
     std::string out = "decompose (";
     out += options_.decomposeSwap ? "swap " : "";
     out += options_.decomposeCcx ? "ccx " : "";
-    out += options_.decomposeControlledPaulis ? "cpauli " : "";
     if (out.back() == ' ')
         out.pop_back();
     return out + ")";
@@ -56,21 +53,23 @@ DecomposePass::run(CompileContext &ctx) const
 std::uint64_t
 LayoutPass::fingerprint(std::uint64_t h) const
 {
-    return fnv1aMix64(h, greedy_ ? 1u : 0u);
+    // Folds the layout strategy (1 = greedy), which keeps pipeline
+    // fingerprints, and so prepare-cache keys and the goldened
+    // --dump-pipeline output, stable.
+    return fnv1aMix64(h, 1u);
 }
 
 std::string
 LayoutPass::describe() const
 {
-    return greedy_ ? "layout (greedy)" : "layout (trivial)";
+    return "layout (greedy)";
 }
 
 void
 LayoutPass::run(CompileContext &ctx) const
 {
-    const CouplingMap &map = requireCoupling(ctx, "layout");
-    ctx.initialLayout = greedy_ ? greedyLayout(ctx.circuit, map)
-                                : trivialLayout(ctx.circuit, map);
+    ctx.initialLayout =
+        greedyLayout(ctx.circuit, requireCoupling(ctx, "layout"));
 }
 
 // --- RoutingPass -----------------------------------------------------

@@ -13,12 +13,11 @@
 #include "assertions/injector.hh"
 #include "compile/pass.hh"
 #include "transpile/decomposer.hh"
-#include "transpile/transpiler.hh"
 
 namespace qra {
 namespace compile {
 
-/** Gate decomposition (SWAP/CCX/controlled-Pauli lowering). */
+/** Gate decomposition (SWAP/CCX lowering). */
 class DecomposePass : public Pass
 {
   public:
@@ -36,19 +35,14 @@ class DecomposePass : public Pass
     DecomposeOptions options_;
 };
 
-/** Initial virtual->physical placement (greedy or trivial). */
+/** Initial virtual->physical placement (interaction-greedy). */
 class LayoutPass : public Pass
 {
   public:
-    explicit LayoutPass(bool greedy) : greedy_(greedy) {}
-
     std::string name() const override { return "layout"; }
     std::uint64_t fingerprint(std::uint64_t h) const override;
     std::string describe() const override;
     void run(CompileContext &ctx) const override;
-
-  private:
-    bool greedy_;
 };
 
 /**

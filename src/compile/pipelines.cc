@@ -29,24 +29,23 @@ swapLowering()
 
 /** The post-routing device stages shared by every pipeline. */
 void
-addPostRoutingStages(PassManager &pm, const TranspileOptions &options)
+addPostRoutingStages(PassManager &pm)
 {
     pm.add(swapLowering());
     pm.add(std::make_shared<DirectionFixPass>());
-    if (options.optimize)
-        pm.add(std::make_shared<OptimizePass>());
+    pm.add(std::make_shared<OptimizePass>());
 }
 
 } // namespace
 
 PassManager
-transpilePipeline(const TranspileOptions &options)
+transpilePipeline()
 {
     PassManager pm;
     pm.add(ccxLowering());
-    pm.add(std::make_shared<LayoutPass>(options.useGreedyLayout));
+    pm.add(std::make_shared<LayoutPass>());
     pm.add(std::make_shared<RoutingPass>());
-    addPostRoutingStages(pm, options);
+    addPostRoutingStages(pm);
     return pm;
 }
 
@@ -68,8 +67,7 @@ preparePipeline(const PrepareSpec &spec)
     if (autogen)
         pm.add(std::make_shared<AnalyzePass>());
     if (spec.coupling != nullptr)
-        pm.add(std::make_shared<LayoutPass>(
-            spec.transpileOptions.useGreedyLayout));
+        pm.add(std::make_shared<LayoutPass>());
     // Weaving precedes any decomposition: AssertionSpec::insertAt
     // indexes *payload* instructions.
     if (autogen)
@@ -81,7 +79,7 @@ preparePipeline(const PrepareSpec &spec)
     if (spec.coupling != nullptr) {
         pm.add(ccxLowering());
         pm.add(std::make_shared<RoutingPass>());
-        addPostRoutingStages(pm, spec.transpileOptions);
+        addPostRoutingStages(pm);
     }
     return pm;
 }

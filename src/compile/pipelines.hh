@@ -14,7 +14,7 @@
 #include "assertions/injector.hh"
 #include "compile/analysis/auto_assert.hh"
 #include "compile/pass_manager.hh"
-#include "transpile/transpiler.hh"
+#include "transpile/coupling_map.hh"
 
 namespace qra {
 namespace compile {
@@ -36,11 +36,11 @@ enum class InjectionStrategy
 };
 
 /**
- * The five-stage device pipeline behind transpile():
+ * The device pipeline behind transpile():
  * decompose(ccx) -> layout -> route -> decompose(swap) ->
- * direction-fix [-> optimize].
+ * direction-fix -> optimize.
  */
-PassManager transpilePipeline(const TranspileOptions &options = {});
+PassManager transpilePipeline();
 
 /** The single-pass pipeline behind instrument(). */
 PassManager instrumentPipeline(std::vector<AssertionSpec> specs,
@@ -56,14 +56,13 @@ struct PrepareSpec
     AutoAssertOptions autoAssert;
     /** Not owned; null = no device transpilation. */
     const CouplingMap *coupling = nullptr;
-    TranspileOptions transpileOptions;
 };
 
 /**
  * Build the preparation pipeline for @p spec declaratively, as one
  * sequence: [analyze ->] layout -> (instrument | auto-assert) ->
- * decompose(ccx) -> route -> decompose(swap) -> direction-fix
- * [-> optimize]. The layout places the payload alone and routing
+ * decompose(ccx) -> route -> decompose(swap) -> direction-fix ->
+ * optimize. The layout places the payload alone and routing
  * binds each check's ancillas next to its targets. Stages appear only
  * when the spec asks for them (the device stages only with a coupling
  * map, instrument only with assertions), so inert options can never

@@ -166,17 +166,5 @@ ccx()
     return m;
 }
 
-Matrix
-proj0()
-{
-    return Matrix{{k1, k0}, {k0, k0}};
-}
-
-Matrix
-proj1()
-{
-    return Matrix{{k0, k0}, {k0, k1}};
-}
-
 } // namespace gates
 } // namespace qra

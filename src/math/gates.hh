@@ -59,11 +59,6 @@ Matrix swap();
 /** Toffoli (controls = args 0,1; target = arg 2). */
 Matrix ccx();
 
-/** Projector |0><0|. */
-Matrix proj0();
-/** Projector |1><1|. */
-Matrix proj1();
-
 } // namespace gates
 } // namespace qra
 

@@ -7,30 +7,13 @@
 namespace qra {
 namespace linalg {
 
-Complex
-innerProduct(const std::vector<Complex> &a, const std::vector<Complex> &b)
-{
-    if (a.size() != b.size())
-        QRA_FATAL("inner product dimension mismatch");
-    Complex sum{0.0, 0.0};
-    for (std::size_t i = 0; i < a.size(); ++i)
-        sum += std::conj(a[i]) * b[i];
-    return sum;
-}
-
-double
-norm(const std::vector<Complex> &v)
+void
+normalize(std::vector<Complex> &v)
 {
     double sum = 0.0;
     for (const auto &amp : v)
         sum += std::norm(amp);
-    return std::sqrt(sum);
-}
-
-void
-normalize(std::vector<Complex> &v)
-{
-    const double n = norm(v);
+    const double n = std::sqrt(sum);
     if (n < kTol)
         QRA_FATAL("cannot normalise a (near-)zero vector");
     for (auto &amp : v)
@@ -40,7 +23,12 @@ normalize(std::vector<Complex> &v)
 double
 stateFidelity(const std::vector<Complex> &a, const std::vector<Complex> &b)
 {
-    return std::norm(innerProduct(a, b));
+    if (a.size() != b.size())
+        QRA_FATAL("stateFidelity dimension mismatch");
+    Complex overlap{0.0, 0.0}; // <a|b>
+    for (std::size_t i = 0; i < a.size(); ++i)
+        overlap += std::conj(a[i]) * b[i];
+    return std::norm(overlap);
 }
 
 double

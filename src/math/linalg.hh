@@ -1,7 +1,7 @@
 /**
  * @file
  * Free-standing linear-algebra helpers on amplitude vectors and
- * density matrices: norms, inner products, fidelities, purity.
+ * density matrices: normalisation, fidelities, purity.
  */
 
 #ifndef QRA_MATH_LINALG_HH
@@ -14,13 +14,6 @@
 
 namespace qra {
 namespace linalg {
-
-/** <a|b> with conjugation on @p a. */
-Complex innerProduct(const std::vector<Complex> &a,
-                     const std::vector<Complex> &b);
-
-/** Euclidean (l2) norm of an amplitude vector. */
-double norm(const std::vector<Complex> &v);
 
 /** Scale @p v in place so its l2 norm becomes 1. */
 void normalize(std::vector<Complex> &v);

@@ -39,14 +39,6 @@ Matrix::zeros(std::size_t rows, std::size_t cols)
     return Matrix(rows, cols);
 }
 
-Matrix
-Matrix::columnVector(const std::vector<Complex> &amps)
-{
-    Matrix m(amps.size(), 1);
-    m.data_ = amps;
-    return m;
-}
-
 Complex &
 Matrix::operator()(std::size_t r, std::size_t c)
 {
@@ -194,15 +186,6 @@ Matrix::trace() const
 }
 
 double
-Matrix::frobeniusNorm() const
-{
-    double sum = 0.0;
-    for (const auto &v : data_)
-        sum += std::norm(v);
-    return std::sqrt(sum);
-}
-
-double
 Matrix::maxAbsDiff(const Matrix &rhs) const
 {
     if (rows_ != rhs.rows_ || cols_ != rhs.cols_)
@@ -219,14 +202,6 @@ Matrix::isUnitary(double tol) const
     if (!isSquare())
         return false;
     return ((*this) * adjoint()).isIdentity(tol);
-}
-
-bool
-Matrix::isHermitian(double tol) const
-{
-    if (!isSquare())
-        return false;
-    return maxAbsDiff(adjoint()) <= tol;
 }
 
 bool
@@ -273,8 +248,13 @@ Matrix::equalUpToGlobalPhase(const Matrix &rhs, double tol) const
             anchor = i;
         }
     }
-    if (best <= tol)
-        return frobeniusNorm() <= tol;
+    if (best <= tol) {
+        // rhs is (near) zero: so must this be, in Frobenius norm.
+        double sum = 0.0;
+        for (const Complex &v : data_)
+            sum += std::norm(v);
+        return std::sqrt(sum) <= tol;
+    }
     if (std::abs(data_[anchor]) <= tol)
         return false;
 

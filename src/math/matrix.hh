@@ -43,9 +43,6 @@ class Matrix
     /** rows x cols matrix of zeros. */
     static Matrix zeros(std::size_t rows, std::size_t cols);
 
-    /** Column vector from amplitudes. */
-    static Matrix columnVector(const std::vector<Complex> &amps);
-
     std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }
 
@@ -83,17 +80,11 @@ class Matrix
     /** Sum of diagonal elements. @throws ValueError if not square. */
     Complex trace() const;
 
-    /** Frobenius norm. */
-    double frobeniusNorm() const;
-
     /** Max |a_ij - b_ij| over all elements; matrices must be congruent. */
     double maxAbsDiff(const Matrix &rhs) const;
 
     /** True iff U * U^dagger == I within @p tol. */
     bool isUnitary(double tol = kTol) const;
-
-    /** True iff A == A^dagger within @p tol. */
-    bool isHermitian(double tol = kTol) const;
 
     /**
      * True iff every off-diagonal element has magnitude <= @p tol.

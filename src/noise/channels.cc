@@ -19,17 +19,6 @@ checkProbability(double p, const char *what)
                          std::to_string(p));
 }
 
-/** Single Pauli error with probability p, identity otherwise. */
-KrausChannel
-pauliError(const Matrix &pauli, double p, const char *name)
-{
-    checkProbability(p, name);
-    std::vector<Matrix> ops;
-    ops.push_back(Matrix::identity(2) * Complex{std::sqrt(1.0 - p), 0.0});
-    ops.push_back(pauli * Complex{std::sqrt(p), 0.0});
-    return KrausChannel(std::move(ops), name);
-}
-
 } // namespace
 
 KrausChannel
@@ -66,24 +55,6 @@ depolarizing2(double p)
         }
     }
     return KrausChannel(std::move(ops), "depolarizing2");
-}
-
-KrausChannel
-bitFlip(double p)
-{
-    return pauliError(gates::x(), p, "bit-flip");
-}
-
-KrausChannel
-phaseFlip(double p)
-{
-    return pauliError(gates::z(), p, "phase-flip");
-}
-
-KrausChannel
-bitPhaseFlip(double p)
-{
-    return pauliError(gates::y(), p, "bit-phase-flip");
 }
 
 KrausChannel
@@ -132,38 +103,6 @@ thermalRelaxation(double t1_ns, double t2_ns, double duration_ns)
 
     return amplitudeDamping(gamma)
         .composeWith(phaseDamping(lambda));
-}
-
-KrausChannel
-pauliChannel(double px, double py, double pz)
-{
-    checkProbability(px, "pauli-x");
-    checkProbability(py, "pauli-y");
-    checkProbability(pz, "pauli-z");
-    const double pi_ = 1.0 - px - py - pz;
-    if (pi_ < -1e-12)
-        throw NoiseError("pauli channel probabilities exceed 1");
-
-    std::vector<Matrix> ops;
-    if (pi_ > 0.0)
-        ops.push_back(Matrix::identity(2) *
-                      Complex{std::sqrt(std::max(0.0, pi_)), 0.0});
-    if (px > 0.0)
-        ops.push_back(gates::x() * Complex{std::sqrt(px), 0.0});
-    if (py > 0.0)
-        ops.push_back(gates::y() * Complex{std::sqrt(py), 0.0});
-    if (pz > 0.0)
-        ops.push_back(gates::z() * Complex{std::sqrt(pz), 0.0});
-    if (ops.empty())
-        ops.push_back(Matrix::identity(2));
-    return KrausChannel(std::move(ops), "pauli");
-}
-
-KrausChannel
-coherentOverrotation(double epsilon_rad)
-{
-    return KrausChannel({gates::rx(epsilon_rad)},
-                        "coherent-overrotation");
 }
 
 } // namespace channels

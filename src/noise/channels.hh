@@ -25,15 +25,6 @@ KrausChannel depolarizing1(double p);
  */
 KrausChannel depolarizing2(double p);
 
-/** Bit-flip channel: X error with probability @p p. */
-KrausChannel bitFlip(double p);
-
-/** Phase-flip channel: Z error with probability @p p. */
-KrausChannel phaseFlip(double p);
-
-/** Bit-phase-flip channel: Y error with probability @p p. */
-KrausChannel bitPhaseFlip(double p);
-
 /**
  * Amplitude damping: |1> decays to |0> with probability @p gamma
  * (energy relaxation, T1).
@@ -56,20 +47,6 @@ KrausChannel phaseDamping(double lambda);
  */
 KrausChannel thermalRelaxation(double t1_ns, double t2_ns,
                                double duration_ns);
-
-/**
- * General single-qubit Pauli channel: X with probability @p px,
- * Y with @p py, Z with @p pz, identity otherwise.
- * @pre px + py + pz <= 1.
- */
-KrausChannel pauliChannel(double px, double py, double pz);
-
-/**
- * Coherent over-rotation error: the *unitary* RX(epsilon) applied as
- * a channel. Models calibration drift, which unlike stochastic noise
- * accumulates quadratically in amplitude across repetitions.
- */
-KrausChannel coherentOverrotation(double epsilon_rad);
 
 } // namespace channels
 } // namespace qra

@@ -74,17 +74,6 @@ DeviceModel::ibmqx4()
 }
 
 DeviceModel
-DeviceModel::ideal(std::size_t num_qubits)
-{
-    CouplingMap coupling(num_qubits);
-    for (Qubit a = 0; a < num_qubits; ++a)
-        for (Qubit b = 0; b < num_qubits; ++b)
-            if (a != b)
-                coupling.addEdge(a, b);
-    return DeviceModel("ideal", std::move(coupling), NoiseModel{});
-}
-
-DeviceModel
 DeviceModel::scaledNoise(double factor) const
 {
     return DeviceModel(name_ + "_x" + std::to_string(factor), coupling_,

@@ -41,12 +41,6 @@ class DeviceModel
      */
     static DeviceModel ibmqx4();
 
-    /**
-     * An ideal (noise-free) all-to-all device with @p num_qubits
-     * qubits, for baselines and tests.
-     */
-    static DeviceModel ideal(std::size_t num_qubits);
-
     /** Copy of this device with every error source scaled. */
     DeviceModel scaledNoise(double factor) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <thread>
 
 #include "common/error.hh"
@@ -90,13 +91,25 @@ invokeGuarded(const char *what, Callback &&callback, Args &&...args)
 void
 armJobDeadline(const Job &job)
 {
+    if (std::isnan(job.deadlineMs))
+        throw ValueError("job deadline is NaN");
     if (job.deadlineMs <= 0.0)
         return;
+    using Clock = CancelToken::Clock;
+    const Clock::time_point now = Clock::now();
+    // A deadline past the clock's range never comes (+inf included);
+    // converting it to clock ticks would overflow. The strict double
+    // compare keeps the truncated tick count within the headroom.
+    const double ticks =
+        std::chrono::duration<double, Clock::period>(
+            std::chrono::duration<double, std::milli>(job.deadlineMs))
+            .count();
+    const double headroom =
+        static_cast<double>((Clock::time_point::max() - now).count());
+    if (!(ticks < headroom))
+        return;
     job.cancel.armDeadline(
-        CancelToken::Clock::now() +
-        std::chrono::duration_cast<CancelToken::Clock::duration>(
-            std::chrono::duration<double, std::milli>(
-                job.deadlineMs)));
+        now + Clock::duration(static_cast<Clock::rep>(ticks)));
 }
 
 /**
@@ -463,8 +476,8 @@ finishWave(const std::shared_ptr<JobState> &state,
     ++state->wave;
     obs::count(engineMetrics().waves);
 
-    // Only an enabled rule or a progress stream needs the statistic:
-    // evaluating it decodes every register of the merge.
+    // Only an enabled rule or a progress stream needs the any-error
+    // rate: evaluating it decodes every register of the merge.
     const StoppingRule &rule = state->job.stopping;
     StoppingStatus status;
     status.shotsDone = state->merged.shots();
@@ -552,11 +565,9 @@ ExecutionEngine::submitAsync(Job job, Completion on_complete,
     armJobDeadline(job);
 
     const StoppingRule &rule = job.stopping;
-    const std::size_t budget =
-        rule.maxShots != 0 ? rule.maxShots : job.shots;
-    // Misconfigured rules (assertion statistic without an
-    // instrumented circuit, bad check index, bad outcome string) must
-    // throw here, synchronously, not inside a pool callback.
+    const std::size_t budget = job.shots;
+    // A rule without an instrumented circuit to decode must throw
+    // here, synchronously, not inside a pool callback.
     if (rule.enabled())
         evaluateStopping(rule, Result(job.circuit->numClbits()),
                          job.instrumented.get());

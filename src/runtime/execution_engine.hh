@@ -67,17 +67,15 @@ struct Job
 
     /**
      * Early-stopping policy. With the convergence target unset the
-     * job runs its full budget: in one wave, or in waves of
+     * job runs all its shots: in one wave, or in waves of
      * stopping.waveShots when that is set. With it set, waves stop
-     * once the watched statistic's interval is tight.
+     * once the any-error rate's interval is tight.
      */
     StoppingRule stopping;
 
     /**
-     * Decode bookkeeping for the stopping rule's assertion
-     * statistics (and for resolving OutcomeProbability over payload
-     * bits). Required for AnyError/CheckError rules; may be null
-     * otherwise.
+     * Decode bookkeeping for the stopping rule's any-error rate.
+     * Required when the rule is enabled; may be null otherwise.
      */
     std::shared_ptr<const InstrumentedCircuit> instrumented;
 
@@ -94,9 +92,11 @@ struct Job
     CancelToken cancel;
 
     /**
-     * Wall-clock deadline in milliseconds from dispatch; <= 0 = none.
-     * Armed on the cancel token at dispatch, so expiry behaves
-     * exactly like cancel() with reason "deadline".
+     * Wall-clock deadline in milliseconds from dispatch; <= 0 = none,
+     * and so is one past the clock's range (+inf included). Armed on
+     * the cancel token at dispatch, so expiry behaves exactly like
+     * cancel() with reason "deadline". NaN is a ValueError at
+     * dispatch.
      */
     double deadlineMs = 0.0;
 
@@ -273,18 +273,17 @@ class ExecutionEngine
     using Completion = std::function<void(Result, std::exception_ptr)>;
 
     /**
-     * The one job lifecycle. The job's shot budget
-     * (stopping.maxShots, defaulting to job.shots) is laid out as the
-     * deterministic shard plan, and the shards execute in waves: the
-     * whole plan in one wave when the stopping rule is disabled and
-     * stopping.waveShots is 0, else waves of ~stopping.waveShots
-     * shots (about one shard per pool thread when only the target is
-     * set). The last shard of each wave merges it (in shard order),
-     * evaluates the stopping rule when it is enabled or @p onProgress
-     * is attached, invokes @p onProgress on its pool thread, and
-     * either launches the next wave or delivers the final Result
-     * through @p onComplete (also on a pool thread). The run ends
-     * early once the watched statistic's Wilson 95% half-width
+     * The one job lifecycle. The job's shot budget (job.shots) is laid
+     * out as the deterministic shard plan, and the shards execute in
+     * waves: the whole plan in one wave when the stopping rule is
+     * disabled and stopping.waveShots is 0, else waves of
+     * ~stopping.waveShots shots (about one shard per pool thread when
+     * only the target is set). The last shard of each wave merges it
+     * (in shard order), evaluates the stopping rule when it is enabled
+     * or @p onProgress is attached, invokes @p onProgress on its pool
+     * thread, and either launches the next wave or delivers the final
+     * Result through @p onComplete (also on a pool thread). The run
+     * ends early once the any-error rate's Wilson 95% half-width
      * reaches the target (past any minShots floor).
      *
      * Determinism: waves partition the budget's shard plan by shard

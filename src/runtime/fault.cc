@@ -89,8 +89,7 @@ splitOn(const std::string &text, char sep)
     return out;
 }
 
-} // namespace
-
+/** Stable lowercase name: "throw", "stall", "badalloc". */
 const char *
 faultKindName(FaultKind kind)
 {
@@ -104,6 +103,8 @@ faultKindName(FaultKind kind)
     }
     return "?";
 }
+
+} // namespace
 
 const char *
 faultScopeName(FaultSite::Scope scope)

@@ -55,9 +55,6 @@ enum class FaultKind
     BadAlloc,
 };
 
-/** Stable lowercase name: "throw", "stall", "badalloc". */
-const char *faultKindName(FaultKind kind);
-
 /** One injection site of a FaultPlan. */
 struct FaultSite
 {

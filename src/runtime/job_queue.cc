@@ -56,7 +56,6 @@ prepareSpec(const JobSpec &spec)
     prep.injection = spec.injection;
     prep.autoAssert = spec.autoAssert;
     prep.coupling = spec.coupling;
-    prep.transpileOptions = spec.transpileOptions;
     return prep;
 }
 
@@ -75,14 +74,14 @@ JobQueue::prepareKey(const JobSpec &spec,
         }
     }
     // The pipeline fingerprint covers every knob that changes the
-    // prepared circuit (transpile options, instrument options,
-    // injection strategy, semantic assertion fingerprints) — and only
-    // those: options on passes the pipeline does not contain (e.g.
-    // transpile knobs without a coupling map) never fragment the
-    // cache, because preparePipeline() simply leaves those passes
-    // out. Building the pipeline just to fingerprint it costs a few
-    // microseconds per submission; keeping the recipe's single source
-    // of truth beats a hand-maintained parallel fold.
+    // prepared circuit (instrument options, injection strategy,
+    // semantic assertion fingerprints) — and only those: options on
+    // passes the pipeline does not contain (e.g. instrument options
+    // without assertions) never fragment the cache, because
+    // preparePipeline() simply leaves those passes out. Building the
+    // pipeline just to fingerprint it costs a few microseconds per
+    // submission; keeping the recipe's single source of truth beats a
+    // hand-maintained parallel fold.
     return fnv1aMix64(h, pipeline_fingerprint);
 }
 
@@ -112,7 +111,6 @@ JobQueue::prepare(const JobSpec &spec, bool count_stats,
                 info->seconds = prepare_seconds;
             auto prepared = std::make_shared<Prepared>();
             prepared->instrumented = ctx.instrumented;
-            prepared->analysis = ctx.analysis;
             prepared->circuit =
                 std::make_shared<const Circuit>(std::move(ctx.circuit));
             return prepared;
@@ -290,12 +288,6 @@ JobQueue::instrumented(const JobSpec &spec)
     return prepare(spec, /*count_stats=*/false)->instrumented;
 }
 
-std::shared_ptr<const compile::analysis::CircuitAnalysis>
-JobQueue::analysis(const JobSpec &spec)
-{
-    return prepare(spec, /*count_stats=*/false)->analysis;
-}
-
 std::size_t
 JobQueue::cacheHits() const
 {
@@ -315,18 +307,6 @@ JobQueue::artifactCache() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return artifacts_;
-}
-
-std::size_t
-JobQueue::samplingCacheHits() const
-{
-    return artifactCache()->stats().hits;
-}
-
-std::size_t
-JobQueue::samplingCacheMisses() const
-{
-    return artifactCache()->stats().misses;
 }
 
 void

@@ -40,7 +40,6 @@
 #include "runtime/execution_engine.hh"
 #include "sim/kernels/plan_cache.hh"
 #include "transpile/coupling_map.hh"
-#include "transpile/transpiler.hh"
 
 namespace qra {
 namespace runtime {
@@ -66,15 +65,6 @@ struct JobSpec
      * injection step). Not owned; null = no transpilation.
      */
     const CouplingMap *coupling = nullptr;
-
-    /**
-     * Transpilation knobs (layout strategy, peephole optimisation).
-     * Part of the preparation-cache key whenever a coupling map is
-     * set, so jobs that transpile differently can never share a
-     * prepared circuit — and therefore never share stale sampling
-     * artifacts either.
-     */
-    TranspileOptions transpileOptions;
 
     /**
      * Instrumentation knobs (ancilla reuse, barriers). Part of the
@@ -104,10 +94,10 @@ struct JobSpec
     /**
      * Early-stopping policy. When its convergence target is set,
      * submissions of this spec execute in shot waves and stop as
-     * soon as the watched statistic's Wilson 95% half-width reaches
-     * the target — the delivered Result then carries stoppedEarly()
-     * and shotsRequested(). Assertion statistics (AnyError,
-     * CheckError) require `assertions` to be non-empty. Not part of
+     * soon as the any-error rate's Wilson 95% half-width reaches the
+     * target — the delivered Result then carries stoppedEarly() and
+     * shotsRequested(). An enabled rule needs checks to watch:
+     * `assertions`, or InjectionStrategy::AutoGenerate. Not part of
      * the prepare key: the rule changes how many shots run, never
      * the prepared circuit, so early-stopping resubmissions share cache
      * entries (and warm sampling artifacts) with fixed ones.
@@ -205,15 +195,6 @@ class JobQueue
     instrumented(const JobSpec &spec);
 
     /**
-     * The static-analysis result of @p spec's pipeline (memoised with
-     * the prepared circuit), or null when the pipeline runs no
-     * analysis stage (injection != AutoGenerate). Introspection only:
-     * leaves the cache statistics untouched.
-     */
-    std::shared_ptr<const compile::analysis::CircuitAnalysis>
-    analysis(const JobSpec &spec);
-
-    /**
      * Prepared-circuit cache hits since construction. Only submit()
      * counts toward the hit/miss statistics; instrumented() is
      * introspection and leaves them untouched. Per-queue thin reads;
@@ -233,19 +214,11 @@ class JobQueue
      * stopping rule: lowered plans, noisy trajectory and density
      * plans, sampled-execution samplers and density register
      * distributions, keyed by (circuit hash, noise fingerprint,
-     * fusion level). Hit/miss counters live on its stats().
+     * fusion level). Hit/miss counters live on its stats(); the
+     * global registry mirrors them as
+     * `plan_cache.hits/misses/evictions`.
      */
     std::shared_ptr<kernels::PlanCache> artifactCache() const;
-
-    /**
-     * Artifact-cache hits (shards or jobs that skipped a build).
-     * Thin read of the PlanCache's per-instance stats; the global
-     * registry mirrors them as `plan_cache.hits/misses/evictions`.
-     */
-    std::size_t samplingCacheHits() const;
-
-    /** Artifact-cache misses (builds actually performed). */
-    std::size_t samplingCacheMisses() const;
 
     void clearCache();
 
@@ -256,9 +229,6 @@ class JobQueue
         std::shared_ptr<const Circuit> circuit;
         /** Set when the spec requested assertion injection. */
         std::shared_ptr<const InstrumentedCircuit> instrumented;
-        /** Set when the pipeline ran an analysis stage. */
-        std::shared_ptr<const compile::analysis::CircuitAnalysis>
-            analysis;
     };
 
     /** How one submission's preparation went (for ExecStats). */
@@ -271,11 +241,11 @@ class JobQueue
     /**
      * Cache key: payload hash x coupling-map data x pipeline
      * fingerprint. The fingerprint covers the full declarative recipe
-     * — transpile options, instrumentation options, injection
-     * strategy, and *semantic* assertion fingerprints (type, targets,
-     * insertAt, repetitions) — so semantically identical
-     * resubmissions hit even with distinct assertion objects, and a
-     * recycled pointer can never alias a different assertion.
+     * — instrumentation options, injection strategy, and *semantic*
+     * assertion fingerprints (type, targets, insertAt, repetitions) —
+     * so semantically identical resubmissions hit even with distinct
+     * assertion objects, and a recycled pointer can never alias a
+     * different assertion.
      */
     static std::uint64_t prepareKey(const JobSpec &spec,
                                     std::uint64_t pipeline_fingerprint);

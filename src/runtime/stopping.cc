@@ -25,50 +25,16 @@ StoppingStatus
 evaluateStopping(const StoppingRule &rule, const Result &partial,
                  const InstrumentedCircuit *instrumented)
 {
-    // Count matching shots straight off the raw counts; the predicates
-    // are the same ones AssertionReport::analyze applies, so the
-    // estimate equals the report's rate over these shots.
+    // Count failing shots straight off the raw counts; the predicate
+    // is the one AssertionReport::analyze applies, so the estimate
+    // equals the report's any-error rate over these shots.
+    if (instrumented == nullptr)
+        throw ValueError("any-error stopping rule needs an "
+                         "instrumented circuit (assertions)");
     std::size_t matched = 0;
-    switch (rule.statistic) {
-      case StoppingRule::Statistic::AnyError:
-        if (instrumented == nullptr)
-            throw ValueError("any-error stopping rule needs an "
-                             "instrumented circuit (assertions)");
-        for (const auto &[reg, n] : partial.rawCounts())
-            if (!instrumented->passed(reg))
-                matched += n;
-        break;
-      case StoppingRule::Statistic::CheckError:
-        if (instrumented == nullptr)
-            throw ValueError("check-error stopping rule needs an "
-                             "instrumented circuit (assertions)");
-        if (rule.checkIndex >= instrumented->checks().size())
-            throw ValueError(
-                "stopping rule check index " +
-                std::to_string(rule.checkIndex) +
-                " out of range (circuit has " +
-                std::to_string(instrumented->checks().size()) +
-                " checks)");
-        for (const auto &[reg, n] : partial.rawCounts())
-            if (!instrumented->checkPassed(rule.checkIndex, reg))
-                matched += n;
-        break;
-      case StoppingRule::Statistic::OutcomeProbability:
-      {
-        if (rule.outcome.empty())
-            throw ValueError("outcome-probability stopping rule needs "
-                             "a non-empty outcome bitstring");
-        const std::uint64_t target = fromBitstring(rule.outcome);
-        for (const auto &[reg, n] : partial.rawCounts()) {
-            const std::uint64_t key =
-                instrumented != nullptr ? instrumented->payloadBits(reg)
-                                        : reg;
-            if (key == target)
-                matched += n;
-        }
-        break;
-      }
-    }
+    for (const auto &[reg, n] : partial.rawCounts())
+        if (!instrumented->passed(reg))
+            matched += n;
 
     StoppingStatus status;
     status.shotsDone = partial.shots();

@@ -2,15 +2,14 @@
  * @file
  * Confidence-driven early stopping for wave-based execution.
  *
- * A StoppingRule watches one statistic of a job's (partial) Result —
- * the any-error rate of its assertion checks, one check's error rate,
- * or a named outcome's probability — and asks the engine to stop
- * launching shot waves once the statistic's 95% Wilson confidence
- * half-width is at or below a target. The assertion statistics are
- * the paper's trap/assertion error rates; tightening their interval
- * is exactly the amplitude-estimation workload, so adaptive shots
- * stop as soon as the estimate is good enough instead of burning a
- * fixed budget.
+ * A StoppingRule watches the any-error rate of a job's assertion
+ * checks over its (partial) Result and asks the engine to stop
+ * launching shot waves once that rate's 95% Wilson confidence
+ * half-width is at or below a target. The rate is the paper's
+ * assertion error rate; tightening its interval is exactly the
+ * amplitude-estimation workload, so adaptive shots stop as soon as
+ * the estimate is good enough instead of burning the job's fixed
+ * shot budget.
  */
 
 #ifndef QRA_RUNTIME_STOPPING_HH
@@ -28,31 +27,8 @@ namespace runtime {
 /** When to stop launching shot waves. */
 struct StoppingRule
 {
-    /** Which statistic the confidence target watches. */
-    enum class Statistic
-    {
-        /** P(any assertion check flagged an error). */
-        AnyError,
-        /** P(check `checkIndex` flagged an error). */
-        CheckError,
-        /** P(register/payload outcome == `outcome`). */
-        OutcomeProbability,
-    };
-
-    Statistic statistic = Statistic::AnyError;
-
-    /** Check index for Statistic::CheckError. */
-    std::size_t checkIndex = 0;
-
     /**
-     * Outcome bitstring for Statistic::OutcomeProbability, e.g.
-     * "011". Decoded over the payload bits when the job carries an
-     * instrumented circuit, over the full register otherwise.
-     */
-    std::string outcome;
-
-    /**
-     * Stop once the statistic's 95% Wilson half-width is <= this.
+     * Stop once the any-error rate's 95% Wilson half-width is <= this.
      * <= 0 disables convergence: every wave of the budget runs (the
      * wave decomposition itself stays deterministic either way).
      */
@@ -60,12 +36,6 @@ struct StoppingRule
 
     /** Never stop before this many shots (0 = no floor). */
     std::size_t minShots = 0;
-
-    /**
-     * Hard shot budget. 0 = the job's own shot count. The engine
-     * never exceeds it, converged or not.
-     */
-    std::size_t maxShots = 0;
 
     /**
      * Target shots per wave; rounded up to whole shards of the
@@ -93,7 +63,7 @@ struct StoppingStatus
     /** Full shot budget of the run. */
     std::size_t shotsRequested = 0;
 
-    /** Point estimate of the watched statistic. */
+    /** Point estimate of the any-error rate. */
     double estimate = 0.0;
 
     /** 95% Wilson half-width of the estimate. */
@@ -121,16 +91,12 @@ struct StoppingStatus
 };
 
 /**
- * Evaluate @p rule against a partial result: the statistic's point
- * estimate and its Wilson half-width, plus the convergence flag
+ * Evaluate @p rule against a partial result: the any-error rate's
+ * point estimate and its Wilson half-width, plus the convergence flag
  * (half-width <= target and shots >= minShots).
  *
- * @param instrumented Decode bookkeeping for the assertion
- *        statistics; may be null for OutcomeProbability.
- * @throws ValueError when the statistic needs bookkeeping the caller
- *         did not provide (assertion statistics without an
- *         instrumented circuit, a check index out of range, or an
- *         empty/unparsable outcome string).
+ * @param instrumented Decode bookkeeping for the assertion checks.
+ * @throws ValueError when @p instrumented is null.
  */
 StoppingStatus evaluateStopping(const StoppingRule &rule,
                                 const Result &partial,

@@ -39,15 +39,12 @@ DensityMatrixSimulator::branchLimitReason(std::size_t qubits,
 DensityMatrixSimulator::Execution
 DensityMatrixSimulator::execute(const Circuit &circuit)
 {
-    // Lower once per (circuit, noise, fusion), or fetch the cached
-    // plan; evolution is then one in-place kernel per entry and branch.
+    // Lower at the thread's fusion level; evolution is then one
+    // in-place kernel per entry and branch. A PlanCache keeps the
+    // distribution this feeds, not the plan.
     Execution exec;
-    if (kernels::PlanCache *cache = kernels::currentPlanCache())
-        exec.plan = cache->densityPlan(circuit, noise_,
-                                       kernels::currentFusionLevel());
-    else
-        exec.plan = std::make_shared<const kernels::DensityPlan>(
-            kernels::DensityPlan::compile(circuit, noise_));
+    exec.plan = std::make_shared<const kernels::DensityPlan>(
+        kernels::DensityPlan::compile(circuit, noise_));
     const std::string limit =
         branchLimitReason(circuit.numQubits(), exec.plan->records());
     if (!limit.empty())
@@ -137,8 +134,7 @@ std::shared_ptr<const kernels::DensityDistribution>
 DensityMatrixSimulator::registerDistribution(const Circuit &circuit)
 {
     // The distribution depends only on (circuit, noise, fusion); a
-    // miss evolves once, and its nested densityPlan lookup is safe
-    // because the cache builds outside its lock.
+    // miss evolves once.
     const auto build = [&]() {
         return std::make_shared<const kernels::DensityDistribution>(
             distribution(execute(circuit)));

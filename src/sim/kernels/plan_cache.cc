@@ -112,19 +112,6 @@ PlanCache::trajectoryPlan(const Circuit &circuit,
     }));
 }
 
-std::shared_ptr<const DensityPlan>
-PlanCache::densityPlan(const Circuit &circuit, const NoiseModel *noise,
-                       int fusion)
-{
-    if (fusion < 0)
-        fusion = currentFusionLevel();
-    const std::uint64_t key = noisyPlanKey(circuit, noise, fusion);
-    return tally<DensityPlan>(densityPlans_.get(key, [&]() {
-        return std::make_shared<const DensityPlan>(
-            DensityPlan::compile(circuit, noise, fusion));
-    }));
-}
-
 std::shared_ptr<const SampledDistribution>
 PlanCache::sampledDistribution(
     const Circuit &circuit, int fusion,

@@ -3,12 +3,11 @@
  * PlanCache: memoised per-circuit execution artifacts, shared across
  * jobs and shards.
  *
- * Five artifacts depend only on the circuit (semantic hash), the
+ * Four artifacts depend only on the circuit (semantic hash), the
  * noise model (semantic fingerprint) and the fusion level — never on
  * shots, seeds or thread counts:
  *  - lowered ideal plans;
  *  - noisy trajectory plans;
- *  - density superoperator plans;
  *  - sampled-execution distributions (a CumulativeSampler over the
  *    measured-qubit marginal, plus its clbit wiring);
  *  - density register distributions (the evolved, readout-folded
@@ -16,7 +15,9 @@
  * A PlanCache keyed on those lets every shard of a job, and every
  * repeated job over the same prepared circuit (the batched-assertion
  * sweep pattern), build each artifact exactly once. A cached density
- * distribution makes a repeated density job cost its sampling only.
+ * distribution makes a repeated density job cost its sampling only;
+ * its superoperator plan is compiled on the miss and not kept, since
+ * nothing reads it again while the distribution is cached.
  *
  * The cache reaches the simulators the same way the thread pool does:
  * the execution engine installs a PlanCacheScope around each shard,
@@ -47,7 +48,6 @@
 #include "common/memo.hh"
 #include "common/rng.hh"
 #include "noise/noise_model.hh"
-#include "sim/kernels/density_plan.hh"
 #include "sim/kernels/noise_plan.hh"
 #include "sim/kernels/plan.hh"
 
@@ -108,14 +108,6 @@ class PlanCache
                    int fusion);
 
     /**
-     * Lowered density-matrix superoperator plan, keyed like
-     * trajectoryPlan(). @p noise may be null (ideal evolution).
-     */
-    std::shared_ptr<const DensityPlan>
-    densityPlan(const Circuit &circuit, const NoiseModel *noise,
-                int fusion);
-
-    /**
      * Sampled-execution distribution for (circuit, fusion); the
      * measured-qubit set is a function of the circuit and therefore
      * of its hash. @p build runs on a miss only.
@@ -126,8 +118,8 @@ class PlanCache
             &build);
 
     /**
-     * Density register distribution, keyed like densityPlan(). @p build
-     * runs on a miss only; it may itself look up densityPlan().
+     * Density register distribution, keyed like trajectoryPlan().
+     * @p build runs on a miss only.
      */
     std::shared_ptr<const DensityDistribution> densityDistribution(
         const Circuit &circuit, const NoiseModel *noise, int fusion,
@@ -148,7 +140,6 @@ class PlanCache
 
     Memo<ExecutablePlan> plans_;
     Memo<TrajectoryPlan> trajectoryPlans_;
-    Memo<DensityPlan> densityPlans_;
     Memo<SampledDistribution> sampled_;
     Memo<DensityDistribution> densityDistributions_;
     std::atomic<std::size_t> hits_{0};

@@ -63,22 +63,6 @@ Result::probability(const std::string &bits) const
     return probability(fromBitstring(bits));
 }
 
-std::uint64_t
-Result::mostFrequent() const
-{
-    if (counts_.empty())
-        QRA_FATAL("mostFrequent on an empty result");
-    std::uint64_t best = 0;
-    std::size_t best_count = 0;
-    for (const auto &[key, n] : counts_) {
-        if (n > best_count) {
-            best = key;
-            best_count = n;
-        }
-    }
-    return best;
-}
-
 void
 Result::setExactDistribution(std::map<std::uint64_t, double> dist)
 {

@@ -87,9 +87,6 @@ class Result
     /** Empirical probability of a bitstring outcome. */
     double probability(const std::string &bits) const;
 
-    /** Outcome with the highest count. @throws Error if empty. */
-    std::uint64_t mostFrequent() const;
-
     /**
      * Exact outcome distribution, if the backend computed one (the
      * density-matrix backend does). Keyed by register value.

@@ -50,13 +50,6 @@ StateVector::fromAmplitudes(std::vector<Complex> amps)
 }
 
 void
-StateVector::resetAll()
-{
-    std::fill(amps_.begin(), amps_.end(), Complex{0.0, 0.0});
-    amps_[0] = 1.0;
-}
-
-void
 StateVector::checkQubit(Qubit q) const
 {
     if (q >= numQubits_)
@@ -173,12 +166,6 @@ StateVector::resetQubit(Qubit q, Rng &rng)
     const int outcome = measure(q, rng);
     if (outcome == 1)
         kernels::applyX(amps_.data(), amps_.size(), q);
-}
-
-double
-StateVector::expectationZ(Qubit q) const
-{
-    return 1.0 - 2.0 * probabilityOfOne(q);
 }
 
 Matrix

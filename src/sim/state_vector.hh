@@ -51,9 +51,6 @@ class StateVector
     /** Amplitude of computational basis state @p index. */
     Complex amplitude(BasisIndex index) const { return amps_[index]; }
 
-    /** Reset to |0...0>. */
-    void resetAll();
-
     /**
      * Apply a k-qubit unitary to the given qubits. Matrix bit j
      * corresponds to qubits[j].
@@ -111,9 +108,6 @@ class StateVector
 
     /** Reset one qubit to |0> (measure, then flip if it read 1). */
     void resetQubit(Qubit q, Rng &rng);
-
-    /** <Z_q>: expectation of Pauli-Z on one qubit. */
-    double expectationZ(Qubit q) const;
 
     /**
      * 2x2 reduced density matrix of one qubit (all others traced

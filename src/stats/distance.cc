@@ -38,15 +38,6 @@ totalVariation(const Distribution &p, const Distribution &q)
 }
 
 double
-hellinger(const Distribution &p, const Distribution &q)
-{
-    double bc = 0.0; // Bhattacharyya coefficient
-    for (std::uint64_t key : keyUnion(p, q))
-        bc += std::sqrt(lookup(p, key) * lookup(q, key));
-    return std::sqrt(std::max(0.0, 1.0 - bc));
-}
-
-double
 wilsonHalfWidth(double p_hat, std::size_t n)
 {
     if (n == 0)

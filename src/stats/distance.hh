@@ -16,9 +16,6 @@ namespace stats {
 /** Total variation distance: (1/2) sum |p_i - q_i|, in [0, 1]. */
 double totalVariation(const Distribution &p, const Distribution &q);
 
-/** Hellinger distance: sqrt(1 - sum sqrt(p_i q_i)), in [0, 1]. */
-double hellinger(const Distribution &p, const Distribution &q);
-
 /** Binomial proportion 95% Wilson confidence half-width. */
 double wilsonHalfWidth(double p_hat, std::size_t n);
 

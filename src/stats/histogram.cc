@@ -30,40 +30,6 @@ toDistribution(const Counts &counts)
     return dist;
 }
 
-double
-filterDistribution(Distribution &dist,
-                   const std::vector<std::uint64_t> &kept_keys)
-{
-    Distribution filtered;
-    double retained = 0.0;
-    for (std::uint64_t key : kept_keys) {
-        const auto it = dist.find(key);
-        if (it != dist.end()) {
-            filtered[key] = it->second;
-            retained += it->second;
-        }
-    }
-    if (retained > 0.0)
-        for (auto &[key, p] : filtered)
-            p /= retained;
-    dist = std::move(filtered);
-    return retained;
-}
-
-Distribution
-marginalize(const Distribution &dist, const std::vector<std::size_t> &bits)
-{
-    Distribution out;
-    for (const auto &[key, p] : dist) {
-        std::uint64_t reduced = 0;
-        for (std::size_t j = 0; j < bits.size(); ++j)
-            if ((key >> bits[j]) & 1)
-                reduced |= std::uint64_t{1} << j;
-        out[reduced] += p;
-    }
-    return out;
-}
-
 std::string
 distributionToString(const Distribution &dist, std::size_t width)
 {

@@ -27,18 +27,6 @@ std::size_t totalShots(const Counts &counts);
 /** Normalise counts into an empirical distribution. */
 Distribution toDistribution(const Counts &counts);
 
-/** Restrict a distribution to keys where @p keep returns true,
- *  renormalising the survivors. Returns the retained mass. */
-double filterDistribution(Distribution &dist,
-                          const std::vector<std::uint64_t> &kept_keys);
-
-/**
- * Marginalise a distribution over register bits: keep only the bits
- * listed in @p bits (bit j of the new key = old bit bits[j]).
- */
-Distribution marginalize(const Distribution &dist,
-                         const std::vector<std::size_t> &bits);
-
 /** Pretty one-line rendering "00:0.50 11:0.50". */
 std::string distributionToString(const Distribution &dist,
                                  std::size_t width);

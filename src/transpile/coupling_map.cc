@@ -64,15 +64,6 @@ CouplingMap::neighbors(Qubit q) const
     return adjacency_[q];
 }
 
-std::size_t
-CouplingMap::distance(Qubit a, Qubit b) const
-{
-    const std::vector<Qubit> path = shortestPath(a, b);
-    if (path.empty())
-        return std::numeric_limits<std::size_t>::max();
-    return path.size() - 1;
-}
-
 std::vector<Qubit>
 CouplingMap::shortestPath(Qubit a, Qubit b) const
 {

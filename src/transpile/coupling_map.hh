@@ -53,12 +53,6 @@ class CouplingMap
     const std::vector<Qubit> &neighbors(Qubit q) const;
 
     /**
-     * Length of the shortest undirected path between two qubits
-     * (number of edges); SIZE_MAX if disconnected.
-     */
-    std::size_t distance(Qubit a, Qubit b) const;
-
-    /**
      * Shortest undirected path from @p a to @p b, inclusive of both
      * endpoints. Empty if disconnected.
      */

@@ -44,9 +44,6 @@ lowers(OpKind kind, const DecomposeOptions &options)
         return options.decomposeSwap;
       case OpKind::CCX:
         return options.decomposeCcx;
-      case OpKind::CZ:
-      case OpKind::CY:
-        return options.decomposeControlledPaulis;
       default:
         return false;
     }
@@ -73,24 +70,10 @@ decompose(Circuit circuit, const DecomposeOptions &options)
             continue;
         }
         const std::vector<Qubit> &q = op.qubits;
-        switch (op.kind) {
-          case OpKind::Swap:
+        if (op.kind == OpKind::Swap)
             emitSwap(out, q[0], q[1]);
-            break;
-          case OpKind::CCX:
+        else // CCX
             emitCcx(out, q[0], q[1], q[2]);
-            break;
-          case OpKind::CZ:
-            out.h(q[1]);
-            out.cx(q[0], q[1]);
-            out.h(q[1]);
-            break;
-          default: // CY
-            out.sdg(q[1]);
-            out.cx(q[0], q[1]);
-            out.s(q[1]);
-            break;
-        }
     }
     return out;
 }

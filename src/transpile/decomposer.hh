@@ -1,8 +1,7 @@
 /**
  * @file
- * Gate decomposition to the {1q, CX} basis: SWAP -> 3 CX,
- * CY/CZ -> CX with 1q conjugation, CCX -> the standard 6-CX
- * realisation over H/T/Tdg.
+ * Gate decomposition towards the {1q, CX} basis: SWAP -> 3 CX,
+ * CCX -> the standard 6-CX realisation over H/T/Tdg.
  */
 
 #ifndef QRA_TRANSPILE_DECOMPOSER_HH
@@ -17,8 +16,6 @@ struct DecomposeOptions
 {
     bool decomposeSwap = true;
     bool decomposeCcx = true;
-    /** Rewrite CY/CZ into CX with single-qubit conjugation. */
-    bool decomposeControlledPaulis = false;
 };
 
 /**

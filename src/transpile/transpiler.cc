@@ -18,11 +18,10 @@ TranspileResult::str() const
 }
 
 TranspileResult
-transpile(const Circuit &circuit, const CouplingMap &map,
-          const TranspileOptions &options)
+transpile(const Circuit &circuit, const CouplingMap &map)
 {
     compile::CompileContext ctx =
-        compile::transpilePipeline(options).run(circuit, &map);
+        compile::transpilePipeline().run(circuit, &map);
 
     TranspileResult result;
     result.circuit = std::move(ctx.circuit);

@@ -1,8 +1,8 @@
 /**
  * @file
- * Transpiler pipeline: decompose -> layout -> route -> direction-fix
- * -> optimise. Produces a circuit executable on a target DeviceModel
- * (every 2-qubit gate on a native directed edge).
+ * Transpiler pipeline: decompose -> greedy layout -> route ->
+ * direction-fix -> optimise. Produces a circuit executable on a
+ * target DeviceModel (every 2-qubit gate on a native directed edge).
  *
  * transpile() is a thin wrapper over the canonical
  * compile::transpilePipeline(); compose custom stage orders (e.g.
@@ -20,15 +20,6 @@
 #include "transpile/layout.hh"
 
 namespace qra {
-
-/** Knobs of the transpilation pipeline. */
-struct TranspileOptions
-{
-    /** Use the interaction-greedy layout instead of the identity. */
-    bool useGreedyLayout = true;
-    /** Run the peephole optimiser after direction fixing. */
-    bool optimize = true;
-};
 
 /** Pipeline output with per-pass statistics. */
 struct TranspileResult
@@ -51,8 +42,7 @@ struct TranspileResult
  * clbits are unchanged, so downstream Result analysis is oblivious to
  * the mapping.
  */
-TranspileResult transpile(const Circuit &circuit, const CouplingMap &map,
-                          const TranspileOptions &options = {});
+TranspileResult transpile(const Circuit &circuit, const CouplingMap &map);
 
 } // namespace qra
 

@@ -9,6 +9,14 @@
 namespace qra {
 namespace {
 
+/** Parse @p text and weave its directives into its payload. */
+InstrumentedCircuit
+instrumentText(const std::string &text)
+{
+    const AnnotatedProgram program = parseAnnotatedQasm(text);
+    return instrument(program.payload, program.specs);
+}
+
 TEST(DirectivesTest, ClassicalDirective)
 {
     const std::string text = R"(OPENQASM 2.0;
@@ -26,7 +34,7 @@ measure q[1] -> c[1];
               AssertionKind::Classical);
     EXPECT_EQ(program.payload.size(), 3u);
 
-    const InstrumentedCircuit inst = instrumentAnnotatedQasm(text);
+    const InstrumentedCircuit inst = instrumentText(text);
     StatevectorSimulator sim(1);
     const Result r = sim.run(inst.circuit(), 500);
     for (const auto &[reg, n] : r.rawCounts())
@@ -41,7 +49,7 @@ qreg q[2];
 x q[1];
 // qra:assert-classical q[1], q[0] == 10
 )";
-    const InstrumentedCircuit inst = instrumentAnnotatedQasm(text);
+    const InstrumentedCircuit inst = instrumentText(text);
     StatevectorSimulator sim(2);
     const Result r = sim.run(inst.circuit(), 300);
     for (const auto &[reg, n] : r.rawCounts())
@@ -56,7 +64,7 @@ h q[0];
 // qra:assert-superposition q[0] +
 )";
     const InstrumentedCircuit plus =
-        instrumentAnnotatedQasm(plus_text);
+        instrumentText(plus_text);
     StatevectorSimulator sim(3);
     const Result rp = sim.run(plus.circuit(), 500);
     for (const auto &[reg, n] : rp.rawCounts())
@@ -69,7 +77,7 @@ h q[0];
 // qra:assert-superposition q[0] -
 )";
     const InstrumentedCircuit minus =
-        instrumentAnnotatedQasm(minus_text);
+        instrumentText(minus_text);
     const Result rm = sim.run(minus.circuit(), 500);
     for (const auto &[reg, n] : rm.rawCounts())
         EXPECT_TRUE(minus.passed(reg));
@@ -89,7 +97,7 @@ cx q[1], q[2];
     EXPECT_EQ(program.specs[0].insertAt, 3u);
     EXPECT_EQ(program.specs[0].assertion->numAncillas(), 2u);
 
-    const InstrumentedCircuit inst = instrumentAnnotatedQasm(text);
+    const InstrumentedCircuit inst = instrumentText(text);
     StatevectorSimulator sim(4);
     const Result r = sim.run(inst.circuit(), 500);
     for (const auto &[reg, n] : r.rawCounts())
@@ -105,7 +113,7 @@ cx q[0], q[1];
 x q[1];
 // qra:assert-entangled q[0], q[1] odd
 )";
-    const InstrumentedCircuit inst = instrumentAnnotatedQasm(text);
+    const InstrumentedCircuit inst = instrumentText(text);
     StatevectorSimulator sim(5);
     const Result r = sim.run(inst.circuit(), 500);
     for (const auto &[reg, n] : r.rawCounts())
@@ -124,7 +132,7 @@ h q[0];
     const AnnotatedProgram program = parseAnnotatedQasm(text);
     EXPECT_EQ(program.specs[0].insertAt, 1u);
 
-    const InstrumentedCircuit inst = instrumentAnnotatedQasm(text);
+    const InstrumentedCircuit inst = instrumentText(text);
     StatevectorSimulator sim(6);
     const Result r = sim.run(inst.circuit(), 500);
     for (const auto &[reg, n] : r.rawCounts())
@@ -150,7 +158,7 @@ measure q[1] -> c[1];
     EXPECT_EQ(program.specs[1].insertAt, 1u);
     EXPECT_EQ(program.specs[2].insertAt, 2u);
 
-    const InstrumentedCircuit inst = instrumentAnnotatedQasm(text);
+    const InstrumentedCircuit inst = instrumentText(text);
     StatevectorSimulator sim(7);
     const Result r = sim.run(inst.circuit(), 1000);
     for (const auto &[reg, n] : r.rawCounts()) {
@@ -167,7 +175,7 @@ TEST(DirectivesTest, DetectsPlantedBug)
 qreg q[1];
 // qra:assert-superposition q[0] +
 )";
-    const InstrumentedCircuit inst = instrumentAnnotatedQasm(text);
+    const InstrumentedCircuit inst = instrumentText(text);
     StatevectorSimulator sim(8);
     const Result r = sim.run(inst.circuit(), 20000);
     double errors = 0.0;
@@ -216,7 +224,7 @@ h q[0];
     EXPECT_EQ(program.payload.size(), 2u); // h + postselect
     EXPECT_EQ(program.specs[0].insertAt, 2u);
 
-    const InstrumentedCircuit inst = instrumentAnnotatedQasm(text);
+    const InstrumentedCircuit inst = instrumentText(text);
     StatevectorSimulator sim(9);
     const Result r = sim.run(inst.circuit(), 300);
     for (const auto &[reg, n] : r.rawCounts())

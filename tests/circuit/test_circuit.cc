@@ -145,14 +145,6 @@ TEST(CircuitTest, TwoQubitGateCount)
     EXPECT_EQ(c.twoQubitGateCount(), 3u);
 }
 
-TEST(CircuitTest, HasMeasurements)
-{
-    Circuit c(1, 1);
-    EXPECT_FALSE(c.hasMeasurements());
-    c.measure(0, 0);
-    EXPECT_TRUE(c.hasMeasurements());
-}
-
 TEST(CircuitTest, ComposeWithMapping)
 {
     Circuit inner(2, 1);
@@ -212,16 +204,6 @@ TEST(CircuitTest, InverseOfMeasureThrows)
     Circuit c(1, 1);
     c.measure(0, 0);
     EXPECT_THROW(c.inverse(), CircuitError);
-}
-
-TEST(CircuitTest, UnitaryOnlyStripsNonUnitary)
-{
-    Circuit c(2, 2);
-    c.h(0).measure(0, 0).barrier().cx(0, 1).postSelect(1, 0);
-    Circuit u = c.unitaryOnly();
-    EXPECT_EQ(u.size(), 2u);
-    EXPECT_EQ(u.ops()[0].kind, OpKind::H);
-    EXPECT_EQ(u.ops()[1].kind, OpKind::CX);
 }
 
 TEST(CircuitTest, AddQubitsAndClbits)

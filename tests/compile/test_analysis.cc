@@ -867,7 +867,7 @@ TEST(AutoAssert, BitIdenticalCountsAcrossThreadCounts)
     EXPECT_EQ(r1.counts(), r4.counts());
 }
 
-TEST(AutoAssert, AnalysisMemoisedInPrepareCache)
+TEST(AutoAssert, AutoSpecMemoisedInPrepareCache)
 {
     Circuit ghz = library::ghzState(3);
     ghz.addClbits(ghz.numQubits());
@@ -876,12 +876,10 @@ TEST(AutoAssert, AnalysisMemoisedInPrepareCache)
     runtime::JobQueue queue(engine);
 
     const JobSpec spec = autoSpec(ghz);
-    const auto first = queue.analysis(spec);
+    const auto first = queue.instrumented(spec);
     ASSERT_NE(first, nullptr);
-    EXPECT_EQ(first->cliffordPrefixGates, 3u);
-    // Same spec: the cached Prepared entry (and its analysis) is
-    // shared, not recomputed.
-    EXPECT_EQ(queue.analysis(spec).get(), first.get());
+    // Same spec: the cached Prepared entry is shared, not recomputed.
+    EXPECT_EQ(queue.instrumented(spec).get(), first.get());
 
     // A different budget is a different pipeline fingerprint.
     JobSpec tighter = spec;
@@ -892,11 +890,6 @@ TEST(AutoAssert, AnalysisMemoisedInPrepareCache)
     EXPECT_EQ(queue.cacheMisses(), 1u); // spec was already prepared
     queue.submit(tighter).get();
     EXPECT_EQ(queue.cacheHits(), 2u);
-
-    // No analysis on pipelines without the analyze stage.
-    JobSpec plain = spec;
-    plain.injection = InjectionStrategy::Explicit;
-    EXPECT_EQ(queue.analysis(plain), nullptr);
 }
 
 TEST(AutoAssert, FrontierClassicalCheckOnWState)

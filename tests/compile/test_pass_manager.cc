@@ -67,27 +67,21 @@ TEST(PassManager, DescribeListsPassesAndFingerprint)
 
 TEST(PassManager, FingerprintIsStable)
 {
-    TranspileOptions opts;
-    EXPECT_EQ(compile::transpilePipeline(opts).fingerprint(),
-              compile::transpilePipeline(opts).fingerprint());
+    EXPECT_EQ(compile::transpilePipeline().fingerprint(),
+              compile::transpilePipeline().fingerprint());
 }
 
 TEST(PassManager, FingerprintSeesOptions)
 {
-    TranspileOptions a;
-    TranspileOptions b;
-    b.useGreedyLayout = false;
-    TranspileOptions c;
-    c.optimize = false;
-    const std::uint64_t fa =
-        compile::transpilePipeline(a).fingerprint();
-    const std::uint64_t fb =
-        compile::transpilePipeline(b).fingerprint();
-    const std::uint64_t fc =
-        compile::transpilePipeline(c).fingerprint();
-    EXPECT_NE(fa, fb);
-    EXPECT_NE(fa, fc);
-    EXPECT_NE(fb, fc);
+    DecomposeOptions swap_only;
+    swap_only.decomposeCcx = false;
+    DecomposeOptions ccx_only;
+    ccx_only.decomposeSwap = false;
+    PassManager a;
+    a.add(std::make_shared<compile::DecomposePass>(swap_only));
+    PassManager b;
+    b.add(std::make_shared<compile::DecomposePass>(ccx_only));
+    EXPECT_NE(a.fingerprint(), b.fingerprint());
 }
 
 TEST(PassManager, FingerprintSeesPassOrder)
@@ -121,12 +115,11 @@ TEST(PassManager, AssertionFingerprintIsSemantic)
 
 TEST(PassManager, PreparePipelineOmitsInertPasses)
 {
-    // No coupling map: transpile knobs must not appear in the
-    // pipeline (or its fingerprint), and neither must instrumentation
-    // knobs without assertions.
+    // No assertions: instrumentation knobs must not appear in the
+    // pipeline (or its fingerprint), and without a coupling map
+    // neither do the device passes.
     PrepareSpec plain;
     PrepareSpec tweaked = plain;
-    tweaked.transpileOptions.optimize = false;
     tweaked.instrumentOptions.reuseAncillas = true;
     EXPECT_EQ(compile::preparePipeline(plain).fingerprint(),
               compile::preparePipeline(tweaked).fingerprint());

@@ -139,7 +139,6 @@ TEST(PostLayoutInject, AdjacentAncillaNeedsNoSwaps)
     PrepareSpec prep;
     prep.assertions = {check};
     prep.coupling = &line;
-    prep.transpileOptions.useGreedyLayout = false;
 
     const CompileContext ctx = compile::prepare(payload, prep);
     EXPECT_EQ(ctx.insertedSwaps, 0u);

@@ -179,14 +179,5 @@ TEST(GatesTest, ToffoliFlipsOnlyWhenBothControlsSet)
         EXPECT_EQ(ccx(i, i), Complex(1.0, 0.0));
 }
 
-TEST(GatesTest, ProjectorsSumToIdentity)
-{
-    EXPECT_TRUE((gates::proj0() + gates::proj1()).isIdentity());
-    EXPECT_TRUE((gates::proj0() * gates::proj0())
-                    .approxEqual(gates::proj0()));
-    EXPECT_TRUE((gates::proj0() * gates::proj1())
-                    .approxEqual(Matrix(2, 2)));
-}
-
 } // namespace
 } // namespace qra

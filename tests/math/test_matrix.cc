@@ -139,12 +139,6 @@ TEST(MatrixTest, TraceNonSquareThrows)
     EXPECT_THROW(Matrix(2, 3).trace(), ValueError);
 }
 
-TEST(MatrixTest, FrobeniusNorm)
-{
-    Matrix m{{3.0, 0.0}, {0.0, 4.0}};
-    EXPECT_NEAR(m.frobeniusNorm(), 5.0, 1e-12);
-}
-
 TEST(MatrixTest, UnitarityChecks)
 {
     EXPECT_TRUE(gates::h().isUnitary());
@@ -155,14 +149,6 @@ TEST(MatrixTest, UnitarityChecks)
     EXPECT_FALSE(Matrix(2, 3).isUnitary());
 }
 
-TEST(MatrixTest, HermiticityChecks)
-{
-    EXPECT_TRUE(gates::x().isHermitian());
-    EXPECT_TRUE(gates::y().isHermitian());
-    EXPECT_TRUE(gates::z().isHermitian());
-    EXPECT_FALSE(gates::s().isHermitian());
-}
-
 TEST(MatrixTest, GlobalPhaseEquality)
 {
     const Matrix h = gates::h();
@@ -170,14 +156,6 @@ TEST(MatrixTest, GlobalPhaseEquality)
     EXPECT_TRUE(phased.equalUpToGlobalPhase(h));
     EXPECT_FALSE(phased.approxEqual(h));
     EXPECT_FALSE(gates::x().equalUpToGlobalPhase(gates::z()));
-}
-
-TEST(MatrixTest, ColumnVector)
-{
-    Matrix v = Matrix::columnVector({1.0, 2.0, 3.0});
-    EXPECT_EQ(v.rows(), 3u);
-    EXPECT_EQ(v.cols(), 1u);
-    EXPECT_EQ(v(1, 0), Complex(2.0, 0.0));
 }
 
 TEST(MatrixTest, StrRendersSomething)

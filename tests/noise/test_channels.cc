@@ -67,9 +67,6 @@ TEST(ChannelsTest, AllFactoriesAreCptp)
             << p;
         EXPECT_TRUE(channels::depolarizing2(p).isTracePreserving())
             << p;
-        EXPECT_TRUE(channels::bitFlip(p).isTracePreserving()) << p;
-        EXPECT_TRUE(channels::phaseFlip(p).isTracePreserving()) << p;
-        EXPECT_TRUE(channels::bitPhaseFlip(p).isTracePreserving()) << p;
         EXPECT_TRUE(channels::amplitudeDamping(p).isTracePreserving())
             << p;
         EXPECT_TRUE(channels::phaseDamping(p).isTracePreserving()) << p;
@@ -80,7 +77,7 @@ TEST(ChannelsTest, ProbabilityRangeValidated)
 {
     EXPECT_THROW(channels::depolarizing1(-0.1), NoiseError);
     EXPECT_THROW(channels::depolarizing1(1.1), NoiseError);
-    EXPECT_THROW(channels::bitFlip(2.0), NoiseError);
+    EXPECT_THROW(channels::depolarizing2(2.0), NoiseError);
     EXPECT_THROW(channels::amplitudeDamping(-1e-9), NoiseError);
 }
 
@@ -112,43 +109,6 @@ TEST(ChannelsTest, ThermalRelaxationZeroDurationIsIdentityLike)
         channels::thermalRelaxation(50000.0, 30000.0, 0.0);
     // gamma = lambda = 0: first operator is the identity.
     EXPECT_TRUE(tr.operators()[0].isIdentity(1e-12));
-}
-
-TEST(ChannelsTest, PauliChannelIsCptp)
-{
-    EXPECT_TRUE(
-        channels::pauliChannel(0.1, 0.2, 0.3).isTracePreserving());
-    EXPECT_TRUE(
-        channels::pauliChannel(0.0, 0.0, 0.0).isTracePreserving());
-    // Exhausts the probability budget exactly.
-    EXPECT_TRUE(
-        channels::pauliChannel(0.5, 0.25, 0.25).isTracePreserving());
-}
-
-TEST(ChannelsTest, PauliChannelValidation)
-{
-    EXPECT_THROW(channels::pauliChannel(-0.1, 0.0, 0.0), NoiseError);
-    EXPECT_THROW(channels::pauliChannel(0.5, 0.4, 0.2), NoiseError);
-}
-
-TEST(ChannelsTest, PauliChannelSpecialisesToBitFlip)
-{
-    // (p, 0, 0) must act identically to bitFlip(p).
-    const KrausChannel general = channels::pauliChannel(0.2, 0.0, 0.0);
-    const KrausChannel specific = channels::bitFlip(0.2);
-    ASSERT_EQ(general.operators().size(),
-              specific.operators().size());
-    for (std::size_t k = 0; k < general.operators().size(); ++k)
-        EXPECT_TRUE(general.operators()[k].approxEqual(
-            specific.operators()[k], 1e-12));
-}
-
-TEST(ChannelsTest, CoherentOverrotationIsUnitaryChannel)
-{
-    const KrausChannel err = channels::coherentOverrotation(0.05);
-    EXPECT_TRUE(err.isTracePreserving());
-    ASSERT_EQ(err.operators().size(), 1u);
-    EXPECT_TRUE(err.operators()[0].isUnitary());
 }
 
 TEST(ChannelsTest, CoherentErrorAccumulatesQuadratically)

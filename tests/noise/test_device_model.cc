@@ -69,18 +69,6 @@ TEST(DeviceModelTest, Ibmqx4NoiseMagnitudes)
     }
 }
 
-TEST(DeviceModelTest, IdealDeviceHasNoNoise)
-{
-    const DeviceModel dev = DeviceModel::ideal(4);
-    EXPECT_FALSE(dev.noiseModel().enabled());
-    // All-to-all coupling.
-    for (Qubit a = 0; a < 4; ++a)
-        for (Qubit b = 0; b < 4; ++b)
-            if (a != b) {
-                EXPECT_TRUE(dev.couplingMap().hasEdge(a, b));
-            }
-}
-
 TEST(DeviceModelTest, ScaledNoiseDevice)
 {
     const DeviceModel half = DeviceModel::ibmqx4().scaledNoise(0.5);

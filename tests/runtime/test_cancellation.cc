@@ -8,9 +8,11 @@
  */
 
 #include <chrono>
+#include <limits>
 
 #include <gtest/gtest.h>
 
+#include "common/error.hh"
 #include "runtime/backend_registry.hh"
 #include "runtime/cancel.hh"
 #include "runtime/execution_engine.hh"
@@ -232,4 +234,27 @@ TEST(Cancellation, AdaptiveDeadlineReportsReason)
     EXPECT_EQ(partial.cancelReason(), "deadline");
     EXPECT_EQ(partial.shots(), 256u);
     EXPECT_EQ(partial.execStats().waves, 1u);
+}
+
+TEST(Cancellation, DeadlinePastClockRangeMeansNone)
+{
+    // Converted to clock ticks, such a deadline would overflow into
+    // the past and cancel the job at dispatch.
+    ExecutionEngine engine(eightShardOptions(2));
+    for (const double ms :
+         {1e300, std::numeric_limits<double>::infinity()}) {
+        Job job(bellCircuit(), 2048);
+        job.deadlineMs = ms;
+        const Result result = engine.run(job);
+        EXPECT_FALSE(result.cancelled()) << ms;
+        EXPECT_EQ(result.shots(), 2048u) << ms;
+    }
+}
+
+TEST(Cancellation, NanDeadlineThrowsAtDispatch)
+{
+    ExecutionEngine engine(eightShardOptions(2));
+    Job job(bellCircuit(), 2048);
+    job.deadlineMs = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(engine.run(job), ValueError);
 }

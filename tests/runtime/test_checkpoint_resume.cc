@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "assertions/entanglement_assertion.hh"
 #include "common/error.hh"
 #include "runtime/execution_engine.hh"
 #include "runtime/fault.hh"
@@ -103,14 +104,21 @@ TEST(CheckpointResume, TighterTargetUsesNoMoreShotsThanDirect)
     // Converge at a loose half-width, then resume the checkpoint with
     // a tighter target: the resumed job reaches it using exactly the
     // shots a from-scratch run with the tight target takes — resumed
-    // shots are adopted, not re-executed. P("00") of an ideal Bell
-    // pair (~0.5) is the slowest-converging estimate, so the loose
-    // and tight targets trip at well-separated wave boundaries.
+    // shots are adopted, not re-executed. An entanglement check on
+    // the product state |+>|0> flags half the shots; an error rate
+    // near 0.5 is the slowest-converging estimate, so the loose and
+    // tight targets trip at well-separated wave boundaries.
+    Circuit payload(2, 2, "plus_zero");
+    payload.h(0).measureAll();
+    AssertionSpec check;
+    check.assertion = std::make_shared<EntanglementAssertion>(2);
+    check.targets = {0, 1};
+    check.insertAt = 1;
+    const auto inst = std::make_shared<const InstrumentedCircuit>(
+        instrument(payload, {check}));
     auto make_job = [&](double half_width) {
-        Job job(bellCircuit(), 8192);
-        job.stopping.statistic =
-            StoppingRule::Statistic::OutcomeProbability;
-        job.stopping.outcome = "00";
+        Job job(inst->circuit(), 8192);
+        job.instrumented = inst;
         job.stopping.targetHalfWidth = half_width;
         job.stopping.waveShots = 256;
         return job;

@@ -42,15 +42,16 @@ bellCheck()
 
 TEST(EvaluateStopping, WilsonNumbersAndConvergence)
 {
-    Result r(1);
+    // Half the shots flag the check: an any-error rate of 0.5.
+    const InstrumentedCircuit inst =
+        instrument(bellCircuit(), {bellCheck()});
+    Result r(inst.circuit().numClbits());
     r.record(0, 50);
-    r.record(1, 50);
+    r.record(inst.assertionMask(), 50);
 
     StoppingRule rule;
-    rule.statistic = StoppingRule::Statistic::OutcomeProbability;
-    rule.outcome = "1";
     rule.targetHalfWidth = 0.2;
-    const StoppingStatus status = evaluateStopping(rule, r, nullptr);
+    const StoppingStatus status = evaluateStopping(rule, r, &inst);
     EXPECT_EQ(status.shotsDone, 100u);
     EXPECT_NEAR(status.estimate, 0.5, 1e-12);
     // Classic n=100, p=0.5 Wilson half-width ~ 9.5%.
@@ -59,7 +60,7 @@ TEST(EvaluateStopping, WilsonNumbersAndConvergence)
 
     // A minShots floor vetoes convergence.
     rule.minShots = 1000;
-    EXPECT_FALSE(evaluateStopping(rule, r, nullptr).converged);
+    EXPECT_FALSE(evaluateStopping(rule, r, &inst).converged);
 
     // str() mentions the shot progress.
     StoppingStatus s = status;
@@ -68,24 +69,14 @@ TEST(EvaluateStopping, WilsonNumbersAndConvergence)
     EXPECT_NE(s.str().find("100/400"), std::string::npos);
 }
 
-TEST(EvaluateStopping, MisconfiguredRulesThrow)
+TEST(EvaluateStopping, RuleWithoutInstrumentationThrows)
 {
     Result r(2);
     r.record(0, 10);
 
-    StoppingRule rule; // AnyError needs instrumentation
+    StoppingRule rule; // the any-error rate needs instrumentation
     rule.targetHalfWidth = 0.1;
     EXPECT_THROW(evaluateStopping(rule, r, nullptr), ValueError);
-
-    rule.statistic = StoppingRule::Statistic::OutcomeProbability;
-    rule.outcome = ""; // empty outcome string
-    EXPECT_THROW(evaluateStopping(rule, r, nullptr), ValueError);
-
-    const InstrumentedCircuit inst =
-        instrument(bellCircuit(), {bellCheck()});
-    rule.statistic = StoppingRule::Statistic::CheckError;
-    rule.checkIndex = 5; // out of range (one check)
-    EXPECT_THROW(evaluateStopping(rule, r, &inst), ValueError);
 }
 
 TEST(EarlyStopping, WavedCountsBitIdenticalToSingleBlock)
@@ -158,7 +149,6 @@ TEST(EarlyStopping, StopsEarlyOnTightDistribution)
     spec.backend = "statevector";
     spec.seed = 5;
     spec.assertions = {bellCheck()};
-    spec.stopping.statistic = StoppingRule::Statistic::AnyError;
     spec.stopping.targetHalfWidth = 0.02;
     spec.stopping.minShots = 256;
     spec.stopping.waveShots = 256;
@@ -198,25 +188,6 @@ TEST(EarlyStopping, MinShotsFloorHoldsBackConvergence)
     // Convergence is immediate, but the floor forces 1024 shots.
     EXPECT_EQ(result.shots(), 1024u);
     EXPECT_TRUE(result.stoppedEarly());
-}
-
-TEST(EarlyStopping, OutcomeProbabilityRuleOnPlainCircuit)
-{
-    // No assertions: watch P(register == "00") of an ideal Bell pair
-    // (~0.5, the widest-variance case) to a 5% half-width.
-    ExecutionEngine engine(EngineOptions{
-        .threads = 2, .shardShots = 128, .maxShards = 64});
-    Job job(bellCircuit(), 8192, "statevector", 21);
-    job.stopping.statistic =
-        StoppingRule::Statistic::OutcomeProbability;
-    job.stopping.outcome = "00";
-    job.stopping.targetHalfWidth = 0.05;
-    job.stopping.waveShots = 128;
-
-    const Result result = engine.run(job);
-    EXPECT_TRUE(result.stoppedEarly());
-    EXPECT_LT(result.shots(), 2048u);
-    EXPECT_NEAR(result.probability(std::uint64_t{0}), 0.5, 0.15);
 }
 
 TEST(EarlyStopping, ProgressStreamsOncePerWave)
@@ -280,23 +251,5 @@ TEST(EarlyStopping, AdaptiveSubmitRejectsBadRulesSynchronously)
     spec.backend = "statevector";
     spec.stopping.targetHalfWidth = 0.05;
     EXPECT_THROW(queue.submit(spec).get(), ValueError);
-
-    // Check index out of range.
-    spec.assertions = {bellCheck()};
-    spec.stopping.statistic = StoppingRule::Statistic::CheckError;
-    spec.stopping.checkIndex = 3;
-    EXPECT_THROW(queue.submit(spec), ValueError);
     queue.waitIdle();
-}
-
-TEST(EarlyStopping, MaxShotsOverridesJobBudget)
-{
-    ExecutionEngine engine(EngineOptions{
-        .threads = 2, .shardShots = 128, .maxShards = 64});
-    Job job(bellCircuit(), 4096, "statevector", 3);
-    job.stopping.maxShots = 512; // tighter than job.shots
-    const Result result = engine.run(job);
-    EXPECT_EQ(result.shots(), 512u);
-    EXPECT_EQ(result.shotsRequested(), 512u);
-    EXPECT_FALSE(result.stoppedEarly());
 }

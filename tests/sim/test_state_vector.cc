@@ -255,16 +255,6 @@ TEST(StateVectorTest, ResetQubit)
     }
 }
 
-TEST(StateVectorTest, ExpectationZ)
-{
-    StateVector sv(1);
-    EXPECT_NEAR(sv.expectationZ(0), 1.0, 1e-12);
-    sv.applyUnitary({.kind = OpKind::X, .qubits = {0}});
-    EXPECT_NEAR(sv.expectationZ(0), -1.0, 1e-12);
-    sv.applyUnitary({.kind = OpKind::H, .qubits = {0}});
-    EXPECT_NEAR(sv.expectationZ(0), 0.0, 1e-12);
-}
-
 TEST(StateVectorTest, ReducedDensityOfProductStateIsPure)
 {
     StateVector sv(2);

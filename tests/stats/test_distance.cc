@@ -35,19 +35,6 @@ TEST(DistanceTest, TotalVariationSymmetric)
     EXPECT_DOUBLE_EQ(totalVariation(p, q), totalVariation(q, p));
 }
 
-TEST(DistanceTest, HellingerBounds)
-{
-    Distribution p{{0, 1.0}};
-    Distribution q{{1, 1.0}};
-    EXPECT_DOUBLE_EQ(hellinger(p, p), 0.0);
-    EXPECT_DOUBLE_EQ(hellinger(p, q), 1.0);
-
-    Distribution r{{0, 0.5}, {1, 0.5}};
-    const double h = hellinger(p, r);
-    EXPECT_GT(h, 0.0);
-    EXPECT_LT(h, 1.0);
-}
-
 TEST(DistanceTest, WilsonHalfWidthShrinksWithN)
 {
     const double w100 = wilsonHalfWidth(0.5, 100);

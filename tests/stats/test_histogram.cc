@@ -24,44 +24,6 @@ TEST(HistogramTest, ToDistribution)
     EXPECT_TRUE(toDistribution({}).empty());
 }
 
-TEST(HistogramTest, FilterDistributionKeepsAndRenormalises)
-{
-    Distribution dist{{0, 0.5}, {1, 0.25}, {2, 0.25}};
-    const double retained = filterDistribution(dist, {0, 2});
-    EXPECT_DOUBLE_EQ(retained, 0.75);
-    EXPECT_DOUBLE_EQ(dist.at(0), 2.0 / 3.0);
-    EXPECT_DOUBLE_EQ(dist.at(2), 1.0 / 3.0);
-    EXPECT_EQ(dist.count(1), 0u);
-}
-
-TEST(HistogramTest, FilterToNothing)
-{
-    Distribution dist{{0, 1.0}};
-    const double retained = filterDistribution(dist, {7});
-    EXPECT_DOUBLE_EQ(retained, 0.0);
-    EXPECT_TRUE(dist.empty());
-}
-
-TEST(HistogramTest, MarginalizeSelectsBits)
-{
-    // Joint over 3 bits; marginalise to bits {0, 2}.
-    Distribution dist{{0b000, 0.1}, {0b001, 0.2}, {0b100, 0.3},
-                      {0b110, 0.4}};
-    const Distribution m = marginalize(dist, {0, 2});
-    // bit0 of new key = old bit0, bit1 of new key = old bit2.
-    EXPECT_DOUBLE_EQ(m.at(0b00), 0.1);
-    EXPECT_DOUBLE_EQ(m.at(0b01), 0.2);
-    EXPECT_DOUBLE_EQ(m.at(0b10), 0.7);
-}
-
-TEST(HistogramTest, MarginalizeReordersBits)
-{
-    Distribution dist{{0b01, 1.0}};
-    // New bit 0 = old bit 1, new bit 1 = old bit 0.
-    const Distribution m = marginalize(dist, {1, 0});
-    EXPECT_DOUBLE_EQ(m.at(0b10), 1.0);
-}
-
 TEST(HistogramTest, DistributionToString)
 {
     Distribution dist{{0, 0.5}, {3, 0.5}};

@@ -197,18 +197,6 @@ TEST(DecomposerTest, CcxDecompositionIsCorrect)
     test::expectUnitaryEquivalent(c, lowered);
 }
 
-TEST(DecomposerTest, ControlledPaulisOptIn)
-{
-    Circuit c(2);
-    c.cz(0, 1).cy(0, 1);
-    DecomposeOptions opts;
-    opts.decomposeControlledPaulis = true;
-    const Circuit lowered = decompose(c, opts);
-    EXPECT_EQ(lowered.countOps().count("cz"), 0u);
-    EXPECT_EQ(lowered.countOps().count("cy"), 0u);
-    test::expectUnitaryEquivalent(c, lowered);
-}
-
 TEST(OptimizerTest, CancelsAdjacentInversePairs)
 {
     Circuit c(2);

@@ -55,11 +55,14 @@ TEST(TranspilerTest, PreservesMeasurementWiring)
 TEST(TranspilerTest, DistantPairGetsRouted)
 {
     const CouplingMap map = DeviceModel::ibmqx4().couplingMap();
+    // Every pair interacts: no layout embeds that in ibmqx4's bowtie.
     Circuit c(5, 5);
-    c.h(0).cx(0, 3).measureAll(); // 0 and 3 are not coupled
-    TranspileOptions opts;
-    opts.useGreedyLayout = false; // force a routing-hostile layout
-    const TranspileResult result = transpile(c, map, opts);
+    c.h(0);
+    for (Qubit a = 0; a < 5; ++a)
+        for (Qubit b = a + 1; b < 5; ++b)
+            c.cx(a, b);
+    c.measureAll();
+    const TranspileResult result = transpile(c, map);
     expectDeviceCompatible(result.circuit, map);
     EXPECT_GT(result.insertedSwaps + result.reversedCx, 0u);
 }

@@ -49,10 +49,14 @@
  * telemetry never changes the counts.
  */
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -124,6 +128,46 @@ usage()
         "       qra_run --list-simd\n");
 }
 
+/**
+ * Parse @p v, the value of @p flag, as a decimal integer that fits
+ * @p out. An empty value, a sign, trailing characters or overflow
+ * print why and return false.
+ */
+template <typename T>
+bool
+parseCount(const char *flag, const char *v, T &out)
+{
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long value = std::strtoull(v, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(*v)) || *end != '\0' ||
+        errno == ERANGE ||
+        value > static_cast<unsigned long long>(
+                    std::numeric_limits<T>::max())) {
+        std::fprintf(stderr,
+                     "%s expects a non-negative integer, got '%s'\n",
+                     flag, v);
+        return false;
+    }
+    out = static_cast<T>(value);
+    return true;
+}
+
+/** Same for a finite real number. */
+bool
+parseReal(const char *flag, const char *v, double &out)
+{
+    char *end = nullptr;
+    const double value = std::strtod(v, &end);
+    if (end == v || *end != '\0' || !std::isfinite(value)) {
+        std::fprintf(stderr, "%s expects a finite number, got '%s'\n",
+                     flag, v);
+        return false;
+    }
+    out = value;
+    return true;
+}
+
 bool
 parseArgs(int argc, char **argv, Options &opts)
 {
@@ -137,11 +181,18 @@ parseArgs(int argc, char **argv, Options &opts)
             }
             return argv[++i];
         };
-        if (arg == "--shots") {
+        // Parse the next argument into out.
+        auto count = [&](auto &out) {
             const char *v = next();
-            if (!v)
+            return v != nullptr && parseCount(arg.c_str(), v, out);
+        };
+        auto real = [&](double &out) {
+            const char *v = next();
+            return v != nullptr && parseReal(arg.c_str(), v, out);
+        };
+        if (arg == "--shots") {
+            if (!count(opts.shots))
                 return false;
-            opts.shots = std::strtoull(v, nullptr, 10);
         } else if (arg == "--device") {
             const char *v = next();
             if (!v)
@@ -153,58 +204,40 @@ parseArgs(int argc, char **argv, Options &opts)
                 return false;
             opts.backend = v;
         } else if (arg == "--jobs") {
-            const char *v = next();
-            if (!v)
+            if (!count(opts.jobs))
                 return false;
-            opts.jobs = std::strtoull(v, nullptr, 10);
             if (opts.jobs == 0) {
                 std::fprintf(stderr, "--jobs must be >= 1\n");
                 return false;
             }
         } else if (arg == "--threads") {
-            const char *v = next();
-            if (!v)
+            if (!count(opts.threads))
                 return false;
-            opts.threads = std::strtoull(v, nullptr, 10);
         } else if (arg == "--intra-threads") {
-            const char *v = next();
-            if (!v)
+            if (!count(opts.intraThreads))
                 return false;
-            opts.intraThreads = std::strtoull(v, nullptr, 10);
         } else if (arg == "--fusion") {
-            const char *v = next();
-            if (!v)
+            if (!count(opts.fusion))
                 return false;
-            opts.fusion = static_cast<int>(std::strtol(v, nullptr, 10));
             if (opts.fusion < kernels::kFusionNone ||
                 opts.fusion > kernels::kFusion2q) {
                 std::fprintf(stderr, "--fusion must be 0, 1 or 2\n");
                 return false;
             }
         } else if (arg == "--seed") {
-            const char *v = next();
-            if (!v)
+            if (!count(opts.seed))
                 return false;
-            opts.seed = std::strtoull(v, nullptr, 10);
         } else if (arg == "--auto-assert") {
             opts.autoAssert = true;
         } else if (arg == "--max-checks") {
-            const char *v = next();
-            if (!v)
+            if (!count(opts.autoOptions.maxChecks))
                 return false;
-            opts.autoOptions.maxChecks =
-                std::strtoull(v, nullptr, 10);
         } else if (arg == "--min-depth") {
-            const char *v = next();
-            if (!v)
+            if (!count(opts.autoOptions.minPrefixDepth))
                 return false;
-            opts.autoOptions.minPrefixDepth =
-                std::strtoull(v, nullptr, 10);
         } else if (arg == "--target-halfwidth") {
-            const char *v = next();
-            if (!v)
+            if (!real(opts.targetHalfWidth))
                 return false;
-            opts.targetHalfWidth = std::strtod(v, nullptr);
             if (opts.targetHalfWidth <= 0.0 ||
                 opts.targetHalfWidth >= 1.0) {
                 std::fprintf(stderr, "--target-halfwidth must be in "
@@ -212,33 +245,27 @@ parseArgs(int argc, char **argv, Options &opts)
                 return false;
             }
         } else if (arg == "--min-shots") {
-            const char *v = next();
-            if (!v)
+            if (!count(opts.minShots))
                 return false;
-            opts.minShots = std::strtoull(v, nullptr, 10);
         } else if (arg == "--wave-shots") {
-            const char *v = next();
-            if (!v)
+            if (!count(opts.waveShots))
                 return false;
-            opts.waveShots = std::strtoull(v, nullptr, 10);
         } else if (arg == "--deadline-ms") {
-            const char *v = next();
-            if (!v)
+            if (!real(opts.deadlineMs))
                 return false;
-            opts.deadlineMs = std::strtod(v, nullptr);
             if (opts.deadlineMs <= 0.0) {
                 std::fprintf(stderr,
                              "--deadline-ms must be positive\n");
                 return false;
             }
         } else if (arg == "--retries") {
-            const char *v = next();
-            if (!v)
+            if (!count(opts.retries))
                 return false;
-            opts.retries = std::strtoull(v, nullptr, 10);
         } else if (arg.rfind("--retries=", 0) == 0) {
-            opts.retries = std::strtoull(
-                arg.c_str() + std::strlen("--retries="), nullptr, 10);
+            if (!parseCount("--retries",
+                            arg.c_str() + std::strlen("--retries="),
+                            opts.retries))
+                return false;
         } else if (arg == "--inject-fault" ||
                    arg.rfind("--inject-fault=", 0) == 0) {
             if (arg == "--inject-fault") {
@@ -424,8 +451,6 @@ main(int argc, char **argv)
         if (opts.targetHalfWidth > 0.0) {
             // Confidence-driven early stopping on the any-assertion
             // error rate; --shots is the per-job budget.
-            spec.stopping.statistic =
-                StoppingRule::Statistic::AnyError;
             spec.stopping.targetHalfWidth = opts.targetHalfWidth;
             spec.stopping.minShots = opts.minShots;
             spec.stopping.waveShots = opts.waveShots;
