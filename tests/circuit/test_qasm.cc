@@ -13,6 +13,7 @@
 #include "common/hash.hh"
 #include "common/rng.hh"
 #include "paper_circuits.hh"
+#include "testutil.hh"
 
 namespace qra {
 namespace {
@@ -577,17 +578,10 @@ TEST(QasmGolden, CorpusDigests)
         {"ansatz_7", 0x9c24e44cc47ae912ULL},
         {"ansatz_8", 0x1029b0ab79210781ULL},
     };
-    for (const auto &[name, text] : goldenCorpus()) {
-        const std::uint64_t digest = readerDigest(text);
-        const auto it = expected.find(name);
-        if (it == expected.end()) {
-            ADD_FAILURE() << "no digest for {\"" << name << "\", 0x"
-                          << std::hex << digest << "ULL}";
-            continue;
-        }
-        EXPECT_EQ(digest, it->second)
-            << name << " digest 0x" << std::hex << digest;
-    }
+    std::vector<std::pair<std::string, std::uint64_t>> got;
+    for (const auto &[name, text] : goldenCorpus())
+        got.emplace_back(name, readerDigest(text));
+    test::expectGoldenTable(expected, got);
 }
 
 /** The exact QasmError text each malformed input raises. */

@@ -21,6 +21,7 @@
 #include "sim/state_vector.hh"
 #include "stats/chi_square.hh"
 #include "paper_circuits.hh"
+#include "testutil.hh"
 
 namespace qra {
 namespace {
@@ -791,6 +792,8 @@ TEST(DensityGoldenCounts, PaperAndRandomCircuitsAcrossRunners)
              {0xdaa46355338621c2ULL, 0x4e6475fc39a5c2ffULL}},
         };
     const NoiseModel *noises[] = {nullptr, &device.noiseModel()};
+    std::vector<std::pair<std::string, std::pair<std::uint64_t, std::uint64_t>>>
+        got;
     for (const auto &[name, circuit] : circuits)
         for (const NoiseModel *noise : noises) {
             const std::string key =
@@ -829,18 +832,9 @@ TEST(DensityGoldenCounts, PaperAndRandomCircuitsAcrossRunners)
                 }
             EXPECT_EQ(cached, direct) << key;
             EXPECT_EQ(engine[1], engine[0]) << key;
-            const auto it = golden.find(key);
-            if (it == golden.end()) {
-                ADD_FAILURE() << "unpinned {\"" << key << "\", {0x"
-                              << std::hex << direct << "ULL, 0x"
-                              << engine[0] << "ULL}},";
-                continue;
-            }
-            EXPECT_EQ(direct, it->second.first)
-                << key << ": direct 0x" << std::hex << direct;
-            EXPECT_EQ(engine[0], it->second.second)
-                << key << ": engine 0x" << std::hex << engine[0];
+            got.emplace_back(key, std::pair{direct, engine[0]});
         }
+    test::expectGoldenTable(golden, got);
 }
 
 // Which regime each e2ebench paper kind's sampling takes under ibmqx4
@@ -912,6 +906,8 @@ TEST(DensityGoldenCounts, WideReadoutNoisyRegisters)
              {0x1684ba164803e582ULL, 0x502e7c41222d9781ULL}},
         };
     const NoiseModel *noises[] = {nullptr, &device.noiseModel()};
+    std::vector<std::pair<std::string, std::pair<std::uint64_t, std::uint64_t>>>
+        got;
     for (const std::size_t records : {4u, 5u})
         for (const NoiseModel *noise : noises) {
             const Circuit circuit = wideRegisterCircuit(records);
@@ -958,18 +954,9 @@ TEST(DensityGoldenCounts, WideReadoutNoisyRegisters)
             }
             EXPECT_EQ(cached, direct) << key;
             EXPECT_EQ(engine[1], engine[0]) << key;
-            const auto it = golden.find(key);
-            if (it == golden.end()) {
-                ADD_FAILURE() << "unpinned {\"" << key << "\", {0x"
-                              << std::hex << direct << "ULL, 0x"
-                              << engine[0] << "ULL}},";
-                continue;
-            }
-            EXPECT_EQ(direct, it->second.first)
-                << key << ": direct 0x" << std::hex << direct;
-            EXPECT_EQ(engine[0], it->second.second)
-                << key << ": engine 0x" << std::hex << engine[0];
+            got.emplace_back(key, std::pair{direct, engine[0]});
         }
+    test::expectGoldenTable(golden, got);
 }
 
 } // namespace

@@ -7,7 +7,13 @@
 #define QRA_TESTS_TESTUTIL_HH
 
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <optional>
+#include <set>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -93,6 +99,51 @@ makeSingleQubitState(double theta, double phi, std::size_t num_qubits = 1)
                  .params = {theta, phi, 0.0}, .clbit = std::nullopt};
     sv.applyUnitary(op);
     return sv;
+}
+
+/** A golden value as it is written in a table, e.g. "0x1fULL". */
+inline std::string
+goldenLiteral(std::uint64_t value)
+{
+    std::ostringstream os;
+    os << "0x" << std::hex << value << "ULL";
+    return os.str();
+}
+
+inline std::string
+goldenLiteral(const std::pair<std::uint64_t, std::uint64_t> &value)
+{
+    return "{" + goldenLiteral(value.first) + ", " +
+           goldenLiteral(value.second) + "}";
+}
+
+/**
+ * Check every produced (name, value) against a golden table. Fails on
+ * a produced name the table has no row for (printing the row to pin),
+ * on a value that differs from its row, and on a row that no produced
+ * name reads, so a table cannot keep rows the test no longer checks.
+ */
+template <typename Value>
+void
+expectGoldenTable(const std::map<std::string, Value> &golden,
+                  const std::vector<std::pair<std::string, Value>> &got)
+{
+    std::set<std::string> read;
+    for (const auto &[name, value] : got) {
+        const auto it = golden.find(name);
+        if (it == golden.end()) {
+            ADD_FAILURE() << "no golden row for {\"" << name << "\", "
+                          << goldenLiteral(value) << "}";
+            continue;
+        }
+        read.insert(name);
+        EXPECT_EQ(value, it->second)
+            << name << ": got " << goldenLiteral(value);
+    }
+    for (const auto &[name, value] : golden)
+        if (!read.contains(name))
+            ADD_FAILURE() << "golden row \"" << name
+                          << "\" is never read";
 }
 
 } // namespace test
