@@ -132,6 +132,8 @@ class Circuit
      * Widen the circuit by appending fresh qubits/clbits at the top
      * indices. Existing instructions are unaffected.
      * @return Index of the first newly added qubit.
+     * @throws CircuitError past 4096 qubits (63 clbits); the circuit
+     *         is then left as it was.
      */
     Qubit addQubits(std::size_t count);
 
@@ -154,6 +156,8 @@ class Circuit
 
   private:
     void validate(const Operation &op) const;
+    /** Throw the CircuitError that names why @p op is invalid. */
+    [[noreturn]] void rejectOperation(const Operation &op) const;
 
     std::size_t numQubits_;
     std::size_t numClbits_;

@@ -12,8 +12,8 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
+#include "circuit/inline_list.hh"
 #include "math/matrix.hh"
 #include "math/types.hh"
 
@@ -49,22 +49,35 @@ const char *opName(OpKind kind);
 /** Inverse of a parameter-free unitary, if it is itself in the set. */
 std::optional<OpKind> opSelfContainedInverse(OpKind kind);
 
-/** One instruction: kind + qubit operands + optional params/clbit. */
+/** Qubit operands of an Operation; only a Barrier may have more than 3. */
+using Operands = InlineList<Qubit, 3>;
+
+/** Angle parameters of an Operation (at most 3, for U). */
+using Angles = InlineList<double, 3>;
+
+/**
+ * One instruction: kind + qubit operands + optional params/clbit.
+ *
+ * Operands and angles are stored inline, so an operation owns no heap
+ * memory unless it is a Barrier over more than three qubits. The
+ * angles come last: the four-byte fields before them fill 32 bytes,
+ * which keeps the record to one 64-byte cache line.
+ */
 struct Operation
 {
     OpKind kind;
 
     /** Qubit operands; ordering is significant (control first). */
-    std::vector<Qubit> qubits;
-
-    /** Angle parameters for RX/RY/RZ/P/U. */
-    std::vector<double> params{};
+    Operands qubits;
 
     /** Destination classical bit (Measure only). */
     std::optional<Clbit> clbit{};
 
     /** Post-selected outcome, 0 or 1 (PostSelect only). */
     int postselectValue = 0;
+
+    /** Angle parameters for RX/RY/RZ/P/U. */
+    Angles params{};
 
     /**
      * Unitary matrix of this operation in the local little-endian
@@ -81,6 +94,9 @@ struct Operation
 
     bool operator==(const Operation &rhs) const;
 };
+
+static_assert(sizeof(Operation) <= 64,
+              "an Operation must fit one cache line");
 
 } // namespace qra
 

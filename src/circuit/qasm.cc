@@ -321,7 +321,7 @@ parseOperand(std::string_view token, char reg)
 void
 appendBroadcast(Circuit &circuit, Operation op)
 {
-    const std::vector<Qubit> operands = op.qubits;
+    const Operands operands = op.qubits;
     for (Qubit i = 0; i < circuit.numQubits(); ++i) {
         for (std::size_t k = 0; k < operands.size(); ++k)
             op.qubits[k] = operands[k] == kWholeRegister ? i : operands[k];
@@ -329,9 +329,17 @@ appendBroadcast(Circuit &circuit, Operation op)
     }
 }
 
+/** Operand and angle buffers one reader reuses across statements. */
+struct StatementScratch
+{
+    std::vector<Qubit> qubits;
+    std::vector<double> params;
+};
+
 /** Apply one trimmed, non-empty, non-declaration statement. */
 void
-applyStatement(Circuit &circuit, std::string_view s)
+applyStatement(Circuit &circuit, std::string_view s,
+               StatementScratch &scratch)
 {
     // The first-letter tests only spare most ops the prefix compare.
     if (s[0] == 'm' && s.starts_with("measure")) {
@@ -361,11 +369,10 @@ applyStatement(Circuit &circuit, std::string_view s)
         return;
     }
 
-    std::vector<Qubit> qubits;
+    std::vector<Qubit> &qubits = scratch.qubits;
+    qubits.clear();
     bool broadcast = false;
     auto read_qubits = [&qubits, &broadcast](std::string_view operands) {
-        qubits.reserve(1 +
-                       std::count(operands.begin(), operands.end(), ','));
         forEachPiece(operands, ',', [&](std::string_view tok) {
             if (tok.empty())
                 return;
@@ -381,8 +388,7 @@ applyStatement(Circuit &circuit, std::string_view s)
             circuit.barrier();
             return;
         }
-        circuit.append(
-            {.kind = OpKind::Barrier, .qubits = std::move(qubits)});
+        circuit.append({.kind = OpKind::Barrier, .qubits = qubits});
         return;
     }
 
@@ -393,7 +399,8 @@ applyStatement(Circuit &circuit, std::string_view s)
     const std::string_view name = s.substr(0, name_end);
     std::string_view rest = trimWhitespace(s.substr(name_end));
 
-    std::vector<double> params;
+    std::vector<double> &params = scratch.params;
+    params.clear();
     if (!rest.empty() && rest[0] == '(') {
         // Find the matching close paren (params may nest).
         std::size_t depth = 0;
@@ -429,14 +436,11 @@ applyStatement(Circuit &circuit, std::string_view s)
         kind = kindFromName(name);
     }
     if (broadcast) {
-        appendBroadcast(circuit, {.kind = kind,
-                                  .qubits = std::move(qubits),
-                                  .params = std::move(params)});
+        appendBroadcast(circuit,
+                        {.kind = kind, .qubits = qubits, .params = params});
         return;
     }
-    circuit.append({.kind = kind,
-                    .qubits = std::move(qubits),
-                    .params = std::move(params)});
+    circuit.append({.kind = kind, .qubits = qubits, .params = params});
 }
 
 } // namespace
@@ -558,11 +562,12 @@ readQasm(std::string_view text, std::vector<QasmDirective> *directives)
 
     Circuit circuit(num_qubits, num_clbits, "qasm");
     circuit.reserve(items.size());
+    StatementScratch scratch;
     for (const Item &item : items) {
         if (item.postselect)
             applyPostSelect(circuit, item.text);
         else
-            applyStatement(circuit, item.text);
+            applyStatement(circuit, item.text, scratch);
     }
     return circuit;
 }

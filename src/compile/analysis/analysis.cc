@@ -1,6 +1,7 @@
 #include "compile/analysis/analysis.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <numeric>
 
@@ -126,25 +127,65 @@ class SlotPartition
     std::vector<std::size_t> prefix_;
 };
 
+/** A row-major 4x4 unitary on one qubit pair, kept on the stack. */
+using PairMatrix = std::array<Complex, 16>;
+
+/** @p a times @p b, in Matrix::operator*'s order (bit-identical). */
+PairMatrix
+multiply(const PairMatrix &a, const PairMatrix &b)
+{
+    PairMatrix out{};
+    for (std::size_t i = 0; i < 4; ++i)
+        for (std::size_t k = 0; k < 4; ++k) {
+            const Complex aik = a[4 * i + k];
+            if (aik == Complex{0.0, 0.0})
+                continue;
+            for (std::size_t j = 0; j < 4; ++j)
+                out[4 * i + j] += aik * b[4 * k + j];
+        }
+    return out;
+}
+
+/** kron(a, b) of two row-major 2x2 matrices, as Matrix::kron does. */
+PairMatrix
+kron2(const Complex *a, const Complex *b)
+{
+    PairMatrix out{};
+    for (std::size_t r = 0; r < 2; ++r)
+        for (std::size_t c = 0; c < 2; ++c) {
+            const Complex v = a[2 * r + c];
+            if (v == Complex{0.0, 0.0})
+                continue;
+            for (std::size_t rr = 0; rr < 2; ++rr)
+                for (std::size_t cc = 0; cc < 2; ++cc)
+                    out[4 * (2 * r + rr) + 2 * c + cc] = v * b[2 * rr + cc];
+        }
+    return out;
+}
+
 /** Lift @p op's unitary onto the ordered pair (lo, hi), bit 0 = lo. */
-Matrix
+PairMatrix
 liftToPair(const Operation &op, Qubit lo, Qubit hi)
 {
-    Matrix m = op.matrix();
+    static constexpr Complex kId2[4] = {1.0, 0.0, 0.0, 1.0};
+    const Matrix m = op.matrix();
+    const Complex *u = m.data().data();
     if (op.qubits.size() == 1) {
         // kron(A, B) puts B on the low bit.
         if (op.qubits[0] == lo)
-            return Matrix::identity(2).kron(m);
-        return m.kron(Matrix::identity(2));
+            return kron2(kId2, u);
+        return kron2(u, kId2);
     }
+    PairMatrix out;
+    std::copy_n(u, out.size(), out.begin());
     if (op.qubits[0] == lo && op.qubits[1] == hi)
-        return m;
+        return out;
     // Operand order reversed: conjugate by SWAP to relabel the bits.
-    static const Matrix kSwap{{1, 0, 0, 0},
-                              {0, 0, 1, 0},
-                              {0, 1, 0, 0},
-                              {0, 0, 0, 1}};
-    return kSwap * m * kSwap;
+    static constexpr PairMatrix kSwap = {1.0, 0.0, 0.0, 0.0,
+                                         0.0, 0.0, 1.0, 0.0,
+                                         0.0, 1.0, 0.0, 0.0,
+                                         0.0, 0.0, 0.0, 1.0};
+    return multiply(multiply(kSwap, out), kSwap);
 }
 
 /**
@@ -213,11 +254,14 @@ computeActions(const Circuit &circuit)
             ++i;
             continue; // lone gate: the default action is already exact
         }
-        Matrix product = Matrix::identity(4);
+        PairMatrix product = {1.0, 0.0, 0.0, 0.0,
+                              0.0, 1.0, 0.0, 0.0,
+                              0.0, 0.0, 1.0, 0.0,
+                              0.0, 0.0, 0.0, 1.0};
         for (std::size_t j = i; j < end; ++j)
-            product = liftToPair(ops[j], lo, hi) * product;
+            product = multiply(liftToPair(ops[j], lo, hi), product);
         kernels::PlanEntry entry =
-            kernels::classify2q(lo, hi, product.data().data());
+            kernels::classify2q(lo, hi, product.data());
 
         PartitionAction net = PartitionAction::Merge;
         switch (entry.kind) {

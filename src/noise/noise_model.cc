@@ -10,6 +10,11 @@
 
 namespace qra {
 
+NoiseModel::NoiseModel()
+{
+    refreshFingerprint();
+}
+
 bool
 NoiseModel::enabled() const
 {
@@ -25,11 +30,11 @@ NoiseModel::setGateError(OpKind kind, double p)
     if (p < 0.0 || p > 1.0)
         throw NoiseError("gate error probability must lie in [0, 1]");
     gateError_[kind] = p;
+    refreshFingerprint();
 }
 
 void
-NoiseModel::setGateError(OpKind kind, const std::vector<Qubit> &qubits,
-                         double p)
+NoiseModel::setGateError(OpKind kind, const Operands &qubits, double p)
 {
     if (!opIsUnitary(kind))
         throw NoiseError("gate errors apply to unitary gates only");
@@ -38,6 +43,7 @@ NoiseModel::setGateError(OpKind kind, const std::vector<Qubit> &qubits,
     if (p < 0.0 || p > 1.0)
         throw NoiseError("gate error probability must lie in [0, 1]");
     operandGateError_[{kind, qubits}] = p;
+    refreshFingerprint();
 }
 
 void
@@ -46,6 +52,7 @@ NoiseModel::setGateDuration(OpKind kind, double ns)
     if (ns < 0.0)
         throw NoiseError("gate duration must be non-negative");
     gateDurationNs_[kind] = ns;
+    refreshFingerprint();
 }
 
 void
@@ -56,12 +63,14 @@ NoiseModel::setQubitRelaxation(Qubit q, double t1_ns, double t2_ns)
     if (t2_ns > 2.0 * t1_ns)
         throw NoiseError("unphysical relaxation times: T2 > 2*T1");
     relaxation_[q] = {t1_ns, t2_ns};
+    refreshFingerprint();
 }
 
 void
 NoiseModel::setReadoutError(Qubit q, ReadoutError error)
 {
     readout_[q] = error;
+    refreshFingerprint();
 }
 
 NoiseModel
@@ -87,6 +96,7 @@ NoiseModel::scaled(double factor) const
         out.readout_[q] = ReadoutError(clamp01(ro.pRead1Given0() * factor),
                                        clamp01(ro.pRead0Given1() * factor));
     }
+    out.refreshFingerprint();
     return out;
 }
 
@@ -119,7 +129,7 @@ NoiseModel::channelsFor(const Operation &op) const
         // anyway; this is the aggregate model).
         for (std::size_t i = 0; i + 1 < op.qubits.size(); ++i) {
             out.push_back({channels::depolarizing2(p),
-                           {op.qubits[i], op.qubits[i + 1]}});
+                           Operands{op.qubits[i], op.qubits[i + 1]}});
         }
     }
     return out;
@@ -153,8 +163,8 @@ NoiseModel::readoutFor(Qubit q) const
     return &it->second;
 }
 
-std::uint64_t
-NoiseModel::fingerprint() const
+void
+NoiseModel::refreshFingerprint()
 {
     std::uint64_t h = kFnv1aOffset;
     const auto mix_double = [&](double v) {
@@ -192,7 +202,7 @@ NoiseModel::fingerprint() const
         mix_double(ro.pRead1Given0());
         mix_double(ro.pRead0Given1());
     }
-    return h;
+    fingerprint_ = h;
 }
 
 std::string

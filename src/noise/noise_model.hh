@@ -36,10 +36,10 @@ class NoiseModel
     struct AppliedChannel
     {
         KrausChannel channel;
-        std::vector<Qubit> qubits;
+        Operands qubits;
     };
 
-    NoiseModel() = default;
+    NoiseModel();
 
     /** True when any error source is configured. */
     bool enabled() const;
@@ -56,8 +56,7 @@ class NoiseModel
      * Depolarising error for a specific operand tuple, e.g. the CX
      * between qubits 1 and 0 on ibmqx4. Operand order matters.
      */
-    void setGateError(OpKind kind, const std::vector<Qubit> &qubits,
-                      double p);
+    void setGateError(OpKind kind, const Operands &qubits, double p);
 
     /** Wall-clock duration of gate @p kind in nanoseconds. */
     void setGateDuration(OpKind kind, double ns);
@@ -104,9 +103,10 @@ class NoiseModel
      * cached per-(circuit, noise) artifacts (trajectory plans in the
      * runtime's sampling cache) are keyed by content, not by object
      * identity — a freed-and-reallocated model can never alias a
-     * stale cache entry.
+     * stale cache entry. Every setter refreshes the stored value, so
+     * a lookup only reads it.
      */
-    std::uint64_t fingerprint() const;
+    std::uint64_t fingerprint() const { return fingerprint_; }
 
   private:
     struct Relaxation
@@ -116,11 +116,14 @@ class NoiseModel
     };
 
     std::map<OpKind, double> gateError_;
-    std::map<std::pair<OpKind, std::vector<Qubit>>, double>
-        operandGateError_;
+    /** Recompute fingerprint_ from every map. */
+    void refreshFingerprint();
+
+    std::map<std::pair<OpKind, Operands>, double> operandGateError_;
     std::map<OpKind, double> gateDurationNs_;
     std::map<Qubit, Relaxation> relaxation_;
     std::map<Qubit, ReadoutError> readout_;
+    std::uint64_t fingerprint_ = 0;
 };
 
 } // namespace qra

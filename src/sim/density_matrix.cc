@@ -90,7 +90,7 @@ DensityMatrix::applyUnitary(const Operation &op)
                               opName(op.kind) + "'");
     if (op.kind == OpKind::I)
         return;
-    applyMatrix(op.matrix(), op.qubits);
+    applyMatrix(op.matrix(), {op.qubits.begin(), op.qubits.end()});
 }
 
 void

@@ -80,7 +80,7 @@ class Lowering
 
     /** A register-level unitary entry on @p qubits. */
     void
-    unitary(const std::vector<Qubit> &qubits, PlanEntry entry)
+    unitary(const Operands &qubits, PlanEntry entry)
     {
         if (entry.kind == KernelKind::Identity)
             return;
@@ -93,7 +93,7 @@ class Lowering
 
     /** Superoperator @p s (see superoperator()) on @p qubits. */
     void
-    channel(const std::vector<Qubit> &qubits, Matrix s)
+    channel(const Operands &qubits, Matrix s)
     {
         for (const Qubit q : qubits)
             buffer_.flush(q, segment_, stats_);
@@ -112,7 +112,7 @@ class Lowering
         flushSegment();
         PlanEntry entry;
         entry.kind = KernelKind::GenericK;
-        entry.qubits = qubits;
+        entry.qubits.assign(qubits.begin(), qubits.end());
         for (const Qubit q : qubits)
             entry.qubits.push_back(q + static_cast<Qubit>(n_));
         entry.dense = std::move(s);

@@ -93,7 +93,7 @@ tensorSplit2q(const Matrix &u, Complex a[4], Complex b[4])
 
 /** Lower a unitary matrix on @p qubits to classified entries. */
 std::vector<PlanEntry>
-lowerUnitaryMatrix(const Matrix &u, const std::vector<Qubit> &qubits)
+lowerUnitaryMatrix(const Matrix &u, const Operands &qubits)
 {
     std::vector<PlanEntry> entries;
     auto push = [&](PlanEntry entry) {
@@ -123,7 +123,7 @@ lowerUnitaryMatrix(const Matrix &u, const std::vector<Qubit> &qubits)
     }
     PlanEntry entry;
     entry.kind = KernelKind::GenericK;
-    entry.qubits = qubits;
+    entry.qubits.assign(qubits.begin(), qubits.end());
     entry.dense = u;
     entries.push_back(std::move(entry));
     return entries;
@@ -161,10 +161,10 @@ namespace {
  * surviving branch.
  */
 KrausSite
-makeSite(const KrausChannel &channel, const std::vector<Qubit> &qubits)
+makeSite(const KrausChannel &channel, const Operands &qubits)
 {
     KrausSite site;
-    site.qubits = qubits;
+    site.qubits.assign(qubits.begin(), qubits.end());
 
     const std::vector<Matrix> &ops = channel.operators();
     site.fixedWeights = true;
@@ -209,7 +209,7 @@ TrajectoryPlan::compile(const Circuit &circuit, const NoiseModel *noise,
     Fusion1qBuffer buffer(circuit.numQubits());
 
     auto emit_site = [&](const KrausChannel &channel,
-                         const std::vector<Qubit> &qubits) {
+                         const Operands &qubits) {
         if (channel.operators().size() == 1) {
             // Deterministic channel: the single operator is unitary
             // (CPTP), so it lowers to a plain entry with no RNG draw.

@@ -364,7 +364,7 @@ lowerOperation(const Operation &op)
         return entry;
     }
     entry.kind = KernelKind::GenericK;
-    entry.qubits = op.qubits;
+    entry.qubits.assign(op.qubits.begin(), op.qubits.end());
     entry.dense = u;
     return entry;
 }

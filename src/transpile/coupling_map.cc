@@ -1,8 +1,6 @@
 #include "transpile/coupling_map.hh"
 
-#include <algorithm>
 #include <limits>
-#include <queue>
 #include <sstream>
 
 #include "common/error.hh"
@@ -72,30 +70,33 @@ CouplingMap::shortestPath(Qubit a, Qubit b) const
     if (a == b)
         return {a};
 
-    std::vector<Qubit> parent(numQubits_,
-                              std::numeric_limits<Qubit>::max());
-    std::queue<Qubit> frontier;
-    frontier.push(a);
+    // Breadth-first from a; one block holds the parent table and the
+    // FIFO queue (each qubit is queued at most once).
+    constexpr Qubit kUnseen = std::numeric_limits<Qubit>::max();
+    std::vector<Qubit> scratch(2 * numQubits_, kUnseen);
+    Qubit *parent = scratch.data();
+    Qubit *queue = parent + numQubits_;
+    std::size_t head = 0;
+    std::size_t tail = 0;
+    queue[tail++] = a;
     parent[a] = a;
 
-    while (!frontier.empty()) {
-        const Qubit cur = frontier.front();
-        frontier.pop();
+    while (head < tail) {
+        const Qubit cur = queue[head++];
         for (Qubit next : adjacency_[cur]) {
-            if (parent[next] != std::numeric_limits<Qubit>::max())
+            if (parent[next] != kUnseen)
                 continue;
             parent[next] = cur;
             if (next == b) {
-                std::vector<Qubit> path{b};
-                Qubit walk = b;
-                while (walk != a) {
-                    walk = parent[walk];
-                    path.push_back(walk);
-                }
-                std::reverse(path.begin(), path.end());
+                std::size_t hops = 1;
+                for (Qubit walk = b; walk != a; walk = parent[walk])
+                    ++hops;
+                std::vector<Qubit> path(hops);
+                for (Qubit walk = b; hops-- > 0; walk = parent[walk])
+                    path[hops] = walk;
                 return path;
             }
-            frontier.push(next);
+            queue[tail++] = next;
         }
     }
     return {};

@@ -69,7 +69,7 @@ decompose(Circuit circuit, const DecomposeOptions &options)
             out.append(std::move(op));
             continue;
         }
-        const std::vector<Qubit> &q = op.qubits;
+        const Operands &q = op.qubits;
         if (op.kind == OpKind::Swap)
             emitSwap(out, q[0], q[1]);
         else // CCX

@@ -1,5 +1,7 @@
 /** @file Tests for the Circuit IR and builder. */
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "circuit/circuit.hh"
@@ -216,6 +218,46 @@ TEST(CircuitTest, AddQubitsAndClbits)
     const Clbit new_clbit = c.addClbits(1);
     EXPECT_EQ(new_clbit, 1u);
     c.measure(3, new_clbit);
+}
+
+TEST(CircuitTest, RefusedWideningLeavesSizesUnchanged)
+{
+    Circuit c(4090, 60);
+    EXPECT_THROW(c.addQubits(7), CircuitError);
+    EXPECT_THROW(c.addQubits(SIZE_MAX), CircuitError);
+    EXPECT_EQ(c.numQubits(), 4090u);
+    EXPECT_THROW(c.addClbits(4), CircuitError);
+    EXPECT_THROW(c.addClbits(SIZE_MAX), CircuitError);
+    EXPECT_EQ(c.numClbits(), 60u);
+    EXPECT_EQ(c.addQubits(6), 4090u);
+    EXPECT_EQ(c.addClbits(3), 60u);
+    EXPECT_EQ(c.numQubits(), 4096u);
+    EXPECT_EQ(c.numClbits(), 63u);
+}
+
+TEST(CircuitTest, WideBarrierKeepsEveryOperand)
+{
+    // Only a barrier may exceed three operands; its list lives on the
+    // heap and must copy, move and compare like a short one.
+    Circuit c(6);
+    c.barrier().barrier({5, 0, 3, 1}).h(2);
+    const Circuit copy = c;
+    EXPECT_EQ(copy, c);
+    EXPECT_EQ(copy.hash(), c.hash());
+    const Operands &all = copy.ops()[0].qubits;
+    ASSERT_EQ(all.size(), 6u);
+    for (Qubit q = 0; q < 6; ++q)
+        EXPECT_EQ(all[q], q);
+    const Operands some = copy.ops()[1].qubits;
+    EXPECT_EQ(some, (Operands{5, 0, 3, 1}));
+    EXPECT_NE(some, (Operands{5, 0, 3}));
+    Operation moved = std::move(c.takeOps()[1]);
+    EXPECT_EQ(moved.qubits, some);
+    moved = copy.ops()[2];
+    EXPECT_EQ(moved.qubits, (Operands{2}));
+    EXPECT_THROW(Circuit(3).append({.kind = OpKind::Barrier,
+                                    .qubits = {0, 1, 2, 3}}),
+                 CircuitError);
 }
 
 TEST(CircuitTest, InsertAtPosition)

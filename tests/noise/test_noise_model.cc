@@ -1,8 +1,13 @@
 /** @file Tests for the NoiseModel configuration and queries. */
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/error.hh"
+#include "noise/device_model.hh"
 #include "noise/noise_model.hh"
 
 namespace qra {
@@ -152,6 +157,52 @@ TEST(NoiseModelTest, CcxGetsPairwiseChannels)
     Operation ccx{.kind = OpKind::CCX, .qubits = {0, 1, 2}};
     const auto chans = noise.channelsFor(ccx);
     EXPECT_EQ(chans.size(), 2u);
+}
+
+TEST(NoiseModelTest, FingerprintFollowsEverySetter)
+{
+    NoiseModel noise;
+    std::vector<std::uint64_t> seen = {noise.fingerprint()};
+    const auto changed = [&](const char *what) {
+        EXPECT_EQ(std::count(seen.begin(), seen.end(), noise.fingerprint()),
+                  0)
+            << what;
+        seen.push_back(noise.fingerprint());
+    };
+    noise.setGateError(OpKind::CX, 0.01);
+    changed("gate error");
+    noise.setGateError(OpKind::CX, {1, 0}, 0.02);
+    changed("operand gate error");
+    noise.setGateDuration(OpKind::CX, 300.0);
+    changed("gate duration");
+    noise.setQubitRelaxation(0, 5.0e4, 4.0e4);
+    changed("relaxation");
+    noise.setReadoutError(0, ReadoutError(0.02, 0.03));
+    changed("readout");
+    noise.setGateError(OpKind::CX, {1, 0}, 0.03);
+    changed("operand gate error overwritten");
+    // A refused setter leaves the value alone.
+    EXPECT_THROW(noise.setGateError(OpKind::CX, {0}, 0.1), NoiseError);
+    EXPECT_EQ(noise.fingerprint(), seen.back());
+
+    NoiseModel reversed;
+    reversed.setReadoutError(0, ReadoutError(0.02, 0.03));
+    reversed.setQubitRelaxation(0, 5.0e4, 4.0e4);
+    reversed.setGateDuration(OpKind::CX, 300.0);
+    reversed.setGateError(OpKind::CX, {1, 0}, 0.03);
+    reversed.setGateError(OpKind::CX, 0.01);
+    EXPECT_EQ(reversed.fingerprint(), noise.fingerprint());
+    EXPECT_EQ(noise.scaled(1.0).fingerprint(), noise.fingerprint());
+    EXPECT_NE(noise.scaled(0.5).fingerprint(), noise.fingerprint());
+}
+
+// The stored fingerprint hashes exactly what the on-demand walk over
+// the five maps hashed, so cache keys derived from it do not move.
+TEST(NoiseModelTest, FingerprintValuesArePinned)
+{
+    EXPECT_EQ(NoiseModel().fingerprint(), 0x40d69e0cf0f65c45ULL);
+    EXPECT_EQ(DeviceModel::ibmqx4().noiseModel().fingerprint(),
+              0xe2ccc711b97cd6d3ULL);
 }
 
 } // namespace

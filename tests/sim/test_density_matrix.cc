@@ -234,7 +234,7 @@ unitOn(std::size_t n, Qubit q, std::size_t i, std::size_t j)
 
 /** Full-register operator of @p m; matrix bit j is qubits[j]. */
 Matrix
-embed(const Matrix &m, const std::vector<Qubit> &qubits, std::size_t n)
+embed(const Matrix &m, const Operands &qubits, std::size_t n)
 {
     const std::size_t dim = std::size_t{1} << n;
     Matrix full(dim, dim);
@@ -253,7 +253,7 @@ embed(const Matrix &m, const std::vector<Qubit> &qubits, std::size_t n)
 
 Matrix
 referenceChannel(const Matrix &rho, const std::vector<Matrix> &kraus,
-                 const std::vector<Qubit> &qubits, std::size_t n)
+                 const Operands &qubits, std::size_t n)
 {
     Matrix out(rho.rows(), rho.cols());
     for (const Matrix &k : kraus) {
@@ -345,7 +345,7 @@ referenceRun(const Circuit &circuit, const NoiseModel &noise)
     const Matrix p1{{0.0, 0.0}, {0.0, 1.0}};
     const Matrix lower{{0.0, 1.0}, {0.0, 0.0}};
     const auto every = [&](const std::vector<Matrix> &kraus,
-                           const std::vector<Qubit> &qubits) {
+                           const Operands &qubits) {
         for (auto &[key, rho] : ref.rhos)
             rho = referenceChannel(rho, kraus, qubits, n);
     };

@@ -50,19 +50,20 @@ randomOperation(std::size_t num_qubits, Rng &rng)
         const std::size_t arity = opNumQubits(kind);
         if (arity > num_qubits)
             continue;
-        Operation op{.kind = kind, .qubits = {}};
         // Distinct random operands.
-        while (op.qubits.size() < arity) {
+        std::vector<Qubit> qubits;
+        while (qubits.size() < arity) {
             const Qubit q = static_cast<Qubit>(rng.below(num_qubits));
             bool dup = false;
-            for (Qubit used : op.qubits)
+            for (Qubit used : qubits)
                 dup = dup || used == q;
             if (!dup)
-                op.qubits.push_back(q);
+                qubits.push_back(q);
         }
+        std::vector<double> params;
         for (std::size_t p = 0; p < opNumParams(kind); ++p)
-            op.params.push_back(rng.uniform() * 2.0 * M_PI);
-        return op;
+            params.push_back(rng.uniform() * 2.0 * M_PI);
+        return {.kind = kind, .qubits = qubits, .params = params};
     }
 }
 
@@ -72,7 +73,7 @@ applyDense(StateVector &sv, const Operation &op)
 {
     std::vector<Complex> amps = sv.amplitudes();
     kernels::applyGenericK(amps.data(), amps.size(), op.matrix(),
-                           op.qubits);
+                           {op.qubits.begin(), op.qubits.end()});
     sv = StateVector::fromAmplitudes(std::move(amps));
 }
 

@@ -38,8 +38,7 @@ appendRandomGate(Circuit &c, Rng &gen)
     op.kind = kind;
     op.qubits = {q};
     if (opNumQubits(kind) == 2)
-        op.qubits.push_back(
-            static_cast<Qubit>((q + 1 + gen.below(n - 1)) % n));
+        op.qubits = {q, static_cast<Qubit>((q + 1 + gen.below(n - 1)) % n)};
     c.append(std::move(op));
 }
 

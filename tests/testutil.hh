@@ -95,8 +95,8 @@ inline StateVector
 makeSingleQubitState(double theta, double phi, std::size_t num_qubits = 1)
 {
     StateVector sv(num_qubits);
-    Operation op{.kind = OpKind::U, .qubits = {0},
-                 .params = {theta, phi, 0.0}, .clbit = std::nullopt};
+    Operation op{.kind = OpKind::U, .qubits = {0}, .clbit = std::nullopt,
+                 .params = {theta, phi, 0.0}};
     sv.applyUnitary(op);
     return sv;
 }
