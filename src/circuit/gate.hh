@@ -14,6 +14,7 @@
 #include <string>
 
 #include "circuit/inline_list.hh"
+#include "common/error.hh"
 #include "math/matrix.hh"
 #include "math/types.hh"
 
@@ -34,14 +35,56 @@ enum class OpKind
     PostSelect,
 };
 
+// The three properties below are inline: every append validates
+// against them, and the compile passes ask them per op.
+
 /** Number of qubit operands @p kind expects. */
-std::size_t opNumQubits(OpKind kind);
+inline std::size_t
+opNumQubits(OpKind kind)
+{
+    switch (kind) {
+      case OpKind::I: case OpKind::X: case OpKind::Y: case OpKind::Z:
+      case OpKind::H: case OpKind::S: case OpKind::Sdg: case OpKind::T:
+      case OpKind::Tdg: case OpKind::SX: case OpKind::RX: case OpKind::RY:
+      case OpKind::RZ: case OpKind::P: case OpKind::U:
+      case OpKind::Measure: case OpKind::Reset: case OpKind::PostSelect:
+        return 1;
+      case OpKind::CX: case OpKind::CY: case OpKind::CZ: case OpKind::Swap:
+        return 2;
+      case OpKind::CCX:
+        return 3;
+      case OpKind::Barrier:
+        return 0; // variadic: zero or more operands
+    }
+    QRA_PANIC("unhandled OpKind");
+}
 
 /** Number of angle parameters @p kind expects. */
-std::size_t opNumParams(OpKind kind);
+inline std::size_t
+opNumParams(OpKind kind)
+{
+    switch (kind) {
+      case OpKind::RX: case OpKind::RY: case OpKind::RZ: case OpKind::P:
+        return 1;
+      case OpKind::U:
+        return 3;
+      default:
+        return 0;
+    }
+}
 
 /** True for instructions with a unitary matrix representation. */
-bool opIsUnitary(OpKind kind);
+inline bool
+opIsUnitary(OpKind kind)
+{
+    switch (kind) {
+      case OpKind::Measure: case OpKind::Reset: case OpKind::Barrier:
+      case OpKind::PostSelect:
+        return false;
+      default:
+        return true;
+    }
+}
 
 /** Lower-case mnemonic, matching OpenQASM where one exists. */
 const char *opName(OpKind kind);
