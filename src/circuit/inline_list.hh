@@ -34,8 +34,6 @@ class InlineList
                   "the inline bytes must hold a heap block's address");
 
   public:
-    using value_type = T;
-    using size_type = std::size_t;
     using iterator = T *;
     using const_iterator = const T *;
 
@@ -109,9 +107,7 @@ class InlineList
         return data()[i];
     }
 
-    T &front() { return data()[0]; }
     const T &front() const { return data()[0]; }
-    const T &back() const { return data()[size_ - 1]; }
 
     friend bool
     operator==(const InlineList &a, const InlineList &b)

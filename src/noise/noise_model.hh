@@ -115,10 +115,10 @@ class NoiseModel
         double t2Ns;
     };
 
-    std::map<OpKind, double> gateError_;
     /** Recompute fingerprint_ from every map. */
     void refreshFingerprint();
 
+    std::map<OpKind, double> gateError_;
     std::map<std::pair<OpKind, Operands>, double> operandGateError_;
     std::map<OpKind, double> gateDurationNs_;
     std::map<Qubit, Relaxation> relaxation_;
