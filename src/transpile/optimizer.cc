@@ -82,8 +82,10 @@ optimizeCircuit(Circuit circuit)
     }
     ops.resize(top);
 
+    // Sized exactly: the result is what the prepare cache keeps.
     Circuit out(circuit.numQubits(), circuit.numClbits(),
                 circuit.name() + "_opt");
+    out.reserve(ops.size());
     for (Operation &op : ops)
         out.append(std::move(op));
 
