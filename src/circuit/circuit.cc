@@ -30,28 +30,6 @@ Circuit::Circuit(std::size_t num_qubits, std::size_t num_clbits,
 void
 Circuit::validate(const Operation &op) const
 {
-    // Every condition folds into one flag; the messages are built only
-    // on the throw path (rejectOperation).
-    const std::size_t n = op.qubits.size();
-    bool ok = (op.kind == OpKind::Barrier || n == opNumQubits(op.kind)) &&
-              op.params.size() == opNumParams(op.kind);
-    const Qubit *q = op.qubits.data();
-    for (std::size_t a = 0; a < n; ++a) {
-        ok &= q[a] < numQubits_;
-        for (std::size_t b = 0; b < a; ++b)
-            ok &= q[a] != q[b];
-    }
-    if (op.kind == OpKind::Measure)
-        ok &= op.clbit && *op.clbit < numClbits_;
-    else if (op.kind == OpKind::PostSelect)
-        ok &= op.postselectValue == 0 || op.postselectValue == 1;
-    if (!ok) [[unlikely]]
-        rejectOperation(op);
-}
-
-void
-Circuit::rejectOperation(const Operation &op) const
-{
     const std::size_t expected = opNumQubits(op.kind);
     if (op.kind != OpKind::Barrier && op.qubits.size() != expected)
         throw CircuitError(std::string(opName(op.kind)) + " expects " +
@@ -77,11 +55,16 @@ Circuit::rejectOperation(const Operation &op) const
     if (op.kind == OpKind::Measure) {
         if (!op.clbit)
             throw CircuitError("measure requires a classical bit");
-        throw CircuitError("classical bit index " +
-                           std::to_string(*op.clbit) + " out of range (" +
-                           std::to_string(numClbits_) + " clbits)");
+        if (*op.clbit >= numClbits_)
+            throw CircuitError("classical bit index " +
+                               std::to_string(*op.clbit) +
+                               " out of range (" +
+                               std::to_string(numClbits_) + " clbits)");
     }
-    throw CircuitError("postselect value must be 0 or 1");
+    if (op.kind == OpKind::PostSelect &&
+        op.postselectValue != 0 && op.postselectValue != 1) {
+        throw CircuitError("postselect value must be 0 or 1");
+    }
 }
 
 std::vector<Operation>

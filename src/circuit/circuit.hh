@@ -156,8 +156,6 @@ class Circuit
 
   private:
     void validate(const Operation &op) const;
-    /** Throw the CircuitError that names why @p op is invalid. */
-    [[noreturn]] void rejectOperation(const Operation &op) const;
 
     std::size_t numQubits_;
     std::size_t numClbits_;

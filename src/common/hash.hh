@@ -7,9 +7,6 @@
 #ifndef QRA_COMMON_HASH_HH
 #define QRA_COMMON_HASH_HH
 
-#include <array>
-#include <bit>
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -18,29 +15,16 @@ namespace qra {
 /** FNV-1a 64-bit offset basis. */
 inline constexpr std::uint64_t kFnv1aOffset = 0xcbf29ce484222325ULL;
 
-/**
- * Fold one 64-bit word into an FNV-1a state, byte by byte. Folding a
- * zero byte only multiplies by the prime, so the word's high zero
- * bytes (most words hashed are small counts and indices) are folded as
- * one multiply by a power of the prime: the same value in fewer
- * dependent multiplies.
- */
+/** Fold one 64-bit word into an FNV-1a state, byte by byte. */
 inline std::uint64_t
 fnv1aMix64(std::uint64_t h, std::uint64_t value)
 {
     constexpr std::uint64_t kPrime = 0x100000001b3ULL;
-    constexpr std::array<std::uint64_t, 9> kPrimePower = [] {
-        std::array<std::uint64_t, 9> power{1};
-        for (std::size_t k = 1; k < power.size(); ++k)
-            power[k] = power[k - 1] * kPrime;
-        return power;
-    }();
-    const int bytes = (std::bit_width(value) + 7) / 8;
-    for (int byte = 0; byte < bytes; ++byte) {
+    for (int byte = 0; byte < 8; ++byte) {
         h ^= (value >> (8 * byte)) & 0xffULL;
         h *= kPrime;
     }
-    return h * kPrimePower[8 - bytes];
+    return h;
 }
 
 /** Fold a length-prefixed byte string into an FNV-1a state. */
