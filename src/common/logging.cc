@@ -8,7 +8,7 @@ namespace qra {
 
 namespace {
 
-/** Startup default: QRA_LOG env override, else warnings-and-above. */
+/** Startup minimum: QRA_LOG env override, else warnings-and-above. */
 LogLevel
 initialLevel()
 {
@@ -30,33 +30,15 @@ initialLevel()
     return LogLevel::Warn;
 }
 
+/** Written once, before main; only read afterwards. */
+const LogLevel kMinLevel = initialLevel();
+
 } // namespace
-
-std::atomic<LogLevel> Logger::minLevel_{initialLevel()};
-
-void
-Logger::setLevel(LogLevel level)
-{
-    minLevel_.store(level, std::memory_order_relaxed);
-}
-
-LogLevel
-Logger::level()
-{
-    return minLevel_.load(std::memory_order_relaxed);
-}
 
 void
 Logger::log(LogLevel severity, const std::string &msg)
 {
-    log(severity, msg, {});
-}
-
-void
-Logger::log(LogLevel severity, const std::string &msg,
-            LogFields fields)
-{
-    if (severity < minLevel_.load(std::memory_order_relaxed))
+    if (severity < kMinLevel)
         return;
 
     const char *tag = "";
@@ -66,49 +48,14 @@ Logger::log(LogLevel severity, const std::string &msg,
       case LogLevel::Warn:  tag = "warn";  break;
       case LogLevel::Silent: return;
     }
-    // One formatted write: interleaved-safe enough for stderr lines.
-    std::ostringstream line;
-    line << "[qra:" << tag << "] " << msg;
-    for (const LogField &field : fields)
-        line << " " << field.first << "=" << field.second;
-    line << "\n";
-    std::cerr << line.str();
-}
-
-void
-logDebug(const std::string &msg)
-{
-    Logger::log(LogLevel::Debug, msg);
-}
-
-void
-logDebug(const std::string &msg, LogFields fields)
-{
-    Logger::log(LogLevel::Debug, msg, fields);
-}
-
-void
-logInfo(const std::string &msg)
-{
-    Logger::log(LogLevel::Info, msg);
-}
-
-void
-logInfo(const std::string &msg, LogFields fields)
-{
-    Logger::log(LogLevel::Info, msg, fields);
+    // One write per line: interleaved-safe enough for stderr lines.
+    std::cerr << std::string("[qra:") + tag + "] " + msg + "\n";
 }
 
 void
 logWarn(const std::string &msg)
 {
     Logger::log(LogLevel::Warn, msg);
-}
-
-void
-logWarn(const std::string &msg, LogFields fields)
-{
-    Logger::log(LogLevel::Warn, msg, fields);
 }
 
 } // namespace qra

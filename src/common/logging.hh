@@ -2,70 +2,36 @@
  * @file
  * Minimal leveled logging for the QRA library.
  *
- * Logging defaults to warnings-and-above on stderr. Benchmarks and
- * examples raise the level to Info for progress reporting; tests
- * silence it entirely. The `QRA_LOG` environment variable
- * (debug|info|warn|silent) overrides the default at startup; explicit
- * setLevel() calls still win afterwards.
- *
- * The level is an atomic: worker threads read it on every emission
- * while tests/benchmarks mutate it at runtime, so a plain static
- * would be a data race.
- *
- * Structured suffixes: the field-taking overloads append
- * ` key=value` pairs so log lines stay grep/parse friendly —
- *   logInfo("wave converged", {{"wave", "3"}, {"shots", "2048"}});
- * emits `[qra:info] wave converged wave=3 shots=2048`.
+ * The library logs warnings on stderr, one line each, e.g.
+ * `[qra:warn] ignoring invalid QRA_SIMD value 'x'`. The `QRA_LOG`
+ * environment variable (debug|info|warn|silent) sets the minimum
+ * severity once, at startup; the default is warn, and `silent`
+ * suppresses every line.
  */
 
 #ifndef QRA_COMMON_LOGGING_HH
 #define QRA_COMMON_LOGGING_HH
 
-#include <atomic>
-#include <initializer_list>
-#include <sstream>
 #include <string>
-#include <utility>
 
 namespace qra {
 
 /** Severity levels, ordered from most to least verbose. */
 enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Silent = 3 };
 
-/** One structured `key=value` suffix field. */
-using LogField = std::pair<const char *, std::string>;
-using LogFields = std::initializer_list<LogField>;
-
-/** Process-wide logger configuration and sink. */
+/** Process-wide logger sink. */
 class Logger
 {
   public:
-    /** Set the minimum severity that will be emitted. Thread-safe. */
-    static void setLevel(LogLevel level);
-
-    /** Current minimum severity. */
-    static LogLevel level();
-
-    /** Emit one message at the given severity (no newline needed). */
+    /**
+     * Emit one message at the given severity (no newline needed) if
+     * it reaches the startup minimum. Thread-safe.
+     */
     static void log(LogLevel severity, const std::string &msg);
-
-    /** Emit a message with structured ` key=value` suffixes. */
-    static void log(LogLevel severity, const std::string &msg,
-                    LogFields fields);
-
-  private:
-    static std::atomic<LogLevel> minLevel_;
 };
 
-/** Emit a debug-level message. */
-void logDebug(const std::string &msg);
-void logDebug(const std::string &msg, LogFields fields);
-/** Emit an info-level message. */
-void logInfo(const std::string &msg);
-void logInfo(const std::string &msg, LogFields fields);
 /** Emit a warning-level message. */
 void logWarn(const std::string &msg);
-void logWarn(const std::string &msg, LogFields fields);
 
 } // namespace qra
 

@@ -8,9 +8,9 @@
  * Each key maps to an insertion id and a shared value, null while the
  * value is being built. The first caller of an absent key inserts a
  * placeholder, builds outside the lock, and publishes the value only
- * if its own id is still stored (a clear() or an eviction in between
- * drops it). A build that throws erases the caller's own placeholder,
- * so the key is never poisoned: the next get() builds again.
+ * if its own id is still stored (an eviction in between drops it). A
+ * build that throws erases the caller's own placeholder, so the key is
+ * never poisoned: the next get() builds again.
  *
  * Concurrency: a caller that finds a key still being built does NOT
  * wait; it builds a private copy and returns that. Waiting could
@@ -88,8 +88,8 @@ class Memo
                 order_.emplace_back(key, own_id);
                 // Every live entry has one order record, so this loop
                 // ends. A record whose id no longer matches is stale
-                // (failed build, cleared or re-inserted key): skip it,
-                // never evict the live successor.
+                // (failed build or re-inserted key): skip it, never
+                // evict the live successor.
                 while (entries_.size() > kMaxEntries) {
                     const auto [old_key, old_id] = order_.front();
                     order_.pop_front();
@@ -119,14 +119,6 @@ class Memo
         if (it != entries_.end() && it->second.id == own_id)
             it->second.value = out.value;
         return out;
-    }
-
-    /** Drop every entry; builds in flight publish nothing. */
-    void clear()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        entries_.clear();
-        order_.clear();
     }
 
   private:

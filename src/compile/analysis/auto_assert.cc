@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "assertions/classical_assertion.hh"
 #include "assertions/entanglement_assertion.hh"
@@ -250,7 +251,10 @@ AutoAssertPass::run(CompileContext &ctx) const
     auto instrumented = std::make_shared<InstrumentedCircuit>(
         detail::weaveAssertions(ctx.circuit, specs,
                                 instrumentOptions_));
-    ctx.circuit = instrumented->circuit();
+    // The cached instrumented circuit takes the exact-size copy (see
+    // InstrumentPass::run).
+    ctx.circuit = std::exchange(instrumented->circuit(),
+                                Circuit(instrumented->circuit()));
     ctx.instrumented = std::move(instrumented);
 
     obs::count(analysisMetrics().checksInjected, generated.size());

@@ -1,5 +1,7 @@
 #include "compile/passes.hh"
 
+#include <utility>
+
 #include "common/error.hh"
 #include "common/hash.hh"
 #include "transpile/direction_fixer.hh"
@@ -206,7 +208,10 @@ InstrumentPass::run(CompileContext &ctx) const
 {
     auto inst = std::make_shared<InstrumentedCircuit>(
         detail::weaveAssertions(ctx.circuit, specs_, options_));
-    ctx.circuit = inst->circuit();
+    // Weaving grows the circuit by doubling, and a copy is exact: the
+    // prepare cache keeps the instrumented circuit, so it takes the
+    // copy, and the pipeline goes on with the original.
+    ctx.circuit = std::exchange(inst->circuit(), Circuit(inst->circuit()));
     ctx.instrumented = std::move(inst);
 }
 

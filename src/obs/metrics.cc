@@ -185,19 +185,6 @@ MetricsRegistry::observe(HistogramHandle handle, std::uint64_t value)
                                           std::memory_order_relaxed);
 }
 
-std::uint64_t
-MetricsRegistry::counterValue(CounterHandle handle) const
-{
-    if (handle.id == kInvalidMetric)
-        return 0;
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::uint64_t total = 0;
-    for (const auto &shard : shards_)
-        total += shard->counters[handle.id].load(
-            std::memory_order_relaxed);
-    return total;
-}
-
 MetricsSnapshot
 MetricsRegistry::snapshot() const
 {

@@ -161,9 +161,6 @@ class MetricsRegistry
     /** Record @p value into a histogram's thread-local shard. */
     void observe(HistogramHandle handle, std::uint64_t value);
 
-    /** Merged current value of one counter (thin read). */
-    std::uint64_t counterValue(CounterHandle handle) const;
-
     /**
      * Merge every shard into a deterministic snapshot. Safe to call
      * concurrently with updates (relaxed reads), but values are only

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <sstream>
 
 #include "common/logging.hh"
 
@@ -112,7 +111,6 @@ Tracer::clear()
         std::lock_guard<std::mutex> ring_lock(ring->mutex);
         ring->next = 0;
         ring->size = 0;
-        ring->dropped = 0;
     }
 }
 
@@ -149,8 +147,6 @@ Tracer::record(TraceEvent event)
     ring.next = (ring.next + 1) % ring.events.size();
     if (ring.size < ring.events.size())
         ++ring.size;
-    else
-        ++ring.dropped;
 }
 
 void
@@ -217,18 +213,6 @@ Tracer::collect() const
     return events;
 }
 
-std::uint64_t
-Tracer::dropped() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::uint64_t total = 0;
-    for (const auto &ring : rings_) {
-        std::lock_guard<std::mutex> ring_lock(ring->mutex);
-        total += ring->dropped;
-    }
-    return total;
-}
-
 void
 Tracer::writeChromeJson(std::ostream &os) const
 {
@@ -254,14 +238,6 @@ Tracer::writeChromeJson(std::ostream &os) const
         os << "}" << (i + 1 < events.size() ? "," : "") << "\n";
     }
     os << "]}\n";
-}
-
-std::string
-Tracer::chromeJson() const
-{
-    std::ostringstream os;
-    writeChromeJson(os);
-    return os.str();
 }
 
 void
@@ -290,26 +266,6 @@ Span::Span(const char *cat, std::string_view name, TraceArgs args)
     fillEvent(event_, cat, name, args);
     event_.ph = 'X';
     begin_ = Tracer::Clock::now();
-}
-
-void
-Span::arg(const char *key, std::uint64_t value)
-{
-    if (!active_)
-        return;
-    for (std::uint8_t a = 0; a < event_.numArgs; ++a) {
-        if (std::strncmp(event_.argKey[a], key,
-                         TraceEvent::kKeyLen) == 0) {
-            event_.argVal[a] = value;
-            return;
-        }
-    }
-    if (event_.numArgs >= 2)
-        return;
-    copyTruncated(event_.argKey[event_.numArgs], TraceEvent::kKeyLen,
-                  key);
-    event_.argVal[event_.numArgs] = value;
-    ++event_.numArgs;
 }
 
 Span::~Span()

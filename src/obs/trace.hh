@@ -7,7 +7,7 @@
  * Events are fixed-size POD records — names and argument keys are
  * copied into inline buffers, so recording never allocates. Each
  * thread appends to its own preallocated ring (oldest events are
- * overwritten when it fills; the drop count is reported), and export
+ * overwritten when it fills), and export
  * merges all rings sorted by timestamp. Timestamps come from one
  * steady clock epoch shared by every thread, so per-thread event
  * streams are monotonic and cross-thread spans line up.
@@ -84,8 +84,8 @@ class Tracer
     static constexpr std::size_t kDefaultRingCapacity = 16384;
 
     /** Smallest accepted ring capacity: below this a ring thrashes
-        (wraps within a single job) and drop accounting degenerates.
-        setRingCapacity clamps up to it, with a warning. */
+        (wraps within a single job). setRingCapacity clamps up to it,
+        with a warning. */
     static constexpr std::size_t kMinRingCapacity = 16;
 
     Tracer();
@@ -105,7 +105,7 @@ class Tracer
      */
     void setRingCapacity(std::size_t capacity);
 
-    /** Drop every recorded event (and the drop counters). */
+    /** Drop every recorded event. */
     void clear();
 
     /** Nanoseconds since the tracer epoch, monotonic. */
@@ -145,15 +145,11 @@ class Tracer
     /** All recorded events, sorted by (tsNs, tid, dur desc). */
     std::vector<TraceEvent> collect() const;
 
-    /** Events dropped to ring overflow since the last clear(). */
-    std::uint64_t dropped() const;
-
     /**
      * Chrome trace-event JSON ({"traceEvents":[...]}), one event per
      * line inside the array. Opens directly in Perfetto.
      */
     void writeChromeJson(std::ostream &os) const;
-    std::string chromeJson() const;
 
     /** One JSON object per line per event (the stream wire format). */
     void writeJsonLines(std::ostream &os) const;
@@ -168,7 +164,6 @@ class Tracer
         std::vector<TraceEvent> events;
         std::size_t next = 0;
         std::size_t size = 0;
-        std::uint64_t dropped = 0;
         std::uint32_t tid = 0;
         /** Uncontended except during export/clear. */
         mutable std::mutex mutex;
@@ -198,9 +193,6 @@ class Span
 
     Span(const Span &) = delete;
     Span &operator=(const Span &) = delete;
-
-    /** Attach/overwrite an argument before the span closes. */
-    void arg(const char *key, std::uint64_t value);
 
   private:
     TraceEvent event_{};

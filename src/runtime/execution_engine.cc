@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <future>
 #include <thread>
 
 #include "common/error.hh"
@@ -112,23 +113,6 @@ armJobDeadline(const Job &job)
         now + Clock::duration(static_cast<Clock::rep>(ticks)));
 }
 
-/**
- * A Completion that settles @p promise. The promise is heap-held: the
- * pool-side callback may still be inside set_value's epilogue when
- * get() unblocks the waiting thread.
- */
-ExecutionEngine::Completion
-settle(std::shared_ptr<std::promise<Result>> promise)
-{
-    return [promise = std::move(promise)](Result result,
-                                          std::exception_ptr error) {
-        if (error)
-            promise->set_exception(error);
-        else
-            promise->set_value(std::move(result));
-    };
-}
-
 } // namespace
 
 ExecutionEngine::ExecutionEngine(EngineOptions options,
@@ -150,11 +134,6 @@ ExecutionEngine::ExecutionEngine(EngineOptions options,
         throw ValueError(
             "EngineOptions.simdTier must be -1 (auto), 0 (scalar), "
             "1 (portable), 2 (avx2) or 3 (avx512)");
-}
-
-ExecutionEngine::ExecutionEngine(std::size_t threads)
-    : ExecutionEngine(EngineOptions{.threads = threads})
-{
 }
 
 std::vector<Shard>
@@ -345,9 +324,19 @@ ExecutionEngine::runShards(
 Result
 ExecutionEngine::run(const Job &job, Progress on_progress)
 {
+    // Heap-held promise: the pool-side completion may still be inside
+    // set_value's epilogue when get() unblocks this thread.
     auto promise = std::make_shared<std::promise<Result>>();
     std::future<Result> future = promise->get_future();
-    submitAsync(job, settle(std::move(promise)), std::move(on_progress));
+    submitAsync(
+        job,
+        [promise](Result result, std::exception_ptr error) {
+            if (error)
+                promise->set_exception(error);
+            else
+                promise->set_value(std::move(result));
+        },
+        std::move(on_progress));
     // Safe to park here: the caller is not a pool thread, so waves
     // drain freely.
     return future.get();
@@ -359,15 +348,6 @@ ExecutionEngine::run(const Circuit &circuit, std::size_t shots,
                      const NoiseModel *noise)
 {
     return run(Job(circuit, shots, backend, seed, noise));
-}
-
-std::future<Result>
-ExecutionEngine::submit(Job job)
-{
-    auto promise = std::make_shared<std::promise<Result>>();
-    std::future<Result> future = promise->get_future();
-    submitAsync(std::move(job), settle(std::move(promise)));
-    return future;
 }
 
 namespace {

@@ -23,7 +23,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <future>
+#include <exception>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -213,9 +214,6 @@ class ExecutionEngine
     explicit ExecutionEngine(EngineOptions options = {},
                              BackendRegistry *registry = nullptr);
 
-    /** Shorthand for EngineOptions{.threads = threads}. */
-    explicit ExecutionEngine(std::size_t threads);
-
     std::size_t threads() const { return pool_.size(); }
     const EngineOptions &options() const { return options_; }
     BackendRegistry &registry() const { return *registry_; }
@@ -254,15 +252,6 @@ class ExecutionEngine
                const std::string &backend = "auto",
                std::uint64_t seed = 7,
                const NoiseModel *noise = nullptr);
-
-    /**
-     * Dispatch @p job's shards to the pool immediately and return a
-     * future for the merged Result: a promise settled by
-     * submitAsync's completion, so the merge runs on the last shard's
-     * pool thread and the future is ready when the job completes.
-     * Waiting on it from a pool thread can deadlock the pool.
-     */
-    std::future<Result> submit(Job job);
 
     /**
      * Completion callback of submitAsync: the merged Result, or — if

@@ -1,6 +1,5 @@
 #include "runtime/job_queue.hh"
 
-#include "common/error.hh"
 #include "common/hash.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -143,7 +142,7 @@ JobQueue::makeJob(const JobSpec &spec, PrepInfo *info)
     job.backend = spec.backend;
     job.seed = spec.seed;
     job.noise = spec.noise;
-    job.artifacts = artifactCache();
+    job.artifacts = artifacts_;
     job.stopping = spec.stopping;
     job.instrumented = prepared->instrumented;
     job.cancel = spec.cancel;
@@ -155,11 +154,12 @@ JobQueue::makeJob(const JobSpec &spec, PrepInfo *info)
     return job;
 }
 
-JobQueue::Completion
-JobQueue::stamped(Completion on_complete, PrepInfo info)
+ExecutionEngine::Completion
+JobQueue::stamped(std::shared_ptr<std::promise<Result>> promise,
+                  PrepInfo info)
 {
     const auto submitted = obs::Tracer::Clock::now();
-    return [callback = std::move(on_complete), info,
+    return [promise = std::move(promise), info,
             submitted](Result result, std::exception_ptr error) {
         if (!error) {
             ExecStats stats = result.execStats();
@@ -176,96 +176,26 @@ JobQueue::stamped(Completion on_complete, PrepInfo info)
                         std::chrono::nanoseconds>(now - submitted)
                         .count()));
         }
-        callback(std::move(result), error);
+        if (error)
+            promise->set_exception(error);
+        else
+            promise->set_value(std::move(result));
     };
 }
 
 std::future<Result>
 JobQueue::submit(const JobSpec &spec)
 {
-    // Heap-held promise: the pool-side callback may still be inside
+    // Heap-held promise: the pool-side completion may still be inside
     // set_value's epilogue when get() unblocks the consumer. The
-    // completion touches no queue member and is not tracked by
-    // waitIdle(), so the future may outlive the queue.
+    // completion touches no queue member, so the future may outlive
+    // the queue.
     auto promise = std::make_shared<std::promise<Result>>();
     std::future<Result> future = promise->get_future();
-    launch(spec, nullptr,
-           [promise](Result result, std::exception_ptr error) {
-               if (error)
-                   promise->set_exception(error);
-               else
-                   promise->set_value(std::move(result));
-           },
-           /*track=*/false);
-    return future;
-}
-
-void
-JobQueue::submit(const JobSpec &spec, Completion on_complete)
-{
-    if (!on_complete)
-        throw ValueError("submit requires a completion callback");
-    launch(spec, nullptr, std::move(on_complete), /*track=*/true);
-}
-
-void
-JobQueue::submit(const JobSpec &spec, Progress on_progress,
-                 Completion on_complete)
-{
-    if (!on_complete)
-        throw ValueError("submit requires a completion callback");
-    launch(spec, std::move(on_progress), std::move(on_complete),
-           /*track=*/true);
-}
-
-void
-JobQueue::launch(const JobSpec &spec, Progress on_progress,
-                 Completion on_complete, bool track)
-{
     PrepInfo info;
     Job job = makeJob(spec, &info);
-    Completion done = stamped(std::move(on_complete), info);
-    auto finish_one = [this]() {
-        // Notify under the lock: once waitIdle() observes
-        // outstanding_ == 0 the queue may be destroyed, so this
-        // thread must be done touching members before the waiter can
-        // acquire the mutex and return.
-        std::lock_guard<std::mutex> lock(mutex_);
-        --outstanding_;
-        idle_.notify_all();
-    };
-    if (track) {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++outstanding_;
-        }
-        done = [callback = std::move(done),
-                finish_one](Result result, std::exception_ptr error) {
-            try {
-                callback(std::move(result), error);
-            } catch (...) {
-                finish_one();
-                throw;
-            }
-            finish_one();
-        };
-    }
-    try {
-        engine_.submitAsync(std::move(job), std::move(done),
-                            std::move(on_progress));
-    } catch (...) {
-        // Synchronous dispatch failure: the callback will never run.
-        if (track)
-            finish_one();
-        throw;
-    }
-}
-
-void
-JobQueue::waitIdle()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    idle_.wait(lock, [this]() { return outstanding_ == 0; });
+    engine_.submitAsync(std::move(job), stamped(std::move(promise), info));
+    return future;
 }
 
 std::vector<Result>
@@ -273,8 +203,20 @@ JobQueue::runAll(const std::vector<JobSpec> &specs)
 {
     std::vector<std::future<Result>> futures;
     futures.reserve(specs.size());
-    for (const JobSpec &spec : specs)
-        futures.push_back(submit(spec));
+    std::exception_ptr dispatch_error;
+    try {
+        for (const JobSpec &spec : specs)
+            futures.push_back(submit(spec));
+    } catch (...) {
+        dispatch_error = std::current_exception();
+    }
+    // A dispatched job reads its spec's noise model and writes its
+    // checkpoint until it finishes: let every one finish before any
+    // error reaches the caller, who may then release both.
+    for (const std::future<Result> &future : futures)
+        future.wait();
+    if (dispatch_error)
+        std::rethrow_exception(dispatch_error);
     std::vector<Result> results;
     results.reserve(futures.size());
     for (std::future<Result> &future : futures)
@@ -305,20 +247,7 @@ JobQueue::cacheMisses() const
 std::shared_ptr<kernels::PlanCache>
 JobQueue::artifactCache() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     return artifacts_;
-}
-
-void
-JobQueue::clearCache()
-{
-    prepared_.clear();
-    std::lock_guard<std::mutex> lock(mutex_);
-    // In-flight jobs hold their own reference; swapping the artifact
-    // cache leaves them untouched and starts future jobs cold.
-    artifacts_ = std::make_shared<kernels::PlanCache>();
-    hits_ = 0;
-    misses_ = 0;
 }
 
 } // namespace runtime

@@ -2,9 +2,11 @@
  * @file
  * JobQueue: the batch front-end of the runtime.
  *
- * Submit many (circuit, shots, backend, noise) jobs, get a future (or
- * a completion callback) per job; shards of all in-flight jobs
- * interleave on the engine's thread pool. Preparation — assertion
+ * Submit many (circuit, shots, backend, noise) jobs, get a future per
+ * job (or submit a batch with runAll); shards of all in-flight jobs
+ * interleave on the engine's thread pool. The future is the queue's
+ * one submit form: a caller that wants per-wave progress runs the
+ * engine's run(job, onProgress) instead. Preparation — assertion
  * injection and device transpilation — runs through the declarative
  * compile::preparePipeline and is memoised in a cache keyed by
  * (Circuit::hash(), coupling map, pipeline fingerprint), so
@@ -26,7 +28,6 @@
 #define QRA_RUNTIME_JOB_QUEUE_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -140,51 +141,24 @@ class JobQueue
     /**
      * Prepare @p spec (inject assertions, transpile), reusing the
      * cache when an identical circuit was prepared before, and hand
-     * the resulting job to the engine. The future is a promise
-     * settled by the same completion path as submit(spec,
-     * onComplete): it becomes ready, with ExecStats and the
-     * submit-to-complete latency stamped, when the last shard
-     * finishes (the merge runs on that shard's pool thread, not on
-     * the get() thread), and a failed job rethrows the lowest-index
-     * failing shard's error. Specs whose stopping rule is enabled
-     * stop early on convergence; the future then resolves to the
-     * partial-but-converged Result. These jobs are not tracked by
-     * waitIdle(), and the future may outlive the queue.
+     * the resulting job to the engine. The future becomes ready, with
+     * ExecStats and the submit-to-complete latency stamped, when the
+     * last shard finishes (the merge runs on that shard's pool
+     * thread, not on the get() thread), and a failed job rethrows the
+     * lowest-index failing shard's error. Specs whose stopping rule
+     * is enabled stop early on convergence; the future then resolves
+     * to the partial-but-converged Result. The future may outlive
+     * the queue. Dispatch errors (unknown backend, a failed prepare,
+     * a mismatched resume checkpoint) throw here, synchronously.
      */
     std::future<Result> submit(const JobSpec &spec);
 
-    /** See ExecutionEngine::Completion. */
-    using Completion = ExecutionEngine::Completion;
-
-    /** See ExecutionEngine::Progress. */
-    using Progress = ExecutionEngine::Progress;
-
     /**
-     * Future-free submission: prepare @p spec, hand it to the engine,
-     * and deliver the merged Result through @p onComplete on a pool
-     * thread when the last shard finishes — no thread ever parks in a
-     * join, so a caller can stream thousands of jobs and consume
-     * results as they land. The callback must not block on pool work
-     * it waits for itself; submitting follow-up jobs is fine. The
-     * queue must outlive all outstanding callbacks (use waitIdle()).
+     * Submit every spec, then wait for all results, in order. If a
+     * submission throws, or a job fails, every job already dispatched
+     * has finished before the first error is rethrown, so the specs'
+     * noise models and checkpoint sinks are free to go.
      */
-    void submit(const JobSpec &spec, Completion onComplete);
-
-    /**
-     * Streaming submission: like submit(spec, onComplete), and
-     * @p onProgress receives the merged partial Result plus the
-     * stopping evaluation after every wave, on a pool thread. Useful
-     * both for live dashboards over fixed-budget jobs (rule disabled:
-     * every wave runs; one wave unless stopping.waveShots is set) and
-     * for confidence-driven early stopping (rule enabled).
-     */
-    void submit(const JobSpec &spec, Progress onProgress,
-                Completion onComplete);
-
-    /** Block until every callback submission has completed. */
-    void waitIdle();
-
-    /** Submit every spec, then wait for all results, in order. */
     std::vector<Result> runAll(const std::vector<JobSpec> &specs);
 
     /**
@@ -219,8 +193,6 @@ class JobQueue
      * `plan_cache.hits/misses/evictions`.
      */
     std::shared_ptr<kernels::PlanCache> artifactCache() const;
-
-    void clearCache();
 
   private:
     struct Prepared
@@ -264,36 +236,24 @@ class JobQueue
                                             PrepInfo *info = nullptr);
 
     /** Prepare @p spec and assemble the engine Job (incl. stopping). */
-    Job makeJob(const JobSpec &spec, PrepInfo *info = nullptr);
+    Job makeJob(const JobSpec &spec, PrepInfo *info);
 
     /**
-     * Wrap @p onComplete so the delivered Result carries the
-     * preparation bookkeeping in its ExecStats and the submit-to-
-     * complete latency lands in the queue's histogram.
+     * The completion that settles @p promise: the delivered Result
+     * carries the preparation bookkeeping in its ExecStats, and the
+     * submit-to-complete latency lands in the queue's histogram.
      */
-    Completion stamped(Completion onComplete, PrepInfo info);
-
-    /**
-     * The one launch behind every submit(): prepare @p spec, stamp
-     * @p onComplete, and hand the job to the engine's submitAsync.
-     * @p track counts the job in waitIdle()'s outstanding set
-     * (callback submissions only).
-     */
-    void launch(const JobSpec &spec, Progress onProgress,
-                Completion onComplete, bool track);
+    static ExecutionEngine::Completion
+    stamped(std::shared_ptr<std::promise<Result>> promise, PrepInfo info);
 
     ExecutionEngine &engine_;
     mutable std::mutex mutex_;
     Memo<Prepared> prepared_;
-    std::shared_ptr<kernels::PlanCache> artifacts_;
+    const std::shared_ptr<kernels::PlanCache> artifacts_;
     std::size_t hits_ = 0;
     std::size_t misses_ = 0;
     /** Prepare builds started (the fault injector's attempt index). */
     std::atomic<std::size_t> prepareAttempts_{0};
-
-    /** Callback submissions in flight (waitIdle watches this). */
-    std::size_t outstanding_ = 0;
-    std::condition_variable idle_;
 };
 
 } // namespace runtime

@@ -26,26 +26,11 @@ Result::record(std::uint64_t outcome, std::size_t count)
     shots_ += count;
 }
 
-std::map<std::string, std::size_t>
-Result::counts() const
-{
-    std::map<std::string, std::size_t> out;
-    for (const auto &[key, n] : counts_)
-        out[toBitstring(key, numClbits_)] = n;
-    return out;
-}
-
 std::size_t
 Result::count(std::uint64_t outcome) const
 {
     const auto it = counts_.find(outcome);
     return it == counts_.end() ? 0 : it->second;
-}
-
-std::size_t
-Result::count(const std::string &bits) const
-{
-    return count(fromBitstring(bits));
 }
 
 double
@@ -55,12 +40,6 @@ Result::probability(std::uint64_t outcome) const
         return 0.0;
     return static_cast<double>(count(outcome)) /
            static_cast<double>(shots_);
-}
-
-double
-Result::probability(const std::string &bits) const
-{
-    return probability(fromBitstring(bits));
 }
 
 void

@@ -72,20 +72,11 @@ class Result
         return counts_;
     }
 
-    /** Counts keyed by rendered bitstring. */
-    std::map<std::string, std::size_t> counts() const;
-
     /** Count for a specific integer outcome (0 if absent). */
     std::size_t count(std::uint64_t outcome) const;
 
-    /** Count looked up by bitstring key, e.g. "011". */
-    std::size_t count(const std::string &bits) const;
-
     /** Empirical probability of an integer outcome. */
     double probability(std::uint64_t outcome) const;
-
-    /** Empirical probability of a bitstring outcome. */
-    double probability(const std::string &bits) const;
 
     /**
      * Exact outcome distribution, if the backend computed one (the

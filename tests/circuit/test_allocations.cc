@@ -1,15 +1,18 @@
 /**
  * @file
- * Heap allocations of the circuit IR and of one compile_fresh-shaped
- * prepare, counted by a replaced global operator new (the library
- * itself has no allocation hooks).
+ * Heap allocations of the circuit IR, of one compile_fresh-shaped
+ * prepare and of one cache-hit paper job, counted on every thread by a
+ * replaced global operator new (the library itself has no allocation
+ * hooks).
  *
  * An Operation with at most three operands and three angles owns no
  * heap memory, so copying a circuit allocates its op array and nothing
  * else, and appending to a reserved circuit allocates nothing. The
- * prepare bound pins what the compile passes allocate per circuit: a
- * change that raises it must raise the bound in the same change, so
- * the cost shows in review instead of drifting in.
+ * prepare bound pins what the compile passes allocate per circuit, and
+ * the job bound what the user path allocates per job once the prepared
+ * circuit and its sampling artifacts are cached: a change that raises
+ * either must raise the bound in the same change, so the cost shows in
+ * review instead of drifting in.
  */
 
 #include <atomic>
@@ -20,9 +23,12 @@
 
 #include <gtest/gtest.h>
 
+#include "assertions/entanglement_assertion.hh"
 #include "circuit/circuit.hh"
 #include "common/rng.hh"
 #include "compile/pipelines.hh"
+#include "noise/device_model.hh"
+#include "runtime/job_queue.hh"
 #include "transpile/coupling_map.hh"
 
 namespace {
@@ -242,6 +248,47 @@ TEST(Allocations, CompileFreshPrepareStaysUnderItsBound)
     std::printf("prepare: %zu ops -> %zu ops, %zu allocations\n",
                 payload.size(), warm.circuit.size(), allocations);
     EXPECT_LE(allocations, kPrepareAllocationBound);
+}
+
+// A ratchet like the prepare bound, measured the same way (GCC 12.2's
+// libstdc++, Debian 12): 80 allocations across the submitting thread
+// and the pool's.
+constexpr std::size_t kCacheHitJobAllocationBound = 80;
+
+TEST(Allocations, CacheHitPaperJobStaysUnderItsBound)
+{
+    // The paper's Table 2 Bell check on ibmqx4, as a user submits it.
+    const DeviceModel device = DeviceModel::ibmqx4();
+    runtime::JobSpec spec;
+    spec.circuit = Circuit(2, 2, "bell");
+    spec.circuit.h(0).cx(0, 1).measureAll();
+    AssertionSpec check;
+    check.assertion = std::make_shared<EntanglementAssertion>(2);
+    check.targets = {0, 1};
+    check.insertAt = 2;
+    spec.assertions = {check};
+    spec.shots = 8192;
+    spec.noise = &device.noiseModel();
+    spec.coupling = &device.couplingMap();
+    runtime::ExecutionEngine engine(runtime::EngineOptions{.threads = 1});
+    runtime::JobQueue queue(engine);
+
+    // The first job prepares the circuit and builds its sampling
+    // artifacts; the second is the first cache hit.
+    for (const std::uint64_t seed : {1u, 2u}) {
+        spec.seed = seed;
+        queue.submit(spec).get();
+    }
+    ASSERT_EQ(queue.cacheHits(), 1u);
+
+    spec.seed = 3;
+    Result result;
+    const std::size_t allocations =
+        countAllocations([&] { result = queue.submit(spec).get(); });
+    EXPECT_EQ(queue.cacheHits(), 2u);
+    EXPECT_EQ(result.shots(), spec.shots);
+    std::printf("cache-hit job: %zu allocations\n", allocations);
+    EXPECT_LE(allocations, kCacheHitJobAllocationBound);
 }
 
 } // namespace

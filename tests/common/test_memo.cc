@@ -1,7 +1,7 @@
 /**
  * @file
  * Memo: hits, failed builds, the FIFO bound and its stale records,
- * racing builders, and clear().
+ * and racing builders.
  */
 
 #include <latch>
@@ -149,14 +149,22 @@ TEST(Memo, RacerBuildsAPrivateCopy)
     EXPECT_EQ(published.value, owner.value);
 }
 
+/** Evict every entry of @p memo by filling it with fresh keys. */
+void
+evictAll(IntMemo &memo, std::uint64_t first_fresh_key)
+{
+    for (std::uint64_t i = 0; i < IntMemo::kMaxEntries; ++i)
+        memo.get(first_fresh_key + i, value(0));
+}
+
 TEST(Memo, ReplacedOwnerNeitherPublishesNorErases)
 {
-    // An owner whose placeholder was cleared and re-inserted by a
+    // An owner whose placeholder was evicted and re-inserted by a
     // successor mid-build leaves the successor's entry alone, whether
     // its own build succeeds or throws.
     IntMemo memo;
     const IntMemo::Lookup stale = memo.get(3, [&]() {
-        memo.clear();
+        evictAll(memo, 1000);
         EXPECT_FALSE(memo.get(3, value(31)).hit);
         return std::make_shared<const int>(30);
     });
@@ -165,7 +173,7 @@ TEST(Memo, ReplacedOwnerNeitherPublishesNorErases)
 
     EXPECT_THROW(memo.get(4,
                           [&]() -> std::shared_ptr<const int> {
-                              memo.clear();
+                              evictAll(memo, 2000);
                               memo.get(4, value(41));
                               throw std::runtime_error("build failed");
                           }),
@@ -173,17 +181,6 @@ TEST(Memo, ReplacedOwnerNeitherPublishesNorErases)
     const IntMemo::Lookup survivor = memo.get(4, mustNotBuild);
     EXPECT_TRUE(survivor.hit);
     EXPECT_EQ(*survivor.value, 41);
-}
-
-TEST(Memo, ClearDropsEveryEntry)
-{
-    IntMemo memo;
-    memo.get(1, value(1));
-    memo.get(2, value(2));
-    memo.clear();
-    EXPECT_FALSE(memo.get(1, value(3)).hit);
-    EXPECT_FALSE(memo.get(2, value(4)).hit);
-    EXPECT_EQ(*memo.get(1, mustNotBuild).value, 3);
 }
 
 } // namespace

@@ -129,7 +129,7 @@ TEST(Tracer, AsyncBeginEndShareAnId)
     EXPECT_LE(events[0].tsNs, events[1].tsNs);
 }
 
-TEST(Tracer, RingWrapKeepsNewestEventsAndCountsDrops)
+TEST(Tracer, RingWrapKeepsNewestEvents)
 {
     Tracer tracer;
     tracer.setRingCapacity(16); // 16 is the enforced minimum
@@ -137,7 +137,6 @@ TEST(Tracer, RingWrapKeepsNewestEventsAndCountsDrops)
         mark(tracer, "unit", "tick", {{"i", i}});
     const auto events = tracer.collect();
     ASSERT_EQ(events.size(), 16u);
-    EXPECT_EQ(tracer.dropped(), 24u);
     for (std::size_t i = 0; i < events.size(); ++i)
         EXPECT_EQ(events[i].argVal[0], 24 + i); // oldest survivor first
 }
@@ -152,7 +151,9 @@ TEST(Tracer, ChromeJsonHasTraceEventShape)
     tracer.recordAsyncBegin("unit", "async", id);
     tracer.recordAsyncEnd("unit", "async", id);
 
-    const std::string json = tracer.chromeJson();
+    std::ostringstream os;
+    tracer.writeChromeJson(os);
+    const std::string json = os.str();
     EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
     EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"b\""), std::string::npos);
@@ -200,9 +201,7 @@ TEST(Span, RecordsOnlyWhenTracingEnabled)
 
     obs::setTracingEnabled(true);
     {
-        obs::Span span("unit", "visible", {{"shots", 9}});
-        span.arg("shots", 10); // overwrite, not append
-        span.arg("extra", 1);
+        obs::Span span("unit", "visible", {{"shots", 10}, {"extra", 1}});
     }
     obs::setTracingEnabled(false);
     const auto events = Tracer::global().collect();

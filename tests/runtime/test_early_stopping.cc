@@ -194,35 +194,18 @@ TEST(EarlyStopping, ProgressStreamsOncePerWave)
 {
     ExecutionEngine engine(EngineOptions{
         .threads = 4, .shardShots = 128, .maxShards = 64});
-    JobQueue queue(engine);
-
-    JobSpec spec;
-    spec.circuit = bellCircuit();
-    spec.shots = 1024;
-    spec.backend = "statevector";
-    spec.seed = 9;
-    spec.stopping.waveShots = 256; // disabled rule: all waves run
+    Job job(bellCircuit(), 1024, "statevector", 9);
+    job.stopping.waveShots = 256; // disabled rule: all waves run
 
     std::mutex mutex;
     std::vector<StoppingStatus> statuses;
-    Result final_result;
-    bool completed = false;
-    queue.submit(
-        spec,
-        [&](const Result &partial, const StoppingStatus &status) {
+    const Result final_result = engine.run(
+        job, [&](const Result &partial, const StoppingStatus &status) {
             std::lock_guard<std::mutex> lock(mutex);
             EXPECT_EQ(partial.shots(), status.shotsDone);
             statuses.push_back(status);
-        },
-        [&](Result result, std::exception_ptr error) {
-            std::lock_guard<std::mutex> lock(mutex);
-            EXPECT_EQ(error, nullptr);
-            final_result = std::move(result);
-            completed = true;
         });
-    queue.waitIdle();
 
-    ASSERT_TRUE(completed);
     ASSERT_EQ(statuses.size(), 4u); // 1024 shots / 256-shot waves
     for (std::size_t i = 0; i < statuses.size(); ++i) {
         EXPECT_EQ(statuses[i].wave, i + 1);
@@ -234,7 +217,14 @@ TEST(EarlyStopping, ProgressStreamsOncePerWave)
     EXPECT_FALSE(final_result.stoppedEarly());
 
     // Streamed delivery is deterministic too: identical counts to
-    // the future-based submission of the same spec.
+    // the queue's future for the same spec.
+    JobQueue queue(engine);
+    JobSpec spec;
+    spec.circuit = bellCircuit();
+    spec.shots = 1024;
+    spec.backend = "statevector";
+    spec.seed = 9;
+    spec.stopping.waveShots = 256;
     EXPECT_EQ(final_result.rawCounts(),
               queue.submit(spec).get().rawCounts());
 }
@@ -251,5 +241,4 @@ TEST(EarlyStopping, AdaptiveSubmitRejectsBadRulesSynchronously)
     spec.backend = "statevector";
     spec.stopping.targetHalfWidth = 0.05;
     EXPECT_THROW(queue.submit(spec).get(), ValueError);
-    queue.waitIdle();
 }

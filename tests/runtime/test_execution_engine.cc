@@ -7,8 +7,12 @@
 
 #include <bit>
 #include <functional>
+#include <future>
 #include <map>
-#include <mutex>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -21,6 +25,7 @@
 #include "runtime/job_queue.hh"
 #include "sim/density_simulator.hh"
 #include "stats/chi_square.hh"
+#include "testutil.hh"
 
 using namespace qra;
 using namespace qra::runtime;
@@ -147,15 +152,16 @@ TEST(ExecutionEngine, AutoBackendRoutesThroughRegistry)
     EXPECT_EQ(result.count(std::uint64_t{0}) + result.count(3), 512u);
 }
 
-TEST(ExecutionEngine, SubmitReturnsMergedFuture)
+TEST(ExecutionEngine, ConcurrentRunsShareThePool)
 {
     ExecutionEngine engine(EngineOptions{
         .threads = 4, .shardShots = 64, .maxShards = 64});
     std::vector<std::future<Result>> futures;
     for (int i = 0; i < 8; ++i)
-        futures.push_back(engine.submit(
-            Job(bellCircuit(), 256, "statevector",
-                static_cast<std::uint64_t>(i))));
+        futures.push_back(std::async(std::launch::async, [&engine, i]() {
+            return engine.run(Job(bellCircuit(), 256, "statevector",
+                                  static_cast<std::uint64_t>(i)));
+        }));
     std::size_t total = 0;
     for (auto &future : futures)
         total += future.get().shots();
@@ -179,7 +185,6 @@ TEST(ExecutionEngine, JobWithoutCircuitThrows)
 {
     ExecutionEngine engine(EngineOptions{.threads = 1});
     EXPECT_THROW(engine.run(Job{}), ValueError);
-    EXPECT_THROW(engine.submit(Job{}), ValueError);
 }
 
 TEST(ResultMerge, PoolsRetentionByAttemptedShots)
@@ -276,104 +281,90 @@ TEST(EngineGoldenCounts, EveryEntryPointBackendAndShardPlan)
     base.shots = 3000;
     base.seed = 2024;
 
-    const struct
-    {
-        const char *backend;
-        const NoiseModel *noise;
-        std::size_t shardShots;
-        std::uint64_t digest;
-    } golden[] = {
-        {"statevector", nullptr, 128, 0xe30be590af7b046dULL},
-        {"statevector", nullptr, 1024, 0x3e6669989963d94fULL},
-        {"stabilizer", nullptr, 128, 0xe30be590af7b046dULL},
-        {"stabilizer", nullptr, 1024, 0x1b6481a0294980f1ULL},
-        {"trajectory", &device.noiseModel(), 128, 0xe8926b28185913b5ULL},
-        {"trajectory", &device.noiseModel(), 1024, 0x6b78e183f417122dULL},
-        {"density", &device.noiseModel(), 128, 0x8e336d2744de65cfULL},
-        {"density", &device.noiseModel(), 1024, 0x8e336d2744de65cfULL},
+    // Per (backend, shard size): the digest every entry point, thread
+    // count and retried fault delivers.
+    const std::map<std::string, std::uint64_t> golden = {
+        {"statevector/128", 0xe30be590af7b046dULL},
+        {"statevector/1024", 0x3e6669989963d94fULL},
+        {"stabilizer/128", 0xe30be590af7b046dULL},
+        {"stabilizer/1024", 0x1b6481a0294980f1ULL},
+        {"trajectory/128", 0xe8926b28185913b5ULL},
+        {"trajectory/1024", 0x6b78e183f417122dULL},
+        {"density/128", 0x8e336d2744de65cfULL},
+        {"density/1024", 0x8e336d2744de65cfULL},
     };
     const auto faulty = std::make_shared<const FaultPlan>(
         FaultPlan::parse("shard:2:throw"));
 
-    for (const auto &g : golden)
-        for (const std::size_t threads : {1u, 4u})
-            for (const bool fault : {false, true}) {
-                ExecutionEngine engine(EngineOptions{
-                    .threads = threads, .shardShots = g.shardShots});
-                JobQueue queue(engine);
-                JobSpec spec = base;
-                spec.backend = g.backend;
-                spec.noise = g.noise;
-                if (fault) {
-                    spec.faults = faulty;
-                    spec.retry.maxAttempts = 4;
-                }
-                Job job(queue.instrumented(spec)->circuit(), spec.shots,
-                        spec.backend, spec.seed, spec.noise);
-                job.faults = spec.faults;
-                job.retry = spec.retry;
+    std::vector<std::pair<std::string, std::uint64_t>> got;
+    for (const std::string backend :
+         {"statevector", "stabilizer", "trajectory", "density"})
+        for (const std::size_t shard_shots : {128u, 1024u}) {
+            const std::string key =
+                backend + "/" + std::to_string(shard_shots);
+            const NoiseModel *noise =
+                backend == "trajectory" || backend == "density"
+                    ? &device.noiseModel()
+                    : nullptr;
+            std::optional<std::uint64_t> first;
+            for (const std::size_t threads : {1u, 4u})
+                for (const bool fault : {false, true}) {
+                    ExecutionEngine engine(EngineOptions{
+                        .threads = threads, .shardShots = shard_shots});
+                    JobQueue queue(engine);
+                    JobSpec spec = base;
+                    spec.backend = backend;
+                    spec.noise = noise;
+                    if (fault) {
+                        spec.faults = faulty;
+                        spec.retry.maxAttempts = 4;
+                    }
+                    Job job(queue.instrumented(spec)->circuit(),
+                            spec.shots, spec.backend, spec.seed,
+                            spec.noise);
+                    job.faults = spec.faults;
+                    job.retry = spec.retry;
 
-                auto via_callback = [&](bool stream) {
-                    std::mutex mutex;
-                    Result out;
-                    std::exception_ptr error;
-                    auto done = [&](Result r, std::exception_ptr e) {
-                        std::lock_guard<std::mutex> lock(mutex);
-                        out = std::move(r);
-                        error = e;
-                    };
-                    if (stream)
-                        queue.submit(
-                            spec,
-                            [](const Result &, const StoppingStatus &) {},
-                            done);
-                    else
-                        queue.submit(spec, done);
-                    queue.waitIdle();
-                    if (error)
-                        std::rethrow_exception(error);
-                    return out;
-                };
-                const std::pair<const char *, std::function<Result()>>
-                    entries[] = {
-                        {"run", [&]() { return engine.run(job); }},
-                        {"submit", [&]() {
-                             return engine.submit(job).get();
-                         }},
-                        {"queue future", [&]() {
-                             return queue.submit(spec).get();
-                         }},
-                        {"queue callback",
-                         [&]() { return via_callback(false); }},
-                        {"queue stream",
-                         [&]() { return via_callback(true); }},
-                        {"runAll", [&]() {
-                             return queue.runAll({spec}).front();
-                         }},
-                    };
-                const std::string backend = g.backend;
-                if (threads == 1 && !fault &&
-                    (backend == "statevector" || backend == "density")) {
-                    // The split counts fit the instrumented circuit's
-                    // exact distribution (1e-6 false-alarm rate).
-                    DensityMatrixSimulator exact;
-                    exact.setNoiseModel(g.noise);
-                    const auto dist = exact.exactDistribution(*job.circuit);
-                    EXPECT_GE(stats::pooledChiSquareTest(
-                                  engine.run(job).rawCounts(),
-                                  stats::Distribution(dist.begin(),
-                                                      dist.end()))
-                                  .pValue,
-                              1e-6)
-                        << backend << " shardShots " << g.shardShots;
+                    const std::pair<const char *,
+                                    std::function<Result()>>
+                        entries[] = {
+                            {"run", [&]() { return engine.run(job); }},
+                            {"queue future", [&]() {
+                                 return queue.submit(spec).get();
+                             }},
+                            {"runAll", [&]() {
+                                 return queue.runAll({spec}).front();
+                             }},
+                        };
+                    if (threads == 1 && !fault &&
+                        (backend == "statevector" ||
+                         backend == "density")) {
+                        // The split counts fit the instrumented
+                        // circuit's exact distribution (1e-6
+                        // false-alarm rate).
+                        DensityMatrixSimulator exact;
+                        exact.setNoiseModel(noise);
+                        const auto dist =
+                            exact.exactDistribution(*job.circuit);
+                        EXPECT_GE(stats::pooledChiSquareTest(
+                                      engine.run(job).rawCounts(),
+                                      stats::Distribution(dist.begin(),
+                                                          dist.end()))
+                                      .pValue,
+                                  1e-6)
+                            << key;
+                    }
+                    for (const auto &[entry, run] : entries) {
+                        const std::uint64_t digest = engineDigest(run());
+                        if (!first)
+                            first = digest;
+                        EXPECT_EQ(digest, *first)
+                            << key << " threads " << threads << " fault "
+                            << fault << " via " << entry << ": digest 0x"
+                            << std::hex << digest;
+                    }
                 }
-                for (const auto &[entry, run] : entries) {
-                    const Result r = run();
-                    EXPECT_EQ(engineDigest(r), g.digest)
-                        << g.backend << " shardShots " << g.shardShots
-                        << " threads " << threads << " fault " << fault
-                        << " via " << entry << ": digest 0x"
-                        << std::hex << engineDigest(r);
-                }
-            }
+            got.emplace_back(key, *first);
+        }
+    test::expectGoldenTable(golden, got);
 }

@@ -2,6 +2,10 @@
 
 #include <bit>
 #include <cmath>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +16,7 @@
 #include "sim/statevector_simulator.hh"
 #include "sim/trajectory_simulator.hh"
 #include "stats/distance.hh"
+#include "testutil.hh"
 
 namespace qra {
 namespace {
@@ -431,25 +436,27 @@ TEST(ShotLoopGolden, NoisyTrajectoryCounts)
     c.x(1).s(2).x(3).h(0).cx(0, 1).cx(1, 2).measure(2, 0).reset(2);
     c.h(3).cx(3, 4).postSelect(3, 1).cx(0, 2).measure(0, 1);
     c.measure(1, 2).measure(4, 3);
-    const struct
-    {
-        const NoiseModel *noise;
-        std::uint64_t digest;
-    } cases[] = {
-        {&device.noiseModel(), 0xa0b0da7c71ff542cULL},
-        {&simple, 0xf4c34cf704985be2ULL},
+    const std::map<std::string, std::uint64_t> golden = {
+        {"ibmqx4", 0xa0b0da7c71ff542cULL},
+        {"simple", 0xf4c34cf704985be2ULL},
     };
-    for (const auto &tc : cases) {
+    const std::pair<std::string, const NoiseModel *> noises[] = {
+        {"ibmqx4", &device.noiseModel()},
+        {"simple", &simple},
+    };
+    std::vector<std::pair<std::string, std::uint64_t>> got;
+    for (const auto &[name, noise] : noises) {
         TrajectorySimulator sim(45);
-        sim.setNoiseModel(tc.noise);
+        sim.setNoiseModel(noise);
         const Result r = sim.run(c, 300);
         std::uint64_t h = kFnv1aOffset;
         for (const auto &[key, count] : r.rawCounts())
             h = fnv1aMix64(fnv1aMix64(h, key), count);
         h = fnv1aMix64(
             h, std::bit_cast<std::uint64_t>(r.retainedFraction()));
-        EXPECT_EQ(h, tc.digest) << "digest 0x" << std::hex << h;
+        got.emplace_back(name, h);
     }
+    test::expectGoldenTable(golden, got);
 }
 
 } // namespace
