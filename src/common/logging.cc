@@ -8,54 +8,38 @@ namespace qra {
 
 namespace {
 
-/** Startup minimum: QRA_LOG env override, else warnings-and-above. */
-LogLevel
-initialLevel()
+/** Whether QRA_LOG=silent; any other level lets warnings through. */
+bool
+silencedAtStartup()
 {
     const char *env = std::getenv("QRA_LOG");
     if (env == nullptr)
-        return LogLevel::Warn;
-    if (std::strcmp(env, "debug") == 0)
-        return LogLevel::Debug;
-    if (std::strcmp(env, "info") == 0)
-        return LogLevel::Info;
-    if (std::strcmp(env, "warn") == 0)
-        return LogLevel::Warn;
+        return false;
     if (std::strcmp(env, "silent") == 0)
-        return LogLevel::Silent;
+        return true;
+    for (const char *level : {"debug", "info", "warn"}) {
+        if (std::strcmp(env, level) == 0)
+            return false;
+    }
     // Unrecognised value: keep the default rather than surprise-
     // silencing; one warning so the typo is discoverable.
     std::cerr << "[qra:warn] unrecognised QRA_LOG value \"" << env
               << "\" (expected debug|info|warn|silent)\n";
-    return LogLevel::Warn;
+    return false;
 }
 
 /** Written once, before main; only read afterwards. */
-const LogLevel kMinLevel = initialLevel();
+const bool kSilenced = silencedAtStartup();
 
 } // namespace
 
 void
-Logger::log(LogLevel severity, const std::string &msg)
-{
-    if (severity < kMinLevel)
-        return;
-
-    const char *tag = "";
-    switch (severity) {
-      case LogLevel::Debug: tag = "debug"; break;
-      case LogLevel::Info:  tag = "info";  break;
-      case LogLevel::Warn:  tag = "warn";  break;
-      case LogLevel::Silent: return;
-    }
-    // One write per line: interleaved-safe enough for stderr lines.
-    std::cerr << std::string("[qra:") + tag + "] " + msg + "\n";
-}
-
-void
 logWarn(const std::string &msg)
 {
-    Logger::log(LogLevel::Warn, msg);
+    if (kSilenced)
+        return;
+    // One write per line: interleaved-safe enough for stderr lines.
+    std::cerr << "[qra:warn] " + msg + "\n";
 }
 
 } // namespace qra

@@ -1,12 +1,12 @@
 /**
  * @file
- * Minimal leveled logging for the QRA library.
+ * Minimal logging for the QRA library.
  *
  * The library logs warnings on stderr, one line each, e.g.
  * `[qra:warn] ignoring invalid QRA_SIMD value 'x'`. The `QRA_LOG`
- * environment variable (debug|info|warn|silent) sets the minimum
- * severity once, at startup; the default is warn, and `silent`
- * suppresses every line.
+ * environment variable (debug|info|warn|silent) is read once, at
+ * startup: `silent` suppresses every line, and the other three, like
+ * the default, let warnings through.
  */
 
 #ifndef QRA_COMMON_LOGGING_HH
@@ -16,21 +16,7 @@
 
 namespace qra {
 
-/** Severity levels, ordered from most to least verbose. */
-enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Silent = 3 };
-
-/** Process-wide logger sink. */
-class Logger
-{
-  public:
-    /**
-     * Emit one message at the given severity (no newline needed) if
-     * it reaches the startup minimum. Thread-safe.
-     */
-    static void log(LogLevel severity, const std::string &msg);
-};
-
-/** Emit a warning-level message. */
+/** Emit one warning line (no newline needed) on stderr. Thread-safe. */
 void logWarn(const std::string &msg);
 
 } // namespace qra

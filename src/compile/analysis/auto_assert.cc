@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <string>
-#include <utility>
 
 #include "assertions/classical_assertion.hh"
 #include "assertions/entanglement_assertion.hh"
@@ -251,10 +250,7 @@ AutoAssertPass::run(CompileContext &ctx) const
     auto instrumented = std::make_shared<InstrumentedCircuit>(
         detail::weaveAssertions(ctx.circuit, specs,
                                 instrumentOptions_));
-    // The cached instrumented circuit takes the exact-size copy (see
-    // InstrumentPass::run).
-    ctx.circuit = std::exchange(instrumented->circuit(),
-                                Circuit(instrumented->circuit()));
+    ctx.circuit = instrumented->circuit();
     ctx.instrumented = std::move(instrumented);
 
     obs::count(analysisMetrics().checksInjected, generated.size());

@@ -1,7 +1,5 @@
 #include "compile/passes.hh"
 
-#include <utility>
-
 #include "common/error.hh"
 #include "common/hash.hh"
 #include "transpile/direction_fixer.hh"
@@ -208,10 +206,7 @@ InstrumentPass::run(CompileContext &ctx) const
 {
     auto inst = std::make_shared<InstrumentedCircuit>(
         detail::weaveAssertions(ctx.circuit, specs_, options_));
-    // Weaving grows the circuit by doubling, and a copy is exact: the
-    // prepare cache keeps the instrumented circuit, so it takes the
-    // copy, and the pipeline goes on with the original.
-    ctx.circuit = std::exchange(inst->circuit(), Circuit(inst->circuit()));
+    ctx.circuit = inst->circuit();
     ctx.instrumented = std::move(inst);
 }
 

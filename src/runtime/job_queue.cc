@@ -38,6 +38,17 @@ queueMetrics()
     return metrics;
 }
 
+/**
+ * Drop @p circuit's unused slots: weaving and routing grow a circuit
+ * by doubling, and a copy is exact.
+ */
+void
+shrinkToFit(Circuit &circuit)
+{
+    if (circuit.ops().capacity() > circuit.size())
+        circuit = Circuit(circuit);
+}
+
 } // namespace
 
 JobQueue::JobQueue(ExecutionEngine &engine)
@@ -108,6 +119,11 @@ JobQueue::prepare(const JobSpec &spec, bool count_stats,
             const double prepare_seconds = span.stop();
             if (info != nullptr)
                 info->seconds = prepare_seconds;
+            // The entry keeps its circuits while it lives: at most one
+            // copy each per miss, so it holds no unused slots.
+            shrinkToFit(ctx.circuit);
+            if (ctx.instrumented != nullptr)
+                shrinkToFit(ctx.instrumented->circuit());
             auto prepared = std::make_shared<Prepared>();
             prepared->instrumented = ctx.instrumented;
             prepared->circuit =

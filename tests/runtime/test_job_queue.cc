@@ -424,6 +424,17 @@ TEST(JobQueue, AssertionInjectionFlowsThroughQueue)
 
     // Specs without assertions expose no instrumented circuit.
     EXPECT_EQ(queue.instrumented(bellSpec()), nullptr);
+
+    // The cache keeps the instrumented circuit as long as the entry
+    // lives: with or without a device, it holds no unused slots.
+    const DeviceModel device = DeviceModel::ibmqx4();
+    for (const CouplingMap *coupling :
+         {static_cast<const CouplingMap *>(nullptr),
+          &device.couplingMap()}) {
+        spec.coupling = coupling;
+        const Circuit &woven = queue.instrumented(spec)->circuit();
+        EXPECT_EQ(woven.ops().capacity(), woven.size());
+    }
 }
 
 TEST(JobQueue, FutureStatsMeasureCompletionNotConsumption)

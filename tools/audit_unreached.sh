@@ -10,7 +10,8 @@
 # src/libqra.a defines and none of the linked binaries keeps are the
 # names only tests reach. Prints the totals, then those names, one a
 # line; the lists stay in <build-dir> as library.txt, reached.txt and
-# unreached.txt. Nothing is written inside the source tree.
+# unreached.txt. Nothing is written inside the source tree. The
+# standard CMAKE_BUILD_PARALLEL_LEVEL sets the build's parallelism.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -20,18 +21,16 @@ fi
 root=$(cd "$(dirname "$0")/.." && pwd)
 mkdir -p "$1"
 out=$(cd "$1" && pwd)
-jobs=${AUDIT_JOBS:-2}
 
 flags=(-DCMAKE_BUILD_TYPE=None
        "-DCMAKE_CXX_FLAGS=-O0 -fno-inline -ffunction-sections"
        -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections)
 cmake -S "$root" -B "$out/tree" "${flags[@]}" -DQRA_BUILD_TESTS=OFF \
     > "$out/configure.log"
-cmake --build "$out/tree" -j "$jobs" > "$out/build.log"
+cmake --build "$out/tree" > "$out/build.log"
 cmake -S "$root/e2ebench" -B "$out/e2ebench" "${flags[@]}" \
     >> "$out/configure.log"
-cmake --build "$out/e2ebench" --target qra_e2ebench -j "$jobs" \
-    >> "$out/build.log"
+cmake --build "$out/e2ebench" --target qra_e2ebench >> "$out/build.log"
 
 # Defined text symbols (strong or weak, global or local) in qra::.
 functions() {
